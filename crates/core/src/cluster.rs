@@ -643,36 +643,28 @@ impl Cluster {
         Ok(Cluster { dims, links, health, meter, total_tuples, plan, servers })
     }
 
-    /// Constructs every [`LocalSite`] (each a PR-tree bulk load), one
-    /// scoped thread per site when the pool allows. Results stay in site
-    /// order; errors are surfaced in site order by the caller.
+    /// Constructs every [`LocalSite`] (each a PR-tree bulk load) on at most
+    /// pool-size threads, contiguous runs of sites per thread
+    /// ([`threadpool::map_chunks`]). Results stay in site order; errors are
+    /// surfaced in site order by the caller.
     fn build_sites(
         dims: usize,
         sites: Vec<Vec<UncertainTuple>>,
         options: SiteOptions,
         recorder: &Recorder,
     ) -> Vec<Result<LocalSite, Error>> {
-        let indexed: Vec<(u32, Vec<UncertainTuple>)> =
-            sites.into_iter().enumerate().map(|(i, t)| (i as u32, t)).collect();
-        let make = |(i, tuples): (u32, Vec<UncertainTuple>)| {
-            LocalSite::new(i, dims, tuples, options).map(|mut site| {
-                site.set_recorder(recorder.clone());
-                site
-            })
-        };
-        if threadpool::pool_size() > 1 && indexed.len() > 1 {
-            let mut out = Vec::with_capacity(indexed.len());
-            threadpool::scope(|s| {
-                let handles: Vec<_> =
-                    indexed.into_iter().map(|item| s.spawn(move || make(item))).collect();
-                for h in handles {
-                    out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-                }
-            });
-            out
-        } else {
-            indexed.into_iter().map(make).collect()
-        }
+        threadpool::map_chunks(sites, |start, chunk| {
+            chunk
+                .into_iter()
+                .enumerate()
+                .map(|(j, tuples)| {
+                    LocalSite::new((start + j) as u32, dims, tuples, options).map(|mut site| {
+                        site.set_recorder(recorder.clone());
+                        site
+                    })
+                })
+                .collect()
+        })
     }
 
     fn build(

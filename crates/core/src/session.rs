@@ -677,8 +677,7 @@ impl SessionServer {
             .shared
             .iter()
             .map(|s| {
-                Box::new(MuxLink::new(query_id, SharedLink::clone(s), query_meter.clone()))
-                    as Box<dyn Link>
+                Box::new(MuxLink::new(query_id, s.clone(), query_meter.clone())) as Box<dyn Link>
             })
             .collect();
         let result = {
@@ -804,9 +803,7 @@ impl SessionServer {
             // byte.
             let g = self.group_of[home];
             let reply = if self.grouped[g] {
-                match self.shared[g]
-                    .lock()
-                    .call(Message::AggScatter { parts: vec![(op.site(), inject)] })
+                match self.shared[g].call(Message::AggScatter { parts: vec![(op.site(), inject)] })
                 {
                     Ok(Message::AggReplies { replies })
                         if replies.len() == 1 && replies[0].0 == op.site() =>
@@ -817,7 +814,7 @@ impl SessionServer {
                     Err(e) => Err(e),
                 }
             } else {
-                self.shared[g].lock().call(inject)
+                self.shared[g].call(inject)
             };
             match reply {
                 Ok(_) => {
@@ -868,7 +865,7 @@ impl SessionServer {
         for i in 0..self.shared.len() {
             summary.probed += 1;
             let nonce = self.heartbeat_nonce.fetch_add(1, Ordering::Relaxed);
-            let reply = self.shared[i].lock().call(Message::HealthProbe { nonce });
+            let reply = self.shared[i].call(Message::HealthProbe { nonce });
             match reply {
                 Ok(Message::HealthAck { nonce: echoed }) if echoed == nonce => {
                     summary.acks += 1;
@@ -921,7 +918,7 @@ impl SessionServer {
                 // retry layer's since-reconnect window restarts — probation
                 // must be judged on fresh evidence, not the failure burst
                 // that caused the quarantine.
-                let _ = self.shared[link].lock().reconnect();
+                let _ = self.shared[link].reconnect();
                 let since = self
                     .lifecycle
                     .lock()
@@ -992,11 +989,7 @@ impl SessionServer {
         let mut links: Vec<Box<dyn Link>> = (0..self.plan.sites())
             .map(|s| {
                 let g = self.group_of[s];
-                let mux = MuxLink::new(
-                    query_id,
-                    SharedLink::clone(&self.shared[g]),
-                    resync_meter.clone(),
-                );
+                let mux = MuxLink::new(query_id, self.shared[g].clone(), resync_meter.clone());
                 if self.grouped[g] {
                     Box::new(SiteRoute::new(s as u32, mux)) as Box<dyn Link>
                 } else {
@@ -1048,9 +1041,18 @@ impl SessionServer {
     }
 
     fn release_sites(&self, query_id: u64) {
-        for shared in &self.shared {
-            let release = Message::Tagged { query_id, inner: Box::new(Message::Release) };
-            let _ = shared.lock().call(release);
+        // Every release goes on the wire before any reply is awaited.
+        let sent: Vec<_> = self
+            .shared
+            .iter()
+            .map(|shared| {
+                shared.send(Message::Tagged { query_id, inner: Box::new(Message::Release) })
+            })
+            .collect();
+        for (shared, seq) in self.shared.iter().zip(sent) {
+            if let Ok(seq) = seq {
+                let _ = shared.complete(seq);
+            }
         }
     }
 }

@@ -159,14 +159,24 @@ impl LinkHealth {
 /// the [`Recorder`] ([`Counter::LinkRetries`], [`Counter::LinkTimeouts`])
 /// so they land in the run report.
 ///
-/// Retries happen inside [`Link::complete`], never at [`Link::send`]: a
-/// failed send is deferred (the ticket is still issued), so the rest of a
-/// broadcast's sends go out before any backoff pause — the same overlap a
-/// healthy round has, and the same deterministic backoff schedule as the
-/// synchronous path. When several requests are in flight and one fails, the
-/// inner transport's remaining tickets are condemned (the wire they rode is
-/// gone); the later requests are replayed, in send order, over a fresh
-/// connection.
+/// A failed send is deferred (the ticket is still issued), so the rest of
+/// a broadcast's sends go out before any backoff pause — the same overlap
+/// a healthy round has, and the same deterministic backoff schedule as the
+/// synchronous path. Its retries run when it is completed, or earlier,
+/// when the next request is sent on the same link: a request owed a retry
+/// always goes back on the wire ahead of the frames sent after it, so the
+/// site executes requests in send order and one request's attempts stay
+/// consecutive even on a link shared by concurrent queries (the attempt
+/// ordinals a fault schedule is keyed on then mean the same thing as on
+/// an unshared link). When several requests are in flight and one fails,
+/// the replies of the requests behind it are read off the wire *before*
+/// the retry reconnects, so a request the site already answered is never
+/// sent again — which matters most on a wire shared by concurrent queries,
+/// where the frames behind a failure belong to other queries. Only a
+/// request whose reply cannot be read any more (the wire itself broke) is
+/// replayed, in send order, over the fresh connection; that replay may
+/// execute it twice at the site, the same hazard any retry of a timed-out
+/// request has.
 #[derive(Debug)]
 pub struct RetryLink<L> {
     inner: L,
@@ -177,11 +187,6 @@ pub struct RetryLink<L> {
     /// Requests in flight, in send order, each with a clone of its message
     /// (kept for retries on `complete`).
     pending: VecDeque<Pending>,
-    /// Set once a failure forced (or will force) an inner reconnect: the
-    /// inner tickets of later pending requests no longer redeem, so those
-    /// requests are replayed via `inner.call` instead. Cleared when the
-    /// window drains.
-    broken: bool,
 }
 
 /// One in-flight request held by a [`RetryLink`].
@@ -189,9 +194,23 @@ pub struct RetryLink<L> {
 struct Pending {
     ticket: Ticket,
     msg: Message,
-    /// The inner ticket when the send went through, or the deferred send
-    /// error to retry at completion time.
-    state: Result<Ticket, LinkError>,
+    state: Flight,
+}
+
+/// Where a [`Pending`] request stands on the inner transport.
+#[derive(Debug)]
+enum Flight {
+    /// On the current wire under this inner ticket.
+    Sent(Ticket),
+    /// The send failed; the retries run before the link's next send, or at
+    /// completion.
+    Unsent(LinkError),
+    /// Its outcome is known: the reply read off the wire ahead of a
+    /// reconnect, or the result of retries run ahead of a later send.
+    Settled(Result<Message, LinkError>),
+    /// Its wire was reconnected before the reply could be read: it is
+    /// replayed at completion time.
+    Abandoned,
 }
 
 impl<L: Link> RetryLink<L> {
@@ -209,7 +228,6 @@ impl<L: Link> RetryLink<L> {
             health: Arc::new(LinkHealth::default()),
             tickets: TicketLedger::default(),
             pending: VecDeque::new(),
-            broken: false,
         }
     }
 
@@ -230,6 +248,36 @@ impl<L: Link> RetryLink<L> {
         }
     }
 
+    /// Reconnects the inner transport after settling every request still
+    /// on the current wire: a readable reply is kept for its request, an
+    /// unreadable one marks it for replay.
+    fn reconnect_inner(&mut self) {
+        for entry in &mut self.pending {
+            if let Flight::Sent(inner_ticket) = entry.state {
+                entry.state = match self.inner.complete(inner_ticket) {
+                    Ok(reply) => Flight::Settled(Ok(reply)),
+                    Err(_) => Flight::Abandoned,
+                };
+            }
+        }
+        // Best-effort: a failed reconnect still lets the next attempt run,
+        // which surfaces the transport's own (possibly more specific)
+        // error.
+        let _ = self.inner.reconnect();
+    }
+
+    /// Runs the retries of every request whose send failed, in send order,
+    /// settling each outcome for its completion.
+    fn retry_unsent(&mut self) {
+        for k in 0..self.pending.len() {
+            if let Flight::Unsent(e) = &self.pending[k].state {
+                let (msg, e) = (self.pending[k].msg.clone(), e.clone());
+                let result = self.retry_after(msg, e);
+                self.pending[k].state = Flight::Settled(result);
+            }
+        }
+    }
+
     /// Retries `msg` after `first_error`, consuming the remaining budget.
     fn retry_after(&mut self, msg: Message, first_error: LinkError) -> Result<Message, LinkError> {
         let mut last_error = first_error;
@@ -240,10 +288,7 @@ impl<L: Link> RetryLink<L> {
             if !pause.is_zero() {
                 std::thread::sleep(pause);
             }
-            // Best-effort: a failed reconnect still lets the attempt run,
-            // which surfaces the transport's own (possibly more specific)
-            // error.
-            let _ = self.inner.reconnect();
+            self.reconnect_inner();
             self.health.note_attempt();
             match self.inner.call(msg.clone()) {
                 Ok(reply) => return Ok(reply),
@@ -259,16 +304,18 @@ impl<L: Link> RetryLink<L> {
 
 impl<L: Link> Link for RetryLink<L> {
     fn send(&mut self, msg: Message) -> Result<Ticket, LinkError> {
+        self.retry_unsent();
         self.health.note_attempt();
         let state = match self.inner.send(msg.clone()) {
-            Ok(inner_ticket) => Ok(inner_ticket),
+            Ok(inner_ticket) => Flight::Sent(inner_ticket),
             Err(e) => {
-                // Defer the retries to `complete`, so a broadcast's other
-                // sends still go out first — the same overlap a healthy
-                // round has. Only this request is condemned: requests
-                // already on the wire complete normally ahead of it.
+                // Defer the retries to this link's next send or to
+                // `complete`, so a broadcast's sends on other links still
+                // go out first — the same overlap a healthy round has. Only
+                // this request is condemned: requests already on the wire
+                // complete normally ahead of it.
                 self.note_failure(&e);
-                Err(e)
+                Flight::Unsent(e)
             }
         };
         let ticket = self.tickets.issue();
@@ -281,21 +328,21 @@ impl<L: Link> Link for RetryLink<L> {
         let entry = self.pending.pop_front().expect("a redeemed ticket has a pending request");
         assert!(entry.ticket == ticket, "tickets must be completed in send order");
         let result = match entry.state {
-            Ok(inner_ticket) if !self.broken => match self.inner.complete(inner_ticket) {
+            Flight::Sent(inner_ticket) => match self.inner.complete(inner_ticket) {
                 Ok(reply) => Ok(reply),
                 Err(e) => {
                     self.note_failure(&e);
-                    self.broken = true;
                     self.retry_after(entry.msg, e)
                 }
             },
-            Ok(_abandoned) => {
-                // An earlier in-flight request broke the wire after this one
-                // was sent; its inner ticket died with the old connection.
-                // Replay the request on the reconnected transport — the
-                // request may execute twice at the site, the same hazard any
-                // retry of a timed-out request has.
-                let _ = self.inner.reconnect();
+            Flight::Settled(result) => result,
+            Flight::Abandoned => {
+                // An earlier request's failure broke the wire after this
+                // one was sent, before its reply could be read. Replay it
+                // on a reconnected transport — the request may execute
+                // twice at the site, the same hazard any retry of a
+                // timed-out request has.
+                self.reconnect_inner();
                 self.health.note_attempt();
                 match self.inner.call(entry.msg.clone()) {
                     Ok(reply) => Ok(reply),
@@ -305,19 +352,10 @@ impl<L: Link> Link for RetryLink<L> {
                     }
                 }
             }
-            Err(e) => {
-                // A deferred send failure: the retry loop below may
-                // reconnect the inner transport, which condemns the inner
-                // tickets of everything sent after this request.
-                self.broken = true;
-                self.retry_after(entry.msg, e)
-            }
+            // A deferred send failure: the retry below settles what is
+            // still on the wire before it reconnects.
+            Flight::Unsent(e) => self.retry_after(entry.msg, e),
         };
-        if self.pending.is_empty() {
-            // The window drained: whatever happened, the next send starts
-            // from a coherent (possibly freshly reconnected) wire.
-            self.broken = false;
-        }
         match result {
             Ok(_) => self.health.note_success(),
             Err(_) => self.health.note_miss(),
@@ -328,7 +366,6 @@ impl<L: Link> Link for RetryLink<L> {
     fn reconnect(&mut self) -> Result<(), LinkError> {
         self.pending.clear();
         self.tickets.reset();
-        self.broken = false;
         // An explicit reconnect opens a fresh evidence window: probation
         // judges the rejoined link on what happens from here on.
         self.health.reset_window();
@@ -423,37 +460,98 @@ mod tests {
         assert_eq!(transcript(false), transcript(true));
     }
 
-    #[test]
-    fn deferred_send_failure_retries_in_send_order() {
-        // Two requests in flight; the fault swallows the *first* of them at
-        // send time. The failure is deferred to that request's completion,
-        // where the retry runs — the second request, condemned with the
-        // wire, is replayed and still yields its reply in send order.
-        let mut link = stalled(2, 1);
-        assert!(link.call(Message::RequestNext).is_ok()); // consume healthy budget
-        let first = link.send(Message::RequestNext).unwrap(); // swallowed, deferred
-        let second = link.send(Message::RequestNext).unwrap();
-        assert_eq!(link.complete(first), Ok(Message::Upload(None))); // retried here
-        assert_eq!(link.complete(second), Ok(Message::Upload(None))); // replayed
-        let health = link.health().snapshot();
-        assert_eq!(health.retries, 1);
-        assert_eq!(health.timeouts, 1);
+    /// A stall-faulted inline link whose service counts executions: the
+    /// reply to the `k`-th executed request is
+    /// `SurvivalReply { survival: k }`.
+    fn counting_stalled(budget: u32, stall: u64) -> RetryLink<FaultyLink<LocalLink<impl Service>>> {
+        let mut executed = 0u64;
+        let service = move |_msg: Message| {
+            executed += 1;
+            Message::SurvivalReply { survival: executed as f64, pruned: 0 }
+        };
+        let inner = LocalLink::new(service, BandwidthMeter::new());
+        RetryLink::new(FaultyLink::new(inner, FaultMode::Stall(stall), 1), config(budget))
+    }
+
+    fn executed(k: u64) -> Result<Message, LinkError> {
+        Ok(Message::SurvivalReply { survival: k as f64, pruned: 0 })
     }
 
     #[test]
-    fn mid_window_failure_replays_later_requests() {
-        // The middle of three in-flight requests fails; everything after it
-        // rode the condemned wire and must be replayed over the reconnected
-        // transport, still yielding replies in send order.
-        let mut link = stalled(2, 1);
-        let first = link.send(Message::RequestNext).unwrap(); // healthy budget
+    fn deferred_send_failure_retries_in_send_order() {
+        // Two requests in flight; the fault swallows the *first* of them at
+        // send time. Its retry runs before the second request goes out, so
+        // the site executes both in send order, each exactly once.
+        let mut link = counting_stalled(2, 1);
+        assert_eq!(link.call(Message::RequestNext), executed(1)); // healthy budget
+        let first = link.send(Message::RequestNext).unwrap(); // swallowed, deferred
+        let second = link.send(Message::RequestNext).unwrap(); // retries first, then #3
+        assert_eq!(link.complete(first), executed(2));
+        assert_eq!(link.complete(second), executed(3));
+        assert_eq!(link.call(Message::RequestNext), executed(4));
+        let health = link.health().snapshot();
+        assert_eq!(health.retries, 1);
+        assert_eq!(health.timeouts, 1);
+        assert_eq!(health.attempts, 5);
+    }
+
+    #[test]
+    fn deferred_failure_is_retried_at_completion_without_a_later_send() {
+        let mut link = counting_stalled(2, 1);
+        assert_eq!(link.call(Message::RequestNext), executed(1)); // healthy budget
+        let ticket = link.send(Message::RequestNext).unwrap(); // swallowed, deferred
+        assert_eq!(link.health().snapshot().retries, 0, "nothing retried before completion");
+        assert_eq!(link.complete(ticket), executed(2));
+        assert_eq!(link.health().snapshot().retries, 1);
+    }
+
+    #[test]
+    fn mid_window_failure_settles_later_requests() {
+        // The middle of three in-flight requests fails at send; the first
+        // is already on the wire and is settled off it before the retry
+        // reconnects, so every request executes once, in send order.
+        let mut link = counting_stalled(2, 1);
+        let first = link.send(Message::RequestNext).unwrap(); // healthy budget: #1
         let second = link.send(Message::RequestNext).unwrap(); // swallowed
-        let third = link.send(Message::RequestNext).unwrap();
-        assert_eq!(link.complete(first), Ok(Message::Upload(None)));
-        assert_eq!(link.complete(second), Ok(Message::Upload(None))); // retried
-        assert_eq!(link.complete(third), Ok(Message::Upload(None))); // replayed
-                                                                     // A fresh window after the drain behaves as if nothing happened.
-        assert_eq!(link.call(Message::RequestNext), Ok(Message::Upload(None)));
+        let third = link.send(Message::RequestNext).unwrap(); // settles #1, retries #2, then #3
+        assert_eq!(link.complete(first), executed(1));
+        assert_eq!(link.complete(second), executed(2));
+        assert_eq!(link.complete(third), executed(3));
+
+        // A fresh window after the drain behaves as if nothing happened.
+        assert_eq!(link.call(Message::RequestNext), executed(4));
+    }
+
+    /// Over a socket, a request whose wire breaks under it (the read of
+    /// an earlier reply timed out) cannot be settled and is replayed.
+    #[test]
+    fn broken_wire_replays_the_requests_behind_the_failure() {
+        let server = crate::tcp::spawn_site({
+            let mut first = true;
+            move |msg: Message| {
+                if first {
+                    first = false;
+                    std::thread::sleep(Duration::from_millis(250));
+                }
+                msg
+            }
+        })
+        .unwrap();
+        let config = LinkConfig {
+            request_timeout: Duration::from_millis(100),
+            retry_budget: 3,
+            backoff: Duration::from_millis(10),
+        };
+        let tcp = crate::tcp::TcpLink::connect_with(server.addr(), BandwidthMeter::new(), config)
+            .unwrap();
+        let mut link = RetryLink::new(tcp, config);
+        let first = link.send(Message::RequestNext).unwrap(); // stalls past its deadline
+        let second = link.send(Message::Release).unwrap();
+        assert_eq!(link.complete(first), Ok(Message::RequestNext)); // retried
+        assert_eq!(link.complete(second), Ok(Message::Release)); // replayed
+        assert!(link.health().snapshot().retries >= 1);
+        drop(link);
+        server.shutdown().unwrap();
     }
 
     #[test]

@@ -7,14 +7,20 @@
 //! the gap:
 //!
 //! * [`MuxLink`] — a [`Link`] that a single query owns privately, backed by
-//!   a [`SharedLink`] (a mutex-guarded transport to one site) that every
-//!   concurrent query shares. Each request is wrapped in
-//!   [`Message::Tagged`] with the query's id and the tag/reply exchange is
-//!   performed atomically under the shared lock, so replies can never be
-//!   attributed to the wrong query even though the wire itself carries no
-//!   reply correlation. Coordinators drive a `MuxLink` exactly as they
-//!   drive a `LocalLink`, so the session layer reuses the one-shot
-//!   protocol code unchanged — the property the bit-identity tests pin.
+//!   a [`SharedLink`] (one transport to one site) that every concurrent
+//!   query shares. Each request is wrapped in [`Message::Tagged`] with the
+//!   query's id. The wire itself carries no reply correlation, and needs
+//!   none: a site serves each connection strictly in order, so the `k`-th
+//!   reply on a wire answers its `k`-th frame. The shared link is
+//!   pipelined: [`SharedLink::send`] writes a frame under a short lock and
+//!   returns a sequence number; [`SharedLink::complete`] reads replies in
+//!   wire order, parking other queries' replies until their owners
+//!   collect them. Concurrent queries therefore overlap at a site, and a
+//!   query's round has every site's frame in flight at once — with no
+//!   reader thread and no thread per exchange. Coordinators drive a
+//!   `MuxLink` exactly as they drive a `LocalLink`, so the session layer
+//!   reuses the one-shot protocol code unchanged — the property the
+//!   bit-identity tests pin.
 //! * [`QueryServer`] — the accept loop clients connect to: one OS thread
 //!   per client, newline-delimited requests handed to a per-connection
 //!   [`ClientHandler`], cooperative shutdown either from the owner
@@ -27,7 +33,7 @@
 //! per-query meter — byte-for-byte what the same query would have metered
 //! as a one-shot run.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,31 +45,161 @@ use parking_lot::Mutex;
 use crate::transport::TicketLedger;
 use crate::{BandwidthMeter, Link, LinkError, Message, Ticket};
 
+/// Most frames a [`SharedLink`] keeps on its wire at once; a send at the
+/// cap first settles the oldest frame. Below the channel transport's
+/// queue depth, so a shared channel link can never overrun it, and small
+/// enough that a socket's buffers absorb a full window.
+const WINDOW: usize = 8;
+
 /// A transport to one site, shared by every concurrent query of a session
-/// server. The mutex serializes whole request/reply exchanges, which is
-/// what makes untagged replies unambiguous.
-pub type SharedLink = Arc<Mutex<Box<dyn Link>>>;
+/// server, with several tagged frames in flight at once.
+///
+/// The site answers in wire order, so the link tracks its in-flight frames
+/// as a FIFO of `(sequence number, inner ticket)` pairs. Completing one
+/// frame reads the replies ahead of it off the wire and parks them, keyed
+/// by sequence number, until their owners collect them. Every operation
+/// holds the lock only for its own work, and no code path holds two
+/// shared links' locks at once.
+#[derive(Clone)]
+pub struct SharedLink {
+    wire: Arc<Mutex<Wire>>,
+}
+
+/// The state behind a [`SharedLink`]'s lock.
+struct Wire {
+    link: Box<dyn Link>,
+    next_seq: u64,
+    /// Frames sent but not yet answered, oldest first.
+    in_flight: VecDeque<(u64, Ticket)>,
+    /// Replies (or errors) read for frames whose owner has not collected
+    /// them yet.
+    parked: HashMap<u64, Result<Message, LinkError>>,
+}
+
+impl Wire {
+    /// Reads the oldest in-flight frame's reply and parks it.
+    fn settle_oldest(&mut self) {
+        if let Some((seq, ticket)) = self.in_flight.pop_front() {
+            let reply = self.link.complete(ticket);
+            self.parked.insert(seq, reply);
+        }
+    }
+}
 
 /// Wraps an owned link for sharing across concurrent queries.
 pub fn share(link: Box<dyn Link>) -> SharedLink {
-    Arc::new(Mutex::new(link))
+    SharedLink {
+        wire: Arc::new(Mutex::new(Wire {
+            link,
+            next_seq: 0,
+            in_flight: VecDeque::new(),
+            parked: HashMap::new(),
+        })),
+    }
+}
+
+impl SharedLink {
+    /// Puts a frame on the wire and returns its sequence number, to be
+    /// redeemed exactly once with [`SharedLink::complete`]. At the window
+    /// cap the oldest frame is settled first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the transport's error when the frame cannot be sent; no
+    /// sequence number is issued then.
+    pub fn send(&self, msg: Message) -> Result<u64, LinkError> {
+        let mut wire = self.wire.lock();
+        while wire.in_flight.len() >= WINDOW {
+            wire.settle_oldest();
+        }
+        let ticket = wire.link.send(msg)?;
+        let seq = wire.next_seq;
+        wire.next_seq += 1;
+        wire.in_flight.push_back((seq, ticket));
+        Ok(seq)
+    }
+
+    /// Redeems a sequence number for its reply, reading (and parking)
+    /// earlier frames' replies off the wire until its own arrives.
+    ///
+    /// # Errors
+    ///
+    /// Returns the transport's error for this frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seq` was never issued or was already redeemed.
+    pub fn complete(&self, seq: u64) -> Result<Message, LinkError> {
+        let mut wire = self.wire.lock();
+        loop {
+            if let Some(reply) = wire.parked.remove(&seq) {
+                return reply;
+            }
+            let (next, ticket) =
+                wire.in_flight.pop_front().expect("sequence number is in flight or parked");
+            let reply = wire.link.complete(ticket);
+            if next == seq {
+                return reply;
+            }
+            wire.parked.insert(next, reply);
+        }
+    }
+
+    /// Sends a frame and waits for its reply.
+    ///
+    /// # Errors
+    ///
+    /// Returns the transport's error.
+    pub fn call(&self, msg: Message) -> Result<Message, LinkError> {
+        let seq = self.send(msg)?;
+        self.complete(seq)
+    }
+
+    /// Re-establishes the transport. Every in-flight frame is settled
+    /// first — its reply or error parked for its owner — so no query loses
+    /// a reply to another's reconnect.
+    ///
+    /// # Errors
+    ///
+    /// Returns the transport's error when it cannot be restored.
+    pub fn reconnect(&self) -> Result<(), LinkError> {
+        let mut wire = self.wire.lock();
+        while !wire.in_flight.is_empty() {
+            wire.settle_oldest();
+        }
+        wire.link.reconnect()
+    }
+}
+
+impl std::fmt::Debug for SharedLink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let wire = self.wire.lock();
+        f.debug_struct("SharedLink")
+            .field("in_flight", &wire.in_flight.len())
+            .field("parked", &wire.parked.len())
+            .finish_non_exhaustive()
+    }
 }
 
 /// A per-query view of a [`SharedLink`]: tags every outgoing request with
-/// the query id (see [`Message::Tagged`]) and performs the exchange
-/// atomically under the shared lock.
+/// the query id (see [`Message::Tagged`]) and keeps the sequence numbers
+/// of its own frames on the shared wire.
 ///
-/// Like [`LocalLink`](crate::LocalLink), the split-phase API is realized
-/// eagerly: `send` completes the whole exchange and buffers the reply until
-/// its [`Ticket`] is redeemed, preserving FIFO ticket semantics without
-/// holding the shared lock between `send` and `complete`.
+/// The split-phase API is real: `send` only puts the tagged frame on the
+/// wire, and `complete` collects its reply, so a broadcast over many sites
+/// has all of them working at once. Dropping the link, [`MuxLink::release`]
+/// and [`Link::reconnect`] settle its outstanding frames, so no parked
+/// reply outlives the query and its `Release` reaches each site after its
+/// last frame.
 pub struct MuxLink {
     query_id: u64,
     shared: SharedLink,
     /// Per-query meter: records the *untagged* request and reply, so this
     /// query's traffic snapshot is bit-identical to a one-shot run's.
     meter: BandwidthMeter,
-    replies: VecDeque<Message>,
+    /// Sequence numbers of this query's frames on the shared wire, in send
+    /// order.
+    in_flight: VecDeque<u64>,
     tickets: TicketLedger,
 }
 
@@ -75,12 +211,22 @@ impl MuxLink {
             query_id,
             shared,
             meter,
-            replies: VecDeque::new(),
+            in_flight: VecDeque::new(),
             tickets: TicketLedger::default(),
         }
     }
 
-    /// Tells the site to discard this query's parked cursor state.
+    /// Collects and discards the replies to this query's outstanding
+    /// frames; their tickets no longer redeem.
+    fn settle(&mut self) {
+        while let Some(seq) = self.in_flight.pop_front() {
+            let _ = self.shared.complete(seq);
+        }
+        self.tickets.reset();
+    }
+
+    /// Tells the site to discard this query's parked cursor state, after
+    /// settling the query's outstanding frames.
     ///
     /// Deliberately *not* recorded on the per-query meter: the release
     /// happens after the query's outcome (and its traffic snapshot) is
@@ -91,8 +237,9 @@ impl MuxLink {
     ///
     /// Returns a [`LinkError`] when the underlying transport fails.
     pub fn release(&mut self) -> Result<(), LinkError> {
+        self.settle();
         let msg = Message::Tagged { query_id: self.query_id, inner: Box::new(Message::Release) };
-        self.shared.lock().call(msg).map(|_| ())
+        self.shared.call(msg).map(|_| ())
     }
 }
 
@@ -100,23 +247,28 @@ impl Link for MuxLink {
     fn send(&mut self, msg: Message) -> Result<Ticket, LinkError> {
         self.meter.record(&msg);
         let tagged = Message::Tagged { query_id: self.query_id, inner: Box::new(msg) };
-        // One atomic exchange under the shared lock: the reply read while
-        // holding it is necessarily ours.
-        let reply = self.shared.lock().call(tagged)?;
-        self.meter.record(&reply);
-        self.replies.push_back(reply);
+        let seq = self.shared.send(tagged)?;
+        self.in_flight.push_back(seq);
         Ok(self.tickets.issue())
     }
 
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
         self.tickets.redeem(ticket);
-        Ok(self.replies.pop_front().expect("a redeemed ticket has a buffered reply"))
+        let seq = self.in_flight.pop_front().expect("a redeemed ticket has a frame in flight");
+        let reply = self.shared.complete(seq)?;
+        self.meter.record(&reply);
+        Ok(reply)
     }
 
     fn reconnect(&mut self) -> Result<(), LinkError> {
-        self.replies.clear();
-        self.tickets.reset();
-        self.shared.lock().reconnect()
+        self.settle();
+        self.shared.reconnect()
+    }
+}
+
+impl Drop for MuxLink {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -344,8 +496,8 @@ mod tests {
         let shared = share(Box::new(LocalLink::new(TagEcho, server_meter.clone())));
         let meter_a = BandwidthMeter::new();
         let meter_b = BandwidthMeter::new();
-        let mut a = MuxLink::new(1, Arc::clone(&shared), meter_a.clone());
-        let mut b = MuxLink::new(2, Arc::clone(&shared), meter_b.clone());
+        let mut a = MuxLink::new(1, shared.clone(), meter_a.clone());
+        let mut b = MuxLink::new(2, shared.clone(), meter_b.clone());
         let ra = a.call(Message::RequestNext).unwrap();
         let rb = b.call(Message::RequestNext).unwrap();
         assert_eq!(ra, Message::SurvivalReply { survival: 1.0, pruned: 0 });
@@ -384,6 +536,161 @@ mod tests {
         let t4 = link.send(Message::RequestNext).unwrap();
         assert!(link.complete(t4).is_ok());
         let _ = t3; // abandoned by reconnect; redeeming it would panic
+    }
+
+    /// A site stub for the pipelining tests: answers each tagged frame
+    /// with `query_id * 1000 + k`, where `k` counts that query's frames so
+    /// far, so a reply delivered to the wrong query — or out of order —
+    /// shows up in its value. Health probes echo their nonce.
+    fn counting_site() -> impl Service {
+        let mut seen: HashMap<u64, u64> = HashMap::new();
+        move |msg: Message| match msg {
+            Message::Tagged { query_id, .. } => {
+                let k = seen.entry(query_id).or_default();
+                *k += 1;
+                Message::SurvivalReply { survival: (query_id * 1000 + *k) as f64, pruned: 0 }
+            }
+            Message::HealthProbe { nonce } => Message::HealthAck { nonce },
+            _ => Message::Ack,
+        }
+    }
+
+    fn reply(query_id: u64, k: u64) -> Result<Message, LinkError> {
+        Ok(Message::SurvivalReply { survival: (query_id * 1000 + k) as f64, pruned: 0 })
+    }
+
+    /// The transports a shared link is exercised over: a channel worker
+    /// and a real socket (kept alive by the returned server handle).
+    fn shared_links() -> Vec<(SharedLink, Option<crate::tcp::SiteServer>)> {
+        let channel = crate::ChannelLink::spawn(counting_site(), BandwidthMeter::new());
+        let server = crate::tcp::spawn_site(counting_site()).unwrap();
+        let tcp = crate::tcp::TcpLink::connect(server.addr(), BandwidthMeter::new()).unwrap();
+        vec![(share(Box::new(channel)), None), (share(Box::new(tcp)), Some(server))]
+    }
+
+    fn wire_is_idle(shared: &SharedLink) -> bool {
+        let wire = shared.wire.lock();
+        wire.in_flight.is_empty() && wire.parked.is_empty()
+    }
+
+    #[test]
+    fn interleaved_queries_each_get_their_own_replies() {
+        for (shared, _server) in shared_links() {
+            let mut a = MuxLink::new(1, shared.clone(), BandwidthMeter::new());
+            let mut b = MuxLink::new(2, shared.clone(), BandwidthMeter::new());
+            let a1 = a.send(Message::RequestNext).unwrap();
+            let b1 = b.send(Message::RequestNext).unwrap();
+            let a2 = a.send(Message::RequestNext).unwrap();
+            assert_eq!(b.complete(b1), reply(2, 1));
+            let b2 = b.send(Message::RequestNext).unwrap();
+            assert_eq!(a.complete(a1), reply(1, 1));
+            assert_eq!(b.complete(b2), reply(2, 2));
+            assert_eq!(a.complete(a2), reply(1, 2));
+            assert!(wire_is_idle(&shared));
+        }
+    }
+
+    #[test]
+    fn heartbeat_call_gets_its_own_reply_amid_in_flight_queries() {
+        for (shared, _server) in shared_links() {
+            let mut a = MuxLink::new(1, shared.clone(), BandwidthMeter::new());
+            let mut b = MuxLink::new(2, shared.clone(), BandwidthMeter::new());
+            let a1 = a.send(Message::RequestNext).unwrap();
+            let a2 = a.send(Message::RequestNext).unwrap();
+            let b1 = b.send(Message::RequestNext).unwrap();
+            assert_eq!(
+                shared.call(Message::HealthProbe { nonce: 77 }),
+                Ok(Message::HealthAck { nonce: 77 })
+            );
+            assert_eq!(b.complete(b1), reply(2, 1));
+            assert_eq!(a.complete(a1), reply(1, 1));
+            assert_eq!(a.complete(a2), reply(1, 2));
+            assert!(wire_is_idle(&shared));
+        }
+    }
+
+    #[test]
+    fn reconnect_settles_other_queries_frames_without_losing_them() {
+        for (shared, _server) in shared_links() {
+            let mut a = MuxLink::new(1, shared.clone(), BandwidthMeter::new());
+            let mut b = MuxLink::new(2, shared.clone(), BandwidthMeter::new());
+            let a1 = a.send(Message::RequestNext).unwrap();
+            let b1 = b.send(Message::RequestNext).unwrap();
+            shared.reconnect().unwrap();
+            assert_eq!(a.complete(a1), reply(1, 1));
+            assert_eq!(b.complete(b1), reply(2, 1));
+            // The reconnected wire keeps serving both queries.
+            assert_eq!(b.call(Message::RequestNext), reply(2, 2));
+            assert_eq!(a.call(Message::RequestNext), reply(1, 2));
+            assert!(wire_is_idle(&shared));
+        }
+    }
+
+    #[test]
+    fn dropped_mux_link_leaves_nothing_parked() {
+        for (shared, _server) in shared_links() {
+            let mut a = MuxLink::new(1, shared.clone(), BandwidthMeter::new());
+            let mut b = MuxLink::new(2, shared.clone(), BandwidthMeter::new());
+            let b1 = b.send(Message::RequestNext).unwrap();
+            for _ in 0..3 {
+                a.send(Message::RequestNext).unwrap();
+            }
+            let b2 = b.send(Message::RequestNext).unwrap();
+            drop(a);
+            {
+                let wire = shared.wire.lock();
+                // Only b's frames remain unanswered; a's replies were read
+                // (b1's along the way, parked for b) and discarded.
+                assert!(wire.parked.keys().all(|seq| *seq == 0), "{:?}", wire.parked.keys());
+                assert_eq!(wire.in_flight.len(), 1);
+            }
+            assert_eq!(b.complete(b1), reply(2, 1));
+            assert_eq!(b.complete(b2), reply(2, 2));
+            assert!(wire_is_idle(&shared));
+        }
+    }
+
+    #[test]
+    fn sends_beyond_the_window_settle_the_oldest_frame() {
+        for (shared, _server) in shared_links() {
+            let mut a = MuxLink::new(1, shared.clone(), BandwidthMeter::new());
+            // More frames than a channel link's queue holds: without the
+            // window cap the channel transport would refuse them.
+            let tickets: Vec<Ticket> =
+                (0..2 * WINDOW + 1).map(|_| a.send(Message::RequestNext).unwrap()).collect();
+            assert!(shared.wire.lock().in_flight.len() <= WINDOW);
+            for (k, ticket) in tickets.into_iter().enumerate() {
+                assert_eq!(a.complete(ticket), reply(1, k as u64 + 1));
+            }
+            assert!(wire_is_idle(&shared));
+        }
+    }
+
+    /// One thread drives a whole round over eight slow served sites: the
+    /// sites work at once, so the round costs about one site's time.
+    #[test]
+    fn one_thread_overlaps_a_round_over_slow_served_sites() {
+        let slow = || {
+            let mut inner = counting_site();
+            move |msg: Message| {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                inner.handle(msg)
+            }
+        };
+        let shared: Vec<SharedLink> = (0..8)
+            .map(|_| share(Box::new(crate::ChannelLink::spawn(slow(), BandwidthMeter::new()))))
+            .collect();
+        let mut links: Vec<Box<dyn Link>> = shared
+            .iter()
+            .map(|s| Box::new(MuxLink::new(4, s.clone(), BandwidthMeter::new())) as _)
+            .collect();
+        let started = std::time::Instant::now();
+        let replies = crate::transport::tests::with_pool(1, || {
+            crate::broadcast(&mut links, |_| true, &Message::RequestNext)
+        });
+        let elapsed = started.elapsed();
+        assert!(replies.iter().all(|(_, r)| *r == reply(4, 1)), "{replies:?}");
+        assert!(elapsed < std::time::Duration::from_millis(150), "round took {elapsed:?}");
     }
 
     /// Echoes each line back prefixed with `ok:`; `close` closes the

@@ -8,8 +8,9 @@
 //! indistinguishable from one behind a [`LocalLink`](crate::LocalLink) —
 //! the equivalence is asserted by the integration tests.
 //!
-//! Failure handling: reads observe the [`LinkConfig::request_timeout`]
-//! deadline via `set_read_timeout`, every operation returns
+//! Failure handling: each request's [`LinkConfig::request_timeout`] runs
+//! from its `send`, and the reply read waits (via `set_read_timeout`) only
+//! for what is left of it; every operation returns
 //! [`LinkError`] values instead of panicking, and a [`TcpLink`] remembers
 //! its server's address so [`Link::reconnect`] can re-dial after a drop —
 //! which works because [`spawn_site`] accepts connections in a loop until
@@ -41,24 +42,42 @@
 //! # }
 //! ```
 
-use std::io::{self, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
 use crate::transport::TicketLedger;
 use crate::{BandwidthMeter, Link, LinkConfig, LinkError, Message, Service, Ticket};
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single vectored write (header
+/// and payload leave in one segment under `TCP_NODELAY`), finishing any
+/// short write with plain writes of the rest.
 fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    let header = len.to_be_bytes();
+    let total = header.len() + payload.len();
+    let mut written = 0;
+    while written < total {
+        let result = if written < header.len() {
+            stream.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(payload)])
+        } else {
+            stream.write(&payload[written - header.len()..])
+        };
+        match result {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one length-prefixed frame into a caller-owned buffer (resized to
@@ -90,6 +109,10 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
     Ok(read_frame_into(stream, &mut payload)?.then_some(payload))
 }
 
+/// The shortest reply wait [`TcpLink::complete`] arms, for a request whose
+/// deadline has already passed.
+const MIN_READ_WAIT: Duration = Duration::from_millis(1);
+
 /// Upper bound on a frame (a ReplicaSync of thousands of wide tuples fits
 /// comfortably; anything larger is a protocol error, not a workload).
 const MAX_FRAME: usize = 64 << 20;
@@ -111,6 +134,8 @@ pub struct TcpLink {
     /// wire order. TCP preserves ordering, so the `k`-th reply frame on
     /// the stream answers the `k`-th outstanding request.
     tickets: TicketLedger,
+    /// Reply deadlines of the outstanding frames, in wire order.
+    deadlines: VecDeque<Instant>,
     /// Reusable encode buffer: frames are serialized here, written, and the
     /// allocation kept for the next request.
     send_buf: BytesMut,
@@ -145,6 +170,7 @@ impl TcpLink {
             config,
             meter,
             tickets: TicketLedger::default(),
+            deadlines: VecDeque::new(),
             send_buf: BytesMut::new(),
             recv_buf: Vec::new(),
         })
@@ -180,17 +206,28 @@ impl Link for TcpLink {
             return Err(e.into());
         }
         self.meter.record(&msg);
+        self.deadlines.push_back(Instant::now() + self.config.request_timeout);
         Ok(self.tickets.issue())
     }
 
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
         self.tickets.redeem(ticket);
+        let deadline = self.deadlines.pop_front().expect("a redeemed ticket has a deadline");
         let Some(stream) = self.stream.as_mut() else {
             // The stream was poisoned (by an earlier failed completion or a
             // failed send); every ticket it still owed is a loss.
             return Err(LinkError::Disconnected);
         };
-        match read_frame_into(stream, &mut self.recv_buf) {
+        // Wait only for what is left of this request's deadline. A socket
+        // timeout cannot be zero, so an expired deadline still gets one
+        // millisecond: a reply already buffered is taken, a missing one
+        // times out at once.
+        let left = deadline.saturating_duration_since(Instant::now()).max(MIN_READ_WAIT);
+        let read = match stream.set_read_timeout(Some(left)) {
+            Ok(()) => read_frame_into(stream, &mut self.recv_buf),
+            Err(e) => Err(e),
+        };
+        match read {
             Ok(true) => {}
             // Clean EOF mid-request: the site closed on us.
             Ok(false) => {
@@ -226,6 +263,7 @@ impl Link for TcpLink {
         // A fresh connection shares no framing state with the old one:
         // abandon every outstanding ticket along with the old stream.
         self.tickets.reset();
+        self.deadlines.clear();
         self.stream = Some(Self::dial(self.addr, self.config)?);
         Ok(())
     }
@@ -257,7 +295,7 @@ pub fn serve_connection<S: Service>(mut stream: TcpStream, service: &mut S) -> i
 
 /// How often a server-side connection loop re-checks the shutdown flag
 /// while waiting for the next request.
-const STOP_POLL: std::time::Duration = std::time::Duration::from_millis(50);
+const STOP_POLL: Duration = Duration::from_millis(50);
 
 /// Like [`serve_connection`], but abandons the connection promptly when
 /// `stop` is raised, so a [`SiteServer`] can shut down even while a client
@@ -405,7 +443,6 @@ mod tests {
     use crate::{FaultMode, FaultyLink, RetryLink, TupleMsg};
     use bytes::Bytes;
     use dsud_uncertain::{Probability, TupleId, UncertainTuple};
-    use std::time::Duration;
 
     fn echo_service() -> impl Service {
         |msg: Message| match msg {
@@ -586,6 +623,39 @@ mod tests {
         assert!(started.elapsed() < Duration::from_millis(250), "deadline must bound the wait");
         drop(link);
         server.shutdown().unwrap();
+    }
+
+    /// Deadlines run from `send`: two stalled sites driven by one thread
+    /// fail after one deadline, not one per site.
+    #[test]
+    fn stalled_sites_share_one_deadline() {
+        let stalled = || {
+            spawn_site(|_msg: Message| {
+                std::thread::sleep(Duration::from_millis(400));
+                Message::Ack
+            })
+            .unwrap()
+        };
+        let servers = [stalled(), stalled()];
+        let config = LinkConfig {
+            request_timeout: Duration::from_millis(100),
+            retry_budget: 0,
+            backoff: Duration::ZERO,
+        };
+        let mut links: Vec<Box<dyn Link>> = servers
+            .iter()
+            .map(|s| {
+                Box::new(TcpLink::connect_with(s.addr(), BandwidthMeter::new(), config).unwrap())
+                    as _
+            })
+            .collect();
+        let started = Instant::now();
+        let replies = crate::transport::tests::with_pool(1, || {
+            crate::broadcast(&mut links, |_| true, &Message::RequestNext)
+        });
+        let elapsed = started.elapsed();
+        assert_eq!(replies, vec![(0, Err(LinkError::Timeout)), (1, Err(LinkError::Timeout))]);
+        assert!(elapsed < 2 * config.request_timeout, "two stalled sites took {elapsed:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use serde::{Deserialize, Serialize};
@@ -208,8 +208,10 @@ impl TicketLedger {
 /// returned as [`LinkError`] values, never panics: a dead site must not
 /// take the coordinator down with it.
 ///
-/// Links are `Send` so [`broadcast`] can drive inline transports from the
-/// coordinator's thread pool.
+/// Links are `Send` so [`broadcast`] and [`scatter`] can drive them from
+/// the coordinator's chunked fan-out: at most pool-size threads, each
+/// sending on its chunk of links before completing them, never one thread
+/// per link.
 pub trait Link: Send {
     /// Dispatches a request without waiting for the reply.
     ///
@@ -283,16 +285,21 @@ impl<L: Link + ?Sized> Link for Box<L> {
 /// Puts `msg` in flight on every link selected by `include`, then collects
 /// the replies in link order.
 ///
-/// With a thread pool larger than one, each selected link is driven from
-/// its own scoped thread, so even *inline* transports (whose [`Link::send`]
-/// computes eagerly on the caller's stack) process the request
-/// concurrently. With a pool of one — the documented sequential fallback —
-/// the send-all/complete-all pattern is used instead, which still overlaps
-/// transports that are concurrent by construction (threaded, TCP).
+/// The selected links are split into at most
+/// [`threadpool::pool_size`] contiguous chunks ([`threadpool::map_chunks`]:
+/// the caller's thread drives the first, one scoped thread each of the
+/// rest). Within a chunk every link is sent to first and then completed
+/// in order, so transports that are concurrent by construction (channel,
+/// TCP, served links) have every request in flight at once, while inline
+/// transports — whose [`Link::send`] computes eagerly on the driving
+/// thread — still run up to pool-size sites in parallel. No thread is
+/// spawned per link. A pool of one is a single chunk on the caller's
+/// thread: the sequential fallback is the same code path.
 ///
-/// Either way the reply vector is ordered by link index and each reply is
-/// produced by the same per-site computation, so results — including which
-/// links failed, and how — are identical for every pool size.
+/// The reply vector is ordered by link index, a failed send reports its
+/// error in reply position, and each reply is produced by the same
+/// per-site computation, so results — including which links failed, and
+/// how — are identical for every pool size.
 pub fn broadcast<F>(
     links: &mut [Box<dyn Link>],
     include: F,
@@ -301,38 +308,13 @@ pub fn broadcast<F>(
 where
     F: Fn(usize) -> bool,
 {
-    let selected: Vec<(usize, &mut Box<dyn Link>)> =
-        links.iter_mut().enumerate().filter(|(i, _)| include(*i)).collect();
-    if threadpool::pool_size() > 1 && selected.len() > 1 {
-        let mut replies = Vec::with_capacity(selected.len());
-        threadpool::scope(|s| {
-            let handles: Vec<_> = selected
-                .into_iter()
-                .map(|(i, link)| s.spawn(move || (i, link.call(msg.clone()))))
-                .collect();
-            for h in handles {
-                replies.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            }
-        });
-        return replies;
-    }
-    // Sequential fallback: a failed send has no reply to collect, so its
-    // error is recorded in reply position, matching the parallel path.
-    let mut pending: Vec<(usize, Result<(Ticket, &mut Box<dyn Link>), LinkError>)> =
-        Vec::with_capacity(selected.len());
-    for (i, link) in selected {
-        match link.send(msg.clone()) {
-            Ok(ticket) => pending.push((i, Ok((ticket, link)))),
-            Err(e) => pending.push((i, Err(e))),
-        }
-    }
-    pending
-        .into_iter()
-        .map(|(i, slot)| match slot {
-            Ok((ticket, link)) => (i, link.complete(ticket)),
-            Err(e) => (i, Err(e)),
-        })
-        .collect()
+    let selected: Vec<(usize, &Message, &mut Box<dyn Link>)> = links
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, _)| include(*i))
+        .map(|(i, link)| (i, msg, link))
+        .collect();
+    fan_out(selected, Message::clone)
 }
 
 /// Sends a *different* message to each listed link concurrently and
@@ -341,11 +323,9 @@ where
 /// This is the fan-out primitive behind batched feedback delivery: at the
 /// end of a batched round the coordinator sends each site its own
 /// coalesced [`Message::FeedbackBatch`] frame, so the per-site payloads
-/// differ but the round still completes in one parallel wave. Reply
-/// ordering and error placement mirror [`broadcast`] exactly (scoped
-/// parallel `call` when the pool has more than one worker and more than
-/// one request is in flight; otherwise send-all then complete-all), so
-/// outcomes are identical at every pool size.
+/// differ but the round still completes in one parallel wave. It runs on
+/// the same chunked send-all/complete-all path as [`broadcast`], so reply
+/// ordering, error placement, and pool-size invariance are identical.
 ///
 /// # Panics
 ///
@@ -364,34 +344,32 @@ pub fn scatter(
         .enumerate()
         .filter_map(|(i, link)| wanted[i].take().map(|msg| (i, msg, link)))
         .collect();
-    if threadpool::pool_size() > 1 && selected.len() > 1 {
-        let mut replies = Vec::with_capacity(selected.len());
-        threadpool::scope(|s| {
-            let handles: Vec<_> = selected
-                .into_iter()
-                .map(|(i, msg, link)| s.spawn(move || (i, link.call(msg))))
-                .collect();
-            for h in handles {
-                replies.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            }
-        });
-        return replies;
-    }
-    let mut pending: Vec<(usize, Result<(Ticket, &mut Box<dyn Link>), LinkError>)> =
-        Vec::with_capacity(selected.len());
-    for (i, msg, link) in selected {
-        match link.send(msg) {
-            Ok(ticket) => pending.push((i, Ok((ticket, link)))),
-            Err(e) => pending.push((i, Err(e))),
-        }
-    }
-    pending
-        .into_iter()
-        .map(|(i, slot)| match slot {
-            Ok((ticket, link)) => (i, link.complete(ticket)),
-            Err(e) => (i, Err(e)),
-        })
-        .collect()
+    fan_out(selected, |msg| msg)
+}
+
+/// The chunked fan-out behind [`broadcast`] and [`scatter`]: per chunk,
+/// send on every link (turning each payload into its request with
+/// `request`, on the chunk's own thread), then complete them in order.
+fn fan_out<P, M>(
+    selected: Vec<(usize, P, &mut Box<dyn Link>)>,
+    request: M,
+) -> Vec<(usize, Result<Message, LinkError>)>
+where
+    P: Send,
+    M: Fn(P) -> Message + Sync,
+{
+    threadpool::map_chunks(selected, |_, chunk| {
+        let sent: Vec<_> = chunk
+            .into_iter()
+            .map(|(i, payload, link)| {
+                let ticket = link.send(request(payload));
+                (i, ticket, link)
+            })
+            .collect();
+        sent.into_iter()
+            .map(|(i, ticket, link)| (i, ticket.and_then(|t| link.complete(t))))
+            .collect()
+    })
 }
 
 /// Decodes a reply frame on the coordinator side, charging the wall-clock
@@ -467,11 +445,12 @@ impl<S: std::fmt::Debug> std::fmt::Debug for LocalLink<S> {
 /// messages over bounded crossbeam channels, like a site across a LAN.
 ///
 /// Messages cross the thread boundary in their binary wire encoding, so the
-/// transport exercises the same serialization path a socket would. Replies
-/// are awaited with `recv_timeout` against the link's
-/// [`LinkConfig::request_timeout`], so a stalled or dead site thread
-/// surfaces as [`LinkError::Timeout`] / [`LinkError::Disconnected`] instead
-/// of hanging the coordinator forever.
+/// transport exercises the same serialization path a socket would. Each
+/// request's [`LinkConfig::request_timeout`] runs from its `send`, and
+/// `complete` waits only for what is left of it, so a stalled or dead site
+/// thread surfaces as [`LinkError::Timeout`] / [`LinkError::Disconnected`]
+/// instead of hanging the coordinator forever — and a chunk with several
+/// stalled sites fails after one deadline, not one per site.
 #[derive(Debug)]
 pub struct ChannelLink {
     tx: Option<Sender<bytes::Bytes>>,
@@ -480,6 +459,8 @@ pub struct ChannelLink {
     config: LinkConfig,
     worker: Option<JoinHandle<()>>,
     tickets: TicketLedger,
+    /// Reply deadlines of the outstanding tickets, in send order.
+    deadlines: VecDeque<Instant>,
     // Replies owed for requests we timed out on or abandoned at reconnect:
     // they arrive (in order) ahead of the reply to the current request and
     // must be discarded.
@@ -532,14 +513,16 @@ impl ChannelLink {
             config,
             worker: Some(worker),
             tickets: TicketLedger::default(),
+            deadlines: VecDeque::new(),
             stale_replies: 0,
             dead: false,
         }
     }
 
-    fn recv_reply(&mut self) -> Result<bytes::Bytes, LinkError> {
+    fn recv_reply(&mut self, deadline: Instant) -> Result<bytes::Bytes, LinkError> {
         loop {
-            let frame = self.rx.recv_timeout(self.config.request_timeout).map_err(|e| match e {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let frame = self.rx.recv_timeout(left).map_err(|e| match e {
                 RecvTimeoutError::Timeout => {
                     // The reply may still arrive for this request; remember
                     // to discard it before reading any future reply.
@@ -572,12 +555,14 @@ impl Link for ChannelLink {
             self.dead = true;
             return Err(LinkError::Disconnected);
         }
+        self.deadlines.push_back(Instant::now() + self.config.request_timeout);
         Ok(self.tickets.issue())
     }
 
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
         self.tickets.redeem(ticket);
-        let frame = self.recv_reply()?;
+        let deadline = self.deadlines.pop_front().expect("a redeemed ticket has a deadline");
+        let frame = self.recv_reply(deadline)?;
         let reply = decode_reply_timed(&self.meter, &frame).ok_or(LinkError::Malformed)?;
         if reply == Message::DecodeError {
             // The site could not decode our request; the round-trip failed.
@@ -594,6 +579,7 @@ impl Link for ChannelLink {
         // be discarded ahead of any future reply.
         self.stale_replies += self.tickets.outstanding();
         self.tickets.reset();
+        self.deadlines.clear();
         if self.dead || !self.worker.as_ref().is_some_and(|h| !h.is_finished()) {
             self.dead = true;
             return Err(LinkError::Disconnected);
@@ -901,7 +887,7 @@ impl<L: Link> Link for ChaosLink<L> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::TupleMsg;
     use dsud_uncertain::{Probability, TupleId, UncertainTuple};
@@ -919,6 +905,22 @@ mod tests {
             UncertainTuple::new(TupleId::new(0, 0), vec![1.0, 1.0], Probability::new(0.5).unwrap())
                 .unwrap();
         Message::Feedback(TupleMsg::new(&t, local_prob))
+    }
+
+    /// Runs `f` at pool size `n`, serialized against every other test in
+    /// this crate that overrides the pool.
+    pub(crate) fn with_pool<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                threadpool::set_pool_size(0);
+            }
+        }
+        let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _reset = Reset;
+        threadpool::set_pool_size(n);
+        f()
     }
 
     fn short_deadline() -> LinkConfig {
@@ -1212,51 +1214,117 @@ mod tests {
         );
     }
 
+    /// Stateful inline links for the pool-invariance tests: each reply
+    /// depends on how many requests the site has seen, so any reordering
+    /// or dropped call changes the transcript. Site 3 drops (times out)
+    /// and site 5 disconnects from their second request on, so at pools 2
+    /// and 3 a failing link sits in the middle of a chunk.
+    fn counting_links(sites: u64) -> Vec<Box<dyn Link>> {
+        let meter = BandwidthMeter::new();
+        (0..sites)
+            .map(|site| {
+                let mut seen = 0u64;
+                let service = move |_msg: Message| {
+                    seen += 1;
+                    Message::SurvivalReply { survival: (site * 100 + seen) as f64, pruned: 0 }
+                };
+                let local = LocalLink::new(service, meter.clone());
+                match site {
+                    3 => Box::new(FaultyLink::new(local, FaultMode::Drop, 1)) as _,
+                    5 => Box::new(FaultyLink::new(local, FaultMode::Disconnect, 1)) as _,
+                    _ => Box::new(FaultyLink::new(local, FaultMode::Stall(0), u64::MAX)) as _,
+                }
+            })
+            .collect()
+    }
+
+    type Round = Vec<(usize, Result<Message, LinkError>)>;
+
+    /// Three rounds of broadcasts and scatters over fresh counting links.
+    fn fan_out_transcript(pool: usize) -> Vec<Round> {
+        with_pool(pool, || {
+            let mut links = counting_links(8);
+            let mut rounds = Vec::new();
+            for _ in 0..3 {
+                rounds.push(broadcast(&mut links, |i| i != 1, &Message::RequestNext));
+                rounds.push(scatter(
+                    &mut links,
+                    vec![(5, feedback_msg(0.5)), (0, feedback_msg(0.1)), (3, feedback_msg(0.3))],
+                ));
+            }
+            rounds
+        })
+    }
+
     #[test]
     fn broadcast_replies_are_pool_size_invariant() {
-        // Stateful inline services: each reply depends on how many
-        // requests the site has seen, so any reordering or dropped call
-        // would change the transcript. Site 3 fails on its second round,
-        // so error placement must be invariant too.
-        let make_links = || -> Vec<Box<dyn Link>> {
-            let meter = BandwidthMeter::new();
-            (0..6)
-                .map(|site| {
-                    let mut seen = 0u64;
-                    let service = move |_msg: Message| {
-                        seen += 1;
-                        Message::SurvivalReply { survival: (site * 100 + seen) as f64, pruned: 0 }
-                    };
-                    let local = LocalLink::new(service, meter.clone());
-                    if site == 3 {
-                        Box::new(FaultyLink::new(local, FaultMode::Drop, 1)) as _
-                    } else {
-                        Box::new(FaultyLink::new(local, FaultMode::Stall(0), u64::MAX)) as _
-                    }
-                })
-                .collect()
-        };
-        let reference = {
-            threadpool::set_pool_size(1);
-            let mut links = make_links();
-            let mut rounds = Vec::new();
-            for _ in 0..3 {
-                rounds.push(broadcast(&mut links, |i| i != 1, &Message::RequestNext));
-            }
-            threadpool::set_pool_size(0);
-            rounds
-        };
-        assert!(reference.iter().flatten().any(|(_, r)| r.is_err()), "fault must fire");
-        for pool in [2usize, 8] {
-            threadpool::set_pool_size(pool);
-            let mut links = make_links();
-            let mut rounds = Vec::new();
-            for _ in 0..3 {
-                rounds.push(broadcast(&mut links, |i| i != 1, &Message::RequestNext));
-            }
-            threadpool::set_pool_size(0);
-            assert_eq!(rounds, reference, "pool {pool}");
+        let reference = fan_out_transcript(1);
+        let errors: Vec<&LinkError> =
+            reference.iter().flatten().filter_map(|(_, r)| r.as_ref().err()).collect();
+        assert!(errors.contains(&&LinkError::Timeout), "the drop fault must fire");
+        assert!(errors.contains(&&LinkError::Disconnected), "the disconnect fault must fire");
+        for pool in [2usize, 3, 8] {
+            assert_eq!(fan_out_transcript(pool), reference, "pool {pool}");
         }
+    }
+
+    /// `broadcast` and `scatter` never touch more threads than the pool
+    /// holds, the caller's included: no thread per link.
+    #[test]
+    fn fan_out_stays_within_the_thread_budget() {
+        use std::collections::HashSet;
+        use std::sync::{Arc, Mutex};
+        for pool in [1usize, 2, 3, 8] {
+            let seen = Arc::new(Mutex::new(HashSet::new()));
+            let meter = BandwidthMeter::new();
+            let mut links: Vec<Box<dyn Link>> = (0..16)
+                .map(|_| {
+                    let seen = Arc::clone(&seen);
+                    let service = move |_msg: Message| {
+                        seen.lock().unwrap().insert(std::thread::current().id());
+                        Message::Ack
+                    };
+                    Box::new(LocalLink::new(service, meter.clone())) as _
+                })
+                .collect();
+            // Scoped workers are fresh threads on every call, so each call
+            // is counted on its own.
+            let check = |call: &str| {
+                let mut seen = seen.lock().unwrap();
+                assert!(seen.len() <= pool, "{call} at pool {pool} touched {} threads", seen.len());
+                assert!(seen.contains(&std::thread::current().id()), "{call} at pool {pool}");
+                seen.clear();
+            };
+            with_pool(pool, || {
+                assert_eq!(broadcast(&mut links, |_| true, &Message::RequestNext).len(), 16);
+                check("broadcast");
+                let requests = (0..16).map(|i| (i, Message::RequestNext)).collect();
+                assert_eq!(scatter(&mut links, requests).len(), 16);
+                check("scatter");
+            });
+        }
+    }
+
+    /// Deadlines run from `send`: a chunk whose two sites both stall
+    /// fails after one deadline, not one per site.
+    #[test]
+    fn stalled_sites_in_one_chunk_share_one_deadline() {
+        let stalled = || {
+            |_msg: Message| {
+                std::thread::sleep(Duration::from_millis(400));
+                Message::Ack
+            }
+        };
+        let meter = BandwidthMeter::new();
+        let config = LinkConfig { request_timeout: Duration::from_millis(100), ..short_deadline() };
+        let mut links: Vec<Box<dyn Link>> = (0..2)
+            .map(|_| Box::new(ChannelLink::spawn_with(stalled(), meter.clone(), config)) as _)
+            .collect();
+        let started = Instant::now();
+        let replies = with_pool(1, || broadcast(&mut links, |_| true, &Message::RequestNext));
+        let elapsed = started.elapsed();
+        assert_eq!(replies, vec![(0, Err(LinkError::Timeout)), (1, Err(LinkError::Timeout))]);
+        assert!(elapsed < 2 * config.request_timeout, "two stalled sites took {elapsed:?}");
     }
 
     #[test]
@@ -1292,40 +1360,18 @@ mod tests {
 
     #[test]
     fn scatter_replies_are_pool_size_invariant() {
-        let make_links = || -> Vec<Box<dyn Link>> {
-            let meter = BandwidthMeter::new();
-            (0..5)
-                .map(|site| {
-                    let mut seen = 0u64;
-                    let service = move |_msg: Message| {
-                        seen += 1;
-                        Message::SurvivalReply { survival: (site * 100 + seen) as f64, pruned: 0 }
-                    };
-                    let local = LocalLink::new(service, meter.clone());
-                    if site == 2 {
-                        Box::new(FaultyLink::new(local, FaultMode::Drop, 1)) as _
-                    } else {
-                        Box::new(FaultyLink::new(local, FaultMode::Stall(0), u64::MAX)) as _
-                    }
-                })
-                .collect()
-        };
         let requests =
-            || vec![(0, feedback_msg(0.1)), (2, feedback_msg(0.2)), (4, feedback_msg(0.4))];
-        let reference = {
-            threadpool::set_pool_size(1);
-            let mut links = make_links();
-            let rounds: Vec<_> = (0..3).map(|_| scatter(&mut links, requests())).collect();
-            threadpool::set_pool_size(0);
-            rounds
+            || vec![(0, feedback_msg(0.1)), (3, feedback_msg(0.2)), (4, feedback_msg(0.4))];
+        let transcript = |pool| {
+            with_pool(pool, || {
+                let mut links = counting_links(5);
+                (0..3).map(|_| scatter(&mut links, requests())).collect::<Vec<_>>()
+            })
         };
+        let reference = transcript(1);
         assert!(reference.iter().flatten().any(|(_, r)| r.is_err()), "fault must fire");
-        for pool in [2usize, 8] {
-            threadpool::set_pool_size(pool);
-            let mut links = make_links();
-            let rounds: Vec<_> = (0..3).map(|_| scatter(&mut links, requests())).collect();
-            threadpool::set_pool_size(0);
-            assert_eq!(rounds, reference, "pool {pool}");
+        for pool in [2usize, 3, 8] {
+            assert_eq!(transcript(pool), reference, "pool {pool}");
         }
     }
 

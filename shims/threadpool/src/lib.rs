@@ -6,12 +6,18 @@
 //! distributed protocols are tested against sequential reference
 //! implementations, so a parallel run may not reorder a single float
 //! operation. This shim therefore offers only work-stealing-free
-//! primitives whose output is a pure function of the input:
+//! primitives whose output is a pure function of the input, all built on
+//! one chunked primitive:
 //!
-//! * [`parallel_map`] / [`parallel_map_vec`] — split the input into
-//!   *contiguous* chunks, one per worker, and concatenate the per-chunk
-//!   results in input order. Each output element is produced by exactly
-//!   the same closure invocation as in a sequential map.
+//! * [`map_chunks`] — split the input into at most [`pool_size`]
+//!   *contiguous* chunks, run the first on the caller's thread and each
+//!   other on one scoped thread, and concatenate the per-chunk results in
+//!   input order. A call never touches more than `pool_size()` threads,
+//!   the caller's included. The coordinator's link fan-out (`broadcast` /
+//!   `scatter` in `dsud-net`) and cluster construction use it directly.
+//! * [`parallel_map`] / [`parallel_map_vec`] — per-item maps over
+//!   [`map_chunks`]. Each output element is produced by exactly the same
+//!   closure invocation as in a sequential map.
 //! * [`par_sort_by`] — chunk-local stable sorts followed by left-preferring
 //!   stable merges; the result equals `slice::sort_by` (a stable sort's
 //!   output is unique), for every pool size.
@@ -22,7 +28,8 @@
 //! [`set_pool_size`] override (tests and benchmarks), the `DSUD_THREADS`
 //! environment variable, and [`std::thread::available_parallelism`].
 //! `DSUD_THREADS=1` (or `set_pool_size(1)`) is the documented sequential
-//! fallback: every primitive then runs inline on the caller's stack.
+//! fallback: [`map_chunks`] then makes a single chunk, so every primitive
+//! runs inline on the caller's stack through the same code path.
 //!
 //! No threads are kept alive between calls: workers are scoped
 //! [`std::thread`]s, so the shim needs no shutdown story and cannot leak.
@@ -70,6 +77,44 @@ pub fn pool_size() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1).clamp(1, MAX_THREADS)
 }
 
+/// Splits `items` into at most [`pool_size`] contiguous chunks and runs
+/// `f` once per chunk, concatenating the per-chunk results in input order.
+///
+/// `f` receives the index of its chunk's first item and the chunk itself.
+/// The caller's thread runs the first chunk; each further chunk runs on
+/// one scoped thread, so a call touches at most `pool_size()` threads, the
+/// caller's included. With a pool of 1 (or at most one item) there is a
+/// single chunk and `f` runs inline: this *is* the sequential fallback,
+/// not a separate code path. Every other primitive here is built on it.
+///
+/// # Panics
+///
+/// Propagates a panic from `f`, after every chunk has finished.
+pub fn map_chunks<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, Vec<T>) -> Vec<R> + Sync,
+{
+    let workers = pool_size().min(items.len());
+    if workers <= 1 {
+        return f(0, items);
+    }
+    let chunk = items.len().div_ceil(workers);
+    let mut chunks = split_into_chunks(items, chunk).into_iter();
+    let first = chunks.next().expect("at least two chunks");
+    scope(|s| {
+        let f = &f;
+        let handles: Vec<_> =
+            chunks.enumerate().map(|(w, slab)| s.spawn(move || f((w + 1) * chunk, slab))).collect();
+        let mut out = f(0, first);
+        for h in handles {
+            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
+}
+
 /// Inputs shorter than this are always mapped inline: spawning costs more
 /// than the work saved.
 const MIN_ITEMS_TO_SPAWN: usize = 32;
@@ -77,8 +122,8 @@ const MIN_ITEMS_TO_SPAWN: usize = 32;
 /// Maps `f` over `items`, returning results in input order.
 ///
 /// `f` receives the item's index and a reference to it. The input is split
-/// into contiguous chunks, one per pool worker; with a pool of 1 (or a
-/// small input) the map runs inline. Either way the result is exactly
+/// into contiguous chunks by [`map_chunks`]; a small input runs inline.
+/// Either way the result is exactly
 /// `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()`.
 ///
 /// # Panics
@@ -90,28 +135,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = pool_size().min(items.len());
-    if workers <= 1 || items.len() < MIN_ITEMS_TO_SPAWN {
+    if items.len() < MIN_ITEMS_TO_SPAWN {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(items.len());
-    scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(w, slice)| {
-                let f = &f;
-                s.spawn(move || {
-                    slice.iter().enumerate().map(|(j, t)| f(w * chunk + j, t)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    out
+    map_chunks(items.iter().collect(), |start, slab| {
+        slab.into_iter().enumerate().map(|(j, t)| f(start + j, t)).collect()
+    })
 }
 
 /// Consuming variant of [`parallel_map`]: moves each item into `f`.
@@ -128,32 +157,12 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let workers = pool_size().min(items.len());
-    if workers <= 1 || items.len() < MIN_ITEMS_TO_SPAWN {
+    if items.len() < MIN_ITEMS_TO_SPAWN {
         return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let chunks = split_into_chunks(items, chunk);
-    let mut out = Vec::new();
-    scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(w, slab)| {
-                let f = &f;
-                s.spawn(move || {
-                    slab.into_iter()
-                        .enumerate()
-                        .map(|(j, t)| f(w * chunk + j, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    out
+    map_chunks(items, |start, slab| {
+        slab.into_iter().enumerate().map(|(j, t)| f(start + j, t)).collect()
+    })
 }
 
 /// Sorts in parallel with the exact result of a sequential stable
@@ -180,12 +189,13 @@ where
         return;
     }
     let chunk = items.len().div_ceil(workers);
-    let mut runs = split_into_chunks(std::mem::take(items), chunk);
-    scope(|s| {
-        for run in &mut runs {
-            let cmp = &cmp;
-            s.spawn(move || run.sort_by(|a, b| cmp(a, b)));
-        }
+    let mut runs = map_chunks(split_into_chunks(std::mem::take(items), chunk), |_, runs| {
+        runs.into_iter()
+            .map(|mut run| {
+                run.sort_by(|a, b| cmp(a, b));
+                run
+            })
+            .collect()
     });
     // Merge adjacent runs until one remains; each round merges pairs on
     // the pool. Left-preferring merges keep the overall sort stable.
@@ -195,33 +205,15 @@ where
         while let Some(left) = it.next() {
             paired.push((left, it.next()));
         }
-        runs = if paired.len() > 1 {
-            let mut merged = Vec::with_capacity(paired.len());
-            scope(|s| {
-                let handles: Vec<_> = paired
-                    .into_iter()
-                    .map(|(left, right)| {
-                        let cmp = &cmp;
-                        s.spawn(move || match right {
-                            Some(right) => merge_stable(left, right, cmp),
-                            None => left,
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    merged.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-                }
-            });
-            merged
-        } else {
-            paired
+        runs = map_chunks(paired, |_, pairs| {
+            pairs
                 .into_iter()
                 .map(|(left, right)| match right {
                     Some(right) => merge_stable(left, right, &cmp),
                     None => left,
                 })
                 .collect()
-        };
+        });
     }
     *items = runs.pop().unwrap_or_default();
 }
@@ -313,6 +305,38 @@ mod tests {
         let got = with_pool(8, || parallel_map(&[1, 2, 3], |_, x| x + 1));
         assert_eq!(got, vec![2, 3, 4]);
         assert!(with_pool(8, || parallel_map(&[] as &[i32], |_, x| *x)).is_empty());
+    }
+
+    #[test]
+    fn map_chunks_is_ordered_contiguous_and_pool_bounded() {
+        for n in [1usize, 2, 3, 8] {
+            let items: Vec<usize> = (0..16).collect();
+            let caller = std::thread::current().id();
+            let got = with_pool(n, || {
+                map_chunks(items.clone(), |start, slab| {
+                    // Contiguous: a chunk's items follow its start index.
+                    assert!(slab.iter().enumerate().all(|(j, x)| *x == start + j));
+                    let id = std::thread::current().id();
+                    slab.into_iter().map(|x| (x, id)).collect::<Vec<_>>()
+                })
+            });
+            let order: Vec<usize> = got.iter().map(|(x, _)| *x).collect();
+            assert_eq!(order, items, "pool size {n}");
+            let mut threads: Vec<_> = got.iter().map(|(_, id)| *id).collect();
+            threads.dedup();
+            assert!(threads.len() <= n, "pool size {n} touched {} threads", threads.len());
+            // The caller always runs the first chunk.
+            assert_eq!(got[0].1, caller, "pool size {n}");
+            if n == 1 {
+                assert_eq!(threads, vec![caller]);
+            }
+        }
+    }
+
+    #[test]
+    fn map_chunks_handles_empty_input() {
+        let got: Vec<u8> = with_pool(4, || map_chunks(Vec::<u8>::new(), |_, slab| slab));
+        assert!(got.is_empty());
     }
 
     #[test]

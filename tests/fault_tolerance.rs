@@ -530,7 +530,7 @@ fn retry_accounting_is_identical_across_pool_sizes_and_transports() {
 
     let reference = run_once(1, Transport::Inline);
     assert_eq!(reference.2, 1, "exactly one site quarantined");
-    for pool in [2, 8] {
+    for pool in [2, 3, 8] {
         assert_eq!(run_once(pool, Transport::Inline), reference, "pool {pool} diverged");
     }
     for transport in [Transport::Threaded, Transport::Tcp] {

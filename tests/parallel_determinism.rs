@@ -52,7 +52,7 @@ fn run_at_pool(pool: usize, transport: Transport, edsud: bool) -> QueryOutcome {
 fn dsud_outcome_is_pool_size_invariant() {
     let reference = run_at_pool(1, Transport::Inline, false);
     assert!(!reference.skyline.is_empty(), "workload must produce a non-trivial skyline");
-    for pool in [2usize, 8] {
+    for pool in [2usize, 3, 8] {
         let outcome = run_at_pool(pool, Transport::Inline, false);
         assert_eq!(fingerprint(&outcome), fingerprint(&reference), "pool {pool}");
         assert_eq!(outcome.traffic, reference.traffic, "pool {pool}");
@@ -64,7 +64,7 @@ fn dsud_outcome_is_pool_size_invariant() {
 fn edsud_outcome_is_pool_size_invariant() {
     let reference = run_at_pool(1, Transport::Inline, true);
     assert!(!reference.skyline.is_empty());
-    for pool in [2usize, 8] {
+    for pool in [2usize, 3, 8] {
         let outcome = run_at_pool(pool, Transport::Inline, true);
         assert_eq!(fingerprint(&outcome), fingerprint(&reference), "pool {pool}");
         assert_eq!(outcome.traffic, reference.traffic, "pool {pool}");

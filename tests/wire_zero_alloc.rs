@@ -14,7 +14,7 @@
 //! transport tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dsud_core::{LocalSite, SiteOptions};
 use dsud_net::{wire, Message, Service, TupleBlock, TupleMsg};
@@ -23,13 +23,28 @@ use dsud_uncertain::{Probability, TupleId, UncertainTuple};
 /// A shim around the system allocator that counts allocations so tests
 /// can assert a code region performs none. Counting is always on; the
 /// assertions difference two readings around the region under test.
+///
+/// The count is per thread: the test harness runs tests on parallel
+/// threads, and a process-wide counter would charge one test's
+/// allocations to another's region. Each region under test runs on the
+/// thread that reads the counter, so a per-thread count sees exactly its
+/// own allocations.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: reading it never
+    // allocates and stays valid for the thread's whole life, which is what
+    // makes it usable from inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -38,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,8 +61,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn tuple(site: u32, seq: u64, values: Vec<f64>, p: f64) -> UncertainTuple {
