@@ -15,7 +15,7 @@ use dsud_core::{
 use dsud_data::nyse::NyseSpec;
 use dsud_data::{partition_uniform, ProbabilityLaw, SpatialDistribution, WorkloadSpec};
 use dsud_net::{spawn_query_server, ClientControl, ClientHandler};
-use dsud_uncertain::{Probability, UncertainTuple};
+use dsud_uncertain::{Probability, SkylineEntry, UncertainTuple};
 use dsud_vertical::{ColumnSite, UtaCoordinator};
 
 use crate::args::USAGE;
@@ -468,7 +468,11 @@ struct ServeHandler {
 }
 
 impl ServeHandler {
-    fn answer_query(&self, spec: &QuerySpec) -> Result<dsud_core::SessionOutcome, CliError> {
+    fn answer_query(
+        &self,
+        spec: &QuerySpec,
+        sink: &mut dyn FnMut(&[SkylineEntry], bool),
+    ) -> Result<dsud_core::SessionOutcome, CliError> {
         let mut config = QueryConfig::new(spec.q.unwrap_or(0.3))?
             .failure_policy(self.failure)
             .batch_size(self.batch)
@@ -485,8 +489,8 @@ impl ServeHandler {
             config = config.deadline(ms);
         }
         let mut outcome = match spec.algorithm.as_deref().unwrap_or("edsud") {
-            "dsud" => self.session.run_dsud(&config, spec.report)?,
-            "edsud" => self.session.run_edsud(&config, spec.report)?,
+            "dsud" => self.session.run_dsud(&config, spec.report, sink)?,
+            "edsud" => self.session.run_edsud(&config, spec.report, sink)?,
             other => {
                 return Err(CliError::Usage(format!(
                     "unknown algorithm '{other}' (the daemon serves dsud|edsud)"
@@ -526,11 +530,86 @@ impl ServeHandler {
     }
 }
 
-/// Writes one protocol line and flushes it so clients see it immediately.
-fn respond(out: &mut dyn Write, response: &Response) -> std::io::Result<()> {
-    let line = serde_json::to_string(response).expect("protocol responses serialize");
-    writeln!(out, "{line}")?;
+/// Appends one protocol line to `buf`.
+fn render(buf: &mut String, response: &Response) {
+    buf.push_str(&serde_json::to_string(response).expect("protocol responses serialize"));
+    buf.push('\n');
+}
+
+/// Writes rendered lines with a single `write_all` — one syscall and,
+/// under `nodelay`, one segment — and flushes them so clients see them now.
+fn write_lines(out: &mut dyn Write, lines: &str) -> std::io::Result<()> {
+    out.write_all(lines.as_bytes())?;
     out.flush()
+}
+
+/// Writes one protocol line.
+fn respond(out: &mut dyn Write, response: &Response) -> std::io::Result<()> {
+    let mut buf = String::new();
+    render(&mut buf, response);
+    write_lines(out, &buf)
+}
+
+/// Appends one `result` line per entry; `exact == false` stamps each
+/// probability as an upper bound.
+fn render_results(buf: &mut String, entries: &[SkylineEntry], exact: bool) {
+    for entry in entries {
+        let result = ResultEntry {
+            site: entry.tuple.id().site.0,
+            seq: entry.tuple.id().seq,
+            values: entry.tuple.values().to_vec(),
+            probability: entry.probability,
+            bound: (!exact).then(|| "upper".to_string()),
+        };
+        render(buf, &Response { result: Some(result), ..Response::default() });
+    }
+}
+
+/// One query's reply on its way to the client. Each coordinator round's
+/// confirmations leave as one buffer and one `write_all`, on the handler
+/// thread, while the query keeps running. After a failed write (a vanished
+/// client, or a stalled one past the socket's write timeout) nothing more
+/// is written, but the query still runs to completion — releasing its
+/// admission slot, link frames and parked site cursors — before the error
+/// closes the connection.
+struct ResultStream<'o> {
+    out: &'o mut dyn Write,
+    buf: String,
+    /// Entries already handed to [`ResultStream::send`].
+    sent: usize,
+    failed: Option<std::io::Error>,
+}
+
+impl ResultStream<'_> {
+    fn send(&mut self, entries: &[SkylineEntry], exact: bool) {
+        self.sent += entries.len();
+        if self.failed.is_none() {
+            self.buf.clear();
+            render_results(&mut self.buf, entries, exact);
+            self.failed = write_lines(self.out, &self.buf).err();
+        }
+    }
+
+    /// Sends what the coordinator did not stream — the whole answer on a
+    /// cache hit — and the `done` line, together in one write.
+    fn finish(mut self, answer: dsud_core::SessionOutcome) -> std::io::Result<()> {
+        let outcome = &answer.outcome;
+        self.buf.clear();
+        render_results(&mut self.buf, &outcome.skyline[self.sent..], !outcome.degraded);
+        let done = DoneSummary {
+            query_id: answer.query_id,
+            count: outcome.skyline.len(),
+            cache_hit: answer.cache_hit,
+            admission_wait_us: answer.admission_wait_us,
+            tuples_transmitted: outcome.traffic.tuples_transmitted(),
+            iterations: outcome.stats.iterations,
+            degraded: outcome.degraded,
+            cancelled: outcome.cancelled,
+            report: answer.report,
+        };
+        render(&mut self.buf, &Response { done: Some(done), ..Response::default() });
+        write_lines(self.out, &self.buf)
+    }
 }
 
 fn respond_error(out: &mut dyn Write, message: &str) -> std::io::Result<ClientControl> {
@@ -558,41 +637,19 @@ impl ClientHandler for ServeHandler {
             };
         }
         if let Some(spec) = &request.query {
-            return match self.answer_query(spec) {
-                Ok(answer) => {
-                    // One line per qualified tuple, flushed as written, so
-                    // the client renders results progressively in the
-                    // algorithms' discovery order.
-                    // Degraded answers carry only upper bounds: every entry
-                    // is stamped so a client parsing the stream can tell
-                    // exact probabilities from bounds per tuple, not just
-                    // from the trailing summary.
-                    let bound = answer.outcome.degraded.then(|| "upper".to_string());
-                    for entry in &answer.outcome.skyline {
-                        let result = ResultEntry {
-                            site: entry.tuple.id().site.0,
-                            seq: entry.tuple.id().seq,
-                            values: entry.tuple.values().to_vec(),
-                            probability: entry.probability,
-                            bound: bound.clone(),
-                        };
-                        respond(out, &Response { result: Some(result), ..Response::default() })?;
-                    }
-                    let done = DoneSummary {
-                        query_id: answer.query_id,
-                        count: answer.outcome.skyline.len(),
-                        cache_hit: answer.cache_hit,
-                        admission_wait_us: answer.admission_wait_us,
-                        tuples_transmitted: answer.outcome.traffic.tuples_transmitted(),
-                        iterations: answer.outcome.stats.iterations,
-                        degraded: answer.outcome.degraded,
-                        cancelled: answer.outcome.cancelled,
-                        report: answer.report,
-                    };
-                    respond(out, &Response { done: Some(done), ..Response::default() })?;
-                    Ok(ClientControl::Continue)
-                }
-                Err(e) => respond_error(out, &e.to_string()),
+            // Results stream while the query runs, in the algorithms'
+            // discovery order: each coordinator round's confirmations leave
+            // in one write from this handler thread (no thread or channel
+            // per query), each entry stamped exact or upper bound on its
+            // own (see `SessionServer::run_dsud`).
+            let mut stream = ResultStream { out, buf: String::new(), sent: 0, failed: None };
+            let answer = self.answer_query(spec, &mut |entries, exact| stream.send(entries, exact));
+            if let Some(e) = stream.failed {
+                return Err(e);
+            }
+            return match answer {
+                Ok(answer) => stream.finish(answer).map(|()| ClientControl::Continue),
+                Err(e) => respond_error(stream.out, &e.to_string()),
             };
         }
         respond_error(out, "empty request: set query, update, or shutdown")
@@ -829,6 +886,7 @@ fn estimate<W: Write>(n: usize, dims: usize, sites: usize, out: &mut W) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsud_uncertain::TupleId;
 
     #[test]
     fn estimate_prints_analysis() {
@@ -902,6 +960,176 @@ mod tests {
             assert!(!report.phases.is_empty(), "per-phase totals are aggregated");
             fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// A deployment for the handler tests: 900 anticorrelated tuples on 4
+    /// inline sites, identical on every call.
+    fn served_cluster() -> Cluster {
+        let sites = WorkloadSpec::new(900, 3)
+            .spatial(SpatialDistribution::Anticorrelated)
+            .seed(5)
+            .generate_partitioned(4)
+            .unwrap();
+        Cluster::with_transport(
+            3,
+            sites,
+            SiteOptions::default(),
+            Recorder::disabled(),
+            Transport::Inline,
+        )
+        .unwrap()
+    }
+
+    fn handler(batch: BatchSize, max_concurrent: usize) -> ServeHandler {
+        let session = SessionServer::new(
+            served_cluster(),
+            SessionOptions { max_concurrent, cache_capacity: 0, ..SessionOptions::default() },
+        );
+        ServeHandler {
+            session: Arc::new(session),
+            transport: Transport::Inline,
+            failure: FailurePolicy::Strict,
+            batch,
+            pipeline: PipelineDepth::Auto,
+            wire: WireFormat::Columnar,
+            topology: Topology::Flat,
+            plan: PlanMode::Sketch,
+        }
+    }
+
+    /// The same query run one-shot on a fresh cluster with the handler's
+    /// execution knobs.
+    fn one_shot(h: &ServeHandler, edsud: bool) -> QueryOutcome {
+        let config = QueryConfig::new(0.3)
+            .unwrap()
+            .batch_size(h.batch)
+            .pipeline_depth(h.pipeline)
+            .wire_format(h.wire)
+            .plan_mode(h.plan);
+        let mut cluster = served_cluster();
+        if edsud { cluster.run_edsud(&config) } else { cluster.run_dsud(&config) }.unwrap()
+    }
+
+    fn query_line(edsud: bool) -> String {
+        let algorithm = if edsud { "edsud" } else { "dsud" };
+        format!(r#"{{"query":{{"algorithm":"{algorithm}","q":0.3}}}}"#)
+    }
+
+    /// The `result` lines of a reply, as (id, probability bits), plus the
+    /// number of `done` lines.
+    fn parse_reply(bytes: &[u8]) -> (Vec<(TupleId, u64)>, usize) {
+        let mut results = Vec::new();
+        let mut done = 0;
+        for line in std::str::from_utf8(bytes).unwrap().lines() {
+            let response: Response = serde_json::from_str(line).unwrap();
+            if let Some(r) = response.result {
+                assert_eq!(r.bound, None, "a fault-free answer is exact");
+                results.push((TupleId::new(r.site, r.seq), r.probability.to_bits()));
+            }
+            done += usize::from(response.done.is_some());
+        }
+        (results, done)
+    }
+
+    fn progress_order(outcome: &QueryOutcome) -> Vec<(TupleId, u64)> {
+        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect()
+    }
+
+    /// Records, for every `write` call, the session's aggregate message
+    /// count at that moment and the bytes written.
+    struct MeteredOut {
+        meter: BandwidthMeter,
+        writes: Vec<(u64, Vec<u8>)>,
+    }
+
+    impl Write for MeteredOut {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push((self.meter.snapshot().total().messages, buf.to_vec()));
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn served_results_stream_before_the_query_finishes() {
+        for batch in [BatchSize::Fixed(1), BatchSize::Auto] {
+            for edsud in [false, true] {
+                let mut h = handler(batch, 1);
+                let meter = h.session.meter().clone();
+                let mut out = MeteredOut { meter, writes: Vec::new() };
+                let control = h.handle_line(&query_line(edsud), &mut out).unwrap();
+                assert_eq!(control, ClientControl::Continue);
+
+                let ctx = format!("batch {} edsud={edsud}", batch.name());
+                let has = |bytes: &[u8], key: &str| {
+                    std::str::from_utf8(bytes).unwrap().contains(&format!("\"{key}\":{{"))
+                };
+                let first_result =
+                    out.writes.iter().find(|(_, b)| has(b, "result")).expect("results written");
+                let (done_at, done_bytes) = out.writes.last().unwrap();
+                assert!(has(done_bytes, "done"), "{ctx}: the done line comes last");
+                assert!(
+                    first_result.0 < *done_at,
+                    "{ctx}: the first result left at {} messages, no earlier than done at \
+                     {done_at}",
+                    first_result.0
+                );
+
+                let all: Vec<u8> = out.writes.iter().flat_map(|(_, b)| b.clone()).collect();
+                let (results, done) = parse_reply(&all);
+                assert_eq!(done, 1, "{ctx}");
+                assert_eq!(results, progress_order(&one_shot(&h, edsud)), "{ctx}");
+            }
+        }
+    }
+
+    /// Fails every write, counting the attempts.
+    struct BrokenOut(usize);
+
+    impl Write for BrokenOut {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.0 += 1;
+            Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "client vanished"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_vanished_client_neither_wedges_the_session_nor_changes_answers() {
+        for edsud in [false, true] {
+            // Width 1: the second query is only admitted if the first one
+            // released its slot.
+            let mut h = handler(BatchSize::Auto, 1);
+            let mut broken = BrokenOut(0);
+            assert!(h.handle_line(&query_line(edsud), &mut broken).is_err(), "connection closes");
+            assert_eq!(broken.0, 1, "nothing is written after the first failure");
+            assert_eq!(h.session.stats().queries_served, 1, "the query ran to completion");
+
+            let mut out = Vec::new();
+            h.handle_line(&query_line(edsud), &mut out).unwrap();
+            let (results, done) = parse_reply(&out);
+            assert_eq!(done, 1);
+            assert_eq!(results, progress_order(&one_shot(&h, edsud)), "edsud={edsud}");
+        }
+    }
+
+    #[test]
+    fn a_cache_hit_is_one_write() {
+        let mut h = handler(BatchSize::Auto, 1);
+        h.session = Arc::new(SessionServer::new(served_cluster(), SessionOptions::default()));
+        let mut cold = MeteredOut { meter: h.session.meter().clone(), writes: Vec::new() };
+        h.handle_line(&query_line(true), &mut cold).unwrap();
+        let mut warm = MeteredOut { meter: h.session.meter().clone(), writes: Vec::new() };
+        h.handle_line(&query_line(true), &mut warm).unwrap();
+        assert_eq!(warm.writes.len(), 1, "answer and done line leave together");
+        let (results, done) = parse_reply(&warm.writes[0].1);
+        assert_eq!(done, 1);
+        let cold_bytes: Vec<u8> = cold.writes.iter().flat_map(|(_, b)| b.clone()).collect();
+        assert_eq!(results, parse_reply(&cold_bytes).0, "the cached answer is the computed one");
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! * `{"query": {...}}` — run a query; the server streams one
 //!   `{"result": ...}` line per skyline tuple *as it is confirmed*
 //!   (preserving the algorithms' progressiveness end-to-end) and finishes
-//!   with a `{"done": {...}}` summary, which embeds the per-query schema-6
-//!   [`RunReport`] when the client asked for one.
+//!   with a `{"done": {...}}` summary, which embeds the per-query
+//!   [`RunReport`] (schema [`dsud_core::SCHEMA_VERSION`]) when the client
+//!   asked for one. The lines a coordinator round confirms are flushed
+//!   together, in one write, while the query is still running; a cache hit
+//!   sends its whole answer and the `done` line in one write. A query that
+//!   fails mid-way may have streamed results before its `error` line.
 //! * `{"update": {...}}` — apply an insert/delete through the maintenance
 //!   path (invalidates the server's result cache); answered with one
 //!   `{"updated": {...}}` line.
@@ -105,8 +109,10 @@ pub struct ResultEntry {
     /// Exact global skyline probability — unless `bound` is set, in which
     /// case it is only a bound of that kind.
     pub probability: f64,
-    /// `Some("upper")` on degraded queries: a site was quarantined, so the
-    /// probability is an upper bound, not exact. `None` on exact answers.
+    /// `Some("upper")` when the probability is only an upper bound: a
+    /// site's survival factor was missing when the tuple was confirmed, or
+    /// a site sat in quarantine when the query was admitted. `None` means
+    /// the probability is exact — every site's factor was folded in.
     #[serde(default)]
     pub bound: Option<String>,
 }
@@ -134,7 +140,8 @@ pub struct DoneSummary {
     /// boundary; the streamed results are the partial progressive answer.
     #[serde(default)]
     pub cancelled: bool,
-    /// The per-query schema-6 run report, when requested.
+    /// The per-query run report (schema [`dsud_core::SCHEMA_VERSION`]),
+    /// when requested.
     #[serde(default)]
     pub report: Option<RunReport>,
 }

@@ -135,8 +135,11 @@ fn update_at(k: usize, seed: u64, sites: usize, dims: usize) -> UpdateOp {
 }
 
 fn serve(server: &SessionServer, cfg: &QueryConfig, edsud: bool) -> Result<QueryOutcome, Error> {
-    let outcome =
-        if edsud { server.run_edsud(cfg, false)? } else { server.run_dsud(cfg, false)? };
+    let outcome = if edsud {
+        server.run_edsud(cfg, false, &mut |_, _| {})?
+    } else {
+        server.run_dsud(cfg, false, &mut |_, _| {})?
+    };
     Ok(outcome.outcome)
 }
 

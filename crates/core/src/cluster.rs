@@ -777,6 +777,7 @@ impl Cluster {
             config.wire,
             config.deadline_ms,
             config.plan,
+            &mut |_, _| {},
         )
     }
 
@@ -803,6 +804,7 @@ impl Cluster {
             config.wire,
             config.deadline_ms,
             config.plan,
+            &mut |_, _| {},
         )
     }
 }

@@ -23,7 +23,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use dsud_net::{BandwidthMeter, Fanout, Link, Message, TupleMsg};
 use dsud_obs::Counter;
@@ -32,9 +31,10 @@ use dsud_uncertain::{SkylineEntry, SubspaceMask};
 use crate::batch::BatchRound;
 use crate::degrade::FailureTracker;
 use crate::pipeline::InflightRefill;
+use crate::progress::Reporter;
 use crate::{
-    planner, BatchSize, Error, FailurePolicy, PipelineDepth, PlanMode, ProgressLog, QueryOutcome,
-    RunStats, SiteOrder, WireFormat,
+    planner, BatchSize, Error, FailurePolicy, PipelineDepth, PlanMode, QueryOutcome, RunStats,
+    SiteOrder, WireFormat,
 };
 
 /// A candidate in the server's priority queue `L`, ordered so that a
@@ -157,6 +157,7 @@ pub fn run_with_policy(
         wire,
         deadline_ms,
         PlanMode::Static,
+        &mut |_, _| {},
     )
 }
 
@@ -166,6 +167,13 @@ pub fn run_with_policy(
 /// per-site message sequences through aggregator links, and because the
 /// fan-out returns replies in ascending site order either way, the
 /// survival folds (and hence the answer) are bit-identical.
+///
+/// `sink` sees the answer as it is confirmed: one call per closed round
+/// with the entries that round confirmed (one-candidate rounds confirm at
+/// most one), plus whether every site's survival factor was folded into
+/// them (`false` once a site is quarantined — the entries are then upper
+/// bounds). The entries confirmed before a `limit` break go out before the
+/// break, so the calls concatenate to exactly [`QueryOutcome::skyline`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_on(
     fan: &mut Fanout<'_>,
@@ -179,12 +187,12 @@ pub(crate) fn run_on(
     wire: WireFormat,
     deadline_ms: Option<u64>,
     plan: PlanMode,
+    sink: &mut dyn FnMut(&[SkylineEntry], bool),
 ) -> Result<QueryOutcome, Error> {
     if !(q > 0.0 && q <= 1.0) {
         return Err(Error::InvalidThreshold(q));
     }
-    let start_traffic = meter.snapshot();
-    let started = Instant::now();
+    let mut out = Reporter::new(meter, limit, sink);
     let deadline = deadline_ms.map(std::time::Duration::from_millis);
     let mut cancelled = false;
     let rec = meter.recorder().clone();
@@ -194,8 +202,6 @@ pub(crate) fn run_on(
     let order = SiteOrder::new(fan.len());
     let mut tracker = FailureTracker::new(order.len(), policy, rec.clone());
     let mut stats = RunStats::default();
-    let mut progress = ProgressLog::new();
-    let mut skyline: Vec<SkylineEntry> = Vec::new();
 
     // To-Server phase, first iteration: every site extracts its local
     // skyline and sends its best representative. The broadcast fans the
@@ -224,7 +230,7 @@ pub(crate) fn run_on(
         // Deadline checks sit on round boundaries only, so a cancelled run
         // never leaves a frame in flight: links and session state are
         // released exactly as a completed run releases them.
-        if deadline.is_some_and(|d| started.elapsed() >= d) {
+        if deadline.is_some_and(|d| out.elapsed() >= d) {
             cancelled = true;
             rec.incr(Counter::Cancelled);
             break 'rounds;
@@ -249,8 +255,7 @@ pub(crate) fn run_on(
             // per-link order changes. Skipped for a round that could hit
             // the `limit` break — the sequential schedule would never have
             // sent the request, and traffic must stay identical.
-            let may_finish = limit.is_some_and(|k| skyline.len() + 1 >= k);
-            let refill = (overlap && !may_finish && tracker.is_active(home)).then(|| {
+            let refill = (overlap && !out.may_finish() && tracker.is_active(home)).then(|| {
                 rec.incr(Counter::OverlappedRounds);
                 (InflightRefill::send(fan, home), rec.span("overlap"))
             });
@@ -277,11 +282,9 @@ pub(crate) fn run_on(
             }
 
             if global >= q {
-                skyline.push(SkylineEntry { tuple: cand.to_tuple(), probability: global });
-                let transmitted = meter.snapshot().since(&start_traffic).tuples_transmitted();
-                rec.progressive(cand.id.site.0, cand.id.seq, global, transmitted);
-                progress.push(cand.id, global, transmitted, started.elapsed());
-                if limit.is_some_and(|k| skyline.len() >= k) {
+                let full = out.confirm(&cand, global);
+                out.flush(!tracker.degraded());
+                if full {
                     drop(round_span);
                     break;
                 }
@@ -377,27 +380,23 @@ pub(crate) fn run_on(
             round.deliver_all(fan, &mut tracker, &mut stats, &rec)?;
         }
 
-        for j in 0..round.len() {
+        let full = (0..round.len()).any(|j| {
             let global = round.global_probability(j);
-            if global >= q {
-                let cand = round.candidate(j);
-                skyline.push(SkylineEntry { tuple: cand.to_tuple(), probability: global });
-                let transmitted = meter.snapshot().since(&start_traffic).tuples_transmitted();
-                rec.progressive(cand.id.site.0, cand.id.seq, global, transmitted);
-                progress.push(cand.id, global, transmitted, started.elapsed());
-                if limit.is_some_and(|k| skyline.len() >= k) {
-                    drop(round_span);
-                    break 'rounds;
-                }
-            }
+            global >= q && out.confirm(round.candidate(j), global)
+        });
+        out.flush(!tracker.degraded());
+        if full {
+            drop(round_span);
+            break 'rounds;
         }
     }
     drop(query_span);
 
+    let (skyline, progress, traffic) = out.finish();
     Ok(QueryOutcome {
         skyline,
         progress,
-        traffic: meter.snapshot().since(&start_traffic),
+        traffic,
         stats,
         degraded: tracker.degraded(),
         cancelled,

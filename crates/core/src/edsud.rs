@@ -25,7 +25,6 @@
 //! home site immediately supplies its next representative.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use dsud_net::{BandwidthMeter, Fanout, Link, Message, TupleMsg};
 use dsud_obs::Counter;
@@ -34,10 +33,11 @@ use dsud_uncertain::{dominates_in, SkylineEntry, SubspaceMask};
 use crate::batch::BatchRound;
 use crate::degrade::FailureTracker;
 use crate::pipeline::InflightRefill;
+use crate::progress::Reporter;
 use crate::synopsis::SynopsisBound;
 use crate::{
-    planner, BatchSize, BoundMode, Error, FailurePolicy, PipelineDepth, PlanMode, ProgressLog,
-    QueryOutcome, RunStats, SiteOrder, WireFormat,
+    planner, BatchSize, BoundMode, Error, FailurePolicy, PipelineDepth, PlanMode, QueryOutcome,
+    RunStats, SiteOrder, WireFormat,
 };
 
 /// A queued candidate with its per-site broadcast discounts.
@@ -192,6 +192,7 @@ pub fn run_with_synopses(
         wire,
         deadline_ms,
         PlanMode::Static,
+        &mut |_, _| {},
     )
 }
 
@@ -200,6 +201,9 @@ pub fn run_with_synopses(
 /// pre-topology per-link traffic byte for byte, and a tree fan-out routes
 /// the same per-site sequences through aggregator links with replies in
 /// the same ascending site order, so the answer is bit-identical.
+///
+/// `sink` sees each closed round's confirmations exactly as in
+/// [`crate::dsud`]'s coordinator.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_on(
     fan: &mut Fanout<'_>,
@@ -215,12 +219,12 @@ pub(crate) fn run_on(
     wire: WireFormat,
     deadline_ms: Option<u64>,
     plan: PlanMode,
+    sink: &mut dyn FnMut(&[SkylineEntry], bool),
 ) -> Result<QueryOutcome, Error> {
     if !(q > 0.0 && q <= 1.0) {
         return Err(Error::InvalidThreshold(q));
     }
-    let start_traffic = meter.snapshot();
-    let started = Instant::now();
+    let mut out = Reporter::new(meter, limit, sink);
     let deadline = deadline_ms.map(std::time::Duration::from_millis);
     let mut cancelled = false;
     let rec = meter.recorder().clone();
@@ -230,8 +234,6 @@ pub(crate) fn run_on(
     let order = SiteOrder::new(fan.len());
     let mut tracker = FailureTracker::new(order.len(), policy, rec.clone());
     let mut stats = RunStats::default();
-    let mut progress = ProgressLog::new();
-    let mut skyline: Vec<SkylineEntry> = Vec::new();
     let mut history: Vec<TupleMsg> = Vec::new();
 
     let mut queue: Vec<Candidate> = Vec::with_capacity(order.len());
@@ -275,7 +277,7 @@ pub(crate) fn run_on(
     'rounds: loop {
         // Deadline checks sit on round boundaries only, so a cancelled run
         // never leaves a frame in flight (see `dsud::run_with_policy`).
-        if deadline.is_some_and(|d| started.elapsed() >= d) {
+        if deadline.is_some_and(|d| out.elapsed() >= d) {
             cancelled = true;
             rec.incr(Counter::Cancelled);
             break 'rounds;
@@ -477,19 +479,14 @@ pub(crate) fn run_on(
                 let _span = rec.span("server-delivery");
                 round.deliver_all(fan, &mut tracker, &mut stats, &rec)?;
             }
-            for j in 0..round.len() {
+            let full = (0..round.len()).any(|j| {
                 let global = round.global_probability(j);
-                if global >= q {
-                    let t = round.candidate(j);
-                    skyline.push(SkylineEntry { tuple: t.to_tuple(), probability: global });
-                    let transmitted = meter.snapshot().since(&start_traffic).tuples_transmitted();
-                    rec.progressive(t.id.site.0, t.id.seq, global, transmitted);
-                    progress.push(t.id, global, transmitted, started.elapsed());
-                    if limit.is_some_and(|k| skyline.len() >= k) {
-                        drop(round_span);
-                        break 'rounds;
-                    }
-                }
+                global >= q && out.confirm(round.candidate(j), global)
+            });
+            out.flush(!tracker.degraded());
+            if full {
+                drop(round_span);
+                break 'rounds;
             }
             if finished || round.is_empty() {
                 break;
@@ -595,8 +592,7 @@ pub(crate) fn run_on(
         // Pipelined refill: on the wire before the survival scatter (which
         // excludes `home`), completed after the fold — see the DSUD
         // coordinator for the schedule and the `limit` guard.
-        let may_finish = limit.is_some_and(|k| skyline.len() + 1 >= k);
-        let refill = (overlap && !may_finish && tracker.is_active(home)).then(|| {
+        let refill = (overlap && !out.may_finish() && tracker.is_active(home)).then(|| {
             if !round_overlapped {
                 round_overlapped = true;
                 rec.incr(Counter::OverlappedRounds);
@@ -624,11 +620,9 @@ pub(crate) fn run_on(
         }
 
         if global >= q {
-            skyline.push(SkylineEntry { tuple: cand.msg.to_tuple(), probability: global });
-            let transmitted = meter.snapshot().since(&start_traffic).tuples_transmitted();
-            rec.progressive(cand.msg.id.site.0, cand.msg.id.seq, global, transmitted);
-            progress.push(cand.msg.id, global, transmitted, started.elapsed());
-            if limit.is_some_and(|k| skyline.len() >= k) {
+            let full = out.confirm(&cand.msg, global);
+            out.flush(!tracker.degraded());
+            if full {
                 drop(round_span);
                 break;
             }
@@ -667,10 +661,11 @@ pub(crate) fn run_on(
     }
     drop(query_span);
 
+    let (skyline, progress, traffic) = out.finish();
     Ok(QueryOutcome {
         skyline,
         progress,
-        traffic: meter.snapshot().since(&start_traffic),
+        traffic,
         stats,
         degraded: tracker.degraded(),
         cancelled,

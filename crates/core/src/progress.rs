@@ -1,13 +1,15 @@
 //! Progressiveness trace: one [`ProgressEvent`] per skyline tuple the
 //! coordinator reports, stamped with cumulative bandwidth and elapsed time —
 //! the samples behind the paper's progressiveness curves (Section 7.5,
-//! Figs. 12–13).
+//! Figs. 12–13) — and the coordinators' shared report path that records
+//! each confirmation and streams it to the caller round by round.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use dsud_uncertain::TupleId;
+use dsud_net::{BandwidthMeter, MeterSnapshot, TupleMsg};
+use dsud_uncertain::{SkylineEntry, TupleId};
 
 /// One progressively-reported skyline result.
 ///
@@ -88,6 +90,83 @@ impl<'a> IntoIterator for &'a ProgressLog {
 
     fn into_iter(self) -> Self::IntoIter {
         self.events.iter()
+    }
+}
+
+/// The coordinators' report path: every qualified tuple goes into the
+/// answer, the recorder's progressive samples, and the [`ProgressLog`]
+/// here, and [`Reporter::flush`] hands each closed round's confirmations to
+/// the caller's sink — so a served client sees a result while the query is
+/// still running, not after it returns.
+pub(crate) struct Reporter<'a> {
+    meter: &'a BandwidthMeter,
+    start_traffic: MeterSnapshot,
+    started: Instant,
+    limit: Option<usize>,
+    skyline: Vec<SkylineEntry>,
+    progress: ProgressLog,
+    /// How many entries of `skyline` the sink has already seen.
+    flushed: usize,
+    sink: &'a mut dyn FnMut(&[SkylineEntry], bool),
+}
+
+impl<'a> Reporter<'a> {
+    /// Starts the query's clock and traffic baseline.
+    pub(crate) fn new(
+        meter: &'a BandwidthMeter,
+        limit: Option<usize>,
+        sink: &'a mut dyn FnMut(&[SkylineEntry], bool),
+    ) -> Self {
+        Reporter {
+            meter,
+            start_traffic: meter.snapshot(),
+            started: Instant::now(),
+            limit,
+            skyline: Vec::new(),
+            progress: ProgressLog::new(),
+            flushed: 0,
+            sink,
+        }
+    }
+
+    /// Wall-clock time since the query started.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Records one qualified tuple with its global probability; true once
+    /// the progressive `limit` is reached and the query must stop.
+    pub(crate) fn confirm(&mut self, t: &TupleMsg, global: f64) -> bool {
+        self.skyline.push(SkylineEntry { tuple: t.to_tuple(), probability: global });
+        let transmitted = self.traffic().tuples_transmitted();
+        self.meter.recorder().progressive(t.id.site.0, t.id.seq, global, transmitted);
+        self.progress.push(t.id, global, transmitted, self.started.elapsed());
+        self.limit.is_some_and(|k| self.skyline.len() >= k)
+    }
+
+    /// Whether one more confirmation would reach the `limit`.
+    pub(crate) fn may_finish(&self) -> bool {
+        self.limit.is_some_and(|k| self.skyline.len() + 1 >= k)
+    }
+
+    /// Hands the entries confirmed since the last flush to the sink, if
+    /// any. `exact` is false once a quarantined site's survival factors
+    /// went missing: the entries are then upper bounds.
+    pub(crate) fn flush(&mut self, exact: bool) {
+        if self.flushed < self.skyline.len() {
+            (self.sink)(&self.skyline[self.flushed..], exact);
+            self.flushed = self.skyline.len();
+        }
+    }
+
+    /// The answer, its progressive trace, and the query's traffic.
+    pub(crate) fn finish(self) -> (Vec<SkylineEntry>, ProgressLog, MeterSnapshot) {
+        let traffic = self.traffic();
+        (self.skyline, self.progress, traffic)
+    }
+
+    fn traffic(&self) -> MeterSnapshot {
+        self.meter.snapshot().since(&self.start_traffic)
     }
 }
 

@@ -28,6 +28,11 @@
 //!   maintenance path — invalidates the whole cache before the site's tree
 //!   changes become visible to queries.
 //!
+//! Answers stream: the `sink` of [`SessionServer::run_dsud`] /
+//! [`SessionServer::run_edsud`] receives each coordinator round's
+//! confirmations while the query is still running, so a client sees its
+//! first result long before the last.
+//!
 //! Traffic accounting is two-level: each query's [`SessionOutcome`]
 //! carries the per-query meter snapshot (identical to a one-shot run),
 //! while [`SessionServer::meter`] aggregates the actual tagged frames
@@ -85,6 +90,7 @@ use dsud_net::{
     SiteRoute, TupleMsg,
 };
 use dsud_obs::{Counter, Recorder, RunReport};
+use dsud_uncertain::SkylineEntry;
 
 use crate::degrade::FailureTracker;
 use crate::update::{Maintainer, UpdateOp};
@@ -578,6 +584,14 @@ impl SessionServer {
 
     /// Runs one DSUD query through the session layer.
     ///
+    /// `sink` is called on the calling thread once per coordinator round
+    /// that confirmed tuples, with those entries and whether they are
+    /// exact: `true` only if every site's survival factor was folded in and
+    /// no site sat in session-level quarantine when the query was admitted;
+    /// otherwise the probabilities are upper bounds. A cache hit runs no
+    /// round and never calls `sink`; the returned outcome always carries
+    /// the whole answer.
+    ///
     /// # Errors
     ///
     /// Same as [`Cluster::run_dsud`].
@@ -585,11 +599,13 @@ impl SessionServer {
         &self,
         config: &QueryConfig,
         want_report: bool,
+        sink: &mut dyn FnMut(&[SkylineEntry], bool),
     ) -> Result<SessionOutcome, Error> {
-        self.run(Algo::Dsud, config, want_report)
+        self.run(Algo::Dsud, config, want_report, sink)
     }
 
-    /// Runs one e-DSUD query through the session layer.
+    /// Runs one e-DSUD query through the session layer, streaming to
+    /// `sink` as [`SessionServer::run_dsud`] does.
     ///
     /// # Errors
     ///
@@ -598,8 +614,9 @@ impl SessionServer {
         &self,
         config: &QueryConfig,
         want_report: bool,
+        sink: &mut dyn FnMut(&[SkylineEntry], bool),
     ) -> Result<SessionOutcome, Error> {
-        self.run(Algo::Edsud, config, want_report)
+        self.run(Algo::Edsud, config, want_report, sink)
     }
 
     fn run(
@@ -607,6 +624,7 @@ impl SessionServer {
         algo: Algo,
         config: &QueryConfig,
         want_report: bool,
+        sink: &mut dyn FnMut(&[SkylineEntry], bool),
     ) -> Result<SessionOutcome, Error> {
         // Validate before taking a queue slot so malformed queries cannot
         // stall well-formed ones behind them.
@@ -666,6 +684,11 @@ impl SessionServer {
             });
         }
 
+        // A site in session-level quarantine may be missing deferred
+        // updates, so nothing this query confirms is exact.
+        let whole = !self.lifecycle.lock().unwrap_or_else(PoisonError::into_inner).degraded();
+        let mut stamped = |entries: &[SkylineEntry], exact: bool| sink(entries, exact && whole);
+
         // Fresh per-query meter: this query's traffic snapshot starts at
         // zero exactly like a one-shot run's, so `outcome.traffic` is
         // bit-identical to the same query executed on a fresh cluster.
@@ -695,6 +718,7 @@ impl SessionServer {
                     config.wire,
                     config.deadline_ms,
                     config.plan,
+                    &mut stamped,
                 ),
                 Algo::Edsud => edsud::run_on(
                     &mut fan,
@@ -710,6 +734,7 @@ impl SessionServer {
                     config.wire,
                     config.deadline_ms,
                     config.plan,
+                    &mut stamped,
                 ),
             }
         };

@@ -417,9 +417,16 @@ where
     Ok(QueryServer { addr, stop, handle: Some(handle) })
 }
 
+/// How long one write to a client may block before the client counts as
+/// stalled. Handlers stream results from inside a running query, so an
+/// unbounded write to a client that stopped reading would hold the query's
+/// admission slot and site cursors indefinitely.
+const CLIENT_WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
 /// Serves one client connection until it closes, errors, or asks to stop.
-/// Client-side I/O errors (e.g. a vanished client) end the connection
-/// quietly — they must not take the server down.
+/// Client-side I/O errors (e.g. a vanished client, or a stalled one past
+/// [`CLIENT_WRITE_TIMEOUT`]) end the connection quietly — they must not
+/// take the server down.
 fn serve_client<H: ClientHandler>(
     stream: TcpStream,
     handler: &mut H,
@@ -430,6 +437,7 @@ fn serve_client<H: ClientHandler>(
     // Poll the stop flag between reads so an idle connection cannot hold
     // up an owner-initiated shutdown.
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(50)));
+    let _ = stream.set_write_timeout(Some(CLIENT_WRITE_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

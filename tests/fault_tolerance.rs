@@ -572,7 +572,9 @@ fn site_killed_mid_served_query_degrades_then_recovers_exactly() {
             SessionOptions::default(),
         );
         let cfg = QueryConfig::new(0.3).expect("valid threshold");
-        skyline_fingerprint(&server.run_edsud(&cfg, false).expect("reference runs").outcome)
+        skyline_fingerprint(
+            &server.run_edsud(&cfg, false, &mut |_, _| {}).expect("reference runs").outcome,
+        )
     };
 
     for transport in ALL_TRANSPORTS {
@@ -597,7 +599,10 @@ fn site_killed_mid_served_query_degrades_then_recovers_exactly() {
         let mut saw_degraded = false;
         let mut recovered = false;
         for _ in 0..64 {
-            let outcome = server.run_edsud(&cfg, false).expect("degrade never errors").outcome;
+            let outcome = server
+                .run_edsud(&cfg, false, &mut |_, _| {})
+                .expect("degrade never errors")
+                .outcome;
             if outcome.degraded {
                 saw_degraded = true;
                 assert!(

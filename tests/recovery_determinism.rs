@@ -89,8 +89,12 @@ fn query_mix() -> Vec<(QueryConfig, bool)> {
 }
 
 fn serve(server: &SessionServer, cfg: &QueryConfig, edsud: bool) -> QueryOutcome {
-    let answer = if edsud { server.run_edsud(cfg, false) } else { server.run_dsud(cfg, false) }
-        .expect("session query completes");
+    let answer = if edsud {
+        server.run_edsud(cfg, false, &mut |_, _| {})
+    } else {
+        server.run_dsud(cfg, false, &mut |_, _| {})
+    }
+    .expect("session query completes");
     answer.outcome
 }
 
@@ -246,13 +250,15 @@ fn deadline_cancels_cleanly_and_is_never_cached() {
     );
     let base = QueryConfig::new(0.3).expect("valid threshold").wire_format(wire_from_env());
 
-    let cancelled = server.run_edsud(&base.clone().deadline(0), false).expect("query completes");
+    let cancelled = server
+        .run_edsud(&base.clone().deadline(0), false, &mut |_, _| {})
+        .expect("query completes");
     assert!(cancelled.outcome.cancelled, "a zero deadline cancels at the first round boundary");
     assert_eq!(server.stats().cancelled, 1);
 
     // The partial answer must not have been cached: the same key without a
     // deadline recomputes and yields the full exact answer.
-    let full = server.run_edsud(&base, false).expect("query completes");
+    let full = server.run_edsud(&base, false, &mut |_, _| {}).expect("query completes");
     assert!(!full.cache_hit, "a cancelled outcome must never enter the cache");
     assert!(!full.outcome.cancelled);
     let reference =
@@ -521,7 +527,7 @@ fn cache_hit_recovery_scenario(seed: u64, victim: u32) -> bool {
         .limit(3)
         .failure_policy(FailurePolicy::Degrade)
         .wire_format(wire_from_env());
-    let first = server.run_dsud(&cfg, false).expect("first query completes");
+    let first = server.run_dsud(&cfg, false, &mut |_, _| {}).expect("first query completes");
     if first.outcome.degraded {
         // The query walked into a window after all: not cacheable, the
         // scenario cannot start — try the next candidate seed.
@@ -535,7 +541,7 @@ fn cache_hit_recovery_scenario(seed: u64, victim: u32) -> bool {
     let mut probation_under_cache_hit = false;
     for _ in 0..sweeps_to_drain(seed) + 8 {
         let before = server.site_states();
-        let out = server.run_dsud(&cfg, false).expect("serve completes");
+        let out = server.run_dsud(&cfg, false, &mut |_, _| {}).expect("serve completes");
         let after = server.site_states();
         let probation_began = matches!(before[victim as usize], SiteState::Quarantined { .. })
             && !matches!(after[victim as usize], SiteState::Quarantined { .. });

@@ -7,12 +7,13 @@
 //!   and the same per-query traffic as the identical query run one-shot
 //!   on a fresh cluster — across inline, threaded, and TCP transports.
 //! * A repeated query is served from the result cache: identical answer,
-//!   zero rounds, zero tuples transmitted, `cache_hits = 1` in its
-//!   schema-6 report.
+//!   zero rounds, zero tuples transmitted, `cache_hits = 1` in its run
+//!   report.
 //! * An update applied through the maintenance path invalidates the
 //!   cache: the repeat recomputes and sees the new data; reversing the
 //!   update restores the original answer bit for bit.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dsud_core::update::UpdateOp;
@@ -27,7 +28,7 @@ fn wire_from_env() -> WireFormat {
     std::env::var("DSUD_WIRE").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
 }
 use dsud_data::WorkloadSpec;
-use dsud_uncertain::TupleId;
+use dsud_uncertain::{skyline_probabilities, SkylineEntry, SubspaceMask, TupleId, UncertainDb};
 
 const N: usize = 1_200;
 const DIMS: usize = 3;
@@ -114,9 +115,9 @@ fn concurrent_session_queries_match_sequential_one_shots_bitwise() {
                             .expect("valid threshold")
                             .wire_format(wire_from_env());
                         let answer = if edsud {
-                            server.run_edsud(&config, false)
+                            server.run_edsud(&config, false, &mut |_, _| {})
                         } else {
-                            server.run_dsud(&config, false)
+                            server.run_dsud(&config, false, &mut |_, _| {})
                         }
                         .expect("session query runs");
                         assert!(!answer.cache_hit, "cache is disabled in this test");
@@ -156,13 +157,13 @@ fn warm_cache_repeat_is_identical_with_zero_rounds() {
     let server = session_server(Transport::Inline, 4, 16);
     let config = QueryConfig::new(0.3).expect("valid threshold").wire_format(wire_from_env());
 
-    let cold = server.run_edsud(&config, true).expect("cold query runs");
+    let cold = server.run_edsud(&config, true, &mut |_, _| {}).expect("cold query runs");
     assert!(!cold.cache_hit);
     let cold_report = cold.report.as_ref().expect("report was requested");
     assert!(cold_report.counters.rounds >= 1, "a computed query has rounds");
     assert!(cold.outcome.tuples_transmitted() > 0);
 
-    let warm = server.run_edsud(&config, true).expect("warm query runs");
+    let warm = server.run_edsud(&config, true, &mut |_, _| {}).expect("warm query runs");
     assert!(warm.cache_hit, "identical repeat must hit the cache");
     assert_ne!(warm.query_id, cold.query_id, "every query gets its own id");
 
@@ -209,9 +210,12 @@ fn cache_keys_distinguish_algorithm_and_threshold() {
     let server = session_server(Transport::Inline, 4, 16);
     for (q, edsud) in [(0.3, true), (0.3, false), (0.4, true)] {
         let config = QueryConfig::new(q).expect("valid threshold").wire_format(wire_from_env());
-        let answer =
-            if edsud { server.run_edsud(&config, false) } else { server.run_dsud(&config, false) }
-                .expect("query runs");
+        let answer = if edsud {
+            server.run_edsud(&config, false, &mut |_, _| {})
+        } else {
+            server.run_dsud(&config, false, &mut |_, _| {})
+        }
+        .expect("query runs");
         assert!(!answer.cache_hit, "q={q} edsud={edsud} is a distinct key");
     }
     assert_eq!(server.stats().cache_entries, 3);
@@ -225,8 +229,8 @@ fn update_between_queries_invalidates_the_cache() {
     let server = session_server(Transport::Inline, 4, 16);
     let config = QueryConfig::new(0.3).expect("valid threshold").wire_format(wire_from_env());
 
-    let original = server.run_edsud(&config, false).expect("first query runs");
-    assert!(server.run_edsud(&config, false).expect("repeat runs").cache_hit);
+    let original = server.run_edsud(&config, false, &mut |_, _| {}).expect("first query runs");
+    assert!(server.run_edsud(&config, false, &mut |_, _| {}).expect("repeat runs").cache_hit);
 
     // A dominating, high-probability tuple at site 0 must enter the answer.
     let spike = UncertainTuple::new(
@@ -237,7 +241,8 @@ fn update_between_queries_invalidates_the_cache() {
     .expect("tuple builds");
     server.apply_update(&UpdateOp::Insert(spike.clone())).expect("insert applies");
 
-    let after_insert = server.run_edsud(&config, false).expect("post-update query runs");
+    let after_insert =
+        server.run_edsud(&config, false, &mut |_, _| {}).expect("post-update query runs");
     assert!(!after_insert.cache_hit, "the update must invalidate the cached answer");
     assert!(
         after_insert.outcome.skyline.iter().any(|e| e.tuple.id() == spike.id()),
@@ -245,7 +250,7 @@ fn update_between_queries_invalidates_the_cache() {
     );
 
     server.apply_update(&UpdateOp::Delete(spike)).expect("delete applies");
-    let restored = server.run_edsud(&config, false).expect("restored query runs");
+    let restored = server.run_edsud(&config, false, &mut |_, _| {}).expect("restored query runs");
     assert!(!restored.cache_hit);
     assert_eq!(
         fingerprint(&restored.outcome),
@@ -288,16 +293,35 @@ fn killing_seed() -> u64 {
         .expect("some seed in 1..256 produces a long hard-fault window")
 }
 
+/// What a query's sink saw: each entry with its probability and whether
+/// it came unstamped (exact).
+type Streamed = Vec<(TupleId, f64, bool)>;
+
+/// Fault-free global skyline probability of every tuple, computed
+/// centrally by Eq. 3 — the truth a streamed upper bound must not undercut
+/// for tuples outside the one-shot answer.
+fn central_probabilities() -> HashMap<TupleId, f64> {
+    let all: Vec<UncertainTuple> = sites().into_iter().flatten().collect();
+    let db = UncertainDb::from_tuples(DIMS, all.iter().cloned()).expect("db builds");
+    let mask = SubspaceMask::full(DIMS).expect("full mask");
+    let probs = skyline_probabilities(&db, mask).expect("central probabilities");
+    all.iter().map(UncertainTuple::id).zip(probs).collect()
+}
+
 /// A site killed while the server is mid-way through serving a concurrent
 /// wave of queries: the query whose request dies inside the fault window
 /// comes back stamped `degraded`, every other outcome is bit-identical to
 /// the clean reference, and nothing panics, hangs, or silently lies.
-/// Afterwards heartbeats walk the site back to Active and the deployment
-/// serves exact answers again.
+/// Every streamed entry is judged on its own stamp: an unstamped one is
+/// the fault-free probability bit for bit, a stamped one never undercuts
+/// it. Afterwards heartbeats walk the site back to Active and the
+/// deployment serves exact answers again.
 #[test]
 fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
     let seed = killing_seed();
     let references: Vec<_> = MIX.iter().map(|&(q, edsud)| one_shot(q, edsud)).collect();
+    let central = central_probabilities();
+    let mut stamped = 0usize;
 
     for transport in [Transport::Inline, Transport::Threaded, Transport::Tcp] {
         let cluster = Cluster::with_transport_chaos(
@@ -324,7 +348,7 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
         // ordinal stream through its seeded windows.
         let mut degraded = 0usize;
         for wave in 0..2 {
-            let outcomes: Vec<QueryOutcome> = std::thread::scope(|s| {
+            let outcomes: Vec<(QueryOutcome, Streamed)> = std::thread::scope(|s| {
                 let handles: Vec<_> = MIX
                     .iter()
                     .map(|&(q, edsud)| {
@@ -334,21 +358,60 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
                                 .expect("valid threshold")
                                 .failure_policy(FailurePolicy::Degrade)
                                 .wire_format(wire_from_env());
+                            let mut streamed = Vec::new();
+                            let mut sink = |entries: &[SkylineEntry], exact: bool| {
+                                streamed.extend(
+                                    entries.iter().map(|e| (e.tuple.id(), e.probability, exact)),
+                                );
+                            };
                             let answer = if edsud {
-                                server.run_edsud(&config, false)
+                                server.run_edsud(&config, false, &mut sink)
                             } else {
-                                server.run_dsud(&config, false)
+                                server.run_dsud(&config, false, &mut sink)
                             }
                             .expect("a killed site degrades, it never errors under Degrade");
-                            answer.outcome
+                            (answer.outcome, streamed)
                         })
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("query thread joins")).collect()
             });
 
-            for (i, outcome) in outcomes.iter().enumerate() {
+            for (i, (outcome, streamed)) in outcomes.iter().enumerate() {
                 let (q, edsud) = MIX[i];
+                let ctx = format!("{transport} wave {wave} q={q} edsud={edsud}");
+                let answer: Vec<(TupleId, u64)> = outcome
+                    .skyline
+                    .iter()
+                    .map(|e| (e.tuple.id(), e.probability.to_bits()))
+                    .collect();
+                let sent: Vec<(TupleId, u64)> =
+                    streamed.iter().map(|&(id, p, _)| (id, p.to_bits())).collect();
+                assert_eq!(sent, answer, "{ctx}: the stream must concatenate to the answer");
+                let exact: HashMap<TupleId, f64> =
+                    references[i].skyline.iter().map(|e| (e.tuple.id(), e.probability)).collect();
+                for &(id, p, unstamped) in streamed {
+                    match (unstamped, exact.get(&id)) {
+                        (true, Some(&truth)) => assert_eq!(
+                            p.to_bits(),
+                            truth.to_bits(),
+                            "{ctx}: unstamped {id} must be the fault-free probability"
+                        ),
+                        (true, None) => {
+                            panic!("{ctx}: unstamped {id} is not in the fault-free answer")
+                        }
+                        (false, Some(&truth)) => {
+                            stamped += 1;
+                            assert!(p >= truth, "{ctx}: stamped {id} {p} undercuts {truth}");
+                        }
+                        (false, None) => {
+                            stamped += 1;
+                            let truth = central[&id];
+                            assert!(truth < q, "{ctx}: {id} qualifies but is missing");
+                            assert!(p >= truth, "{ctx}: stamped {id} {p} undercuts {truth}");
+                        }
+                    }
+                }
                 if outcome.degraded {
                     // The victim: a named quarantine and a usable partial
                     // answer, never an empty or corrupt one.
@@ -395,12 +458,17 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
                 .expect("valid threshold")
                 .failure_policy(FailurePolicy::Degrade)
                 .wire_format(wire_from_env());
+            let mut bounds = 0usize;
+            let mut sink = |entries: &[SkylineEntry], exact: bool| {
+                bounds += entries.len() * usize::from(!exact);
+            };
             let answer = if edsud {
-                server.run_edsud(&config, false)
+                server.run_edsud(&config, false, &mut sink)
             } else {
-                server.run_dsud(&config, false)
+                server.run_dsud(&config, false, &mut sink)
             }
             .expect("healed query runs");
+            assert_eq!(bounds, 0, "{transport} q={q} edsud={edsud}: healed entries stamped");
             assert!(!answer.outcome.degraded, "{transport} q={q} edsud={edsud}: still degraded");
             assert_eq!(
                 answer_fingerprint(&answer.outcome),
@@ -409,6 +477,7 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
             );
         }
     }
+    assert!(stamped >= 1, "no victim streamed an entry after its site was quarantined");
 }
 
 /// A width-1 admission gate fully serializes concurrent queries without
@@ -426,7 +495,7 @@ fn admission_gate_queues_beyond_the_width() {
             s.spawn(move || {
                 let config =
                     QueryConfig::new(0.3).expect("valid threshold").wire_format(wire_from_env());
-                let answer = server.run_edsud(&config, false).expect("query runs");
+                let answer = server.run_edsud(&config, false, &mut |_, _| {}).expect("query runs");
                 assert_eq!(fingerprint(&answer.outcome), fingerprint(reference));
             });
         }

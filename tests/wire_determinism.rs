@@ -204,9 +204,9 @@ fn served_sessions_answer_identically_under_both_wire_layouts() {
                 .batch_size(BatchSize::Fixed(4))
                 .wire_format(wire);
             let served = if edsud {
-                server.run_edsud(&config, false)
+                server.run_edsud(&config, false, &mut |_, _| {})
             } else {
-                server.run_dsud(&config, false)
+                server.run_dsud(&config, false, &mut |_, _| {})
             }
             .expect("served query runs");
             let (skyline, progress, _) = fingerprint(&served.outcome);
