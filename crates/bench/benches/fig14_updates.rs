@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dsud_bench::{build_updates, quick_sites};
 use dsud_core::update::{apply_batch, Maintainer};
-use dsud_core::{BoundMode, Cluster, SubspaceMask};
+use dsud_core::{Cluster, QueryConfig, SubspaceMask};
 use dsud_data::SpatialDistribution;
 
 fn bench(c: &mut Criterion) {
@@ -28,9 +28,8 @@ fn bench(c: &mut Criterion) {
                         let (mut maintainer, _) = Maintainer::bootstrap(
                             cluster.links_mut(),
                             &meter,
-                            0.3,
                             SubspaceMask::full(2).unwrap(),
-                            BoundMode::Paper,
+                            &QueryConfig::new(0.3).unwrap(),
                         )
                         .unwrap();
                         apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, incremental)

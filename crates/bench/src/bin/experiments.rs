@@ -543,8 +543,8 @@ fn pipeline() {
     use std::time::{Duration, Instant};
 
     use dsud_core::{
-        dsud, edsud, BandwidthMeter, BatchSize, BoundMode, FailurePolicy, Link, LinkConfig,
-        LocalSite, PipelineDepth, QueryOutcome, SiteOptions, SubspaceMask, WireFormat,
+        dsud, edsud, BandwidthMeter, Link, LinkConfig, LocalSite, PipelineDepth, QueryConfig,
+        QueryOutcome, SiteOptions, SubspaceMask,
     };
     use dsud_net::{ChannelLink, DelayedService};
 
@@ -587,33 +587,10 @@ fn pipeline() {
                 )));
             }
             let started = Instant::now();
+            let config = QueryConfig::new(spec.q).expect("valid threshold").pipeline_depth(window);
             let outcome: QueryOutcome = match algo {
-                Algo::Dsud => dsud::run_with_policy(
-                    &mut links,
-                    &meter,
-                    spec.q,
-                    mask,
-                    None,
-                    FailurePolicy::Strict,
-                    BatchSize::Fixed(1),
-                    window,
-                    WireFormat::Legacy,
-                    None,
-                ),
-                _ => edsud::run_with_synopses(
-                    &mut links,
-                    &meter,
-                    spec.q,
-                    mask,
-                    BoundMode::Paper,
-                    None,
-                    None,
-                    FailurePolicy::Strict,
-                    BatchSize::Fixed(1),
-                    window,
-                    WireFormat::Legacy,
-                    None,
-                ),
+                Algo::Dsud => dsud::run(&mut links, &meter, mask, &config),
+                _ => edsud::run(&mut links, &meter, mask, &config),
             }
             .expect("experiment queries succeed");
             let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -669,8 +646,8 @@ fn wire() {
     use std::time::{Duration, Instant};
 
     use dsud_core::{
-        dsud, edsud, BandwidthMeter, BatchSize, BoundMode, FailurePolicy, Link, LinkConfig,
-        LocalSite, PipelineDepth, QueryOutcome, SiteOptions, SubspaceMask, WireFormat,
+        dsud, edsud, BandwidthMeter, BatchSize, Link, LinkConfig, LocalSite, QueryConfig,
+        QueryOutcome, SiteOptions, SubspaceMask, WireFormat,
     };
     use dsud_net::{ChannelLink, DelayedService};
 
@@ -720,33 +697,13 @@ fn wire() {
                 )));
             }
             let started = Instant::now();
+            let config = QueryConfig::new(spec.q)
+                .expect("valid threshold")
+                .batch_size(BatchSize::Fixed(16))
+                .wire_format(wire);
             let outcome: QueryOutcome = match algo {
-                Algo::Dsud => dsud::run_with_policy(
-                    &mut links,
-                    &meter,
-                    spec.q,
-                    mask,
-                    None,
-                    FailurePolicy::Strict,
-                    BatchSize::Fixed(16),
-                    PipelineDepth::Fixed(1),
-                    wire,
-                    None,
-                ),
-                _ => edsud::run_with_synopses(
-                    &mut links,
-                    &meter,
-                    spec.q,
-                    mask,
-                    BoundMode::Paper,
-                    None,
-                    None,
-                    FailurePolicy::Strict,
-                    BatchSize::Fixed(16),
-                    PipelineDepth::Fixed(1),
-                    wire,
-                    None,
-                ),
+                Algo::Dsud => dsud::run(&mut links, &meter, mask, &config),
+                _ => edsud::run(&mut links, &meter, mask, &config),
             }
             .expect("experiment queries succeed");
             let wall_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -313,9 +313,9 @@ pub fn update_row(spec: &ExpSpec, rate_pct: usize) -> UpdateRow {
             .expect("experiment clusters are valid");
         let meter = cluster.meter().clone();
         let mask = SubspaceMask::full(spec.d).expect("dims are valid");
-        let (mut maintainer, _) =
-            Maintainer::bootstrap(cluster.links_mut(), &meter, spec.q, mask, BoundMode::Paper)
-                .expect("bootstrap succeeds");
+        let config = QueryConfig::new(spec.q).expect("experiment thresholds are valid");
+        let (mut maintainer, _) = Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &config)
+            .expect("bootstrap succeeds");
 
         // Maintenance phase: the update stream arrives.
         let before = meter.snapshot();

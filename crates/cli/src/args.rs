@@ -2,7 +2,8 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 use dsud_core::{
-    BatchSize, FailurePolicy, PipelineDepth, PlanMode, Topology, Transport, WireFormat,
+    BatchSize, FailurePolicy, PipelineDepth, PlanMode, QueryConfig, SubspaceMask, Topology,
+    Transport, WireFormat,
 };
 
 use crate::CliError;
@@ -56,14 +57,8 @@ pub enum Command {
         input: PathBuf,
         /// Number of sites to partition across.
         sites: usize,
-        /// Probability threshold.
-        q: f64,
         /// Algorithm choice.
         algorithm: Algorithm,
-        /// Optional subspace: dimension indices.
-        subspace: Option<Vec<usize>>,
-        /// Optional progressive top-k limit.
-        limit: Option<usize>,
         /// Partitioning seed.
         seed: u64,
         /// Optional path for a JSON observability run report.
@@ -75,44 +70,18 @@ pub enum Command {
         /// behavior and wall-clock change. `baseline` always runs in
         /// process and ignores this flag.
         transport: Transport,
-        /// What to do when a site stays unreachable after its link's
-        /// retries are exhausted: `strict` (default) aborts the query
-        /// naming the dead site; `degrade` quarantines it and finishes on
-        /// the survivors, reporting probabilities as upper bounds and
-        /// marking the run `DEGRADED`. Only meaningful on fallible
-        /// transports — `inline` links cannot fail.
-        failure: FailurePolicy,
-        /// Candidates coalesced per feedback round: `--batch <K>` fixes
-        /// the count, `--batch auto` sizes each round from the candidate
-        /// backlog. Batching trades per-round latency for fewer
-        /// synchronization rounds and never changes the answer (pinned by
-        /// bit-identity tests). Composes with `--pipeline`: batches fill
-        /// the in-flight window.
-        batch: BatchSize,
-        /// In-flight request window per link: `--pipeline <W>` fixes the
-        /// window, `--pipeline auto` resolves to the double buffer (W=2).
-        /// W > 1 overlaps each round's scatter with the next round's
-        /// refills — useful on `threaded`/`tcp` where requests have real
-        /// latency, a no-op win on `inline` — without changing the answer.
-        pipeline: PipelineDepth,
-        /// Wire layout for bulk-data frames: `columnar` (default) ships
-        /// batched feedback / replica traffic as fixed-width column
-        /// sections the sites answer without decoding; `legacy` keeps the
-        /// row-oriented encoding. Answers, progress order, and tuple
-        /// counts are bit-identical; only bytes and decode time differ.
-        wire: WireFormat,
         /// Coordinator fan-out: `flat` (default) gives the root one link
         /// per site; `tree:<F>` interposes regional aggregators of fan-out
         /// F >= 2 that merge child frames before forwarding; `auto` picks
         /// F = ceil(sqrt(m)). Answers are bit-identical at every setting;
         /// only root-link frame and byte counts change.
         topology: Topology,
-        /// Round planning: `sketch` (default) gathers one mergeable sketch
-        /// per site before the first round and sizes `--batch auto` rounds
-        /// from the observed distribution; `static` keeps the fixed queue
-        /// clamp. Bit-identical answers either way; only round shape (and
-        /// hence frame counts) changes.
-        plan: PlanMode,
+        /// The query: `--q` (default 0.3), `--subspace`, `--limit`, and the
+        /// execution settings `--failure`, `--batch`, `--pipeline`, `--wire`
+        /// and `--plan` (see `dsud help` for each flag). None of the settings
+        /// changes the answer; `--failure degrade` only decides what a dead
+        /// site does to it.
+        config: QueryConfig,
     },
     /// Run the long-lived session daemon: sites stay resident and many
     /// concurrent clients multiplex queries onto them.
@@ -128,15 +97,6 @@ pub enum Command {
         port: u16,
         /// Site transport (same choices and semantics as `query`).
         transport: Transport,
-        /// Failure policy applied to every query (same semantics as
-        /// `query`; chosen by the operator, not per client).
-        failure: FailurePolicy,
-        /// Feedback batching applied to every query (`<K>` or `auto`).
-        batch: BatchSize,
-        /// Pipeline window applied to every query (`<W>` or `auto`).
-        pipeline: PipelineDepth,
-        /// Wire layout applied to every query (same semantics as `query`).
-        wire: WireFormat,
         /// Admission-control gate: maximum queries running concurrently;
         /// arrivals beyond that queue FIFO.
         max_concurrent: usize,
@@ -158,9 +118,11 @@ pub enum Command {
         /// probe one link per aggregator subtree, and a lost aggregator
         /// quarantines its whole subtree as a unit.
         topology: Topology,
-        /// Round planning applied to every query (same semantics as
-        /// `query`; chosen by the operator, not per client).
-        plan: PlanMode,
+        /// The template every served query starts from: the operator's
+        /// execution settings (same flags and semantics as `query`), and
+        /// threshold 0.3 for clients that name none. Each request sets only
+        /// its threshold, subspace, limit and deadline.
+        config: QueryConfig,
     },
     /// Send one request to a running `dsud serve` daemon.
     Client {
@@ -270,9 +232,10 @@ Flag notes:
   --plan       sketch (default) gathers one compact mergeable sketch per
                site before the first round and sizes --batch auto rounds
                from the observed probability distribution; static keeps
-               the fixed clamp. Only pays off with --batch auto; answers
-               stay bit-identical either way, and a site that cannot ship
-               a sketch silently falls back to the static schedule.
+               the fixed clamp. The plan phase runs only under --batch
+               auto (a fixed K is never overridden); answers stay
+               bit-identical either way, and a site that cannot ship a
+               sketch silently falls back to the static schedule.
   --deadline   (client) per-query budget in ms; the server cancels at the
                next round boundary and streams the partial answer, marked
                CANCELLED. Nothing cancelled or degraded enters the cache.
@@ -282,7 +245,7 @@ Flag notes:
   --op-log     (serve) deferred-update log capacity for rejoin resync;
                outages longer than the log force a full bootstrap and
                evicted deferred ops are lost (default 1024).
-  serve runs queries with ITS transport/failure/batch/pipeline/wire flags;
+  serve runs queries with ITS transport/failure/batch/pipeline/wire/plan flags;
   clients choose only what to ask (algorithm, q, subspace, limit).
 
 Data files hold one JSON tuple per line:
@@ -360,22 +323,22 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 })?),
                 None => None,
             };
+            let mut config = query_config(parse_f64("q", 0.3)?, &get)?;
+            if let Some(dims) = subspace {
+                config = config.subspace(SubspaceMask::from_dims(&dims)?);
+            }
+            if let Some(k) = limit {
+                config = config.limit(k);
+            }
             Ok(Command::Query {
                 input: PathBuf::from(input),
                 sites: parse_num("sites", 8)?,
-                q: parse_f64("q", 0.3)?,
                 algorithm,
-                subspace,
-                limit,
                 seed: parse_num("seed", 0)? as u64,
                 report: get("report").map(PathBuf::from),
                 transport: transport_flag(get("transport"))?,
-                failure: failure_flag(get("failure"))?,
-                batch: batch_flag(get("batch"))?,
-                pipeline: pipeline_flag(get("pipeline"))?,
-                wire: wire_flag(get("wire"))?,
                 topology: topology_flag(get("topology"))?,
-                plan: plan_flag(get("plan"))?,
+                config,
             })
         }
         "serve" => {
@@ -394,16 +357,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 seed: parse_num("seed", 0)? as u64,
                 port,
                 transport: transport_flag(get("transport"))?,
-                failure: failure_flag(get("failure"))?,
-                batch: batch_flag(get("batch"))?,
-                pipeline: pipeline_flag(get("pipeline"))?,
-                wire: wire_flag(get("wire"))?,
                 max_concurrent,
                 cache: parse_num("cache", 64)?,
                 heartbeat: parse_num("heartbeat", 0)? as u64,
                 op_log: parse_num("op-log", 1024)?,
                 topology: topology_flag(get("topology"))?,
-                plan: plan_flag(get("plan"))?,
+                config: query_config(0.3, &get)?,
             })
         }
         "client" => {
@@ -478,6 +437,21 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Parses the execution settings `query` and `serve` share — `--failure`,
+/// `--batch`, `--pipeline`, `--wire` and `--plan` — into one config over
+/// threshold `q`.
+fn query_config<'a>(
+    q: f64,
+    get: &dyn Fn(&str) -> Option<&'a str>,
+) -> Result<QueryConfig, CliError> {
+    Ok(QueryConfig::new(q)?
+        .failure_policy(failure_flag(get("failure"))?)
+        .batch_size(batch_flag(get("batch"))?)
+        .pipeline_depth(pipeline_flag(get("pipeline"))?)
+        .wire_format(wire_flag(get("wire"))?)
+        .plan_mode(plan_flag(get("plan"))?))
+}
+
 /// Parses `--transport` (defaults to `inline`).
 fn transport_flag(v: Option<&str>) -> Result<Transport, CliError> {
     match v {
@@ -531,8 +505,9 @@ fn wire_flag(v: Option<&str>) -> Result<WireFormat, CliError> {
 }
 
 /// Parses `--plan` (defaults to `sketch`: the CLI always prefers the
-/// adaptive round planner; the library default stays `static` for
-/// frame-count-pinned compatibility tests).
+/// adaptive round planner, which runs only under `--batch auto`; the
+/// library default stays `static` for frame-count-pinned compatibility
+/// tests).
 fn plan_flag(v: Option<&str>) -> Result<PlanMode, CliError> {
     match v {
         Some(v) => v
@@ -628,46 +603,40 @@ mod tests {
             "query --input d.jsonl --sites 4 --q 0.5 --algorithm dsud --subspace 0,2 --limit 5",
         ))
         .unwrap();
-        let Command::Query { sites, q, algorithm, subspace, limit, .. } = cmd else { panic!() };
+        let Command::Query { sites, algorithm, config, .. } = cmd else { panic!() };
         assert_eq!(sites, 4);
-        assert_eq!(q, 0.5);
+        assert_eq!(config.q, 0.5);
         assert_eq!(algorithm, Algorithm::Dsud);
-        assert_eq!(subspace, Some(vec![0, 2]));
-        assert_eq!(limit, Some(5));
+        assert_eq!(config.mask, Some(SubspaceMask::from_dims(&[0, 2]).unwrap()));
+        assert_eq!(config.limit, Some(5));
     }
 
     #[test]
     fn defaults_are_sensible() {
-        let Command::Query {
-            sites,
-            q,
-            algorithm,
-            subspace,
-            limit,
-            seed,
-            report,
-            transport,
-            failure,
-            batch,
-            pipeline,
-            wire,
-            topology,
-            plan,
-            ..
-        } = parse(&argv("query --input d.jsonl")).unwrap()
+        let Command::Query { sites, algorithm, seed, report, transport, topology, config, .. } =
+            parse(&argv("query --input d.jsonl")).unwrap()
         else {
             panic!()
         };
-        assert_eq!((sites, q, algorithm), (8, 0.3, Algorithm::Edsud));
-        assert_eq!((subspace, limit, seed), (None, None, 0));
+        assert_eq!((sites, config.q, algorithm), (8, 0.3, Algorithm::Edsud));
+        assert_eq!((config.mask, config.limit, seed), (None, None, 0));
         assert_eq!(report, None);
         assert_eq!(transport, Transport::Inline);
-        assert_eq!(failure, FailurePolicy::Strict);
-        assert_eq!(batch, BatchSize::Fixed(1));
-        assert_eq!(pipeline, PipelineDepth::Fixed(1));
-        assert_eq!(wire, WireFormat::Columnar);
+        assert_eq!(config.failure, FailurePolicy::Strict);
+        assert_eq!(config.batch, BatchSize::Fixed(1));
+        assert_eq!(config.pipeline, PipelineDepth::Fixed(1));
+        assert_eq!(config.wire, WireFormat::Columnar);
         assert_eq!(topology, Topology::Flat);
-        assert_eq!(plan, PlanMode::Sketch);
+        assert_eq!(config.plan, PlanMode::Sketch);
+        assert_eq!(config.deadline_ms, None);
+
+        // The daemon parses the same settings with the same defaults into
+        // its template config.
+        let Command::Serve { config: served, .. } = parse(&argv("serve --input d.jsonl")).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(served, config);
     }
 
     #[test]
@@ -704,50 +673,50 @@ mod tests {
     fn parses_wire_formats() {
         for (flag, expected) in [("legacy", WireFormat::Legacy), ("columnar", WireFormat::Columnar)]
         {
-            let Command::Query { wire, .. } =
+            let Command::Query { config, .. } =
                 parse(&argv(&format!("query --input d.jsonl --wire {flag}"))).unwrap()
             else {
                 panic!()
             };
-            assert_eq!(wire, expected);
+            assert_eq!(config.wire, expected);
         }
-        let Command::Serve { wire, .. } =
+        let Command::Serve { config, .. } =
             parse(&argv("serve --input d.jsonl --wire legacy")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(wire, WireFormat::Legacy);
+        assert_eq!(config.wire, WireFormat::Legacy);
         assert!(parse(&argv("query --input d.jsonl --wire carrier-pigeon")).is_err());
     }
 
     #[test]
     fn parses_plan_modes() {
         for (flag, expected) in [("sketch", PlanMode::Sketch), ("static", PlanMode::Static)] {
-            let Command::Query { plan, .. } =
+            let Command::Query { config, .. } =
                 parse(&argv(&format!("query --input d.jsonl --plan {flag}"))).unwrap()
             else {
                 panic!()
             };
-            assert_eq!(plan, expected);
+            assert_eq!(config.plan, expected);
         }
-        let Command::Serve { plan, .. } =
+        let Command::Serve { config, .. } =
             parse(&argv("serve --input d.jsonl --plan static")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(plan, PlanMode::Static);
+        assert_eq!(config.plan, PlanMode::Static);
         assert!(parse(&argv("query --input d.jsonl --plan crystal-ball")).is_err());
     }
 
     #[test]
     fn parses_pipeline_depths() {
         for (flag, expected) in [("8", PipelineDepth::Fixed(8)), ("auto", PipelineDepth::Auto)] {
-            let Command::Query { pipeline, .. } =
+            let Command::Query { config, .. } =
                 parse(&argv(&format!("query --input d.jsonl --pipeline {flag}"))).unwrap()
             else {
                 panic!()
             };
-            assert_eq!(pipeline, expected);
+            assert_eq!(config.pipeline, expected);
         }
         assert!(parse(&argv("query --input d.jsonl --pipeline 0")).is_err());
         assert!(parse(&argv("query --input d.jsonl --pipeline deep")).is_err());
@@ -756,12 +725,12 @@ mod tests {
     #[test]
     fn parses_batch_sizes() {
         for (flag, expected) in [("16", BatchSize::Fixed(16)), ("auto", BatchSize::Auto)] {
-            let Command::Query { batch, .. } =
+            let Command::Query { config, .. } =
                 parse(&argv(&format!("query --input d.jsonl --batch {flag}"))).unwrap()
             else {
                 panic!()
             };
-            assert_eq!(batch, expected);
+            assert_eq!(config.batch, expected);
         }
         assert!(parse(&argv("query --input d.jsonl --batch 0")).is_err());
         assert!(parse(&argv("query --input d.jsonl --batch many")).is_err());
@@ -772,12 +741,12 @@ mod tests {
         for (flag, expected) in
             [("strict", FailurePolicy::Strict), ("degrade", FailurePolicy::Degrade)]
         {
-            let Command::Query { failure, .. } =
+            let Command::Query { config, .. } =
                 parse(&argv(&format!("query --input d.jsonl --failure {flag}"))).unwrap()
             else {
                 panic!()
             };
-            assert_eq!(failure, expected);
+            assert_eq!(config.failure, expected);
         }
         assert!(parse(&argv("query --input d.jsonl --failure lenient")).is_err());
     }
@@ -823,7 +792,14 @@ mod tests {
         assert_eq!((heartbeat, op_log), (0, 1024), "health sweep off, one-k op log by default");
 
         let Command::Serve {
-            port, transport, max_concurrent, cache, batch, heartbeat, op_log, ..
+            port,
+            transport,
+            max_concurrent,
+            cache,
+            config,
+            heartbeat,
+            op_log,
+            ..
         } = parse(&argv(
             "serve --input d.jsonl --port 7878 --transport tcp --max-concurrent 4 --cache 0 \
                  --batch auto --heartbeat 1 --op-log 32",
@@ -835,7 +811,7 @@ mod tests {
         assert_eq!(port, 7878);
         assert_eq!(transport, Transport::Tcp);
         assert_eq!((max_concurrent, cache), (4, 0));
-        assert_eq!(batch, BatchSize::Auto);
+        assert_eq!(config.batch, BatchSize::Auto);
         assert_eq!((heartbeat, op_log), (1, 32));
 
         assert!(parse(&argv("serve")).is_err()); // missing --input
@@ -896,6 +872,7 @@ mod tests {
         assert!(parse(&argv("query")).is_err()); // missing --input
         assert!(parse(&argv("query --input f --algorithm magic")).is_err());
         assert!(parse(&argv("query --input f --subspace a,b")).is_err());
+        assert!(parse(&argv("query --input f --q 1.5")).is_err()); // threshold outside (0, 1]
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("generate --n")).is_err()); // dangling flag
         assert!(parse(&argv("generate n 5")).is_err()); // not a flag

@@ -8,13 +8,13 @@ use rand::SeedableRng;
 
 use dsud_core::update::UpdateOp;
 use dsud_core::{
-    baseline, BandwidthMeter, BatchSize, Cluster, FailurePolicy, LinkConfig, PipelineDepth,
-    PlanMode, PlanSummary, QueryConfig, QueryOutcome, Recorder, RunReport, SessionOptions,
-    SessionServer, SiteOptions, SubspaceMask, Topology, Transport, WireFormat,
+    baseline, BandwidthMeter, Cluster, LinkConfig, PlanMode, PlanSummary, QueryConfig,
+    QueryOutcome, Recorder, RunReport, SessionOptions, SessionServer, SiteOptions, SubspaceMask,
+    Topology, Transport,
 };
 use dsud_data::nyse::NyseSpec;
 use dsud_data::{partition_uniform, ProbabilityLaw, SpatialDistribution, WorkloadSpec};
-use dsud_net::{spawn_query_server, ClientControl, ClientHandler};
+use dsud_net::{spawn_query_server, ClientControl, ClientHandler, FanPlan};
 use dsud_uncertain::{Probability, SkylineEntry, UncertainTuple};
 use dsud_vertical::{ColumnSite, UtaCoordinator};
 
@@ -38,40 +38,19 @@ pub fn run<W: Write>(cmd: &Command, out: &mut W) -> Result<(), CliError> {
         Command::Generate { n, dims, dist, gaussian_mean, seed, out: path } => {
             generate(*n, *dims, *dist, *gaussian_mean, *seed, path.as_deref(), out)
         }
-        Command::Query {
-            input,
-            sites,
-            q,
-            algorithm,
-            subspace,
-            limit,
-            seed,
-            report,
-            transport,
-            failure,
-            batch,
-            pipeline,
-            wire,
-            topology,
-            plan,
-        } => query(
-            input,
-            *sites,
-            *q,
-            *algorithm,
-            subspace.as_deref(),
-            *limit,
-            *seed,
-            report.as_deref(),
-            *transport,
-            *failure,
-            *batch,
-            *pipeline,
-            *wire,
-            *topology,
-            *plan,
-            out,
-        ),
+        Command::Query { input, sites, algorithm, seed, report, transport, topology, config } => {
+            query(
+                input,
+                *sites,
+                *algorithm,
+                *seed,
+                report.as_deref(),
+                *transport,
+                *topology,
+                config,
+                out,
+            )
+        }
         Command::Vertical { input, q } => vertical(input, *q, out),
         Command::Stream { input, q, window, every } => stream(input, *q, *window, *every, out),
         Command::Serve {
@@ -80,32 +59,24 @@ pub fn run<W: Write>(cmd: &Command, out: &mut W) -> Result<(), CliError> {
             seed,
             port,
             transport,
-            failure,
-            batch,
-            pipeline,
-            wire,
             max_concurrent,
             cache,
             heartbeat,
             op_log,
             topology,
-            plan,
+            config,
         } => serve(
             input,
             *sites,
             *seed,
             *port,
             *transport,
-            *failure,
-            *batch,
-            *pipeline,
-            *wire,
             *max_concurrent,
             *cache,
             *heartbeat,
             *op_log,
             *topology,
-            *plan,
+            config,
             out,
         ),
         Command::Client {
@@ -219,19 +190,12 @@ fn read_tuples(path: &std::path::Path) -> Result<Vec<UncertainTuple>, CliError> 
 fn query<W: Write>(
     input: &std::path::Path,
     sites: usize,
-    q: f64,
     algorithm: Algorithm,
-    subspace: Option<&[usize]>,
-    limit: Option<usize>,
     seed: u64,
     report: Option<&std::path::Path>,
     transport: Transport,
-    failure: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
     topology: Topology,
-    plan: PlanMode,
+    config: &QueryConfig,
     out: &mut W,
 ) -> Result<(), CliError> {
     let tuples = read_tuples(input)?;
@@ -240,19 +204,6 @@ fn query<W: Write>(
         tuples.iter().map(|t| (t.values().to_vec(), t.prob())).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let partitioned = partition_uniform(rows, sites, &mut rng)?;
-
-    let mut config = QueryConfig::new(q)?
-        .failure_policy(failure)
-        .batch_size(batch)
-        .pipeline_depth(pipeline)
-        .wire_format(wire)
-        .plan_mode(plan);
-    if let Some(dims_spec) = subspace {
-        config = config.subspace(SubspaceMask::from_dims(dims_spec)?);
-    }
-    if let Some(k) = limit {
-        config = config.limit(k);
-    }
 
     // Observability is pay-for-what-you-ask: without --report the recorder
     // is the disabled no-op.
@@ -264,57 +215,41 @@ fn query<W: Write>(
     };
 
     // The centralized baseline has no sites to transport between: it
-    // always runs in process, whatever --transport says — and with no
-    // rounds to plan, no plan phase either.
+    // always runs in process, whatever --transport says, with no fan-out.
     let used_transport = match algorithm {
         Algorithm::Baseline => Transport::Inline,
         _ => transport,
     };
-    let used_plan = match algorithm {
-        Algorithm::Baseline => PlanMode::Static,
-        _ => plan,
-    };
-    // `(depth, root links)` of the assembled fan-out plan, stamped into
-    // the report; the centralized baseline has no plan at all.
-    let mut fan_shape: Option<(u32, usize)> = None;
+    let mut fan_plan: Option<FanPlan> = None;
     let outcome: QueryOutcome = match algorithm {
         Algorithm::Baseline => {
             let meter = BandwidthMeter::with_recorder(recorder.clone());
             let mask = config.resolve_mask(dims)?;
-            baseline::run(&partitioned, dims, q, mask, &meter)?
+            baseline::run(&partitioned, dims, config.q, mask, &meter)?
         }
         Algorithm::Dsud | Algorithm::Edsud => {
             let mut cluster = Cluster::with_topology(
                 dims,
                 partitioned,
-                SiteOptions { wire, ..SiteOptions::default() },
+                SiteOptions { wire: config.wire, ..SiteOptions::default() },
                 recorder.clone(),
                 used_transport,
                 LinkConfig::default(),
                 topology,
                 None,
             )?;
-            fan_shape = Some((cluster.plan().depth(), cluster.plan().root_fanout()));
+            fan_plan = Some(cluster.plan().clone());
             match algorithm {
-                Algorithm::Dsud => cluster.run_dsud(&config)?,
-                _ => cluster.run_edsud(&config)?,
+                Algorithm::Dsud => cluster.run_dsud(config)?,
+                _ => cluster.run_edsud(config)?,
             }
         }
     };
 
     if let Some(path) = report {
         let mut run_report = recorder.report(algo_name).expect("recorder is enabled");
-        run_report.transport = Some(used_transport.to_string());
-        run_report.threads = Some(threadpool::pool_size());
-        run_report.batch_size = Some(batch.name());
-        run_report.pipeline = Some(pipeline.name());
-        run_report.wire = Some(wire.as_str().to_string());
-        if let Some((depth, root_fanout)) = fan_shape {
-            run_report.topology = Some(topology.to_string());
-            run_report.agg_depth = Some(depth);
-            run_report.root_fanout = Some(root_fanout);
-        }
-        stamp_plan(&mut run_report, used_plan, outcome.plan.as_ref());
+        let fan = fan_plan.as_ref().map(|plan| (topology, plan));
+        stamp_report(&mut run_report, config, used_transport, fan, outcome.plan.as_ref());
         let json = serde_json::to_string_pretty(&run_report)
             .map_err(|e| CliError::Library(format!("cannot serialize run report: {e}")))?;
         fs::write(path, json)?;
@@ -323,8 +258,9 @@ fn query<W: Write>(
 
     writeln!(
         out,
-        "{} qualified tuples (q = {q}, {} sites, {} tuples transmitted)",
+        "{} qualified tuples (q = {}, {} sites, {} tuples transmitted)",
         outcome.skyline.len(),
+        config.q,
         sites,
         outcome.tuples_transmitted()
     )?;
@@ -373,12 +309,31 @@ fn query<W: Write>(
     Ok(())
 }
 
-/// Stamps a run report's plan-phase fields: the mode that ran, and — when
-/// a sketch gather actually happened — its cost (`sketch_bytes`,
-/// `plan_us`) and decision (`planned_batch`, absent when the gather
-/// degraded back to the static schedule).
-fn stamp_plan(report: &mut RunReport, plan: PlanMode, summary: Option<&PlanSummary>) {
-    report.plan = Some(plan.to_string());
+/// Stamps a run report with the settings its query ran under, on the
+/// one-shot and the served path alike. `fan` is the deployment's topology
+/// and fan-out plan (the centralized baseline has none). The `plan` stamp
+/// names the mode that actually ran: `static` unless a plan phase ran
+/// (`summary`), whose cost (`sketch_bytes`, `plan_us`) and decision
+/// (`planned_batch`, absent when the gather degraded back to the static
+/// schedule) are stamped with it.
+fn stamp_report(
+    report: &mut RunReport,
+    config: &QueryConfig,
+    transport: Transport,
+    fan: Option<(Topology, &FanPlan)>,
+    summary: Option<&PlanSummary>,
+) {
+    report.transport = Some(transport.to_string());
+    report.threads = Some(threadpool::pool_size());
+    report.batch_size = Some(config.batch.name());
+    report.pipeline = Some(config.pipeline.name());
+    report.wire = Some(config.wire.as_str().to_string());
+    if let Some((topology, plan)) = fan {
+        report.topology = Some(topology.to_string());
+        report.agg_depth = Some(plan.depth());
+        report.root_fanout = Some(plan.root_fanout());
+    }
+    report.plan = Some(summary.map_or(PlanMode::Static, |s| s.mode).to_string());
     if let Some(s) = summary {
         report.sketch_bytes = Some(s.sketch_bytes);
         report.plan_us = Some(s.plan_us);
@@ -454,17 +409,15 @@ fn stream<W: Write>(
 
 /// Per-connection request handler for `dsud serve`: bridges the JSON-lines
 /// protocol (`crate::protocol`) to the shared [`SessionServer`]. Execution
-/// knobs (transport, failure, batch, pipeline, wire) are the daemon's
-/// flags — every query runs with them, whoever asks.
+/// settings are the daemon's flags — every query runs with them, whoever
+/// asks.
 struct ServeHandler {
     session: Arc<SessionServer>,
     transport: Transport,
-    failure: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
     topology: Topology,
-    plan: PlanMode,
+    /// The daemon's template: a request sets only its threshold (the
+    /// template's when it names none), subspace, limit and deadline.
+    config: QueryConfig,
 }
 
 impl ServeHandler {
@@ -473,21 +426,15 @@ impl ServeHandler {
         spec: &QuerySpec,
         sink: &mut dyn FnMut(&[SkylineEntry], bool),
     ) -> Result<dsud_core::SessionOutcome, CliError> {
-        let mut config = QueryConfig::new(spec.q.unwrap_or(0.3))?
-            .failure_policy(self.failure)
-            .batch_size(self.batch)
-            .pipeline_depth(self.pipeline)
-            .wire_format(self.wire)
-            .plan_mode(self.plan);
-        if let Some(dims) = &spec.subspace {
-            config = config.subspace(SubspaceMask::from_dims(dims)?);
-        }
-        if let Some(k) = spec.limit {
-            config = config.limit(k);
-        }
-        if let Some(ms) = spec.deadline_ms {
-            config = config.deadline(ms);
-        }
+        // `QueryConfig::new` rejects a threshold outside (0, 1] before the
+        // query takes an admission slot.
+        let config = QueryConfig {
+            q: QueryConfig::new(spec.q.unwrap_or(self.config.q))?.q,
+            mask: spec.subspace.as_deref().map(SubspaceMask::from_dims).transpose()?,
+            limit: spec.limit,
+            deadline_ms: spec.deadline_ms,
+            ..self.config
+        };
         let mut outcome = match spec.algorithm.as_deref().unwrap_or("edsud") {
             "dsud" => self.session.run_dsud(&config, spec.report, sink)?,
             "edsud" => self.session.run_edsud(&config, spec.report, sink)?,
@@ -497,17 +444,9 @@ impl ServeHandler {
                 )))
             }
         };
-        // Stamp the environment fields exactly like the one-shot path.
         if let Some(report) = outcome.report.as_mut() {
-            report.transport = Some(self.transport.to_string());
-            report.threads = Some(threadpool::pool_size());
-            report.batch_size = Some(self.batch.name());
-            report.pipeline = Some(self.pipeline.name());
-            report.wire = Some(self.wire.as_str().to_string());
-            report.topology = Some(self.topology.to_string());
-            report.agg_depth = Some(self.session.plan().depth());
-            report.root_fanout = Some(self.session.plan().root_fanout());
-            stamp_plan(report, self.plan, outcome.outcome.plan.as_ref());
+            let fan = Some((self.topology, self.session.plan()));
+            stamp_report(report, &config, self.transport, fan, outcome.outcome.plan.as_ref());
         }
         Ok(outcome)
     }
@@ -663,16 +602,12 @@ fn serve<W: Write>(
     seed: u64,
     port: u16,
     transport: Transport,
-    failure: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
     max_concurrent: usize,
     cache: usize,
     heartbeat: u64,
     op_log: usize,
     topology: Topology,
-    plan: PlanMode,
+    config: &QueryConfig,
     out: &mut W,
 ) -> Result<(), CliError> {
     let tuples = read_tuples(input)?;
@@ -685,7 +620,7 @@ fn serve<W: Write>(
     let cluster = Cluster::with_topology(
         dims,
         partitioned,
-        SiteOptions { wire, ..SiteOptions::default() },
+        SiteOptions { wire: config.wire, ..SiteOptions::default() },
         Recorder::disabled(),
         transport,
         LinkConfig::default(),
@@ -703,15 +638,12 @@ fn serve<W: Write>(
         },
     ));
     let handler_session = Arc::clone(&session);
+    let config = *config;
     let server = spawn_query_server(port, move || ServeHandler {
         session: Arc::clone(&handler_session),
         transport,
-        failure,
-        batch,
-        pipeline,
-        wire,
         topology,
-        plan,
+        config,
     })?;
     writeln!(
         out,
@@ -886,6 +818,7 @@ fn estimate<W: Write>(n: usize, dims: usize, sites: usize, out: &mut W) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsud_core::{BatchSize, PipelineDepth, WireFormat};
     use dsud_uncertain::TupleId;
 
     #[test]
@@ -904,61 +837,72 @@ mod tests {
         let data = dir.join("workload.jsonl");
         let mut buf = Vec::new();
         generate(300, 2, Distribution::Independent, None, 7, Some(&data), &mut buf).unwrap();
-        for algorithm in [Algorithm::Dsud, Algorithm::Edsud] {
-            let path = dir.join("report.json");
-            let mut out = Vec::new();
-            query(
-                &data,
-                4,
-                0.3,
-                algorithm,
-                None,
-                None,
-                0,
-                Some(&path),
-                Transport::Inline,
-                FailurePolicy::Strict,
-                BatchSize::Fixed(4),
-                PipelineDepth::Auto,
-                WireFormat::Columnar,
-                Topology::Tree(2),
-                PlanMode::Sketch,
-                &mut out,
-            )
-            .unwrap();
-            let text = String::from_utf8(out).unwrap();
-            assert!(text.contains("run report written to"));
-            let report: dsud_core::RunReport =
-                serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-            assert_eq!(report.schema_version, dsud_core::SCHEMA_VERSION);
-            assert!(report.counters.bytes_sent > 0);
-            assert!(report.counters.rounds >= 1);
-            assert_eq!(report.transport.as_deref(), Some("inline"));
-            assert_eq!(report.threads, Some(threadpool::pool_size()));
-            assert_eq!(report.batch_size.as_deref(), Some("4"));
-            assert_eq!(report.pipeline.as_deref(), Some("auto"));
-            assert_eq!(report.counters.pipeline_depth, 2, "auto resolves to the double buffer");
-            assert!(report.counters.overlapped_rounds > 0);
-            assert_eq!(report.topology.as_deref(), Some("tree:2"));
-            assert_eq!(report.agg_depth, Some(1), "4 sites at fan-out 2 need one layer");
-            assert_eq!(report.root_fanout, Some(2));
-            assert!(
-                report.counters.agg_merged_frames > 0,
-                "a tree run merges at least the start broadcast"
-            );
-            assert_eq!(report.plan.as_deref(), Some("sketch"));
-            assert!(report.sketch_bytes.unwrap() > 0, "sketch frames were received and charged");
-            assert!(report.plan_us.is_some());
-            assert!(
-                report.planned_batch.unwrap() >= dsud_core::planner::PLAN_BATCH_MIN,
-                "the planner never caps below the static auto clamp"
-            );
-            assert_eq!(
-                report.counters.sketch_merges, 1,
-                "a 2-link tree root folds one sketch beyond the first"
-            );
-            assert!(!report.phases.is_empty(), "per-phase totals are aggregated");
-            fs::remove_file(&path).unwrap();
+        for batch in [BatchSize::Fixed(4), BatchSize::Auto] {
+            for algorithm in [Algorithm::Dsud, Algorithm::Edsud] {
+                let path = dir.join("report.json");
+                let config = QueryConfig::new(0.3)
+                    .unwrap()
+                    .batch_size(batch)
+                    .pipeline_depth(PipelineDepth::Auto)
+                    .wire_format(WireFormat::Columnar)
+                    .plan_mode(PlanMode::Sketch);
+                let mut out = Vec::new();
+                query(
+                    &data,
+                    4,
+                    algorithm,
+                    0,
+                    Some(&path),
+                    Transport::Inline,
+                    Topology::Tree(2),
+                    &config,
+                    &mut out,
+                )
+                .unwrap();
+                let text = String::from_utf8(out).unwrap();
+                assert!(text.contains("run report written to"));
+                let report: dsud_core::RunReport =
+                    serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+                assert_eq!(report.schema_version, dsud_core::SCHEMA_VERSION);
+                assert!(report.counters.bytes_sent > 0);
+                assert!(report.counters.rounds >= 1);
+                assert_eq!(report.transport.as_deref(), Some("inline"));
+                assert_eq!(report.threads, Some(threadpool::pool_size()));
+                assert_eq!(report.batch_size, Some(batch.name()));
+                assert_eq!(report.pipeline.as_deref(), Some("auto"));
+                assert_eq!(report.counters.pipeline_depth, 2, "auto resolves to the double buffer");
+                assert!(report.counters.overlapped_rounds > 0);
+                assert_eq!(report.topology.as_deref(), Some("tree:2"));
+                assert_eq!(report.agg_depth, Some(1), "4 sites at fan-out 2 need one layer");
+                assert_eq!(report.root_fanout, Some(2));
+                assert!(
+                    report.counters.agg_merged_frames > 0,
+                    "a tree run merges at least the start broadcast"
+                );
+                if batch == BatchSize::Auto {
+                    assert_eq!(report.plan.as_deref(), Some("sketch"));
+                    assert!(report.sketch_bytes.unwrap() > 0, "sketch frames were charged");
+                    assert!(report.plan_us.is_some());
+                    assert!(
+                        report.planned_batch.unwrap() >= dsud_core::planner::PLAN_BATCH_MIN,
+                        "the planner never caps below the static auto clamp"
+                    );
+                    assert_eq!(
+                        report.counters.sketch_merges, 1,
+                        "a 2-link tree root folds one sketch beyond the first"
+                    );
+                } else {
+                    // A fixed batch leaves the planner nothing to decide: no
+                    // plan phase runs, and the report says so.
+                    assert_eq!(report.plan.as_deref(), Some("static"));
+                    assert_eq!(report.sketch_bytes, None);
+                    assert_eq!(report.plan_us, None);
+                    assert_eq!(report.planned_batch, None);
+                    assert_eq!(report.counters.sketch_merges, 0);
+                }
+                assert!(!report.phases.is_empty(), "per-phase totals are aggregated");
+                fs::remove_file(&path).unwrap();
+            }
         }
     }
 
@@ -988,26 +932,21 @@ mod tests {
         ServeHandler {
             session: Arc::new(session),
             transport: Transport::Inline,
-            failure: FailurePolicy::Strict,
-            batch,
-            pipeline: PipelineDepth::Auto,
-            wire: WireFormat::Columnar,
             topology: Topology::Flat,
-            plan: PlanMode::Sketch,
+            config: QueryConfig::new(0.3)
+                .unwrap()
+                .batch_size(batch)
+                .pipeline_depth(PipelineDepth::Auto)
+                .wire_format(WireFormat::Columnar)
+                .plan_mode(PlanMode::Sketch),
         }
     }
 
     /// The same query run one-shot on a fresh cluster with the handler's
-    /// execution knobs.
+    /// template config.
     fn one_shot(h: &ServeHandler, edsud: bool) -> QueryOutcome {
-        let config = QueryConfig::new(0.3)
-            .unwrap()
-            .batch_size(h.batch)
-            .pipeline_depth(h.pipeline)
-            .wire_format(h.wire)
-            .plan_mode(h.plan);
         let mut cluster = served_cluster();
-        if edsud { cluster.run_edsud(&config) } else { cluster.run_dsud(&config) }.unwrap()
+        if edsud { cluster.run_edsud(&h.config) } else { cluster.run_dsud(&h.config) }.unwrap()
     }
 
     fn query_line(edsud: bool) -> String {

@@ -28,7 +28,7 @@ use dsud_net::{Fanout, LinkError, Message, OpTicket, TupleBlock, TupleMsg};
 use dsud_obs::{Counter, Recorder};
 
 use crate::degrade::FailureTracker;
-use crate::{Error, RunStats, SiteOrder, WireFormat};
+use crate::{Error, QueryConfig, RunStats, SiteOrder, WireFormat};
 
 /// Ledger for one batched round: the drawn candidates, how much of the
 /// batch each site has already seen, and the survival factors collected
@@ -50,13 +50,15 @@ pub(crate) struct BatchRound {
 }
 
 impl BatchRound {
-    pub(crate) fn new(sites: usize, budget: usize, wire: WireFormat) -> Self {
+    /// An empty round of up to `budget` candidates over `sites` sites,
+    /// framed in `config`'s wire layout.
+    pub(crate) fn new(sites: usize, budget: usize, config: &QueryConfig) -> Self {
         BatchRound {
             cands: Vec::with_capacity(budget),
             sent_upto: vec![0; sites],
             survivals: vec![Vec::new(); sites],
             order: SiteOrder::new(sites),
-            wire,
+            wire: config.wire,
         }
     }
 
@@ -215,6 +217,11 @@ mod tests {
     use crate::FailurePolicy;
     use dsud_net::{BandwidthMeter, Link, LocalLink};
 
+    /// A config whose only setting the round reads is the legacy wire.
+    fn legacy() -> QueryConfig {
+        QueryConfig::new(0.5).expect("valid threshold")
+    }
+
     fn msg(site: u32, seq: u64, local_prob: f64) -> TupleMsg {
         TupleMsg {
             id: dsud_uncertain::TupleId::new(site, seq),
@@ -255,7 +262,7 @@ mod tests {
         let mut tracker = FailureTracker::new(3, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(3, 2, WireFormat::Legacy);
+        let mut round = BatchRound::new(3, 2, &legacy());
         round.push(msg(0, 0, 0.9));
         // Flushing site 0 before its refill sends nothing: the only drawn
         // candidate is site 0's own.
@@ -293,7 +300,7 @@ mod tests {
             // Wide enough that every frame clears the columnar layout's
             // ~6-row byte break-even (11-byte header premium vs 2 bytes
             // saved per row).
-            let mut round = BatchRound::new(3, 24, wire);
+            let mut round = BatchRound::new(3, 24, &legacy().wire_format(wire));
             for j in 0..24 {
                 round.push(msg(j % 3, j as u64, 0.05 + 0.03 * j as f64));
             }
@@ -325,7 +332,7 @@ mod tests {
         let mut tracker = FailureTracker::new(2, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(2, 4, WireFormat::Legacy);
+        let mut round = BatchRound::new(2, 4, &legacy());
         assert!(round.is_empty());
         round.push(msg(0, 0, 0.8));
         round.deliver(&mut fan, 1, &mut tracker, &mut stats, &rec).unwrap();

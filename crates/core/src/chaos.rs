@@ -102,12 +102,12 @@ fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u6
 
 /// The deterministic query mix: thresholds, algorithms, batch/pipeline
 /// schedules all keyed on the query index.
-fn config_at(i: usize, wire: WireFormat) -> (QueryConfig, bool) {
+fn config_at(i: usize, opts: &ChaosOptions) -> (QueryConfig, bool) {
     let q = [0.25, 0.3, 0.35, 0.4][i % 4];
     let cfg = QueryConfig::new(q)
         .expect("soak thresholds are valid")
         .failure_policy(FailurePolicy::Degrade)
-        .wire_format(wire);
+        .wire_format(opts.wire);
     let cfg = if i % 3 == 1 { cfg.batch_size(crate::BatchSize::Fixed(4)) } else { cfg };
     let edsud = i % 2 == 0;
     (cfg, edsud)
@@ -241,7 +241,7 @@ pub fn soak(
             server.apply_update(&op)?;
             updates_applied += 1;
         }
-        let (cfg, edsud) = config_at(i, opts.wire);
+        let (cfg, edsud) = config_at(i, opts);
         let want = fingerprint(&serve(&reference, &cfg, edsud)?);
         let got = serve(&server, &cfg, edsud)?;
         if got.cancelled {
@@ -257,7 +257,7 @@ pub fn soak(
 
     // Deadline exercise: a zero-millisecond deadline cancels at the first
     // round boundary, cleanly and deterministically.
-    let (cfg, edsud) = config_at(0, opts.wire);
+    let (cfg, edsud) = config_at(0, opts);
     let cancelled = serve(&server, &cfg.deadline(0), edsud)?;
     if cancelled.cancelled {
         report.cancelled += 1;
@@ -276,7 +276,7 @@ pub fn soak(
         }
         let mut all_exact = true;
         for i in 0..4 {
-            let (cfg, edsud) = config_at(i, opts.wire);
+            let (cfg, edsud) = config_at(i, opts);
             let want = fingerprint(&serve(&reference, &cfg, edsud)?);
             let got = serve(&server, &cfg, edsud)?;
             if got.degraded || got.cancelled || fingerprint(&got) != want {

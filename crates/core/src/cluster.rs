@@ -188,7 +188,7 @@ impl Cluster {
         sites: Vec<Vec<UncertainTuple>>,
         options: SiteOptions,
     ) -> Result<Self, Error> {
-        Self::build(dims, sites, options, false, Recorder::default())
+        Self::with_transport(dims, sites, options, Recorder::default(), Transport::Inline)
     }
 
     /// Builds an inline-transport cluster whose meter and sites all report
@@ -205,7 +205,7 @@ impl Cluster {
         options: SiteOptions,
         recorder: Recorder,
     ) -> Result<Self, Error> {
-        Self::build(dims, sites, options, false, recorder)
+        Self::with_transport(dims, sites, options, recorder, Transport::Inline)
     }
 
     /// Builds a cluster whose sites each run on a dedicated OS thread
@@ -215,7 +215,13 @@ impl Cluster {
     ///
     /// Same as [`Cluster::local`].
     pub fn threaded(dims: usize, sites: Vec<Vec<UncertainTuple>>) -> Result<Self, Error> {
-        Self::build(dims, sites, SiteOptions::default(), true, Recorder::default())
+        Self::with_transport(
+            dims,
+            sites,
+            SiteOptions::default(),
+            Recorder::default(),
+            Transport::Threaded,
+        )
     }
 
     /// Builds a cluster whose sites are served over loopback TCP — real
@@ -236,7 +242,10 @@ impl Cluster {
     }
 
     /// Unified constructor: builds a cluster over any [`Transport`] with
-    /// explicit site options and an observability recorder.
+    /// explicit site options and an observability recorder. Every link —
+    /// on every transport — is wrapped in a [`RetryLink`] with the default
+    /// [`LinkConfig`], so transient transport failures are retried
+    /// deterministically before the coordinator's failure policy sees them.
     ///
     /// Site construction (PR-tree bulk loads) is fanned across the
     /// [`threadpool`]; the resulting cluster is identical to a sequential
@@ -254,50 +263,25 @@ impl Cluster {
         recorder: Recorder,
         transport: Transport,
     ) -> Result<Self, Error> {
-        Self::with_transport_config(
-            dims,
-            sites,
-            options,
-            recorder,
-            transport,
-            LinkConfig::default(),
-        )
-    }
-
-    /// [`Cluster::with_transport`] with an explicit per-link deadline and
-    /// retry configuration. Every link — on every transport — is wrapped in
-    /// a [`RetryLink`], so transient transport failures are retried
-    /// deterministically before the coordinator's failure policy sees them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cluster::with_transport`].
-    pub fn with_transport_config(
-        dims: usize,
-        sites: Vec<Vec<UncertainTuple>>,
-        options: SiteOptions,
-        recorder: Recorder,
-        transport: Transport,
-        link_config: LinkConfig,
-    ) -> Result<Self, Error> {
         Self::assemble(
             dims,
             sites,
             options,
             recorder,
             transport,
-            link_config,
+            LinkConfig::default(),
             None,
             Topology::Flat,
             None,
         )
     }
 
-    /// [`Cluster::with_transport_config`] routed through an explicit
-    /// [`Topology`]. Under a tree topology the sites sit behind a layer (or
-    /// layers) of [`Aggregator`] services — hosted on the same transport as
-    /// the sites — and the coordinator holds one physical link per *root
-    /// group* instead of one per site. Results are bit-identical to the
+    /// [`Cluster::with_transport`] with an explicit per-link deadline and
+    /// retry configuration, routed through an explicit [`Topology`]. Under
+    /// a tree topology the sites sit behind a layer (or layers) of
+    /// [`Aggregator`] services — hosted on the same transport as the sites
+    /// — and the coordinator holds one physical link per *root group*
+    /// instead of one per site. Results are bit-identical to the
     /// flat topology at every fanout (aggregators merge frames, never fold
     /// survival products); only root-link frame and byte counts shrink.
     ///
@@ -309,7 +293,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Same as [`Cluster::with_transport_config`].
+    /// Same as [`Cluster::with_transport`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_topology(
         dims: usize,
@@ -342,7 +326,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Same as [`Cluster::with_transport_config`].
+    /// Same as [`Cluster::with_transport`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_topology_delayed(
         dims: usize,
@@ -367,17 +351,17 @@ impl Cluster {
         )
     }
 
-    /// [`Cluster::with_transport_config`] with a deterministic fault
-    /// injector: every site link gets a [`FaultPlan`] derived from `seed`
-    /// and its site index, spliced *under* the retry layer so the stack is
-    /// `RetryLink(ChaosLink(transport))`. The same seed reproduces the
+    /// [`Cluster::with_topology`] on a flat topology with a deterministic
+    /// fault injector: every site link gets a [`FaultPlan`] derived from
+    /// `seed` and its site index, spliced *under* the retry layer so the
+    /// stack is `RetryLink(ChaosLink(transport))`. The same seed reproduces the
     /// identical fault schedule on every transport, which is what lets the
     /// chaos harness ([`crate::chaos`]) compare a faulted run against a
     /// clean one bit for bit.
     ///
     /// # Errors
     ///
-    /// Same as [`Cluster::with_transport_config`].
+    /// Same as [`Cluster::with_transport`].
     pub fn with_transport_chaos(
         dims: usize,
         sites: Vec<Vec<UncertainTuple>>,
@@ -667,17 +651,6 @@ impl Cluster {
         })
     }
 
-    fn build(
-        dims: usize,
-        sites: Vec<Vec<UncertainTuple>>,
-        options: SiteOptions,
-        threaded: bool,
-        recorder: Recorder,
-    ) -> Result<Self, Error> {
-        let transport = if threaded { Transport::Threaded } else { Transport::Inline };
-        Self::with_transport(dims, sites, options, recorder, transport)
-    }
-
     /// Number of local sites `m` (virtual sites, not physical links:
     /// under a tree topology the coordinator holds fewer links than
     /// sites).
@@ -765,20 +738,7 @@ impl Cluster {
         let mask = config.resolve_mask(self.dims)?;
         let rec = self.meter.recorder().clone();
         let mut fan = Fanout::tree(&mut self.links, &self.plan, rec);
-        dsud::run_on(
-            &mut fan,
-            &self.meter,
-            config.q,
-            mask,
-            config.limit,
-            config.failure,
-            config.batch,
-            config.pipeline,
-            config.wire,
-            config.deadline_ms,
-            config.plan,
-            &mut |_, _| {},
-        )
+        dsud::run_on(&mut fan, &self.meter, mask, config, &mut |_, _| {})
     }
 
     /// Runs the enhanced e-DSUD algorithm (Section 5.2).
@@ -790,22 +750,7 @@ impl Cluster {
         let mask = config.resolve_mask(self.dims)?;
         let rec = self.meter.recorder().clone();
         let mut fan = Fanout::tree(&mut self.links, &self.plan, rec);
-        edsud::run_on(
-            &mut fan,
-            &self.meter,
-            config.q,
-            mask,
-            config.bound,
-            config.limit,
-            config.synopsis,
-            config.failure,
-            config.batch,
-            config.pipeline,
-            config.wire,
-            config.deadline_ms,
-            config.plan,
-            &mut |_, _| {},
-        )
+        edsud::run_on(&mut fan, &self.meter, mask, config, &mut |_, _| {})
     }
 }
 

@@ -358,10 +358,10 @@ impl std::str::FromStr for WireFormat {
 ///
 /// Planning is a pure scheduling optimization: it only adjusts how many
 /// candidates ride each Server-Delivery round when the batch size is
-/// [`BatchSize::Auto`], never which tuples qualify. Results,
-/// probabilities, progress order, and `RunStats` are bit-identical under
-/// either mode — only frame counts (and the one-off plan-phase frames)
-/// differ.
+/// [`BatchSize::Auto`], never which tuples qualify — and at a fixed batch
+/// size no plan phase runs at all. Results, probabilities, progress order,
+/// and `RunStats` are bit-identical under either mode — only frame counts
+/// (and the one-off plan-phase frames) differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum PlanMode {
     /// No plan phase: `--batch auto` uses the fixed queue-clamp heuristic.
@@ -369,9 +369,10 @@ pub enum PlanMode {
     /// phase existed stay valid.
     #[default]
     Static,
-    /// Gather one mergeable sketch per site before the first round and
-    /// size `--batch auto` budgets from the observed skyline-probability
-    /// distribution instead of the Eq. 6 estimator.
+    /// Under [`BatchSize::Auto`], gather one mergeable sketch per site
+    /// before the first round and size the round budgets from the observed
+    /// skyline-probability distribution instead of the Eq. 6 estimator.
+    /// At a fixed batch size it runs exactly the static schedule.
     Sketch,
 }
 

@@ -11,8 +11,8 @@
 //! *feedback*: sites drop pending candidates whose accumulated upper bound
 //! falls below `q` (Local-Pruning phase).
 //!
-//! With a batch size above one ([`BatchSize`]), a round draws up to `K`
-//! heads and coalesces their feedback into one
+//! With a batch size above one ([`BatchSize`](crate::BatchSize)), a round
+//! draws up to `K` heads and coalesces their feedback into one
 //! [`Message::FeedbackBatch`] frame per site — same answer, ~`K×` fewer
 //! messages (see `crate::batch` for the invariant that keeps the runs
 //! bit-identical).
@@ -32,10 +32,7 @@ use crate::batch::BatchRound;
 use crate::degrade::FailureTracker;
 use crate::pipeline::InflightRefill;
 use crate::progress::Reporter;
-use crate::{
-    planner, BatchSize, Error, FailurePolicy, PipelineDepth, PlanMode, QueryOutcome, RunStats,
-    SiteOrder, WireFormat,
-};
+use crate::{planner, Error, QueryConfig, QueryOutcome, RunStats, SiteOrder};
 
 /// A candidate in the server's priority queue `L`, ordered so that a
 /// max-heap pops the largest local skyline probability first, ties broken
@@ -67,106 +64,52 @@ impl PartialEq for QueueEntry {
 
 impl Eq for QueueEntry {}
 
-/// Runs DSUD over the given site links under the strict failure policy
-/// with the paper's one-candidate rounds.
+/// Runs DSUD over raw site links: `links[i]` must address site `i`, and
+/// `mask` is `config`'s subspace already resolved for the sites' data
+/// space (see [`QueryConfig::resolve_mask`]). Every other setting comes
+/// from `config`, and the run follows exactly the schedule
+/// [`crate::Cluster::run_dsud`] gives the same config on a flat topology.
 ///
-/// `links[i]` must address site `i`; `q` must lie in `(0, 1]` and `mask`
-/// must fit the sites' data space (both validated by
-/// [`crate::Cluster::run_dsud`], which is the intended entry point).
+/// Under [`FailurePolicy::Degrade`](crate::FailurePolicy::Degrade) a site
+/// whose transport stays broken after retries is quarantined — excluded
+/// from every later broadcast and refill — and the query completes over
+/// the survivors with [`QueryOutcome::degraded`] set (see
+/// [`crate::degrade`] for what that does to the reported probabilities).
+///
+/// A [`QueryConfig::deadline_ms`] cancels the run at the first round
+/// boundary after it elapses: the partial progressive outcome gathered so
+/// far is returned with [`QueryOutcome::cancelled`] set, every in-flight
+/// frame already drained, and [`Counter::Cancelled`] bumped.
+///
+/// With an overlapped [`QueryConfig::pipeline`] the round's refill request
+/// is put on the wire *before* the survival scatter and completed after
+/// the fold (see the crate-private `pipeline` module). Completions fold in
+/// send order, so the answer, stats, and tuple traffic are bit-identical
+/// to `PipelineDepth::Fixed(1)` on healthy runs; under `Degrade` a
+/// pipelined run may have sent a refill that the sequential schedule would
+/// have skipped after a mid-round quarantine (the reply is discarded, so
+/// the answer still matches).
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidThreshold`], [`Error::ProtocolViolation`], or
+/// Returns [`Error::InvalidThreshold`], [`Error::ProtocolViolation`], or —
+/// under [`FailurePolicy::Strict`](crate::FailurePolicy::Strict) only —
 /// [`Error::SiteFailed`].
 pub fn run(
     links: &mut [Box<dyn Link>],
     meter: &BandwidthMeter,
-    q: f64,
     mask: SubspaceMask,
-    limit: Option<usize>,
+    config: &QueryConfig,
 ) -> Result<QueryOutcome, Error> {
-    run_with_policy(
-        links,
-        meter,
-        q,
-        mask,
-        limit,
-        FailurePolicy::Strict,
-        BatchSize::default(),
-        PipelineDepth::default(),
-        WireFormat::default(),
-        None,
-    )
+    run_on(&mut Fanout::flat(links), meter, mask, config, &mut |_, _| {})
 }
 
-/// [`run`] with an explicit site-failure policy, batch size, and pipeline
-/// depth, plus the wire layout for batched feedback frames (a pure
-/// transport choice: [`WireFormat::Columnar`] ships the same tuples in a
-/// fixed-width columnar frame the sites can answer without decoding —
-/// answers, progress order, and tuple traffic are bit-identical to
-/// [`WireFormat::Legacy`]). Under [`FailurePolicy::Degrade`] a site whose transport stays
-/// broken after retries is quarantined — excluded from every later
-/// broadcast and refill — and the query completes over the survivors with
-/// [`QueryOutcome::degraded`] set (see [`crate::degrade`] for what that
-/// does to the reported probabilities).
-///
-/// A `deadline_ms` of `Some(ms)` cancels the run at the first round
-/// boundary after `ms` milliseconds of wall-clock time: the partial
-/// progressive outcome gathered so far is returned with
-/// [`QueryOutcome::cancelled`] set, every in-flight frame already drained
-/// (cancellation only happens between rounds, never mid-scatter), and
-/// [`Counter::Cancelled`] bumped.
-///
-/// With an overlapped [`PipelineDepth`] the round's refill request is put
-/// on the wire *before* the survival scatter and completed after the fold
-/// (see the crate-private `pipeline` module): on concurrent transports the home site's
-/// extraction overlaps the other sites' survival work. Completions fold in
-/// send order, so the answer, stats, and tuple traffic are bit-identical
-/// to `PipelineDepth::Fixed(1)` on healthy runs; under
-/// [`FailurePolicy::Degrade`] a pipelined run may have sent a refill that
-/// the sequential schedule would have skipped after a mid-round
-/// quarantine (the reply is discarded, so the answer still matches).
-///
-/// # Errors
-///
-/// Same as [`run`]; [`Error::SiteFailed`] only under
-/// [`FailurePolicy::Strict`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_policy(
-    links: &mut [Box<dyn Link>],
-    meter: &BandwidthMeter,
-    q: f64,
-    mask: SubspaceMask,
-    limit: Option<usize>,
-    policy: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
-    deadline_ms: Option<u64>,
-) -> Result<QueryOutcome, Error> {
-    let mut fan = Fanout::flat(links);
-    run_on(
-        &mut fan,
-        meter,
-        q,
-        mask,
-        limit,
-        policy,
-        batch,
-        pipeline,
-        wire,
-        deadline_ms,
-        PlanMode::Static,
-        &mut |_, _| {},
-    )
-}
-
-/// [`run_with_policy`] over an arbitrary [`Fanout`] — the actual
-/// coordinator. A flat fan-out reproduces the per-link traffic of the
-/// pre-topology coordinator byte for byte; a tree fan-out routes the same
-/// per-site message sequences through aggregator links, and because the
-/// fan-out returns replies in ascending site order either way, the
-/// survival folds (and hence the answer) are bit-identical.
+/// [`run`] over an arbitrary [`Fanout`] — the actual coordinator. A flat
+/// fan-out reproduces the per-link traffic of the pre-topology coordinator
+/// byte for byte; a tree fan-out routes the same per-site message
+/// sequences through aggregator links, and because the fan-out returns
+/// replies in ascending site order either way, the survival folds (and
+/// hence the answer) are bit-identical.
 ///
 /// `sink` sees the answer as it is confirmed: one call per closed round
 /// with the entries that round confirmed (one-candidate rounds confirm at
@@ -174,33 +117,26 @@ pub fn run_with_policy(
 /// them (`false` once a site is quarantined — the entries are then upper
 /// bounds). The entries confirmed before a `limit` break go out before the
 /// break, so the calls concatenate to exactly [`QueryOutcome::skyline`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_on(
     fan: &mut Fanout<'_>,
     meter: &BandwidthMeter,
-    q: f64,
     mask: SubspaceMask,
-    limit: Option<usize>,
-    policy: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
-    deadline_ms: Option<u64>,
-    plan: PlanMode,
+    config: &QueryConfig,
     sink: &mut dyn FnMut(&[SkylineEntry], bool),
 ) -> Result<QueryOutcome, Error> {
+    let q = config.q;
     if !(q > 0.0 && q <= 1.0) {
         return Err(Error::InvalidThreshold(q));
     }
-    let mut out = Reporter::new(meter, limit, sink);
-    let deadline = deadline_ms.map(std::time::Duration::from_millis);
+    let mut out = Reporter::new(meter, config.limit, sink);
+    let deadline = config.deadline_ms.map(std::time::Duration::from_millis);
     let mut cancelled = false;
     let rec = meter.recorder().clone();
     let query_span = rec.span("query:dsud");
-    let overlap = pipeline.overlapped();
-    rec.add(Counter::PipelineDepth, pipeline.window() as u64);
+    let overlap = config.pipeline.overlapped();
+    rec.add(Counter::PipelineDepth, config.pipeline.window() as u64);
     let order = SiteOrder::new(fan.len());
-    let mut tracker = FailureTracker::new(order.len(), policy, rec.clone());
+    let mut tracker = FailureTracker::new(order.len(), config.failure, rec.clone());
     let mut stats = RunStats::default();
 
     // To-Server phase, first iteration: every site extracts its local
@@ -221,8 +157,7 @@ pub(crate) fn run_on(
     // probability distributions instead of the static queue clamp. A pure
     // scheduling decision — see `crate::planner` for why it cannot change
     // the answer, and why a failed gather just keeps the static schedule.
-    let plan_summary = plan.sketch().then(|| planner::plan(fan, q, &rec));
-    let batch = planner::apply(batch, plan_summary.as_ref());
+    let (batch, plan_summary) = planner::schedule(fan, config, &rec);
 
     // Corollary 1: once the head's local probability falls below `q`,
     // nothing fetched or unfetched can still qualify.
@@ -318,7 +253,7 @@ pub(crate) fn run_on(
         // flushes a site's pending feedback right before its refill, so
         // every site observes the unbatched event order (see
         // [`crate::batch`]).
-        let mut round = BatchRound::new(order.len(), budget, wire);
+        let mut round = BatchRound::new(order.len(), budget, config);
         {
             let _span = rec.span("to-server");
             let mut overlap_span = None;
@@ -435,9 +370,7 @@ mod tests {
         let mut links: Vec<Box<dyn Link>> = Vec::new();
         let meter = BandwidthMeter::new();
         let mask = SubspaceMask::full(2).unwrap();
-        assert!(matches!(
-            run(&mut links, &meter, 0.0, mask, None),
-            Err(Error::InvalidThreshold(_))
-        ));
+        let config = QueryConfig { q: 0.0, ..QueryConfig::new(0.5).unwrap() };
+        assert!(matches!(run(&mut links, &meter, mask, &config), Err(Error::InvalidThreshold(_))));
     }
 }

@@ -35,10 +35,7 @@ use crate::degrade::FailureTracker;
 use crate::pipeline::InflightRefill;
 use crate::progress::Reporter;
 use crate::synopsis::SynopsisBound;
-use crate::{
-    planner, BatchSize, BoundMode, Error, FailurePolicy, PipelineDepth, PlanMode, QueryOutcome,
-    RunStats, SiteOrder, WireFormat,
-};
+use crate::{planner, BoundMode, Error, QueryConfig, QueryOutcome, RunStats, SiteOrder};
 
 /// A queued candidate with its per-site broadcast discounts.
 #[derive(Debug, Clone)]
@@ -112,127 +109,62 @@ impl Candidate {
     }
 }
 
-/// Runs e-DSUD over the given site links under the strict failure policy.
+/// Runs e-DSUD over raw site links, under the same contract as
+/// [`crate::dsud::run`]: `mask` is `config`'s subspace already resolved,
+/// every other setting comes from `config`, and the run follows exactly
+/// the schedule [`crate::Cluster::run_edsud`] gives the same config on a
+/// flat topology.
+///
+/// A [`QueryConfig::synopsis`] resolution requests one grid synopsis per
+/// site at query start (charged on the meter) and folds it into the
+/// candidate bounds — the Section 5.2 synopsis trade-off made measurable.
+/// With an overlapped [`QueryConfig::pipeline`] the expunge sweep puts
+/// every doomed candidate's refill on the wire in one group before
+/// redeeming any ticket — the sites extract their replacements in
+/// parallel — and the selection round's refill overlaps the survival
+/// scatter, as in DSUD. Completions fold in send order, so healthy runs
+/// stay bit-identical to `PipelineDepth::Fixed(1)`.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidThreshold`], [`Error::ProtocolViolation`], or
-/// [`Error::SiteFailed`].
+/// Same as [`crate::dsud::run`].
 pub fn run(
     links: &mut [Box<dyn Link>],
     meter: &BandwidthMeter,
-    q: f64,
     mask: SubspaceMask,
-    mode: BoundMode,
-    limit: Option<usize>,
+    config: &QueryConfig,
 ) -> Result<QueryOutcome, Error> {
-    run_with_synopses(
-        links,
-        meter,
-        q,
-        mask,
-        mode,
-        limit,
-        None,
-        FailurePolicy::Strict,
-        BatchSize::default(),
-        PipelineDepth::default(),
-        WireFormat::default(),
-        None,
-    )
+    run_on(&mut Fanout::flat(links), meter, mask, config, &mut |_, _| {})
 }
 
-/// [`run`] with optional per-site grid synopses of the given resolution
-/// (requested, and charged, at query start) folded into the candidate
-/// bounds — the Section 5.2 synopsis trade-off made measurable — and an
-/// explicit site-failure policy. Under [`FailurePolicy::Degrade`] a site
-/// whose transport stays broken after retries is quarantined and the query
-/// completes over the survivors with [`QueryOutcome::degraded`] set (see
-/// [`crate::degrade`] for the upper-bound caveat).
-///
-/// With an overlapped [`PipelineDepth`] the expunge sweep puts every
-/// doomed candidate's refill on the wire in one group before redeeming any
-/// ticket — the sites extract their replacements in parallel — and the
-/// selection round's refill overlaps the survival scatter, as in
-/// [`crate::dsud::run_with_policy`]. Completions fold in send order, so
-/// healthy runs stay bit-identical to `PipelineDepth::Fixed(1)` (see the
-/// crate-private `pipeline` module).
-///
-/// # Errors
-///
-/// Same as [`run`]; [`Error::SiteFailed`] only under
-/// [`FailurePolicy::Strict`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_synopses(
-    links: &mut [Box<dyn Link>],
-    meter: &BandwidthMeter,
-    q: f64,
-    mask: SubspaceMask,
-    mode: BoundMode,
-    limit: Option<usize>,
-    synopsis_resolution: Option<u16>,
-    policy: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
-    deadline_ms: Option<u64>,
-) -> Result<QueryOutcome, Error> {
-    let mut fan = Fanout::flat(links);
-    run_on(
-        &mut fan,
-        meter,
-        q,
-        mask,
-        mode,
-        limit,
-        synopsis_resolution,
-        policy,
-        batch,
-        pipeline,
-        wire,
-        deadline_ms,
-        PlanMode::Static,
-        &mut |_, _| {},
-    )
-}
-
-/// [`run_with_synopses`] over an arbitrary [`Fanout`] — the actual
-/// coordinator. As in [`crate::dsud`], a flat fan-out reproduces the
-/// pre-topology per-link traffic byte for byte, and a tree fan-out routes
-/// the same per-site sequences through aggregator links with replies in
-/// the same ascending site order, so the answer is bit-identical.
+/// [`run`] over an arbitrary [`Fanout`] — the actual coordinator. As in
+/// [`crate::dsud`], a flat fan-out reproduces the pre-topology per-link
+/// traffic byte for byte, and a tree fan-out routes the same per-site
+/// sequences through aggregator links with replies in the same ascending
+/// site order, so the answer is bit-identical.
 ///
 /// `sink` sees each closed round's confirmations exactly as in
 /// [`crate::dsud`]'s coordinator.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_on(
     fan: &mut Fanout<'_>,
     meter: &BandwidthMeter,
-    q: f64,
     mask: SubspaceMask,
-    mode: BoundMode,
-    limit: Option<usize>,
-    synopsis_resolution: Option<u16>,
-    policy: FailurePolicy,
-    batch: BatchSize,
-    pipeline: PipelineDepth,
-    wire: WireFormat,
-    deadline_ms: Option<u64>,
-    plan: PlanMode,
+    config: &QueryConfig,
     sink: &mut dyn FnMut(&[SkylineEntry], bool),
 ) -> Result<QueryOutcome, Error> {
+    let (q, mode) = (config.q, config.bound);
     if !(q > 0.0 && q <= 1.0) {
         return Err(Error::InvalidThreshold(q));
     }
-    let mut out = Reporter::new(meter, limit, sink);
-    let deadline = deadline_ms.map(std::time::Duration::from_millis);
+    let mut out = Reporter::new(meter, config.limit, sink);
+    let deadline = config.deadline_ms.map(std::time::Duration::from_millis);
     let mut cancelled = false;
     let rec = meter.recorder().clone();
     let query_span = rec.span("query:edsud");
-    let overlap = pipeline.overlapped();
-    rec.add(Counter::PipelineDepth, pipeline.window() as u64);
+    let overlap = config.pipeline.overlapped();
+    rec.add(Counter::PipelineDepth, config.pipeline.window() as u64);
     let order = SiteOrder::new(fan.len());
-    let mut tracker = FailureTracker::new(order.len(), policy, rec.clone());
+    let mut tracker = FailureTracker::new(order.len(), config.failure, rec.clone());
     let mut stats = RunStats::default();
     let mut history: Vec<TupleMsg> = Vec::new();
 
@@ -249,7 +181,7 @@ pub(crate) fn run_on(
     // Optional synopsis phase: every site ships its grid, paid for in
     // tuple-equivalents on the meter.
     let mut synopses: HashMap<u32, SynopsisBound> = HashMap::new();
-    if let Some(resolution) = synopsis_resolution {
+    if let Some(resolution) = config.synopsis {
         let _span = rec.span("synopsis");
         let active = |x: usize| tracker.is_active(x);
         for (x, reply) in
@@ -271,12 +203,11 @@ pub(crate) fn run_on(
     // Plan phase: size `--batch auto` rounds (selection draws and expunge
     // sweeps alike) from the sites' sketched probability distributions.
     // Pure scheduling — see `crate::planner`.
-    let plan_summary = plan.sketch().then(|| planner::plan(fan, q, &rec));
-    let batch = planner::apply(batch, plan_summary.as_ref());
+    let (batch, plan_summary) = planner::schedule(fan, config, &rec);
 
     'rounds: loop {
         // Deadline checks sit on round boundaries only, so a cancelled run
-        // never leaves a frame in flight (see `dsud::run_with_policy`).
+        // never leaves a frame in flight (see `dsud::run_on`).
         if deadline.is_some_and(|d| out.elapsed() >= d) {
             cancelled = true;
             rec.incr(Counter::Cancelled);
@@ -294,7 +225,7 @@ pub(crate) fn run_on(
             // request to it (see `crate::batch` for why that keeps the
             // run bit-identical). The broadcasts themselves are deferred
             // into one coalesced frame per site.
-            let mut round = BatchRound::new(order.len(), budget, wire);
+            let mut round = BatchRound::new(order.len(), budget, config);
             let mut finished = false;
             // One expunge span per round, opened lazily at the first
             // expunge and spanning the interleaved draws — a span per draw
@@ -773,8 +704,9 @@ mod tests {
     fn rejects_bad_threshold() {
         let mut links: Vec<Box<dyn Link>> = Vec::new();
         let meter = BandwidthMeter::new();
+        let config = QueryConfig { q: 2.0, ..QueryConfig::new(0.5).unwrap() };
         assert!(matches!(
-            run(&mut links, &meter, 2.0, full2(), BoundMode::Paper, None),
+            run(&mut links, &meter, full2(), &config),
             Err(Error::InvalidThreshold(_))
         ));
     }

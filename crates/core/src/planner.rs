@@ -3,7 +3,13 @@
 //! distributions instead of the closed-form Eq. 6 estimator in
 //! [`crate::estimate`].
 //!
-//! With [`PlanMode::Sketch`] the coordinator gathers one mergeable
+//! The plan phase runs only when a query asks for [`PlanMode::Sketch`]
+//! *and* [`BatchSize::Auto`]: a fixed batch size is a user decision the
+//! planner never overrides, so gathering sketches for it would cost one
+//! exchange per link and change nothing. Such runs carry no
+//! [`PlanSummary`] and ship exactly the static schedule's frames.
+//!
+//! When it runs, the coordinator gathers one mergeable
 //! [`SiteSketch`] per physical link right after the Start broadcast —
 //! sites build the sketches at load time and keep them updated through the
 //! Section 5.4 maintenance path, so the gather costs exactly one compact
@@ -27,7 +33,7 @@ use dsud_obs::{Counter, Recorder};
 use dsud_sketch::SiteSketch;
 use serde::{Deserialize, Serialize};
 
-use crate::{BatchSize, PlanMode};
+use crate::{BatchSize, PlanMode, QueryConfig};
 
 /// Smallest batch cap the planner will emit — never below the static
 /// [`BatchSize::AUTO_MAX`], so a sketch plan can only deepen rounds, never
@@ -44,7 +50,8 @@ pub const PLAN_BATCH_MAX: usize = 256;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanSummary {
     /// The mode that produced this summary (always [`PlanMode::Sketch`]
-    /// today — static runs carry no summary at all).
+    /// today — runs without a plan phase, static or at a fixed batch
+    /// size, carry no summary at all).
     pub mode: PlanMode,
     /// Encoded bytes of every sketch frame the root received.
     pub sketch_bytes: u64,
@@ -121,14 +128,27 @@ pub(crate) fn plan(fan: &mut Fanout<'_>, q: f64, rec: &Recorder) -> PlanSummary 
     }
 }
 
+/// The plan phase as a coordinator runs it: gathers sketches only for a
+/// [`PlanMode::Sketch`] config at [`BatchSize::Auto`], and returns the
+/// effective batch size plus the summary of the phase, if one ran.
+pub(crate) fn schedule(
+    fan: &mut Fanout<'_>,
+    config: &QueryConfig,
+    rec: &Recorder,
+) -> (BatchSize, Option<PlanSummary>) {
+    let summary =
+        (config.plan.sketch() && config.batch == BatchSize::Auto).then(|| plan(fan, config.q, rec));
+    (apply(config, summary.as_ref()), summary)
+}
+
 /// The effective batch size after planning: a successful sketch plan caps
 /// [`BatchSize::Auto`] rounds at the planned size (acting like
 /// `Fixed(cap)`, which the batching contract proves answer-preserving);
 /// explicit `Fixed` sizes — a user decision — are never overridden.
-pub(crate) fn apply(batch: BatchSize, summary: Option<&PlanSummary>) -> BatchSize {
-    match (batch, summary.and_then(|s| s.planned_batch)) {
+pub(crate) fn apply(config: &QueryConfig, summary: Option<&PlanSummary>) -> BatchSize {
+    match (config.batch, summary.and_then(|s| s.planned_batch)) {
         (BatchSize::Auto, Some(cap)) => BatchSize::Fixed(cap),
-        _ => batch,
+        (batch, _) => batch,
     }
 }
 
@@ -159,12 +179,13 @@ mod tests {
             merges: 0,
             estimated_candidates: 400,
         };
-        assert_eq!(apply(BatchSize::Auto, Some(&summary)), BatchSize::Fixed(40));
-        assert_eq!(apply(BatchSize::Fixed(4), Some(&summary)), BatchSize::Fixed(4));
-        assert_eq!(apply(BatchSize::Fixed(1), Some(&summary)), BatchSize::Fixed(1));
-        assert_eq!(apply(BatchSize::Auto, None), BatchSize::Auto);
+        let at = |batch| QueryConfig::new(0.3).unwrap().batch_size(batch);
+        assert_eq!(apply(&at(BatchSize::Auto), Some(&summary)), BatchSize::Fixed(40));
+        assert_eq!(apply(&at(BatchSize::Fixed(4)), Some(&summary)), BatchSize::Fixed(4));
+        assert_eq!(apply(&at(BatchSize::Fixed(1)), Some(&summary)), BatchSize::Fixed(1));
+        assert_eq!(apply(&at(BatchSize::Auto), None), BatchSize::Auto);
         let degraded = PlanSummary { planned_batch: None, ..summary };
-        assert_eq!(apply(BatchSize::Auto, Some(&degraded)), BatchSize::Auto);
+        assert_eq!(apply(&at(BatchSize::Auto), Some(&degraded)), BatchSize::Auto);
     }
 
     #[test]

@@ -706,36 +706,8 @@ impl SessionServer {
         let result = {
             let mut fan = Fanout::tree(&mut links, &self.plan, recorder.clone());
             match algo {
-                Algo::Dsud => dsud::run_on(
-                    &mut fan,
-                    &query_meter,
-                    config.q,
-                    mask,
-                    config.limit,
-                    config.failure,
-                    config.batch,
-                    config.pipeline,
-                    config.wire,
-                    config.deadline_ms,
-                    config.plan,
-                    &mut stamped,
-                ),
-                Algo::Edsud => edsud::run_on(
-                    &mut fan,
-                    &query_meter,
-                    config.q,
-                    mask,
-                    config.bound,
-                    config.limit,
-                    config.synopsis,
-                    config.failure,
-                    config.batch,
-                    config.pipeline,
-                    config.wire,
-                    config.deadline_ms,
-                    config.plan,
-                    &mut stamped,
-                ),
+                Algo::Dsud => dsud::run_on(&mut fan, &query_meter, mask, config, &mut stamped),
+                Algo::Edsud => edsud::run_on(&mut fan, &query_meter, mask, config, &mut stamped),
             }
         };
         // Clear the sites' parked cursor state for this query id whether
@@ -1035,14 +1007,10 @@ impl SessionServer {
             // can no longer be proven from the log. Rebuild and
             // re-replicate the global skyline wholesale; errors leave the
             // site in probation, where the next heartbeat retries.
-            if let Ok(mask) = crate::SubspaceMask::full(self.dims) {
-                let _ = Maintainer::bootstrap(
-                    &mut links,
-                    &resync_meter,
-                    self.options.bootstrap_q,
-                    mask,
-                    BoundMode::default(),
-                );
+            if let (Ok(mask), Ok(config)) =
+                (crate::SubspaceMask::full(self.dims), QueryConfig::new(self.options.bootstrap_q))
+            {
+                let _ = Maintainer::bootstrap(&mut links, &resync_meter, mask, &config);
             }
         }
         drop(links);

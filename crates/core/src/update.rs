@@ -30,7 +30,7 @@ use dsud_net::{BandwidthMeter, Link, Message, TupleMsg};
 use dsud_uncertain::{dominates_in, SkylineEntry, SubspaceMask, UncertainTuple};
 
 use crate::cluster::expect_survival;
-use crate::{edsud, BoundMode, Error, QueryOutcome, WireFormat};
+use crate::{edsud, Error, QueryConfig, QueryOutcome, WireFormat};
 
 /// One update at a local site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,9 +60,10 @@ struct Member {
 /// Server-side state of the incremental maintenance protocol.
 #[derive(Debug)]
 pub struct Maintainer {
-    q: f64,
+    /// The maintained query: its threshold, bound mode, and the execution
+    /// settings of every full e-DSUD run and bulk replica broadcast.
+    config: QueryConfig,
     mask: SubspaceMask,
-    bound: BoundMode,
     members: Vec<Member>,
     /// Tuple ids currently present in the site replicas. A superset of the
     /// member ids: evictions leave replicas stale on purpose (sound, see
@@ -74,9 +75,6 @@ pub struct Maintainer {
     /// existential probabilities are confirmed dominator factors that
     /// pre-filter later evaluations for free. Bounded FIFO.
     seen: std::collections::VecDeque<TupleMsg>,
-    /// Wire layout for bulk replica broadcasts (a pure transport choice;
-    /// per-tuple maintenance messages always use the legacy encoding).
-    wire: WireFormat,
 }
 
 /// Upper bound on the evaluated-candidate cache.
@@ -84,6 +82,12 @@ const SEEN_CAP: usize = 4096;
 
 impl Maintainer {
     /// Runs the initial e-DSUD query and replicates `SKY(H)` to every site.
+    ///
+    /// `mask` is `config`'s resolved subspace, as for [`edsud::run`]. The
+    /// config's wire layout also carries the bulk replica broadcasts (a
+    /// pure transport choice; per-tuple maintenance messages always use the
+    /// legacy encoding). The maintained skyline is always the complete
+    /// answer, so the config's `limit` and `deadline_ms` are not applied.
     ///
     /// Returns the maintainer plus the bootstrap query outcome.
     ///
@@ -94,31 +98,21 @@ impl Maintainer {
     pub fn bootstrap(
         links: &mut [Box<dyn Link>],
         meter: &BandwidthMeter,
-        q: f64,
         mask: SubspaceMask,
-        bound: BoundMode,
+        config: &QueryConfig,
     ) -> Result<(Self, QueryOutcome), Error> {
-        let wire = WireFormat::default();
-        let outcome = edsud::run(links, meter, q, mask, bound, None)?;
+        let config = QueryConfig { limit: None, deadline_ms: None, ..*config };
+        let outcome = edsud::run(links, meter, mask, &config)?;
         let members: Vec<Member> = outcome
             .skyline
             .iter()
             .map(|e| Member { msg: TupleMsg::new(&e.tuple, e.probability), prob: e.probability })
             .collect();
         let replica: Vec<TupleMsg> = members.iter().map(|m| m.msg.clone()).collect();
-        sync_replicas(links, &replica, wire)?;
+        sync_replicas(links, &replica, &config)?;
         let replicated = replica.iter().map(|m| m.id).collect();
         let seen = replica.iter().cloned().collect();
-        Ok((Maintainer { q, mask, bound, members, replicated, seen, wire }, outcome))
-    }
-
-    /// Switches the layout used for bulk replica broadcasts. Both layouts
-    /// carry identical tuples, so the maintained skyline is unaffected;
-    /// only the byte counts differ.
-    #[must_use]
-    pub fn wire_format(mut self, wire: WireFormat) -> Self {
-        self.wire = wire;
-        self
+        Ok((Maintainer { config, mask, members, replicated, seen }, outcome))
     }
 
     /// The maintained global skyline, sorted by tuple id.
@@ -185,14 +179,14 @@ impl Maintainer {
         links: &mut [Box<dyn Link>],
         meter: &BandwidthMeter,
     ) -> Result<QueryOutcome, Error> {
-        let outcome = edsud::run(links, meter, self.q, self.mask, self.bound, None)?;
+        let outcome = edsud::run(links, meter, self.mask, &self.config)?;
         self.members = outcome
             .skyline
             .iter()
             .map(|e| Member { msg: TupleMsg::new(&e.tuple, e.probability), prob: e.probability })
             .collect();
         let replica: Vec<TupleMsg> = self.members.iter().map(|m| m.msg.clone()).collect();
-        sync_replicas(links, &replica, self.wire)?;
+        sync_replicas(links, &replica, &self.config)?;
         self.replicated = replica.iter().map(|m| m.id).collect();
         self.seen = replica.into_iter().collect();
         Ok(outcome)
@@ -210,7 +204,7 @@ impl Maintainer {
             if dominates_in(&t.values, &m.msg.values, self.mask) {
                 m.prob *= factor;
                 m.msg.local_prob = m.prob;
-                if m.prob < self.q {
+                if m.prob < self.config.q {
                     return false;
                 }
             }
@@ -219,9 +213,9 @@ impl Maintainer {
 
         // The new tuple itself may be a member; pre-filter with confirmed
         // dominators before paying an (m − 1)-tuple evaluation.
-        if t.local_prob >= self.q && self.seen_bound(&t) >= self.q {
+        if t.local_prob >= self.config.q && self.seen_bound(&t) >= self.config.q {
             let global = self.evaluate(links, &t)?;
-            if global >= self.q {
+            if global >= self.config.q {
                 self.add_member(links, t.clone(), global)?;
             }
             self.remember(t);
@@ -246,7 +240,7 @@ impl Maintainer {
                 && dominates_in(&c.values, &t.values, self.mask)
             {
                 bound *= 1.0 - c.prob;
-                if bound < self.q {
+                if bound < self.config.q {
                     break;
                 }
             }
@@ -307,11 +301,11 @@ impl Maintainer {
             if self.members.iter().any(|m| m.msg.id == c.id) {
                 continue;
             }
-            if self.seen_bound(&c) < self.q {
+            if self.seen_bound(&c) < self.config.q {
                 continue;
             }
             let global = self.evaluate(links, &c)?;
-            if global >= self.q {
+            if global >= self.config.q {
                 self.add_member(links, c.clone(), global)?;
             }
             self.remember(c);
@@ -360,13 +354,14 @@ fn broadcast_all(links: &mut [Box<dyn Link>], msg: Message) -> Result<(), Error>
     Ok(())
 }
 
+/// Replicates `replica` to every site in `config`'s wire layout.
 fn sync_replicas(
     links: &mut [Box<dyn Link>],
     replica: &[TupleMsg],
-    wire: WireFormat,
+    config: &QueryConfig,
 ) -> Result<(), Error> {
     for (i, link) in links.iter_mut().enumerate() {
-        let msg = match wire {
+        let msg = match config.wire {
             WireFormat::Legacy => Message::ReplicaSync(replica.to_vec()),
             WireFormat::Columnar => Message::ReplicaSyncC(dsud_net::TupleBlock::from_msgs(replica)),
         };

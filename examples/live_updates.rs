@@ -7,7 +7,7 @@
 //! ```
 
 use dsud_core::update::{Maintainer, UpdateOp};
-use dsud_core::{BoundMode, Cluster, Probability, SubspaceMask, TupleId, UncertainTuple};
+use dsud_core::{Cluster, Probability, QueryConfig, SubspaceMask, TupleId, UncertainTuple};
 use dsud_data::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cluster = Cluster::local(dims, data.clone())?;
     let meter = cluster.meter().clone();
     let (mut maintainer, bootstrap) =
-        Maintainer::bootstrap(cluster.links_mut(), &meter, q, mask, BoundMode::Paper)?;
+        Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &QueryConfig::new(q)?)?;
     println!(
         "bootstrap: {} skyline tuples for {} transmitted tuples\n",
         bootstrap.skyline.len(),

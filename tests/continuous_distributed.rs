@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use dsud_core::update::{Maintainer, UpdateOp};
 use dsud_core::{probabilistic_skyline, UncertainDb};
-use dsud_core::{BoundMode, Cluster, Probability, SubspaceMask, TupleId, UncertainTuple};
+use dsud_core::{Cluster, Probability, QueryConfig, SubspaceMask, TupleId, UncertainTuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,8 +51,9 @@ fn run_scenario(rng: &mut StdRng) {
     let mut cluster = Cluster::local(DIMS, initial).unwrap();
     let meter = cluster.meter().clone();
     let mask = SubspaceMask::full(DIMS).unwrap();
+    let config = QueryConfig::new(Q).unwrap();
     let (mut maintainer, _) =
-        Maintainer::bootstrap(cluster.links_mut(), &meter, Q, mask, BoundMode::Paper).unwrap();
+        Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &config).unwrap();
 
     // Stream 200 arrivals round-robin across the sites; every arrival
     // slides the oldest tuple out of that site's window.

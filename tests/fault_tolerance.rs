@@ -11,10 +11,7 @@
 
 use std::time::Duration;
 
-use dsud_core::{
-    dsud, edsud, BatchSize, BoundMode, Error, LocalSite, PipelineDepth, SiteOptions, SubspaceMask,
-    WireFormat,
-};
+use dsud_core::{dsud, edsud, Error, LocalSite, SiteOptions, SubspaceMask};
 use dsud_core::{
     BandwidthMeter, Cluster, Counter, FailurePolicy, FaultKind, FaultPlan, Link, LinkConfig,
     LinkError, QuarantineReason, QueryConfig, QueryOutcome, Recorder, RetryLink, SessionOptions,
@@ -34,6 +31,12 @@ fn site_data() -> Vec<Vec<dsud_uncertain::UncertainTuple>> {
 
 fn mask() -> SubspaceMask {
     SubspaceMask::full(DIMS).unwrap()
+}
+
+/// The library defaults (one-candidate rounds, no pipelining, legacy wire,
+/// no plan phase) under the given failure policy.
+fn config(failure: FailurePolicy) -> QueryConfig {
+    QueryConfig::new(0.3).expect("valid threshold").failure_policy(failure)
 }
 
 /// Short deadlines so swallowed requests fail fast, zero backoff so retry
@@ -107,18 +110,7 @@ fn strict_drop_is_site_failed_on_every_transport() {
         let recorder = Recorder::disabled();
         let (mut links, meter, _servers) =
             faulty_cluster(transport, Some((1, FaultMode::Drop, 3)), &recorder);
-        let err = dsud::run_with_policy(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            None,
-            FailurePolicy::Strict,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        );
+        let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
         match err {
             Err(Error::SiteFailed { site: 1, source: LinkError::Timeout }) => {}
             other => panic!("{transport:?}: expected SiteFailed(Timeout) at site 1, got {other:?}"),
@@ -132,20 +124,7 @@ fn strict_disconnect_is_site_failed_on_every_transport() {
         let recorder = Recorder::disabled();
         let (mut links, meter, _servers) =
             faulty_cluster(transport, Some((2, FaultMode::Disconnect, 5)), &recorder);
-        let err = edsud::run_with_synopses(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            BoundMode::Paper,
-            None,
-            None,
-            FailurePolicy::Strict,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        );
+        let err = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
         match err {
             Err(Error::SiteFailed { site: 2, source: LinkError::Disconnected }) => {}
             other => {
@@ -164,19 +143,8 @@ fn degrade_quarantines_the_failed_site_and_completes() {
             let recorder = Recorder::enabled();
             let (mut links, meter, _servers) =
                 faulty_cluster(transport, Some((1, fault, 3)), &recorder);
-            let outcome = dsud::run_with_policy(
-                &mut links,
-                &meter,
-                0.3,
-                mask(),
-                None,
-                FailurePolicy::Degrade,
-                BatchSize::Fixed(1),
-                PipelineDepth::Fixed(1),
-                WireFormat::Legacy,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("{transport:?}/{fault:?}: degrade mode failed: {e}"));
+            let outcome = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade))
+                .unwrap_or_else(|e| panic!("{transport:?}/{fault:?}: degrade mode failed: {e}"));
             assert!(outcome.degraded, "{transport:?}/{fault:?}: outcome not marked degraded");
             assert!(!outcome.skyline.is_empty(), "{transport:?}/{fault:?}: empty skyline");
             assert_eq!(outcome.sites.len(), SITES);
@@ -202,42 +170,16 @@ fn stall_within_budget_recovers_the_exact_healthy_answer() {
     for transport in ALL_TRANSPORTS {
         let healthy_rec = Recorder::enabled();
         let (mut links, meter, _servers) = faulty_cluster(transport, None, &healthy_rec);
-        let healthy = edsud::run_with_synopses(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            BoundMode::Paper,
-            None,
-            None,
-            FailurePolicy::Strict,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        )
-        .unwrap();
+        let healthy =
+            edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict)).unwrap();
 
         // Stall(2) swallows two attempts; budget 2 grants two retries, so
         // the third attempt lands and the service never saw the stalls.
         let stalled_rec = Recorder::enabled();
         let (mut links, meter, _servers) =
             faulty_cluster(transport, Some((1, FaultMode::Stall(2), 4)), &stalled_rec);
-        let stalled = edsud::run_with_synopses(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            BoundMode::Paper,
-            None,
-            None,
-            FailurePolicy::Strict,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{transport:?}: stall within budget failed: {e}"));
+        let stalled = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict))
+            .unwrap_or_else(|e| panic!("{transport:?}: stall within budget failed: {e}"));
 
         assert!(!stalled.degraded, "{transport:?}: recovered run marked degraded");
         assert_eq!(
@@ -263,18 +205,7 @@ fn strict_wrong_reply_is_a_protocol_violation_naming_the_site() {
     let recorder = Recorder::disabled();
     let (mut links, meter, _servers) =
         faulty_cluster(Transport::Inline, Some((1, FaultMode::WrongReply, 3)), &recorder);
-    let err = dsud::run_with_policy(
-        &mut links,
-        &meter,
-        0.3,
-        mask(),
-        None,
-        FailurePolicy::Strict,
-        BatchSize::Fixed(1),
-        PipelineDepth::Fixed(1),
-        WireFormat::Legacy,
-        None,
-    );
+    let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
     assert!(matches!(err, Err(Error::ProtocolViolation { site: 1, .. })), "got {err:?}");
 }
 
@@ -283,21 +214,7 @@ fn degrade_wrong_reply_quarantines_with_a_protocol_reason() {
     let recorder = Recorder::enabled();
     let (mut links, meter, _servers) =
         faulty_cluster(Transport::Inline, Some((2, FaultMode::WrongReply, 5)), &recorder);
-    let outcome = edsud::run_with_synopses(
-        &mut links,
-        &meter,
-        0.3,
-        mask(),
-        BoundMode::Paper,
-        None,
-        None,
-        FailurePolicy::Degrade,
-        BatchSize::Fixed(1),
-        PipelineDepth::Fixed(1),
-        WireFormat::Legacy,
-        None,
-    )
-    .unwrap();
+    let outcome = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade)).unwrap();
     assert!(outcome.degraded);
     assert!(
         matches!(outcome.sites[2].quarantined, Some(QuarantineReason::Protocol(_))),
@@ -311,18 +228,7 @@ fn fault_on_first_contact_is_caught() {
     let recorder = Recorder::disabled();
     let (mut links, meter, _servers) =
         faulty_cluster(Transport::Inline, Some((0, FaultMode::WrongReply, 0)), &recorder);
-    let err = dsud::run_with_policy(
-        &mut links,
-        &meter,
-        0.3,
-        mask(),
-        None,
-        FailurePolicy::Strict,
-        BatchSize::Fixed(1),
-        PipelineDepth::Fixed(1),
-        WireFormat::Legacy,
-        None,
-    );
+    let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
     assert!(matches!(err, Err(Error::ProtocolViolation { site: 0, .. })), "got {err:?}");
 }
 
@@ -332,21 +238,7 @@ fn healthy_budget_large_enough_means_success() {
     let recorder = Recorder::disabled();
     let (mut links, meter, _servers) =
         faulty_cluster(Transport::Inline, Some((1, FaultMode::WrongReply, u64::MAX)), &recorder);
-    let outcome = edsud::run_with_synopses(
-        &mut links,
-        &meter,
-        0.3,
-        mask(),
-        BoundMode::Paper,
-        None,
-        None,
-        FailurePolicy::Strict,
-        BatchSize::Fixed(1),
-        PipelineDepth::Fixed(1),
-        WireFormat::Legacy,
-        None,
-    )
-    .unwrap();
+    let outcome = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict)).unwrap();
     assert!(!outcome.skyline.is_empty());
     assert!(!outcome.degraded);
     assert!(outcome.sites.iter().all(dsud_core::SiteStatus::healthy));
@@ -357,20 +249,7 @@ fn corrupted_survival_values_are_rejected() {
     let recorder = Recorder::disabled();
     let (mut links, meter, _servers) =
         faulty_cluster(Transport::Inline, Some((1, FaultMode::CorruptSurvival, 4)), &recorder);
-    let err = edsud::run_with_synopses(
-        &mut links,
-        &meter,
-        0.3,
-        mask(),
-        BoundMode::Paper,
-        None,
-        None,
-        FailurePolicy::Strict,
-        BatchSize::Fixed(1),
-        PipelineDepth::Fixed(1),
-        WireFormat::Legacy,
-        None,
-    );
+    let err = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
     assert!(
         matches!(
             err,
@@ -446,18 +325,7 @@ fn killing_a_site_mid_query_is_site_failed_under_strict() {
     for transport in [Transport::Threaded, Transport::Tcp] {
         let recorder = Recorder::disabled();
         let (mut links, meter, _servers) = killed_site_cluster(transport, 1, 3, &recorder);
-        let err = dsud::run_with_policy(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            None,
-            FailurePolicy::Strict,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        );
+        let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
         match err {
             Err(Error::SiteFailed { site: 1, .. }) => {}
             other => panic!("{transport:?}: expected SiteFailed at site 1, got {other:?}"),
@@ -470,19 +338,8 @@ fn killing_a_site_mid_query_degrades_and_names_it() {
     for transport in [Transport::Threaded, Transport::Tcp] {
         let recorder = Recorder::enabled();
         let (mut links, meter, _servers) = killed_site_cluster(transport, 1, 3, &recorder);
-        let outcome = dsud::run_with_policy(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            None,
-            FailurePolicy::Degrade,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{transport:?}: degrade mode failed: {e}"));
+        let outcome = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade))
+            .unwrap_or_else(|e| panic!("{transport:?}: degrade mode failed: {e}"));
         assert!(outcome.degraded, "{transport:?}: outcome not marked degraded");
         assert!(
             matches!(outcome.sites[1].quarantined, Some(QuarantineReason::Transport(_))),
@@ -506,19 +363,8 @@ fn retry_accounting_is_identical_across_pool_sizes_and_transports() {
         let recorder = Recorder::enabled();
         let (mut links, meter, _servers) =
             faulty_cluster(transport, Some((1, FaultMode::Drop, 6)), &recorder);
-        let outcome = dsud::run_with_policy(
-            &mut links,
-            &meter,
-            0.3,
-            mask(),
-            None,
-            FailurePolicy::Degrade,
-            BatchSize::Fixed(1),
-            PipelineDepth::Fixed(1),
-            WireFormat::Legacy,
-            None,
-        )
-        .unwrap();
+        let outcome =
+            dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade)).unwrap();
         threadpool::set_pool_size(0);
         (
             recorder.counter(Counter::LinkRetries),

@@ -16,8 +16,8 @@
 use std::time::{Duration, Instant};
 
 use dsud_core::{
-    dsud, BatchSize, Cluster, FailurePolicy, LocalSite, PipelineDepth, QueryConfig, QueryOutcome,
-    Recorder, SiteOptions, SubspaceMask, Transport, WireFormat,
+    dsud, BatchSize, Cluster, LocalSite, PipelineDepth, QueryConfig, QueryOutcome, Recorder,
+    SiteOptions, SubspaceMask, Transport, WireFormat,
 };
 
 /// Wire layout under test: `DSUD_WIRE=columnar|legacy` (legacy default),
@@ -217,19 +217,11 @@ fn overlapped_refills_cut_round_latency() {
             )));
         }
         let started = Instant::now();
-        let outcome = dsud::run_with_policy(
-            &mut links,
-            &meter,
-            Q,
-            mask,
-            None,
-            FailurePolicy::Strict,
-            BatchSize::Fixed(1),
-            pipeline,
-            wire_from_env(),
-            None,
-        )
-        .expect("query runs");
+        let config = QueryConfig::new(Q)
+            .expect("valid threshold")
+            .pipeline_depth(pipeline)
+            .wire_format(wire_from_env());
+        let outcome = dsud::run(&mut links, &meter, mask, &config).expect("query runs");
         (outcome, started.elapsed())
     };
 

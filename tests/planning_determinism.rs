@@ -11,16 +11,19 @@
 //!
 //! Pinned across the full execution matrix: transports × wire layouts ×
 //! topologies × pool sizes, for both DSUD and e-DSUD, with explicit batch
-//! sizes (where planning must be inert) and `--batch auto` (where it
-//! actually steers). The suite also pins the plan phase's *cost ceiling*:
-//! at most one sketch frame per site per query, and fewer (not more)
+//! sizes (where no plan phase runs, so a sketch-mode run *is* the static
+//! run, traffic included) and `--batch auto` (where planning actually
+//! steers). The suite also pins the plan phase's *cost ceiling*: at most
+//! one sketch frame per site per query, and fewer (not more)
 //! candidate-round frames whenever the planner deepens auto rounds.
 
 use dsud_core::{
-    BatchSize, Cluster, LinkConfig, PipelineDepth, PlanMode, QueryConfig, QueryOutcome, Recorder,
-    SiteOptions, Topology, Transport, UncertainTuple, WireFormat,
+    dsud, edsud, BandwidthMeter, BatchSize, Cluster, Link, LinkConfig, LocalSite, PipelineDepth,
+    PlanMode, PlanSummary, QueryConfig, QueryOutcome, Recorder, SiteOptions, SubspaceMask,
+    Topology, Transport, UncertainTuple, WireFormat,
 };
 use dsud_data::WorkloadSpec;
+use dsud_net::{tcp, LocalLink};
 use dsud_uncertain::TupleId;
 
 const N: usize = 1_200;
@@ -89,6 +92,26 @@ fn run(
     outcome.expect("query runs")
 }
 
+/// Where the plan phase runs, and what it may cost. At a fixed batch size
+/// the planner has nothing to decide, so a sketch-mode run gathers no
+/// sketches: no summary, and exactly the static run's traffic (bytes and
+/// frames). At `--batch auto` it runs, within the cost ceiling of one
+/// sketch frame per site per query — a tree root legitimately sees fewer
+/// (its aggregators pre-merge) but never more.
+fn assert_plan_phase(outcome: &QueryOutcome, reference: &QueryOutcome, batch: BatchSize, at: &str) {
+    if batch == BatchSize::Auto {
+        let plan = outcome.plan.as_ref().expect("sketch runs at batch auto carry a summary");
+        assert!(
+            plan.frames as usize <= SITES,
+            "{at}: {} sketch frames for {SITES} sites",
+            plan.frames
+        );
+    } else {
+        assert!(outcome.plan.is_none(), "{at}: a fixed batch runs no plan phase");
+        assert_eq!(outcome.traffic, reference.traffic, "{at}");
+    }
+}
+
 #[test]
 fn dsud_sketch_plan_is_bit_identical_across_the_execution_matrix() {
     let wire = wire_from_env();
@@ -121,15 +144,7 @@ fn dsud_sketch_plan_is_bit_identical_across_the_execution_matrix() {
                             "{at}"
                         );
                     }
-                    let plan = outcome.plan.as_ref().expect("sketch runs carry a summary");
-                    // Cost ceiling: one sketch frame per site per query —
-                    // a tree root legitimately sees fewer (its aggregators
-                    // pre-merge) but never more.
-                    assert!(
-                        plan.frames as usize <= SITES,
-                        "{at}: {} sketch frames for {SITES} sites",
-                        plan.frames
-                    );
+                    assert_plan_phase(&outcome, &reference, batch, &at);
                 }
             }
         }
@@ -157,6 +172,7 @@ fn edsud_sketch_plan_is_bit_identical_on_every_transport() {
                         "{at}"
                     );
                 }
+                assert_plan_phase(&outcome, &reference, batch, &at);
             }
         }
     }
@@ -222,6 +238,69 @@ fn sketch_plan_cuts_auto_round_frames_on_both_wire_layouts() {
                 "{algo} {wire}: sketch plan shipped {plan_msgs} frames vs {static_msgs} \
                  static — deeper rounds must cut the count, plan phase included"
             );
+        }
+    }
+}
+
+/// The raw-links entries (`dsud::run`, `edsud::run`) give a config exactly
+/// the schedule the cluster path gives it: same answer, progress, stats,
+/// traffic, and plan phase.
+#[test]
+fn raw_links_entry_runs_the_cluster_schedule() {
+    let wire = WireFormat::Columnar;
+    let config = QueryConfig::new(Q)
+        .expect("valid threshold")
+        .batch_size(BatchSize::Auto)
+        .plan_mode(PlanMode::Sketch)
+        .pipeline_depth(PipelineDepth::Auto)
+        .wire_format(wire);
+    let mask = SubspaceMask::full(DIMS).expect("full mask");
+    // Everything but the plan phase's wall-clock time.
+    let plan = |o: &QueryOutcome| o.plan.clone().map(|p| PlanSummary { plan_us: 0, ..p });
+    for transport in [Transport::Inline, Transport::Tcp] {
+        for edsud in [false, true] {
+            let at = format!("{transport} edsud={edsud}");
+            let (data, options) = sites(wire);
+            let mut cluster =
+                Cluster::with_transport(DIMS, data, options, Recorder::default(), transport)
+                    .expect("cluster builds");
+            let clustered =
+                if edsud { cluster.run_edsud(&config) } else { cluster.run_dsud(&config) }
+                    .expect("cluster query runs");
+
+            let (data, options) = sites(wire);
+            let meter = BandwidthMeter::default();
+            let mut servers = Vec::new();
+            let mut links: Vec<Box<dyn Link>> = Vec::new();
+            for (i, tuples) in data.into_iter().enumerate() {
+                let site = LocalSite::new(i as u32, DIMS, tuples, options).expect("site builds");
+                links.push(match transport {
+                    Transport::Tcp => {
+                        let server = tcp::spawn_site(site).expect("site server starts");
+                        let link = tcp::TcpLink::connect_with(
+                            server.addr(),
+                            meter.clone(),
+                            LinkConfig::default(),
+                        )
+                        .expect("link connects");
+                        servers.push(server);
+                        Box::new(link)
+                    }
+                    _ => Box::new(LocalLink::new(site, meter.clone())),
+                });
+            }
+            let raw = if edsud {
+                edsud::run(&mut links, &meter, mask, &config)
+            } else {
+                dsud::run(&mut links, &meter, mask, &config)
+            }
+            .expect("raw query runs");
+
+            assert_eq!(fingerprint(&raw), fingerprint(&clustered), "{at}");
+            assert_eq!(raw.stats, clustered.stats, "{at}");
+            assert_eq!(raw.traffic, clustered.traffic, "{at}");
+            assert!(clustered.plan.is_some(), "{at}: batch auto runs the plan phase");
+            assert_eq!(plan(&raw), plan(&clustered), "{at}");
         }
     }
 }

@@ -8,13 +8,17 @@ use rand::{Rng, SeedableRng};
 
 use dsud_core::update::{apply_batch, Maintainer, UpdateOp};
 use dsud_core::{probabilistic_skyline, TupleId, UncertainDb, UncertainTuple};
-use dsud_core::{BoundMode, Cluster, Probability, SubspaceMask};
+use dsud_core::{Cluster, Probability, QueryConfig, SubspaceMask};
 use dsud_data::{SpatialDistribution, WorkloadSpec};
 
 const Q: f64 = 0.3;
 
 fn full(d: usize) -> SubspaceMask {
     SubspaceMask::full(d).unwrap()
+}
+
+fn config() -> QueryConfig {
+    QueryConfig::new(Q).unwrap()
 }
 
 /// Applies ops to the raw tuple lists (the "what the data now is" oracle).
@@ -60,22 +64,16 @@ fn run_scenario(
     let mut incr_cluster = Cluster::local(dims, data.clone()).unwrap();
     let meter = incr_cluster.meter().clone();
     let (mut maintainer, _) =
-        Maintainer::bootstrap(incr_cluster.links_mut(), &meter, Q, full(dims), BoundMode::Paper)
-            .unwrap();
+        Maintainer::bootstrap(incr_cluster.links_mut(), &meter, full(dims), &config()).unwrap();
     let incremental =
         apply_batch(&mut maintainer, incr_cluster.links_mut(), &meter, &ops, true).unwrap();
 
     // Naive strategy on an identical twin cluster.
     let mut naive_cluster = Cluster::local(dims, data.clone()).unwrap();
     let naive_meter = naive_cluster.meter().clone();
-    let (mut naive_maintainer, _) = Maintainer::bootstrap(
-        naive_cluster.links_mut(),
-        &naive_meter,
-        Q,
-        full(dims),
-        BoundMode::Paper,
-    )
-    .unwrap();
+    let (mut naive_maintainer, _) =
+        Maintainer::bootstrap(naive_cluster.links_mut(), &naive_meter, full(dims), &config())
+            .unwrap();
     let naive =
         apply_batch(&mut naive_maintainer, naive_cluster.links_mut(), &naive_meter, &ops, false)
             .unwrap();
@@ -217,8 +215,7 @@ fn incremental_uses_less_maintenance_traffic_than_naive() {
         let mut cluster = Cluster::local(dims, data.clone()).unwrap();
         let meter = cluster.meter().clone();
         let (mut maintainer, _) =
-            Maintainer::bootstrap(cluster.links_mut(), &meter, Q, full(dims), BoundMode::Paper)
-                .unwrap();
+            Maintainer::bootstrap(cluster.links_mut(), &meter, full(dims), &config()).unwrap();
         let before = meter.snapshot();
         apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, incremental).unwrap();
         meter.snapshot().since(&before).tuples_transmitted()
@@ -261,8 +258,7 @@ fn replica_policy_is_sound() {
     let mut cluster = Cluster::local_with_options(dims, data.clone(), options).unwrap();
     let meter = cluster.meter().clone();
     let (mut maintainer, _) =
-        Maintainer::bootstrap(cluster.links_mut(), &meter, Q, full(dims), BoundMode::Paper)
-            .unwrap();
+        Maintainer::bootstrap(cluster.links_mut(), &meter, full(dims), &config()).unwrap();
     let reported = apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, true).unwrap();
 
     apply_to_data(&mut data, &ops);

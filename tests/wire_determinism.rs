@@ -237,15 +237,10 @@ fn maintenance_over_columnar_replicas_matches_legacy() {
         .expect("cluster builds");
         let meter = BandwidthMeter::default();
         let mask = dsud_uncertain::SubspaceMask::full(DIMS).unwrap();
-        let (maintainer, outcome) = Maintainer::bootstrap(
-            cluster.links_mut(),
-            &meter,
-            Q,
-            mask,
-            dsud_core::BoundMode::Paper,
-        )
-        .expect("bootstrap runs");
-        let mut maintainer = maintainer.wire_format(wire);
+        let config = QueryConfig::new(Q).expect("valid threshold").wire_format(wire);
+        let (mut maintainer, outcome) =
+            Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &config)
+                .expect("bootstrap runs");
         // Delete a current member (forces a region re-evaluation) and
         // insert a strong new tuple (forces a membership check).
         let victim = outcome.skyline[0].tuple.clone();
