@@ -1,9 +1,25 @@
-//! Candidate batching for DSUD / e-DSUD rounds.
+//! One coordinator round, for DSUD and e-DSUD alike.
 //!
-//! A batched round draws up to `K` candidates from the priority queue and
-//! delivers each site *one* coalesced [`Message::FeedbackBatch`] frame
-//! instead of `K` separate feedback broadcasts, cutting the per-round
-//! message count from `O(K·m)` to `O(m)`.
+//! A round draws up to its *budget* of candidates from the priority queue
+//! and closes with one parallel wave that delivers every other site the
+//! feedback it has not seen yet. The paper's round (Section 5.1) is the
+//! budget-1 case: it closes with one [`Message::Feedback`] broadcast
+//! answered by scalar survival replies. A larger budget (`--batch K`)
+//! coalesces each site's feedback into one [`Message::FeedbackBatch`]
+//! frame — same answer, `O(m + K)` instead of `O(K·m)` messages per round.
+//! The framing follows the budget, not the number of candidates a round
+//! happened to draw.
+//!
+//! # Draws
+//!
+//! Each draw sends the drawn candidate's home site two requests: its
+//! pending feedback flush, then a `RequestNext` refill. Every draw but the
+//! last settles both before the next head is picked. The last draw of a
+//! full round keeps its refill pending across the closing wave (in a
+//! budget-1 round, the refill that overlaps the broadcast), and the
+//! coordinator settles or abandons it once the round's confirmations are
+//! in (see `crate::pipeline` for when a pending request is actually on
+//! the wire).
 //!
 //! # The flush-before-refill invariant
 //!
@@ -13,28 +29,31 @@
 //! run at every site. Before *any* `RequestNext` is sent to site `x`
 //! (whether a draw refill or an e-DSUD expunge refill), `x` is first
 //! delivered its pending sub-batch — every candidate drawn since the last
-//! delivery to `x`, excluding `x`'s own tuples — as one frame. The round
-//! closes by delivering each site its remaining sub-batch in one parallel
-//! wave ([`dsud_net::scatter`]). A site therefore observes precisely the
-//! feedback-before-refill sequence it would under `--batch 1`, so refill
-//! contents, per-site prune counters, and survival factors all match.
+//! delivery to `x`, excluding `x`'s own tuples — as one frame. A site
+//! therefore observes precisely the feedback-before-refill sequence it
+//! would under `--batch 1`, so refill contents, per-site prune counters,
+//! and survival factors all match.
 //!
 //! Survival factors are collected into an `m × K` matrix and multiplied
 //! in ascending site order — the same left-fold grouping as the unbatched
 //! accumulation loop — so the reported probabilities are `f64`
 //! bit-identical as well.
 
-use dsud_net::{Fanout, LinkError, Message, OpTicket, TupleBlock, TupleMsg};
+use dsud_net::{Fanout, LinkError, Message, TupleBlock, TupleMsg};
 use dsud_obs::{Counter, Recorder};
 
+use crate::cluster::{expect_survival, expect_survival_batch};
 use crate::degrade::FailureTracker;
+use crate::pipeline::{Request, Schedule};
 use crate::{Error, QueryConfig, RunStats, SiteOrder, WireFormat};
 
-/// Ledger for one batched round: the drawn candidates, how much of the
-/// batch each site has already seen, and the survival factors collected
-/// so far.
+/// Ledger for one round: the drawn candidates, how much of the round each
+/// site has already seen, and the survival factors collected so far. One
+/// ledger serves a whole query; [`BatchRound::reset`] starts each round
+/// on the same storage.
 pub(crate) struct BatchRound {
     cands: Vec<TupleMsg>,
+    budget: usize,
     /// Per site: number of drawn candidates already delivered (an index
     /// into `cands`; the exclusion of the site's own tuples happens at
     /// delivery time).
@@ -47,18 +66,46 @@ pub(crate) struct BatchRound {
     /// Wire layout for the coalesced feedback frames. Purely a transport
     /// choice: both layouts deliver the same tuples in the same order.
     wire: WireFormat,
+    /// How the draws' requests travel.
+    schedule: Schedule,
+    rec: Recorder,
+    /// The last draw of a full round, its refill pending until
+    /// [`BatchRound::settle_last`].
+    last: Option<Draw>,
+}
+
+/// The two requests one draw sends its home site: the pending feedback
+/// flush (with the candidate indices its reply covers) and the refill.
+pub(crate) struct Draw {
+    home: usize,
+    flush: Option<(Request, Vec<usize>)>,
+    refill: Option<Request>,
 }
 
 impl BatchRound {
-    /// An empty round of up to `budget` candidates over `sites` sites,
-    /// framed in `config`'s wire layout.
-    pub(crate) fn new(sites: usize, budget: usize, config: &QueryConfig) -> Self {
+    /// A ledger over `sites` sites, framed in `config`'s wire layout and
+    /// scheduled by its pipeline setting.
+    pub(crate) fn new(sites: usize, config: &QueryConfig, rec: &Recorder) -> Self {
         BatchRound {
-            cands: Vec::with_capacity(budget),
+            cands: Vec::new(),
+            budget: 1,
             sent_upto: vec![0; sites],
             survivals: vec![Vec::new(); sites],
             order: SiteOrder::new(sites),
             wire: config.wire,
+            schedule: Schedule::new(config, rec),
+            rec: rec.clone(),
+            last: None,
+        }
+    }
+
+    /// Starts an empty round of up to `budget` candidates.
+    pub(crate) fn reset(&mut self, budget: usize) {
+        self.cands.clear();
+        self.budget = budget;
+        self.sent_upto.fill(0);
+        for row in &mut self.survivals {
+            row.clear();
         }
     }
 
@@ -79,6 +126,11 @@ impl BatchRound {
         self.cands.is_empty()
     }
 
+    /// Whether the round has drawn its whole budget.
+    pub(crate) fn is_full(&self) -> bool {
+        self.cands.len() >= self.budget
+    }
+
     /// Records a drawn candidate. It becomes part of every site's pending
     /// sub-batch until delivered.
     pub(crate) fn push(&mut self, cand: TupleMsg) {
@@ -89,9 +141,9 @@ impl BatchRound {
         &self.cands[j]
     }
 
-    /// The candidates site `x` has not seen yet (excluding its own), with
-    /// their batch indices.
-    fn pending_for(&self, x: usize) -> (Vec<TupleMsg>, Vec<usize>) {
+    /// Takes the candidates site `x` has not seen yet (excluding its own),
+    /// with their indices, marking them delivered.
+    fn take_pending(&mut self, x: usize) -> (Vec<TupleMsg>, Vec<usize>) {
         let mut msgs = Vec::new();
         let mut idxs = Vec::new();
         for (j, c) in self.cands.iter().enumerate().skip(self.sent_upto[x]) {
@@ -100,93 +152,232 @@ impl BatchRound {
                 idxs.push(j);
             }
         }
+        self.sent_upto[x] = self.cands.len();
         (msgs, idxs)
     }
 
-    /// Files a site's batched survival reply into the matrix (or
-    /// quarantines the site, in which case its factors stay `None`).
-    /// `idxs` must be the batch indices returned by the matching
-    /// [`BatchRound::deliver_send`].
-    pub(crate) fn absorb_reply(
+    /// Files site `x`'s survival factors for the candidates `factors`
+    /// names.
+    fn file(
+        &mut self,
+        x: usize,
+        factors: impl IntoIterator<Item = (usize, f64)>,
+        pruned: u64,
+        stats: &mut RunStats,
+    ) {
+        let row = &mut self.survivals[x];
+        if row.len() < self.cands.len() {
+            row.resize(self.cands.len(), None);
+        }
+        for (j, s) in factors {
+            row[j] = Some(s);
+        }
+        stats.pruned_at_sites += pruned;
+        self.rec.add(Counter::PrunedAtSites, pruned);
+    }
+
+    /// Files a site's batched survival reply covering candidates `idxs`
+    /// (or quarantines the site, in which case its factors stay `None`).
+    fn absorb_batch(
         &mut self,
         x: usize,
         idxs: &[usize],
         reply: Result<Message, LinkError>,
         tracker: &mut FailureTracker,
         stats: &mut RunStats,
-        rec: &Recorder,
     ) -> Result<(), Error> {
-        if let Some((factors, pruned)) = tracker.survival_batch(x, reply, idxs.len())? {
-            if self.survivals[x].len() < self.cands.len() {
-                self.survivals[x].resize(self.cands.len(), None);
-            }
-            for (&j, s) in idxs.iter().zip(factors) {
-                self.survivals[x][j] = Some(s);
-            }
-            stats.pruned_at_sites += pruned;
-            rec.add(Counter::PrunedAtSites, pruned);
+        let parse = |site, msg| expect_survival_batch(site, msg, idxs.len());
+        if let Some((factors, pruned)) = tracker.interpret(x, reply, parse)? {
+            self.file(x, idxs.iter().copied().zip(factors), pruned, stats);
         }
         Ok(())
     }
 
-    /// Flushes site `x`'s pending sub-batch as one frame. MUST be called
-    /// immediately before any `RequestNext` to `x` — that is what
-    /// preserves the unbatched feedback-before-refill event order.
-    pub(crate) fn deliver(
+    /// Draws from `home`, whose candidate was just pushed: sends it its
+    /// pending sub-batch, if any, then `RequestNext` if it is active. A
+    /// draw that leaves the round short of its budget is settled on the
+    /// spot and returns the uploaded representative. The draw that fills
+    /// the round is its last: its survival factors are filed now, but its
+    /// refill stays pending until [`BatchRound::settle_last`] — it may
+    /// overlap the closing wave, unless `may_finish` says the round's
+    /// confirmations could reach the `limit` and make it unwanted.
+    pub(crate) fn draw(
         &mut self,
         fan: &mut Fanout<'_>,
-        x: usize,
+        home: usize,
+        may_finish: bool,
         tracker: &mut FailureTracker,
         stats: &mut RunStats,
-        rec: &Recorder,
+    ) -> Result<Option<TupleMsg>, Error> {
+        let last = self.is_full();
+        let mut draw = self.issue_draw(fan, home, tracker, !(last && may_finish));
+        if !last {
+            return self.settle(fan, draw, tracker, stats);
+        }
+        self.file_flush(fan, &mut draw, tracker, stats)?;
+        self.last = Some(draw);
+        Ok(None)
+    }
+
+    /// Redeems the last draw's refill once the round's confirmations are
+    /// in — or abandons it when they reached the `limit` (`wanted` is
+    /// false), so no representative is requested that the run will not
+    /// use.
+    pub(crate) fn settle_last(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        wanted: bool,
+        tracker: &mut FailureTracker,
+        stats: &mut RunStats,
+    ) -> Result<Option<TupleMsg>, Error> {
+        let Some(draw) = self.last.take() else { return Ok(None) };
+        if wanted {
+            return self.settle(fan, draw, tracker, stats);
+        }
+        self.abandon(fan, draw);
+        Ok(None)
+    }
+
+    /// Issues a draw's requests to `home` without settling them (see
+    /// [`BatchRound::draw`]); an expunge sweep issues all of its draws
+    /// before settling any with [`BatchRound::settle_all`].
+    pub(crate) fn issue_draw(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        home: usize,
+        tracker: &FailureTracker,
+        refill_may_overlap: bool,
+    ) -> Draw {
+        let (msgs, idxs) = self.take_pending(home);
+        let flush = (!msgs.is_empty() && tracker.is_active(home)).then(|| {
+            let frame = self.batch_frame(msgs);
+            (self.schedule.issue(fan, home, frame, true), idxs)
+        });
+        let refill = tracker
+            .is_active(home)
+            .then(|| self.schedule.issue(fan, home, Message::RequestNext, refill_may_overlap));
+        Draw { home, flush, refill }
+    }
+
+    /// Redeems a draw's flush and files its survival factors, leaving the
+    /// refill pending. On an error the refill is abandoned too.
+    fn file_flush(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        draw: &mut Draw,
+        tracker: &mut FailureTracker,
+        stats: &mut RunStats,
     ) -> Result<(), Error> {
-        let (msgs, idxs) = self.pending_for(x);
-        self.sent_upto[x] = self.cands.len();
-        if msgs.is_empty() || !tracker.is_active(x) {
+        let Some((request, idxs)) = draw.flush.take() else { return Ok(()) };
+        let reply = self.schedule.redeem(fan, request);
+        let filed = self.absorb_batch(draw.home, &idxs, reply, tracker, stats);
+        if filed.is_err() {
+            if let Some(refill) = draw.refill.take() {
+                self.schedule.abandon(fan, refill);
+            }
+        }
+        filed
+    }
+
+    /// Settles a draw: files its flush, then redeems its refill and returns
+    /// the uploaded representative. A refill to a site quarantined since
+    /// the draw was issued is abandoned instead, so the queue evolves
+    /// exactly as if it had never been requested.
+    fn settle(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        mut draw: Draw,
+        tracker: &mut FailureTracker,
+        stats: &mut RunStats,
+    ) -> Result<Option<TupleMsg>, Error> {
+        self.file_flush(fan, &mut draw, tracker, stats)?;
+        let Some(refill) = draw.refill else { return Ok(None) };
+        if !tracker.is_active(draw.home) {
+            self.schedule.abandon(fan, refill);
+            return Ok(None);
+        }
+        let reply = self.schedule.redeem(fan, refill);
+        tracker.upload(draw.home, reply)
+    }
+
+    /// Settles a group of draws in issue order, returning each one's
+    /// upload. On an error every later draw is abandoned first, so no
+    /// request stays in flight.
+    pub(crate) fn settle_all(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        draws: Vec<Draw>,
+        tracker: &mut FailureTracker,
+        stats: &mut RunStats,
+    ) -> Result<Vec<Option<TupleMsg>>, Error> {
+        let mut uploads = Vec::with_capacity(draws.len());
+        let mut draws = draws.into_iter();
+        while let Some(draw) = draws.next() {
+            match self.settle(fan, draw, tracker, stats) {
+                Ok(next) => uploads.push(next),
+                Err(e) => {
+                    draws.for_each(|rest| self.abandon(fan, rest));
+                    return Err(e);
+                }
+            }
+        }
+        Ok(uploads)
+    }
+
+    /// Drops a draw whose replies are no longer wanted.
+    fn abandon(&mut self, fan: &mut Fanout<'_>, draw: Draw) {
+        for request in draw.flush.map(|(request, _)| request).into_iter().chain(draw.refill) {
+            self.schedule.abandon(fan, request);
+        }
+    }
+
+    /// Closes the round: every active site receives the feedback it has
+    /// not seen yet, in one parallel wave. A budget-1 round broadcasts its
+    /// candidate to every active site but its home and checks each reply
+    /// as a scalar survival reply; a larger budget sends each site its
+    /// pending sub-batch as one coalesced frame. On an error the last
+    /// draw's pending refill is abandoned, so no request stays in flight.
+    pub(crate) fn close(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        tracker: &mut FailureTracker,
+        stats: &mut RunStats,
+    ) -> Result<(), Error> {
+        self.schedule.end_round();
+        let closed = self.deliver_rest(fan, tracker, stats);
+        if closed.is_err() {
+            if let Some(draw) = self.last.take() {
+                self.abandon(fan, draw);
+            }
+        }
+        closed
+    }
+
+    fn deliver_rest(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        tracker: &mut FailureTracker,
+        stats: &mut RunStats,
+    ) -> Result<(), Error> {
+        if self.budget == 1 {
+            let cand = &self.cands[0];
+            let home = cand.id.site.0 as usize;
+            let feedback = Message::Feedback(cand.clone());
+            let replies = fan.broadcast(|x| x != home && tracker.is_active(x), &feedback);
+            for (x, reply) in self.order.verify(replies) {
+                if let Some((s, pruned)) = tracker.interpret(x, reply, expect_survival)? {
+                    self.file(x, [(0, s)], pruned, stats);
+                }
+            }
             return Ok(());
         }
-        let frame = self.batch_frame(msgs);
-        let reply = fan.call(x, frame);
-        self.absorb_reply(x, &idxs, reply, tracker, stats, rec)
-    }
-
-    /// Split-phase [`BatchRound::deliver`]: puts site `x`'s pending
-    /// sub-batch on the wire and returns the ticket (or send failure,
-    /// surfaced at completion) with the batch indices the eventual reply
-    /// covers. `None` when there is nothing to flush. The caller must
-    /// redeem the ticket and feed the reply to
-    /// [`BatchRound::absorb_reply`] — completing tickets in send order per
-    /// link is what keeps the pipelined run's per-site event order
-    /// identical to the sequential one.
-    pub(crate) fn deliver_send(
-        &mut self,
-        fan: &mut Fanout<'_>,
-        x: usize,
-        tracker: &FailureTracker,
-    ) -> Option<(Result<OpTicket, LinkError>, Vec<usize>)> {
-        let (msgs, idxs) = self.pending_for(x);
-        self.sent_upto[x] = self.cands.len();
-        if msgs.is_empty() || !tracker.is_active(x) {
-            return None;
+        if self.cands.len() > 1 {
+            self.rec.incr(Counter::BatchedRounds);
         }
-        let frame = self.batch_frame(msgs);
-        Some((fan.send(x, frame), idxs))
-    }
-
-    /// Closes the round: every site with a non-empty pending sub-batch
-    /// receives it as one frame, fanned out in a single parallel wave.
-    pub(crate) fn deliver_all(
-        &mut self,
-        fan: &mut Fanout<'_>,
-        tracker: &mut FailureTracker,
-        stats: &mut RunStats,
-        rec: &Recorder,
-    ) -> Result<(), Error> {
         let mut requests = Vec::new();
         let mut idxs_by_site: Vec<Vec<usize>> = vec![Vec::new(); self.order.len()];
         for x in self.order.iter() {
-            let (msgs, idxs) = self.pending_for(x);
-            self.sent_upto[x] = self.cands.len();
+            let (msgs, idxs) = self.take_pending(x);
             if msgs.is_empty() || !tracker.is_active(x) {
                 continue;
             }
@@ -195,7 +386,7 @@ impl BatchRound {
         }
         for (x, reply) in self.order.verify(fan.scatter(requests)) {
             let idxs = std::mem::take(&mut idxs_by_site[x]);
-            self.absorb_reply(x, &idxs, reply, tracker, stats, rec)?;
+            self.absorb_batch(x, &idxs, reply, tracker, stats)?;
         }
         Ok(())
     }
@@ -232,7 +423,7 @@ mod tests {
     }
 
     /// A site that echoes each probe's local probability as its survival
-    /// factor and reports one prune per probe.
+    /// factor and reports one prune per probe, and has nothing to refill.
     fn echo_links(meter: &BandwidthMeter, sites: usize) -> Vec<Box<dyn Link>> {
         (0..sites)
             .map(|_| {
@@ -246,7 +437,8 @@ mod tests {
                         survivals: block.to_msgs().iter().map(|t| t.local_prob).collect(),
                         pruned: block.len() as u64,
                     },
-                    _ => Message::Ack,
+                    // Refills find the site exhausted.
+                    _ => Message::Upload(None),
                 };
                 Box::new(LocalLink::new(service, meter.clone())) as _
             })
@@ -262,13 +454,20 @@ mod tests {
         let mut tracker = FailureTracker::new(3, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(3, 2, &legacy());
+        let mut round = BatchRound::new(3, &legacy(), &rec);
+        round.reset(2);
         round.push(msg(0, 0, 0.9));
         // Flushing site 0 before its refill sends nothing: the only drawn
         // candidate is site 0's own.
-        round.deliver(&mut fan, 0, &mut tracker, &mut stats, &rec).unwrap();
+        let next = round.draw(&mut fan, 0, false, &mut tracker, &mut stats).unwrap();
+        assert_eq!(next, None, "site 0 is exhausted");
         round.push(msg(1, 0, 0.5));
-        round.deliver_all(&mut fan, &mut tracker, &mut stats, &rec).unwrap();
+        assert!(round.is_full());
+        // The last draw: site 1's pending sub-batch goes out now, its
+        // refill after the close.
+        round.draw(&mut fan, 1, false, &mut tracker, &mut stats).unwrap();
+        round.close(&mut fan, &mut tracker, &mut stats).unwrap();
+        round.settle_last(&mut fan, true, &mut tracker, &mut stats).unwrap();
 
         // Site 0 saw only candidate 1; sites 1 and 2 saw their pending
         // sub-batches in one frame each (site 1 excludes its own tuple).
@@ -300,12 +499,14 @@ mod tests {
             // Wide enough that every frame clears the columnar layout's
             // ~6-row byte break-even (11-byte header premium vs 2 bytes
             // saved per row).
-            let mut round = BatchRound::new(3, 24, &legacy().wire_format(wire));
+            let mut round = BatchRound::new(3, &legacy().wire_format(wire), &rec);
+            round.reset(24);
             for j in 0..24 {
                 round.push(msg(j % 3, j as u64, 0.05 + 0.03 * j as f64));
             }
-            round.deliver(&mut fan, 2, &mut tracker, &mut stats, &rec).unwrap();
-            round.deliver_all(&mut fan, &mut tracker, &mut stats, &rec).unwrap();
+            round.draw(&mut fan, 2, false, &mut tracker, &mut stats).unwrap();
+            round.close(&mut fan, &mut tracker, &mut stats).unwrap();
+            round.settle_last(&mut fan, true, &mut tracker, &mut stats).unwrap();
             let probs: Vec<f64> = (0..24).map(|j| round.global_probability(j)).collect();
             (probs, stats.pruned_at_sites, meter.snapshot())
         };
@@ -332,13 +533,46 @@ mod tests {
         let mut tracker = FailureTracker::new(2, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(2, 4, &legacy());
+        let mut round = BatchRound::new(2, &legacy(), &rec);
+        round.reset(4);
         assert!(round.is_empty());
         round.push(msg(0, 0, 0.8));
-        round.deliver(&mut fan, 1, &mut tracker, &mut stats, &rec).unwrap();
-        // Already flushed: a second flush and the closing wave are no-ops.
-        round.deliver(&mut fan, 1, &mut tracker, &mut stats, &rec).unwrap();
-        round.deliver_all(&mut fan, &mut tracker, &mut stats, &rec).unwrap();
-        assert_eq!(meter.snapshot().feedback.messages, 1);
+        for _ in 0..2 {
+            // Already flushed the second time: only the refill goes out.
+            round.draw(&mut fan, 1, false, &mut tracker, &mut stats).unwrap();
+        }
+        // ...and the closing wave has nothing left to deliver.
+        round.close(&mut fan, &mut tracker, &mut stats).unwrap();
+        let snap = meter.snapshot();
+        assert_eq!(snap.feedback.messages, 1);
+        assert_eq!(snap.control.messages, 2, "one refill per draw");
+    }
+
+    #[test]
+    fn budget_one_rounds_broadcast_scalar_feedback_on_a_reused_ledger() {
+        let meter = BandwidthMeter::new();
+        let service = |m: Message| match m {
+            Message::Feedback(t) => Message::SurvivalReply { survival: t.local_prob, pruned: 1 },
+            _ => Message::Ack,
+        };
+        let mut links: Vec<Box<dyn Link>> =
+            (0..3).map(|_| Box::new(LocalLink::new(service, meter.clone())) as _).collect();
+        let mut fan = Fanout::flat(&mut links);
+        let rec = Recorder::disabled();
+        let mut tracker = FailureTracker::new(3, FailurePolicy::Strict, rec.clone());
+        let mut stats = RunStats::default();
+
+        let mut round = BatchRound::new(3, &legacy(), &rec);
+        for (home, p) in [(1, 0.5), (2, 0.25)] {
+            round.reset(1);
+            round.push(msg(home, 0, p));
+            assert!(round.is_full());
+            round.close(&mut fan, &mut tracker, &mut stats).unwrap();
+            // Two scalar factors: the home site is skipped.
+            assert_eq!(round.global_probability(0), p * p * p);
+        }
+        let snap = meter.snapshot();
+        assert_eq!((snap.feedback.messages, snap.feedback.tuples), (4, 4));
+        assert_eq!(stats.pruned_at_sites, 4);
     }
 }

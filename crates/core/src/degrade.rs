@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dsud_net::LinkError;
+use dsud_net::{LinkError, Message, TupleMsg};
 use dsud_obs::{Counter, Recorder};
 
 use crate::{Error, FailurePolicy};
@@ -230,82 +230,42 @@ impl FailureTracker {
         }
     }
 
-    /// Interprets an upload reply (or transport failure) from `site`.
-    /// `Ok(None)` covers both an exhausted site and a quarantined one.
+    /// Interprets a reply (or transport failure) from `site` with `parse`,
+    /// the strict parser for the frame that was sent. A transport failure
+    /// or a parse error is handled by the failure policy: strict mode
+    /// aborts, degrade mode quarantines the site and yields `Ok(None)` —
+    /// the site is lost and contributes nothing (for survival replies, no
+    /// factor, which makes the folded product an upper bound; see the
+    /// module docs).
+    pub(crate) fn interpret<T>(
+        &mut self,
+        site: usize,
+        reply: Result<Message, LinkError>,
+        parse: impl FnOnce(u32, Message) -> Result<T, Error>,
+    ) -> Result<Option<T>, Error> {
+        let failure = match reply.map(|msg| parse(site as u32, msg)) {
+            Ok(Ok(value)) => return Ok(Some(value)),
+            Ok(Err(e)) => self.protocol_failure(site, e),
+            Err(e) => self.transport_failure(site, e),
+        };
+        failure.map(|()| None)
+    }
+
+    /// Interprets an upload reply from `site`. `Ok(None)` covers both an
+    /// exhausted site and a quarantined one.
     pub(crate) fn upload(
         &mut self,
         site: usize,
-        reply: Result<dsud_net::Message, LinkError>,
-    ) -> Result<Option<dsud_net::TupleMsg>, Error> {
-        match reply {
-            Ok(msg) => match crate::cluster::expect_upload(site as u32, msg) {
-                Ok(t) => Ok(t),
-                Err(e) => {
-                    self.protocol_failure(site, e)?;
-                    Ok(None)
-                }
-            },
-            Err(e) => {
-                self.transport_failure(site, e)?;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Interprets a survival reply (or transport failure) from `site`.
-    /// `Ok(None)` means the site is lost and contributes no factor — the
-    /// accumulated product becomes an upper bound (see the module docs).
-    pub(crate) fn survival(
-        &mut self,
-        site: usize,
-        reply: Result<dsud_net::Message, LinkError>,
-    ) -> Result<Option<(f64, u64)>, Error> {
-        match reply {
-            Ok(msg) => match crate::cluster::expect_survival(site as u32, msg) {
-                Ok(pair) => Ok(Some(pair)),
-                Err(e) => {
-                    self.protocol_failure(site, e)?;
-                    Ok(None)
-                }
-            },
-            Err(e) => {
-                self.transport_failure(site, e)?;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Interprets a batched survival reply (or transport failure) from
-    /// `site`. The reply must carry exactly `expected` factors — one per
-    /// probe in the feedback batch — or the site is treated as violating
-    /// the protocol. `Ok(None)` means the site is lost and contributes no
-    /// factor to any probe in the batch.
-    pub(crate) fn survival_batch(
-        &mut self,
-        site: usize,
-        reply: Result<dsud_net::Message, LinkError>,
-        expected: usize,
-    ) -> Result<Option<(Vec<f64>, u64)>, Error> {
-        match reply {
-            Ok(msg) => match crate::cluster::expect_survival_batch(site as u32, msg, expected) {
-                Ok(pair) => Ok(Some(pair)),
-                Err(e) => {
-                    self.protocol_failure(site, e)?;
-                    Ok(None)
-                }
-            },
-            Err(e) => {
-                self.transport_failure(site, e)?;
-                Ok(None)
-            }
-        }
+        reply: Result<Message, LinkError>,
+    ) -> Result<Option<TupleMsg>, Error> {
+        Ok(self.interpret(site, reply, crate::cluster::expect_upload)?.flatten())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsud_net::Message;
+    use crate::cluster::{expect_survival, expect_survival_batch};
 
     #[test]
     fn strict_mode_aborts_on_first_transport_failure() {
@@ -339,23 +299,24 @@ mod tests {
     fn degraded_replies_collapse_to_none() {
         let mut tracker = FailureTracker::new(2, FailurePolicy::Degrade, Recorder::disabled());
         assert_eq!(tracker.upload(0, Err(LinkError::Timeout)).unwrap(), None);
-        assert_eq!(tracker.survival(1, Ok(Message::Ack)).unwrap(), None);
+        assert_eq!(tracker.interpret(1, Ok(Message::Ack), expect_survival).unwrap(), None);
         assert!(!tracker.is_active(0) && !tracker.is_active(1));
     }
 
     #[test]
     fn survival_batch_checks_length_and_quarantines_on_mismatch() {
+        let two = |site, msg| expect_survival_batch(site, msg, 2);
         let mut tracker = FailureTracker::new(3, FailurePolicy::Degrade, Recorder::disabled());
         let good = Message::SurvivalBatchReply { survivals: vec![0.5, 0.75], pruned: 2 };
-        assert_eq!(tracker.survival_batch(0, Ok(good), 2).unwrap(), Some((vec![0.5, 0.75], 2)));
+        assert_eq!(tracker.interpret(0, Ok(good), two).unwrap(), Some((vec![0.5, 0.75], 2)));
         // Too few factors: the site broke protocol and is quarantined.
         let short = Message::SurvivalBatchReply { survivals: vec![0.5], pruned: 0 };
-        assert_eq!(tracker.survival_batch(1, Ok(short), 2).unwrap(), None);
+        assert_eq!(tracker.interpret(1, Ok(short), two).unwrap(), None);
         assert!(!tracker.is_active(1));
         // Strict mode aborts on the same mismatch.
         let mut strict = FailureTracker::new(3, FailurePolicy::Strict, Recorder::disabled());
         let short = Message::SurvivalBatchReply { survivals: vec![0.5], pruned: 0 };
-        assert!(strict.survival_batch(1, Ok(short), 2).is_err());
+        assert!(strict.interpret(1, Ok(short), two).is_err());
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! *feedback*: sites drop pending candidates whose accumulated upper bound
 //! falls below `q` (Local-Pruning phase).
 //!
-//! With a batch size above one ([`BatchSize`](crate::BatchSize)), a round
-//! draws up to `K` heads and coalesces their feedback into one
-//! [`Message::FeedbackBatch`] frame per site — same answer, ~`K×` fewer
-//! messages (see `crate::batch` for the invariant that keeps the runs
-//! bit-identical).
+//! The coordinator runs one round schedule. The paper's iteration is a
+//! round with a budget of one candidate; with a batch size above one
+//! ([`BatchSize`](crate::BatchSize)) a round draws up to `K` heads and
+//! coalesces their feedback into one [`Message::FeedbackBatch`] frame per
+//! site — same answer, ~`K×` fewer messages (see `crate::batch` for the
+//! invariant that keeps the runs bit-identical).
 //!
 //! Termination is safe once `L` empties or its head's local probability
 //! falls below `q`: by Corollary 1 every unfetched tuple is bounded by
@@ -30,7 +31,6 @@ use dsud_uncertain::{SkylineEntry, SubspaceMask};
 
 use crate::batch::BatchRound;
 use crate::degrade::FailureTracker;
-use crate::pipeline::InflightRefill;
 use crate::progress::Reporter;
 use crate::{planner, Error, QueryConfig, QueryOutcome, RunStats, SiteOrder};
 
@@ -81,14 +81,16 @@ impl Eq for QueueEntry {}
 /// far is returned with [`QueryOutcome::cancelled`] set, every in-flight
 /// frame already drained, and [`Counter::Cancelled`] bumped.
 ///
-/// With an overlapped [`QueryConfig::pipeline`] the round's refill request
-/// is put on the wire *before* the survival scatter and completed after
-/// the fold (see the crate-private `pipeline` module). Completions fold in
-/// send order, so the answer, stats, and tuple traffic are bit-identical
-/// to `PipelineDepth::Fixed(1)` on healthy runs; under `Degrade` a
-/// pipelined run may have sent a refill that the sequential schedule would
-/// have skipped after a mid-round quarantine (the reply is discarded, so
-/// the answer still matches).
+/// With an overlapped [`QueryConfig::pipeline`] each request a draw sends
+/// its home site goes on the wire when it is issued: a draw's feedback
+/// flush and refill travel together, and the last draw's refill travels
+/// during the round's closing survival wave and is completed after the
+/// fold (see the crate-private `pipeline` module). Replies fold in send
+/// order, so the answer, stats, and tuple traffic are bit-identical to
+/// `PipelineDepth::Fixed(1)` on healthy runs; under `Degrade` a pipelined
+/// run may have sent a refill that the sequential schedule would have
+/// skipped after a mid-round quarantine (the reply is discarded, so the
+/// answer still matches).
 ///
 /// # Errors
 ///
@@ -112,8 +114,8 @@ pub fn run(
 /// hence the answer) are bit-identical.
 ///
 /// `sink` sees the answer as it is confirmed: one call per closed round
-/// with the entries that round confirmed (one-candidate rounds confirm at
-/// most one), plus whether every site's survival factor was folded into
+/// with the entries that round confirmed (a round of budget one confirms
+/// at most one), plus whether every site's survival factor was folded into
 /// them (`false` once a site is quarantined — the entries are then upper
 /// bounds). The entries confirmed before a `limit` break go out before the
 /// break, so the calls concatenate to exactly [`QueryOutcome::skyline`].
@@ -133,11 +135,10 @@ pub(crate) fn run_on(
     let mut cancelled = false;
     let rec = meter.recorder().clone();
     let query_span = rec.span("query:dsud");
-    let overlap = config.pipeline.overlapped();
-    rec.add(Counter::PipelineDepth, config.pipeline.window() as u64);
     let order = SiteOrder::new(fan.len());
     let mut tracker = FailureTracker::new(order.len(), config.failure, rec.clone());
     let mut stats = RunStats::default();
+    let mut round = BatchRound::new(order.len(), config, &rec);
 
     // To-Server phase, first iteration: every site extracts its local
     // skyline and sends its best representative. The broadcast fans the
@@ -161,168 +162,64 @@ pub(crate) fn run_on(
 
     // Corollary 1: once the head's local probability falls below `q`,
     // nothing fetched or unfetched can still qualify.
-    'rounds: while queue.peek().is_some_and(|h| h.0.local_prob >= q) {
+    let qualifies =
+        |queue: &BinaryHeap<QueueEntry>| queue.peek().is_some_and(|h| h.0.local_prob >= q);
+    while qualifies(&queue) {
         // Deadline checks sit on round boundaries only, so a cancelled run
         // never leaves a frame in flight: links and session state are
         // released exactly as a completed run releases them.
         if deadline.is_some_and(|d| out.elapsed() >= d) {
             cancelled = true;
             rec.incr(Counter::Cancelled);
-            break 'rounds;
+            break;
         }
-        let round_span = rec.span("round");
+        let _round_span = rec.span("round");
         rec.incr(Counter::Rounds);
-        let budget = batch.budget(queue.len());
+        round.reset(batch.budget(queue.len()));
 
-        if budget == 1 {
-            // The paper's one-candidate round, wire-identical to the
-            // pre-batching protocol.
-            let cand = queue.pop().expect("peek succeeded").0;
-            stats.iterations += 1;
-            stats.broadcasts += 1;
-            rec.incr(Counter::FeedbackBroadcasts);
-
-            let home = cand.id.site.0 as usize;
-
-            // Pipelined refill: put the next To-Server request on the wire
-            // before the survival scatter, so the home site's extraction
-            // overlaps the fold below. The scatter excludes `home`, so no
-            // per-link order changes. Skipped for a round that could hit
-            // the `limit` break — the sequential schedule would never have
-            // sent the request, and traffic must stay identical.
-            let refill = (overlap && !out.may_finish() && tracker.is_active(home)).then(|| {
-                rec.incr(Counter::OverlappedRounds);
-                (InflightRefill::send(fan, home), rec.span("overlap"))
-            });
-
-            // Server-Delivery phase: assemble the exact global
-            // probability. The broadcast is put in flight on every other
-            // site at once, so concurrent transports overlap the survival
-            // computations. Quarantined sites are skipped: their factors
-            // are lost, which is exactly what makes a degraded answer an
-            // upper bound.
-            let mut global = cand.local_prob;
-            {
-                let _span = rec.span("server-delivery");
-                let active = |x: usize| x != home && tracker.is_active(x);
-                for (x, reply) in
-                    order.verify(fan.broadcast(active, &Message::Feedback(cand.clone())))
-                {
-                    if let Some((survival, pruned)) = tracker.survival(x, reply)? {
-                        global *= survival;
-                        stats.pruned_at_sites += pruned;
-                        rec.add(Counter::PrunedAtSites, pruned);
-                    }
-                }
-            }
-
-            if global >= q {
-                let full = out.confirm(&cand, global);
-                out.flush(!tracker.degraded());
-                if full {
-                    drop(round_span);
-                    break;
-                }
-            }
-
-            // Next To-Server phase: refill from the consumed site (unless
-            // it was quarantined mid-round — its slot simply stays empty).
-            let _span = rec.span("to-server");
-            if let Some((slot, overlap_span)) = refill {
-                let reply = slot.complete(fan, &rec);
-                drop(overlap_span);
-                // A mid-scatter quarantine means the sequential schedule
-                // would have skipped this refill: discard the reply so the
-                // queue evolves identically.
-                if tracker.is_active(home) {
-                    if let Some(next) = tracker.upload(home, reply)? {
-                        queue.push(QueueEntry(next));
-                    }
-                }
-            } else if tracker.is_active(home) {
-                let reply = fan.call(home, Message::RequestNext);
-                if let Some(next) = tracker.upload(home, reply)? {
-                    queue.push(QueueEntry(next));
-                }
-            }
-            continue;
-        }
-
-        // Batched round: draw up to `budget` heads, refilling after each
-        // draw exactly as the one-candidate protocol does. The ledger
-        // flushes a site's pending feedback right before its refill, so
-        // every site observes the unbatched event order (see
-        // [`crate::batch`]).
-        let mut round = BatchRound::new(order.len(), budget, config);
+        // Draws: each flushes the home site's pending feedback, then
+        // refills from it (see `crate::batch`). The last draw's refill
+        // stays pending across the Server-Delivery phase.
         {
             let _span = rec.span("to-server");
-            let mut overlap_span = None;
-            while round.len() < budget && queue.peek().is_some_and(|h| h.0.local_prob >= q) {
-                let cand = queue.pop().expect("peek succeeded").0;
+            while !round.is_full() && qualifies(&queue) {
+                let cand = queue.pop().expect("head qualifies").0;
                 stats.iterations += 1;
                 stats.broadcasts += 1;
                 rec.incr(Counter::FeedbackBroadcasts);
                 let home = cand.id.site.0 as usize;
                 round.push(cand);
-                if overlap {
-                    // Pipelined draw: the feedback flush and the refill
-                    // ride `home`'s link back to back (FIFO preserves the
-                    // flush-before-refill site order); the site serves
-                    // both over one coordinator wait instead of two.
-                    let fed = round.deliver_send(fan, home, &tracker);
-                    let refill = tracker.is_active(home).then(|| InflightRefill::send(fan, home));
-                    if fed.is_some() && refill.is_some() && overlap_span.is_none() {
-                        rec.incr(Counter::OverlappedRounds);
-                        overlap_span = Some(rec.span("overlap"));
-                    }
-                    // Drain both tickets before interpreting either reply,
-                    // so an error path leaves no outstanding frames.
-                    let fed_reply =
-                        fed.map(|(t, idxs)| (t.and_then(|t| fan.complete(home, t)), idxs));
-                    let refill_reply = refill.map(|slot| slot.complete(fan, &rec));
-                    if let Some((reply, idxs)) = fed_reply {
-                        round.absorb_reply(home, &idxs, reply, &mut tracker, &mut stats, &rec)?;
-                    }
-                    if let Some(reply) = refill_reply {
-                        // Discarded if the feedback reply quarantined the
-                        // site (see the unbatched path above).
-                        if tracker.is_active(home) {
-                            if let Some(next) = tracker.upload(home, reply)? {
-                                queue.push(QueueEntry(next));
-                            }
-                        }
-                    }
-                } else {
-                    round.deliver(fan, home, &mut tracker, &mut stats, &rec)?;
-                    if tracker.is_active(home) {
-                        let reply = fan.call(home, Message::RequestNext);
-                        if let Some(next) = tracker.upload(home, reply)? {
-                            queue.push(QueueEntry(next));
-                        }
-                    }
+                let may_finish = out.may_finish(round.len());
+                if let Some(next) = round.draw(fan, home, may_finish, &mut tracker, &mut stats)? {
+                    queue.push(QueueEntry(next));
                 }
             }
-            drop(overlap_span);
-        }
-        if round.len() > 1 {
-            rec.incr(Counter::BatchedRounds);
         }
 
-        // Server-Delivery phase: one coalesced frame per remaining site,
-        // all in flight at once.
+        // Server-Delivery phase: assemble the exact global probabilities.
+        // The round's feedback is put in flight on every other site at
+        // once, so concurrent transports overlap the survival
+        // computations. Quarantined sites are skipped: their factors are
+        // lost, which is exactly what makes a degraded answer an upper
+        // bound.
         {
             let _span = rec.span("server-delivery");
-            round.deliver_all(fan, &mut tracker, &mut stats, &rec)?;
+            round.close(fan, &mut tracker, &mut stats)?;
         }
-
         let full = (0..round.len()).any(|j| {
             let global = round.global_probability(j);
             global >= q && out.confirm(round.candidate(j), global)
         });
         out.flush(!tracker.degraded());
+
+        // Next To-Server phase: the last draw's refill (a site quarantined
+        // mid-round keeps its slot empty).
+        let _span = rec.span("to-server");
+        if let Some(next) = round.settle_last(fan, !full, &mut tracker, &mut stats)? {
+            queue.push(QueueEntry(next));
+        }
         if full {
-            drop(round_span);
-            break 'rounds;
+            break;
         }
     }
     drop(query_span);

@@ -32,7 +32,6 @@ use dsud_uncertain::{dominates_in, SkylineEntry, SubspaceMask};
 
 use crate::batch::BatchRound;
 use crate::degrade::FailureTracker;
-use crate::pipeline::InflightRefill;
 use crate::progress::Reporter;
 use crate::synopsis::SynopsisBound;
 use crate::{planner, BoundMode, Error, QueryConfig, QueryOutcome, RunStats, SiteOrder};
@@ -53,6 +52,11 @@ impl Candidate {
             c.absorb_broadcast(h, mask);
         }
         c
+    }
+
+    /// The candidate's home site.
+    fn home(&self) -> usize {
+        self.msg.id.site.0 as usize
     }
 
     /// Accounts for a broadcast tuple: if it is a foreign dominator, its
@@ -118,12 +122,14 @@ impl Candidate {
 /// A [`QueryConfig::synopsis`] resolution requests one grid synopsis per
 /// site at query start (charged on the meter) and folds it into the
 /// candidate bounds — the Section 5.2 synopsis trade-off made measurable.
-/// With an overlapped [`QueryConfig::pipeline`] the expunge sweep puts
-/// every doomed candidate's refill on the wire in one group before
-/// redeeming any ticket — the sites extract their replacements in
-/// parallel — and the selection round's refill overlaps the survival
-/// scatter, as in DSUD. Completions fold in send order, so healthy runs
-/// stay bit-identical to `PipelineDepth::Fixed(1)`.
+/// Rounds follow DSUD's schedule, with an expunge sweep before every
+/// draw: each doomed candidate's home site gets the same flush-and-refill
+/// draw a selected head's site does. With an overlapped
+/// [`QueryConfig::pipeline`] a sweep puts every doomed candidate's
+/// requests on the wire before completing any — the sites extract their
+/// replacements in parallel — and the last draw's refill overlaps the
+/// closing survival wave, as in DSUD. Replies fold in send order, so
+/// healthy runs stay bit-identical to `PipelineDepth::Fixed(1)`.
 ///
 /// # Errors
 ///
@@ -161,11 +167,10 @@ pub(crate) fn run_on(
     let mut cancelled = false;
     let rec = meter.recorder().clone();
     let query_span = rec.span("query:edsud");
-    let overlap = config.pipeline.overlapped();
-    rec.add(Counter::PipelineDepth, config.pipeline.window() as u64);
     let order = SiteOrder::new(fan.len());
     let mut tracker = FailureTracker::new(order.len(), config.failure, rec.clone());
     let mut stats = RunStats::default();
+    let mut round = BatchRound::new(order.len(), config, &rec);
     let mut history: Vec<TupleMsg> = Vec::new();
 
     let mut queue: Vec<Candidate> = Vec::with_capacity(order.len());
@@ -205,388 +210,120 @@ pub(crate) fn run_on(
     // Pure scheduling — see `crate::planner`.
     let (batch, plan_summary) = planner::schedule(fan, config, &rec);
 
-    'rounds: loop {
+    loop {
         // Deadline checks sit on round boundaries only, so a cancelled run
         // never leaves a frame in flight (see `dsud::run_on`).
         if deadline.is_some_and(|d| out.elapsed() >= d) {
             cancelled = true;
             rec.incr(Counter::Cancelled);
-            break 'rounds;
+            break;
         }
-        let round_span = rec.span("round");
+        let _round_span = rec.span("round");
         rec.incr(Counter::Rounds);
-        let budget = batch.budget(queue.len());
-        let mut round_overlapped = false;
+        round.reset(batch.budget(queue.len()));
 
-        if budget > 1 {
-            // Batched round: interleave expunge, selection, and refill
-            // exactly as the one-candidate protocol below, flushing each
-            // site's pending feedback immediately before any refill
-            // request to it (see `crate::batch` for why that keeps the
-            // run bit-identical). The broadcasts themselves are deferred
-            // into one coalesced frame per site.
-            let mut round = BatchRound::new(order.len(), budget, config);
-            let mut finished = false;
-            // One expunge span per round, opened lazily at the first
-            // expunge and spanning the interleaved draws — a span per draw
-            // churned the recorder on large queues for no analytic gain.
-            let mut expunge_span = None;
-            while round.len() < budget && !finished {
-                {
-                    if expunge_span.is_none() {
-                        expunge_span = Some(rec.span("expunge"));
+        // Draws, each preceded by an expunge sweep. The last draw's refill
+        // stays pending across the Server-Delivery phase (see
+        // `crate::batch`). One expunge span per round spans the
+        // interleaved draws — a span per draw churned the recorder on
+        // large queues for no analytic gain.
+        {
+            let _span = rec.span("expunge");
+            while !round.is_full() {
+                // Expunge sweep: drop every candidate whose bound fails
+                // `q`, pulling replacements until the picture stabilizes.
+                loop {
+                    let bounds: Vec<f64> =
+                        queue.iter().map(|c| c.bound(&queue, mask, mode, &synopses)).collect();
+                    // The jobs are fixed up front: the sweep walks indices
+                    // downwards, and its swap_removes and pushes never
+                    // disturb a position below the one being processed.
+                    // Every job's draw is issued before any is settled
+                    // (at most one per site: the queue holds one
+                    // representative per site), then the replies fold
+                    // back in descending index order.
+                    let doomed: Vec<usize> =
+                        (0..queue.len()).rev().filter(|&idx| bounds[idx] < q).collect();
+                    let draws = doomed
+                        .iter()
+                        .map(|&idx| round.issue_draw(fan, queue[idx].home(), &tracker, true))
+                        .collect();
+                    let uploads = round.settle_all(fan, draws, &mut tracker, &mut stats)?;
+                    let mut replaced_any = false;
+                    for (idx, next) in doomed.into_iter().zip(uploads) {
+                        queue.swap_remove(idx);
+                        stats.expunged += 1;
+                        stats.iterations += 1;
+                        rec.incr(Counter::Expunged);
+                        if let Some(next) = next {
+                            queue.push(Candidate::new(next, &history, mask));
+                            replaced_any = true;
+                        }
                     }
-                    loop {
-                        let bounds: Vec<f64> =
-                            queue.iter().map(|c| c.bound(&queue, mask, mode, &synopses)).collect();
-                        let mut replaced_any = false;
-                        if overlap {
-                            // Pipelined sweep, as in the unbatched path
-                            // below, plus each doomed candidate's pending
-                            // feedback flush riding the same link just
-                            // ahead of its refill.
-                            let jobs: Vec<usize> =
-                                (0..queue.len()).rev().filter(|&idx| bounds[idx] < q).collect();
-                            let sends: Vec<_> = jobs
-                                .iter()
-                                .map(|&idx| {
-                                    let home = queue[idx].msg.id.site.0 as usize;
-                                    let fed = round.deliver_send(fan, home, &tracker);
-                                    let refill = tracker
-                                        .is_active(home)
-                                        .then(|| InflightRefill::send(fan, home));
-                                    (home, fed, refill)
-                                })
-                                .collect();
-                            let in_flight = sends.iter().filter(|(_, _, r)| r.is_some()).count();
-                            if in_flight > 1 && !round_overlapped {
-                                round_overlapped = true;
-                                rec.incr(Counter::OverlappedRounds);
-                            }
-                            let overlap_span = (in_flight > 0).then(|| rec.span("overlap"));
-                            // Drain every ticket before interpreting any
-                            // reply, so an error path leaves no
-                            // outstanding frames.
-                            let completions: Vec<_> = sends
-                                .into_iter()
-                                .map(|(home, fed, refill)| {
-                                    let fed_reply = fed.map(|(t, idxs)| {
-                                        (t.and_then(|t| fan.complete(home, t)), idxs)
-                                    });
-                                    let refill_reply = refill.map(|slot| slot.complete(fan, &rec));
-                                    (home, fed_reply, refill_reply)
-                                })
-                                .collect();
-                            drop(overlap_span);
-                            for (&idx, (home, fed_reply, refill_reply)) in
-                                jobs.iter().zip(completions)
-                            {
-                                queue.swap_remove(idx);
-                                stats.expunged += 1;
-                                stats.iterations += 1;
-                                rec.incr(Counter::Expunged);
-                                if let Some((reply, idxs)) = fed_reply {
-                                    round.absorb_reply(
-                                        home,
-                                        &idxs,
-                                        reply,
-                                        &mut tracker,
-                                        &mut stats,
-                                        &rec,
-                                    )?;
-                                }
-                                if let Some(reply) = refill_reply {
-                                    if tracker.is_active(home) {
-                                        if let Some(next) = tracker.upload(home, reply)? {
-                                            queue.push(Candidate::new(next, &history, mask));
-                                            replaced_any = true;
-                                        }
-                                    }
-                                }
-                            }
-                        } else {
-                            for idx in (0..queue.len()).rev() {
-                                if bounds[idx] < q {
-                                    let gone = queue.swap_remove(idx);
-                                    stats.expunged += 1;
-                                    stats.iterations += 1;
-                                    rec.incr(Counter::Expunged);
-                                    let home = gone.msg.id.site.0 as usize;
-                                    round.deliver(fan, home, &mut tracker, &mut stats, &rec)?;
-                                    if !tracker.is_active(home) {
-                                        continue;
-                                    }
-                                    let reply = fan.call(home, Message::RequestNext);
-                                    if let Some(next) = tracker.upload(home, reply)? {
-                                        queue.push(Candidate::new(next, &history, mask));
-                                        replaced_any = true;
-                                    }
-                                }
-                            }
-                        }
-                        if !replaced_any {
-                            break;
-                        }
+                    if !replaced_any {
+                        // No new arrivals; surviving bounds can only have
+                        // grown (fewer in-queue dominators), so one more
+                        // pass below suffices for selection.
+                        break;
                     }
                 }
 
+                // Selection: broadcast the candidate with the largest bound.
                 let bounds: Vec<f64> =
                     queue.iter().map(|c| c.bound(&queue, mask, mode, &synopses)).collect();
-                let Some(head_idx) = argmax(&bounds, &queue) else {
-                    finished = true;
-                    break;
-                };
+                let Some(head_idx) = argmax(&bounds, &queue) else { break };
                 if bounds[head_idx] < q {
-                    // Defensive, mirroring the one-candidate round below.
+                    // Unreachable in exact arithmetic — the sweep ended on
+                    // a pass without arrivals, and removals only raise the
+                    // survivors' bounds — but a failing head is never
+                    // broadcast: sweep again.
                     continue;
                 }
                 let cand = queue.swap_remove(head_idx);
                 stats.iterations += 1;
                 stats.broadcasts += 1;
                 rec.incr(Counter::FeedbackBroadcasts);
-                let home = cand.msg.id.site.0 as usize;
+                let home = cand.home();
 
-                // The drawn tuple discounts everything it dominates right
-                // away — only its wire transmission is deferred.
+                // The drawn tuple permanently discounts everything it
+                // dominates, in the queue and in all future arrivals —
+                // only its wire transmission waits for the round to close.
                 for c in &mut queue {
                     c.absorb_broadcast(&cand.msg, mask);
                 }
                 history.push(cand.msg.clone());
                 round.push(cand.msg);
 
-                {
-                    let _span = rec.span("to-server");
-                    if overlap {
-                        // Pipelined draw: flush and refill ride `home`'s
-                        // link back to back; one coordinator wait serves
-                        // both (see the DSUD batched draw).
-                        let fed = round.deliver_send(fan, home, &tracker);
-                        let refill =
-                            tracker.is_active(home).then(|| InflightRefill::send(fan, home));
-                        if fed.is_some() && refill.is_some() && !round_overlapped {
-                            round_overlapped = true;
-                            rec.incr(Counter::OverlappedRounds);
-                        }
-                        let fed_reply =
-                            fed.map(|(t, idxs)| (t.and_then(|t| fan.complete(home, t)), idxs));
-                        let refill_reply = refill.map(|slot| slot.complete(fan, &rec));
-                        if let Some((reply, idxs)) = fed_reply {
-                            round.absorb_reply(
-                                home,
-                                &idxs,
-                                reply,
-                                &mut tracker,
-                                &mut stats,
-                                &rec,
-                            )?;
-                        }
-                        if let Some(reply) = refill_reply {
-                            if tracker.is_active(home) {
-                                if let Some(next) = tracker.upload(home, reply)? {
-                                    queue.push(Candidate::new(next, &history, mask));
-                                }
-                            }
-                        }
-                    } else {
-                        round.deliver(fan, home, &mut tracker, &mut stats, &rec)?;
-                        if tracker.is_active(home) {
-                            let reply = fan.call(home, Message::RequestNext);
-                            if let Some(next) = tracker.upload(home, reply)? {
-                                queue.push(Candidate::new(next, &history, mask));
-                            }
-                        }
-                    }
-                }
-                if queue.is_empty() {
-                    finished = true;
-                }
-            }
-            drop(expunge_span);
-
-            if round.len() > 1 {
-                rec.incr(Counter::BatchedRounds);
-            }
-            {
-                let _span = rec.span("server-delivery");
-                round.deliver_all(fan, &mut tracker, &mut stats, &rec)?;
-            }
-            let full = (0..round.len()).any(|j| {
-                let global = round.global_probability(j);
-                global >= q && out.confirm(round.candidate(j), global)
-            });
-            out.flush(!tracker.degraded());
-            if full {
-                drop(round_span);
-                break 'rounds;
-            }
-            if finished || round.is_empty() {
-                break;
-            }
-            continue;
-        }
-
-        // Expunge phase: drop every candidate whose bound fails q, pulling
-        // replacements until the picture stabilizes.
-        {
-            let _span = rec.span("expunge");
-            loop {
-                let bounds: Vec<f64> =
-                    queue.iter().map(|c| c.bound(&queue, mask, mode, &synopses)).collect();
-                let mut replaced_any = false;
-                if overlap {
-                    // Pipelined sweep: the job set is precomputable — the
-                    // sequential loop walks indices downwards and its
-                    // swap_removes and pushes never disturb a position
-                    // below the one currently processed — so every doomed
-                    // candidate's refill goes on the wire in one group and
-                    // the sites extract replacements in parallel. The
-                    // replay below then evolves the queue exactly as the
-                    // sequential loop would, folding replies in send
-                    // order. (At most one job per site: the queue holds
-                    // one representative per site.)
-                    let jobs: Vec<usize> =
-                        (0..queue.len()).rev().filter(|&idx| bounds[idx] < q).collect();
-                    let slots: Vec<Option<InflightRefill>> = jobs
-                        .iter()
-                        .map(|&idx| {
-                            let home = queue[idx].msg.id.site.0 as usize;
-                            tracker.is_active(home).then(|| InflightRefill::send(fan, home))
-                        })
-                        .collect();
-                    let in_flight = slots.iter().flatten().count();
-                    if in_flight > 1 && !round_overlapped {
-                        round_overlapped = true;
-                        rec.incr(Counter::OverlappedRounds);
-                    }
-                    let overlap_span = (in_flight > 0).then(|| rec.span("overlap"));
-                    // Drain every ticket before interpreting any reply, so
-                    // an error path leaves no outstanding frames.
-                    let replies: Vec<Option<Result<Message, dsud_net::LinkError>>> =
-                        slots.into_iter().map(|slot| slot.map(|s| s.complete(fan, &rec))).collect();
-                    drop(overlap_span);
-                    for (&idx, reply) in jobs.iter().zip(replies) {
-                        let gone = queue.swap_remove(idx);
-                        stats.expunged += 1;
-                        stats.iterations += 1;
-                        rec.incr(Counter::Expunged);
-                        let home = gone.msg.id.site.0 as usize;
-                        if let Some(reply) = reply {
-                            if let Some(next) = tracker.upload(home, reply)? {
-                                queue.push(Candidate::new(next, &history, mask));
-                                replaced_any = true;
-                            }
-                        }
-                    }
-                } else {
-                    for idx in (0..queue.len()).rev() {
-                        if bounds[idx] < q {
-                            let gone = queue.swap_remove(idx);
-                            stats.expunged += 1;
-                            stats.iterations += 1;
-                            rec.incr(Counter::Expunged);
-                            let home = gone.msg.id.site.0 as usize;
-                            if !tracker.is_active(home) {
-                                continue;
-                            }
-                            let reply = fan.call(home, Message::RequestNext);
-                            if let Some(next) = tracker.upload(home, reply)? {
-                                queue.push(Candidate::new(next, &history, mask));
-                                replaced_any = true;
-                            }
-                        }
-                    }
-                }
-                if !replaced_any {
-                    // No new arrivals; surviving bounds can only have grown
-                    // (fewer in-queue dominators), so one more pass below
-                    // suffices for selection.
-                    break;
-                }
-            }
-        }
-
-        // Selection: broadcast the candidate with the largest bound.
-        let bounds: Vec<f64> =
-            queue.iter().map(|c| c.bound(&queue, mask, mode, &synopses)).collect();
-        let Some(head_idx) = argmax(&bounds, &queue) else { break };
-        if bounds[head_idx] < q {
-            // Can happen when removing a candidate lowered... it cannot:
-            // bounds only grow as the queue shrinks. Defensive continue.
-            continue;
-        }
-        let cand = queue.swap_remove(head_idx);
-        stats.iterations += 1;
-        stats.broadcasts += 1;
-        rec.incr(Counter::FeedbackBroadcasts);
-        let home = cand.msg.id.site.0 as usize;
-
-        // Pipelined refill: on the wire before the survival scatter (which
-        // excludes `home`), completed after the fold — see the DSUD
-        // coordinator for the schedule and the `limit` guard.
-        let refill = (overlap && !out.may_finish() && tracker.is_active(home)).then(|| {
-            if !round_overlapped {
-                round_overlapped = true;
-                rec.incr(Counter::OverlappedRounds);
-            }
-            (InflightRefill::send(fan, home), rec.span("overlap"))
-        });
-
-        // Concurrent fan-out: every other site computes its survival
-        // product in parallel on concurrent transports.
-        let mut global = cand.msg.local_prob;
-        {
-            let _span = rec.span("server-delivery");
-            // Quarantined sites are skipped: their survival factors are
-            // lost, making a degraded answer an upper bound.
-            let active = |x: usize| x != home && tracker.is_active(x);
-            for (x, reply) in
-                order.verify(fan.broadcast(active, &Message::Feedback(cand.msg.clone())))
-            {
-                if let Some((survival, pruned)) = tracker.survival(x, reply)? {
-                    global *= survival;
-                    stats.pruned_at_sites += pruned;
-                    rec.add(Counter::PrunedAtSites, pruned);
-                }
-            }
-        }
-
-        if global >= q {
-            let full = out.confirm(&cand.msg, global);
-            out.flush(!tracker.degraded());
-            if full {
-                drop(round_span);
-                break;
-            }
-        }
-
-        // The broadcast tuple permanently discounts everything it
-        // dominates, in the queue and in all future arrivals.
-        for c in &mut queue {
-            c.absorb_broadcast(&cand.msg, mask);
-        }
-        history.push(cand.msg);
-
-        {
-            let _span = rec.span("to-server");
-            if let Some((slot, overlap_span)) = refill {
-                let reply = slot.complete(fan, &rec);
-                drop(overlap_span);
-                // A mid-scatter quarantine means the sequential schedule
-                // would have skipped this refill: discard the reply.
-                if tracker.is_active(home) {
-                    if let Some(next) = tracker.upload(home, reply)? {
-                        queue.push(Candidate::new(next, &history, mask));
-                    }
-                }
-            } else if tracker.is_active(home) {
-                let reply = fan.call(home, Message::RequestNext);
-                if let Some(next) = tracker.upload(home, reply)? {
+                let _span = rec.span("to-server");
+                let may_finish = out.may_finish(round.len());
+                if let Some(next) = round.draw(fan, home, may_finish, &mut tracker, &mut stats)? {
                     queue.push(Candidate::new(next, &history, mask));
                 }
             }
         }
+        if round.is_empty() {
+            // The sweep emptied the queue: nothing is left to broadcast.
+            break;
+        }
 
-        if queue.is_empty() {
+        // Server-Delivery phase: every other site computes its survival
+        // products in parallel on concurrent transports. Quarantined sites
+        // are skipped: their factors are lost, making a degraded answer an
+        // upper bound.
+        {
+            let _span = rec.span("server-delivery");
+            round.close(fan, &mut tracker, &mut stats)?;
+        }
+        let full = (0..round.len()).any(|j| {
+            let global = round.global_probability(j);
+            global >= q && out.confirm(round.candidate(j), global)
+        });
+        out.flush(!tracker.degraded());
+        let _span = rec.span("to-server");
+        if let Some(next) = round.settle_last(fan, !full, &mut tracker, &mut stats)? {
+            queue.push(Candidate::new(next, &history, mask));
+        }
+        if full || queue.is_empty() {
             break;
         }
     }

@@ -1,52 +1,134 @@
-//! In-flight refill bookkeeping for pipelined rounds.
+//! Split-phase requests, and the one place the `--pipeline` choice is made.
 //!
-//! With `--pipeline` above one, the coordinators put `RequestNext` refills
-//! on the wire *before* the work they overlap (a survival scatter, an
-//! expunge sweep) and redeem the tickets afterwards. [`InflightRefill`]
-//! carries one such outstanding request: the site it addresses, the ticket
-//! (or the send-side failure, surfaced at completion exactly like a failed
-//! `call`), and the send timestamp used to charge
-//! [`Counter::RefillOverlapUs`].
+//! Every request a round sends a single site — a feedback flush, a
+//! `RequestNext` refill — is issued as a [`Request`] and redeemed where
+//! its reply is needed. [`Schedule::issue`] is the only point at which the
+//! overlapped and sequential schedules differ: overlapped, the request
+//! goes on the wire when it is issued and travels while the coordinator
+//! does the work in between (the next request, the closing fan-out, the
+//! fold); sequential, it is held and sent as a plain call when it is
+//! redeemed. The coordinators issue and redeem in the same order under
+//! both schedules, so the per-link message order, the fold order, and
+//! every piece of server-side state evolve identically; only wire time
+//! overlaps.
 //!
-//! The schedule never needs more than two outstanding frames per link — a
+//! A round never needs more than two outstanding frames per link — a
 //! pending feedback flush plus the refill behind it — so every window of
-//! two or more (including `auto`) executes the identical overlapped
-//! schedule, and completions are always folded in the order the requests
-//! were sent. That is what keeps pipelined runs bit-identical to
-//! `--pipeline 1`: per-link message order, fold order, and every piece of
-//! server-side state evolve exactly as in the sequential schedule; only
-//! the wire time overlaps. Refills ride a [`Fanout`], so under a tree
-//! topology the outstanding request shares the home group's aggregator
-//! link with the sibling broadcasts that overlap it — the fanout's
-//! per-link FIFO keeps each op paired with its own reply.
+//! two or more (including `auto`) runs the identical overlapped schedule.
+//! Requests ride a [`Fanout`], so under a tree topology an outstanding
+//! request shares its group's aggregator link with the fan-outs that
+//! overlap it; the fan-out's per-link FIFO keeps each op paired with its
+//! own reply.
 
 use std::time::Instant;
 
 use dsud_net::{Fanout, LinkError, Message, OpTicket};
-use dsud_obs::{Counter, Recorder};
+use dsud_obs::{Counter, Recorder, SpanGuard};
 
-/// One `RequestNext` put on the wire ahead of the work it overlaps.
-pub(crate) struct InflightRefill {
+use crate::QueryConfig;
+
+/// One request to one site, either held for a plain call at redemption or
+/// already on the wire.
+pub(crate) struct Request {
     site: usize,
-    sent: Result<OpTicket, LinkError>,
-    issued: Instant,
+    state: State,
 }
 
-impl InflightRefill {
-    /// Puts `RequestNext` on `site`'s route. A send-side failure is held
-    /// in the slot and becomes the completion result.
-    pub(crate) fn send(fan: &mut Fanout<'_>, site: usize) -> Self {
-        InflightRefill { site, sent: fan.send(site, Message::RequestNext), issued: Instant::now() }
+enum State {
+    Held(Message),
+    /// On the wire; a send-side failure is kept and becomes the reply,
+    /// exactly like a failed `call`.
+    Sent {
+        sent: Result<OpTicket, LinkError>,
+        issued: Instant,
+    },
+}
+
+/// How a query's split-phase requests travel, plus the overlap
+/// bookkeeping: the `"overlap"` span covers every stretch with a request
+/// in flight, and [`Counter::RefillOverlapUs`] the time each one spent
+/// there.
+pub(crate) struct Schedule {
+    overlapped: bool,
+    in_flight: usize,
+    overlap_span: Option<SpanGuard>,
+    /// Whether the current round put any request on the wire early.
+    round_overlapped: bool,
+    rec: Recorder,
+}
+
+impl Schedule {
+    /// The schedule `config.pipeline` asks for; records the window on
+    /// [`Counter::PipelineDepth`].
+    pub(crate) fn new(config: &QueryConfig, rec: &Recorder) -> Self {
+        rec.add(Counter::PipelineDepth, config.pipeline.window() as u64);
+        Schedule {
+            overlapped: config.pipeline.overlapped(),
+            in_flight: 0,
+            overlap_span: None,
+            round_overlapped: false,
+            rec: rec.clone(),
+        }
     }
 
-    /// Redeems the ticket, charging the elapsed flight time to
-    /// [`Counter::RefillOverlapUs`].
-    pub(crate) fn complete(
-        self,
+    /// Issues `msg` to `site`: on the wire now under the overlapped
+    /// schedule when `may_overlap` allows it, otherwise held until
+    /// [`Schedule::redeem`]. A caller passes `may_overlap = false` for a
+    /// request the work in between may make unwanted: a held request that
+    /// is abandoned is never sent.
+    pub(crate) fn issue(
+        &mut self,
         fan: &mut Fanout<'_>,
-        rec: &Recorder,
+        site: usize,
+        msg: Message,
+        may_overlap: bool,
+    ) -> Request {
+        if !(self.overlapped && may_overlap) {
+            return Request { site, state: State::Held(msg) };
+        }
+        if self.in_flight == 0 {
+            self.overlap_span = Some(self.rec.span("overlap"));
+        }
+        self.in_flight += 1;
+        self.round_overlapped = true;
+        Request { site, state: State::Sent { sent: fan.send(site, msg), issued: Instant::now() } }
+    }
+
+    /// The request's reply: a held request is sent and waited for now, an
+    /// in-flight one is completed.
+    pub(crate) fn redeem(
+        &mut self,
+        fan: &mut Fanout<'_>,
+        request: Request,
     ) -> Result<Message, LinkError> {
-        rec.add(Counter::RefillOverlapUs, self.issued.elapsed().as_micros() as u64);
-        self.sent.and_then(|ticket| fan.complete(self.site, ticket))
+        match request.state {
+            State::Held(msg) => fan.call(request.site, msg),
+            State::Sent { sent, issued } => {
+                self.rec.add(Counter::RefillOverlapUs, issued.elapsed().as_micros() as u64);
+                self.in_flight -= 1;
+                if self.in_flight == 0 {
+                    self.overlap_span = None;
+                }
+                sent.and_then(|ticket| fan.complete(request.site, ticket))
+            }
+        }
+    }
+
+    /// Drops a request whose reply is no longer wanted: a held one is
+    /// never sent, an in-flight one is completed and its reply discarded,
+    /// so no frame stays outstanding.
+    pub(crate) fn abandon(&mut self, fan: &mut Fanout<'_>, request: Request) {
+        if matches!(request.state, State::Sent { .. }) {
+            let _ = self.redeem(fan, request);
+        }
+    }
+
+    /// Closes the round's overlap accounting: a round that put any request
+    /// on the wire ahead of its redemption counts once in
+    /// [`Counter::OverlappedRounds`].
+    pub(crate) fn end_round(&mut self) {
+        if std::mem::take(&mut self.round_overlapped) {
+            self.rec.incr(Counter::OverlappedRounds);
+        }
     }
 }

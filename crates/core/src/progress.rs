@@ -144,9 +144,10 @@ impl<'a> Reporter<'a> {
         self.limit.is_some_and(|k| self.skyline.len() >= k)
     }
 
-    /// Whether one more confirmation would reach the `limit`.
-    pub(crate) fn may_finish(&self) -> bool {
-        self.limit.is_some_and(|k| self.skyline.len() + 1 >= k)
+    /// Whether `n` more confirmations — a whole round's worth — could
+    /// reach the `limit`.
+    pub(crate) fn may_finish(&self, n: usize) -> bool {
+        self.limit.is_some_and(|k| self.skyline.len() + n >= k)
     }
 
     /// Hands the entries confirmed since the last flush to the sink, if

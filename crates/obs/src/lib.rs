@@ -124,11 +124,12 @@ pub enum Counter {
     /// Configured pipeline window (in-flight requests per link), added once
     /// per query so reports record the depth the run was executed at.
     PipelineDepth,
-    /// Coordinator rounds whose refill requests were issued while the
-    /// previous survival scatter was still being folded in.
+    /// Coordinator rounds that put at least one site request (a feedback
+    /// flush or a refill) on the wire ahead of completing it.
     OverlappedRounds,
-    /// Microseconds refill requests spent in flight while the coordinator
-    /// did other work (survival folds, reporting) before completing them.
+    /// Microseconds those early site requests spent in flight while the
+    /// coordinator did other work (other requests, survival folds,
+    /// reporting) before completing them.
     RefillOverlapUs,
     /// Queries answered from a session server's result cache without a
     /// single candidate round (1 on the cached query's own report; the

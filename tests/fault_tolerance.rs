@@ -9,25 +9,22 @@
 //! "killed site" tests instead panic the real site service mid-query, so
 //! the failure travels through the genuine transport machinery.
 
+mod common;
+
 use std::time::Duration;
 
+use common::{fingerprint, Sequence};
 use dsud_core::{dsud, edsud, Error, LocalSite, SiteOptions, SubspaceMask};
 use dsud_core::{
     BandwidthMeter, Cluster, Counter, FailurePolicy, FaultKind, FaultPlan, Link, LinkConfig,
-    LinkError, QuarantineReason, QueryConfig, QueryOutcome, Recorder, RetryLink, SessionOptions,
-    SessionServer, Transport,
+    LinkError, QuarantineReason, QueryConfig, Recorder, RetryLink, SessionOptions, SessionServer,
+    Transport,
 };
-use dsud_data::WorkloadSpec;
 use dsud_net::{tcp, ChannelLink, FaultMode, FaultyLink, LocalLink, Message, Service};
-use dsud_uncertain::TupleId;
 
 const DIMS: usize = 2;
 const SITES: usize = 4;
 const ALL_TRANSPORTS: [Transport; 3] = [Transport::Inline, Transport::Threaded, Transport::Tcp];
-
-fn site_data() -> Vec<Vec<dsud_uncertain::UncertainTuple>> {
-    WorkloadSpec::new(600, DIMS).seed(10).generate_partitioned(SITES).unwrap()
-}
 
 fn mask() -> SubspaceMask {
     SubspaceMask::full(DIMS).unwrap()
@@ -77,7 +74,7 @@ fn faulty_cluster(
     let cfg = fast_config();
     let mut links: Vec<Box<dyn Link>> = Vec::new();
     let mut servers = Vec::new();
-    for (i, tuples) in site_data().into_iter().enumerate() {
+    for (i, tuples) in common::sites(600, DIMS, 10, SITES).into_iter().enumerate() {
         let site = LocalSite::new(i as u32, DIMS, tuples, SiteOptions::default()).unwrap();
         let mode = fault.and_then(|(fs, m, h)| (fs == i).then_some((m, h)));
         let link = match transport {
@@ -96,10 +93,6 @@ fn faulty_cluster(
         links.push(link);
     }
     (links, meter, servers)
-}
-
-fn skyline_fingerprint(outcome: &QueryOutcome) -> Vec<(TupleId, u64)> {
-    outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect()
 }
 
 // --- strict mode: transport failures become typed SiteFailed errors -------
@@ -183,8 +176,8 @@ fn stall_within_budget_recovers_the_exact_healthy_answer() {
 
         assert!(!stalled.degraded, "{transport:?}: recovered run marked degraded");
         assert_eq!(
-            skyline_fingerprint(&stalled),
-            skyline_fingerprint(&healthy),
+            fingerprint(&stalled),
+            fingerprint(&healthy),
             "{transport:?}: stalled run answer diverged"
         );
         assert_eq!(
@@ -289,7 +282,7 @@ fn killed_site_cluster(
     let cfg = fast_config();
     let mut links: Vec<Box<dyn Link>> = Vec::new();
     let mut servers = Vec::new();
-    for (i, tuples) in site_data().into_iter().enumerate() {
+    for (i, tuples) in common::sites(600, DIMS, 10, SITES).into_iter().enumerate() {
         let site = LocalSite::new(i as u32, DIMS, tuples, SiteOptions::default()).unwrap();
         let link: Box<dyn Link> = match transport {
             Transport::Threaded if i == killed => {
@@ -358,7 +351,7 @@ fn killing_a_site_mid_query_degrades_and_names_it() {
 /// and answers at every pool size and on every transport.
 #[test]
 fn retry_accounting_is_identical_across_pool_sizes_and_transports() {
-    fn run_once(pool: usize, transport: Transport) -> (u64, u64, u64, Vec<(TupleId, u64)>) {
+    fn run_once(pool: usize, transport: Transport) -> (u64, u64, u64, (Sequence, Sequence)) {
         threadpool::set_pool_size(pool);
         let recorder = Recorder::enabled();
         let (mut links, meter, _servers) =
@@ -370,7 +363,7 @@ fn retry_accounting_is_identical_across_pool_sizes_and_transports() {
             recorder.counter(Counter::LinkRetries),
             recorder.counter(Counter::LinkTimeouts),
             recorder.counter(Counter::QuarantinedSites),
-            skyline_fingerprint(&outcome),
+            fingerprint(&outcome),
         )
     }
 
@@ -414,19 +407,17 @@ fn site_killed_mid_served_query_degrades_then_recovers_exactly() {
 
     let reference = {
         let server = SessionServer::new(
-            Cluster::local(DIMS, site_data()).expect("cluster builds"),
+            Cluster::local(DIMS, common::sites(600, DIMS, 10, SITES)).expect("cluster builds"),
             SessionOptions::default(),
         );
         let cfg = QueryConfig::new(0.3).expect("valid threshold");
-        skyline_fingerprint(
-            &server.run_edsud(&cfg, false, &mut |_, _| {}).expect("reference runs").outcome,
-        )
+        fingerprint(&server.run_edsud(&cfg, false, &mut |_, _| {}).expect("reference runs").outcome)
     };
 
     for transport in ALL_TRANSPORTS {
         let cluster = Cluster::with_transport_chaos(
             DIMS,
-            site_data(),
+            common::sites(600, DIMS, 10, SITES),
             SiteOptions::default(),
             Recorder::enabled(),
             transport,
@@ -458,7 +449,7 @@ fn site_killed_mid_served_query_degrades_then_recovers_exactly() {
                 assert!(!outcome.skyline.is_empty(), "{transport:?}: degraded skyline empty");
             } else {
                 assert_eq!(
-                    skyline_fingerprint(&outcome),
+                    fingerprint(&outcome),
                     reference,
                     "{transport:?}: non-degraded served answer diverged from clean reference"
                 );

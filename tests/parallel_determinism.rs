@@ -6,37 +6,34 @@
 //! Workload shape follows the paper's Table 3 defaults (d = 3, q = 0.3,
 //! anticorrelated-ish uniform data over m sites), scaled down for CI.
 
+mod common;
+
+use common::fingerprint;
 use dsud_core::{Cluster, QueryConfig, QueryOutcome, Recorder, SiteOptions, Transport};
-use dsud_data::WorkloadSpec;
-use dsud_uncertain::TupleId;
 
 const N: usize = 4_000;
 const DIMS: usize = 3;
 const SITES: usize = 8;
 const Q: f64 = 0.3;
 
-fn sites() -> Vec<Vec<dsud_uncertain::UncertainTuple>> {
-    WorkloadSpec::new(N, DIMS).seed(42).generate_partitioned(SITES).expect("workload generates")
-}
-
-/// Everything observable about an outcome except wall-clock timings.
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64, u64)>, u64) {
-    let skyline: Vec<(TupleId, u64)> =
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect();
-    let progress: Vec<(TupleId, u64, u64)> = outcome
-        .progress
-        .events()
-        .iter()
-        .map(|e| (e.id, e.probability.to_bits(), e.tuples_transmitted))
-        .collect();
-    (skyline, progress, outcome.tuples_transmitted())
+/// Everything observable about an outcome except wall-clock timings: the
+/// answer and progress sequence bit for bit, each progress event's traffic
+/// watermark, the traffic, and the run statistics.
+fn assert_same_run(outcome: &QueryOutcome, reference: &QueryOutcome, at: &str) {
+    let stamps = |o: &QueryOutcome| {
+        o.progress.events().iter().map(|e| e.tuples_transmitted).collect::<Vec<_>>()
+    };
+    assert_eq!(fingerprint(outcome), fingerprint(reference), "{at}");
+    assert_eq!(stamps(outcome), stamps(reference), "{at}");
+    assert_eq!(outcome.traffic, reference.traffic, "{at}");
+    assert_eq!(outcome.stats, reference.stats, "{at}");
 }
 
 fn run_at_pool(pool: usize, transport: Transport, edsud: bool) -> QueryOutcome {
     threadpool::set_pool_size(pool);
     let mut cluster = Cluster::with_transport(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 42, SITES),
         SiteOptions::default(),
         Recorder::default(),
         transport,
@@ -54,9 +51,7 @@ fn dsud_outcome_is_pool_size_invariant() {
     assert!(!reference.skyline.is_empty(), "workload must produce a non-trivial skyline");
     for pool in [2usize, 3, 8] {
         let outcome = run_at_pool(pool, Transport::Inline, false);
-        assert_eq!(fingerprint(&outcome), fingerprint(&reference), "pool {pool}");
-        assert_eq!(outcome.traffic, reference.traffic, "pool {pool}");
-        assert_eq!(outcome.stats, reference.stats, "pool {pool}");
+        assert_same_run(&outcome, &reference, &format!("pool {pool}"));
     }
 }
 
@@ -66,9 +61,7 @@ fn edsud_outcome_is_pool_size_invariant() {
     assert!(!reference.skyline.is_empty());
     for pool in [2usize, 3, 8] {
         let outcome = run_at_pool(pool, Transport::Inline, true);
-        assert_eq!(fingerprint(&outcome), fingerprint(&reference), "pool {pool}");
-        assert_eq!(outcome.traffic, reference.traffic, "pool {pool}");
-        assert_eq!(outcome.stats, reference.stats, "pool {pool}");
+        assert_same_run(&outcome, &reference, &format!("pool {pool}"));
     }
 }
 
@@ -77,9 +70,7 @@ fn transports_agree_on_every_observable() {
     let inline = run_at_pool(4, Transport::Inline, false);
     for transport in [Transport::Threaded, Transport::Tcp] {
         let other = run_at_pool(4, transport, false);
-        assert_eq!(fingerprint(&other), fingerprint(&inline), "{transport}");
-        assert_eq!(other.traffic, inline.traffic, "{transport}");
-        assert_eq!(other.stats, inline.stats, "{transport}");
+        assert_same_run(&other, &inline, &transport.to_string());
     }
 }
 

@@ -13,41 +13,29 @@
 //! each report can differ even though the reported tuples and totals do
 //! not.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{assert_matches_oracle, fingerprint, wire_from_env};
 use dsud_core::{
-    dsud, BatchSize, Cluster, LocalSite, PipelineDepth, QueryConfig, QueryOutcome, Recorder,
-    SiteOptions, SubspaceMask, Transport, WireFormat,
+    dsud, BandwidthMeter, BatchSize, Cluster, Link, LinkConfig, LocalSite, PipelineDepth,
+    QueryConfig, QueryOutcome, Recorder, SiteOptions, SubspaceMask, Transport,
 };
-
-/// Wire layout under test: `DSUD_WIRE=columnar|legacy` (legacy default),
-/// so CI can run the whole determinism matrix under both layouts.
-fn wire_from_env() -> WireFormat {
-    std::env::var("DSUD_WIRE").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-}
-use dsud_core::{BandwidthMeter, Link, LinkConfig};
-use dsud_data::WorkloadSpec;
 use dsud_net::{ChannelLink, DelayedService};
-use dsud_uncertain::TupleId;
 
 const N: usize = 1_500;
 const DIMS: usize = 3;
 const SITES: usize = 8;
 const Q: f64 = 0.3;
 
-fn sites() -> Vec<Vec<dsud_uncertain::UncertainTuple>> {
-    WorkloadSpec::new(N, DIMS).seed(42).generate_partitioned(SITES).expect("workload generates")
-}
-
-/// Everything pipelining must preserve: the skyline (ids, bit-exact
-/// probabilities, report order), the progress sequence (minus traffic
-/// stamps), and the paper's bandwidth measure in tuples.
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>, u64) {
-    let skyline: Vec<(TupleId, u64)> =
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect();
-    let progress: Vec<(TupleId, u64)> =
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect();
-    (skyline, progress, outcome.tuples_transmitted())
+/// Everything pipelining must preserve: the answer and progress sequence
+/// bit for bit, the paper's bandwidth measure in tuples, and the run
+/// statistics.
+fn assert_same_run(outcome: &QueryOutcome, reference: &QueryOutcome, at: &str) {
+    assert_eq!(fingerprint(outcome), fingerprint(reference), "{at}");
+    assert_eq!(outcome.tuples_transmitted(), reference.tuples_transmitted(), "{at}");
+    assert_eq!(outcome.stats, reference.stats, "{at}");
 }
 
 fn run(
@@ -60,7 +48,7 @@ fn run(
     threadpool::set_pool_size(pool);
     let mut cluster = Cluster::with_transport(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 42, SITES),
         SiteOptions::default(),
         Recorder::default(),
         transport,
@@ -90,19 +78,13 @@ const MATRIX: [(Transport, &[usize]); 3] =
 fn dsud_pipelined_outcome_is_bit_identical_to_sequential() {
     let reference = run(PipelineDepth::Fixed(1), BatchSize::Fixed(1), Transport::Inline, 1, false);
     assert!(!reference.skyline.is_empty(), "workload must produce a non-trivial skyline");
+    assert_matches_oracle(&reference, &common::sites(N, DIMS, 42, SITES), DIMS, Q);
     for window in WINDOWS {
         for (transport, pools) in MATRIX {
             for &pool in pools {
                 let outcome = run(window, BatchSize::Fixed(1), transport, pool, false);
-                assert_eq!(
-                    fingerprint(&outcome),
-                    fingerprint(&reference),
-                    "pipeline {window} {transport} pool {pool}"
-                );
-                assert_eq!(
-                    outcome.stats, reference.stats,
-                    "pipeline {window} {transport} pool {pool}"
-                );
+                let at = format!("pipeline {window} {transport} pool {pool}");
+                assert_same_run(&outcome, &reference, &at);
             }
         }
     }
@@ -112,19 +94,13 @@ fn dsud_pipelined_outcome_is_bit_identical_to_sequential() {
 fn edsud_pipelined_outcome_is_bit_identical_to_sequential() {
     let reference = run(PipelineDepth::Fixed(1), BatchSize::Fixed(1), Transport::Inline, 1, true);
     assert!(!reference.skyline.is_empty());
+    assert_matches_oracle(&reference, &common::sites(N, DIMS, 42, SITES), DIMS, Q);
     for window in WINDOWS {
         for (transport, pools) in MATRIX {
             for &pool in pools {
                 let outcome = run(window, BatchSize::Fixed(1), transport, pool, true);
-                assert_eq!(
-                    fingerprint(&outcome),
-                    fingerprint(&reference),
-                    "pipeline {window} {transport} pool {pool}"
-                );
-                assert_eq!(
-                    outcome.stats, reference.stats,
-                    "pipeline {window} {transport} pool {pool}"
-                );
+                let at = format!("pipeline {window} {transport} pool {pool}");
+                assert_same_run(&outcome, &reference, &at);
             }
         }
     }
@@ -141,12 +117,8 @@ fn pipelining_composes_with_batching() {
         for window in WINDOWS {
             for batch in [BatchSize::Fixed(16), BatchSize::Auto] {
                 let pipelined = run(window, batch, Transport::Inline, 1, edsud);
-                assert_eq!(
-                    fingerprint(&pipelined),
-                    fingerprint(&sequential),
-                    "edsud={edsud} pipeline {window} batch {batch}"
-                );
-                assert_eq!(pipelined.stats, sequential.stats, "edsud={edsud} batch {batch}");
+                let at = format!("edsud={edsud} pipeline {window} batch {batch}");
+                assert_same_run(&pipelined, &sequential, &at);
             }
         }
     }
@@ -163,7 +135,7 @@ fn pipelining_preserves_limited_runs_exactly() {
         for window in [PipelineDepth::Fixed(1), PipelineDepth::Fixed(8)] {
             let mut cluster = Cluster::with_transport(
                 DIMS,
-                sites(),
+                common::sites(N, DIMS, 42, SITES),
                 SiteOptions::default(),
                 Recorder::default(),
                 Transport::Inline,
@@ -181,9 +153,8 @@ fn pipelining_preserves_limited_runs_exactly() {
         threadpool::set_pool_size(0);
         let (reference, pipelined) = (&outcomes[0], &outcomes[1]);
         assert_eq!(reference.skyline.len(), 4);
-        assert_eq!(fingerprint(pipelined), fingerprint(reference), "edsud={edsud}");
+        assert_same_run(pipelined, reference, &format!("edsud={edsud}"));
         assert_eq!(pipelined.traffic.total(), reference.traffic.total(), "edsud={edsud}");
-        assert_eq!(pipelined.stats, reference.stats, "edsud={edsud}");
     }
 }
 
@@ -198,10 +169,7 @@ fn overlapped_refills_cut_round_latency() {
     const DELAY: Duration = Duration::from_millis(3);
     const SPEEDUP_SITES: usize = 4;
 
-    let data = WorkloadSpec::new(400, DIMS)
-        .seed(7)
-        .generate_partitioned(SPEEDUP_SITES)
-        .expect("workload generates");
+    let data = common::sites(400, DIMS, 7, SPEEDUP_SITES);
     let mask = SubspaceMask::full(DIMS).expect("full mask");
 
     let timed_run = |pipeline: PipelineDepth| -> (QueryOutcome, Duration) {
@@ -228,7 +196,7 @@ fn overlapped_refills_cut_round_latency() {
     let (sequential, sequential_time) = timed_run(PipelineDepth::Fixed(1));
     let (pipelined, pipelined_time) = timed_run(PipelineDepth::Auto);
 
-    assert_eq!(fingerprint(&pipelined), fingerprint(&sequential));
+    assert_same_run(&pipelined, &sequential, "delayed links");
     assert!(
         sequential_time.as_secs_f64() >= 1.3 * pipelined_time.as_secs_f64(),
         "expected >= 1.3x speedup from overlap, got {:.0}ms sequential vs {:.0}ms pipelined",

@@ -17,14 +17,15 @@
 //! one sketch frame per site per query, and fewer (not more)
 //! candidate-round frames whenever the planner deepens auto rounds.
 
+mod common;
+
+use common::{fingerprint, wire_from_env};
 use dsud_core::{
     dsud, edsud, BandwidthMeter, BatchSize, Cluster, Link, LinkConfig, LocalSite, PipelineDepth,
     PlanMode, PlanSummary, QueryConfig, QueryOutcome, Recorder, SiteOptions, SubspaceMask,
-    Topology, Transport, UncertainTuple, WireFormat,
+    Topology, Transport, WireFormat,
 };
-use dsud_data::WorkloadSpec;
 use dsud_net::{tcp, LocalLink};
-use dsud_uncertain::TupleId;
 
 const N: usize = 1_200;
 const DIMS: usize = 3;
@@ -34,29 +35,6 @@ const DIMS: usize = 3;
 /// so a sketch plan that widens rounds past it is observable in frames.
 const SITES: usize = 9;
 const Q: f64 = 0.3;
-
-/// Wire layout under test: `DSUD_WIRE=columnar|legacy` (legacy default),
-/// same convention as the other determinism suites.
-fn wire_from_env() -> WireFormat {
-    std::env::var("DSUD_WIRE").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-}
-
-fn sites(wire: WireFormat) -> (Vec<Vec<UncertainTuple>>, SiteOptions) {
-    let data = WorkloadSpec::new(N, DIMS)
-        .seed(42)
-        .generate_partitioned(SITES)
-        .expect("workload generates");
-    (data, SiteOptions { wire, ..SiteOptions::default() })
-}
-
-/// Everything planning must preserve everywhere: the skyline and the
-/// progressive result sequence, bit-exact.
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>) {
-    (
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect(),
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect(),
-    )
-}
 
 #[allow(clippy::too_many_arguments)]
 fn run(
@@ -69,7 +47,8 @@ fn run(
     edsud: bool,
 ) -> QueryOutcome {
     threadpool::set_pool_size(pool);
-    let (data, options) = sites(wire);
+    let (data, options) =
+        (common::sites(N, DIMS, 42, SITES), SiteOptions { wire, ..SiteOptions::default() });
     let mut cluster = Cluster::with_topology(
         DIMS,
         data,
@@ -260,7 +239,8 @@ fn raw_links_entry_runs_the_cluster_schedule() {
     for transport in [Transport::Inline, Transport::Tcp] {
         for edsud in [false, true] {
             let at = format!("{transport} edsud={edsud}");
-            let (data, options) = sites(wire);
+            let (data, options) =
+                (common::sites(N, DIMS, 42, SITES), SiteOptions { wire, ..SiteOptions::default() });
             let mut cluster =
                 Cluster::with_transport(DIMS, data, options, Recorder::default(), transport)
                     .expect("cluster builds");
@@ -268,7 +248,8 @@ fn raw_links_entry_runs_the_cluster_schedule() {
                 if edsud { cluster.run_edsud(&config) } else { cluster.run_dsud(&config) }
                     .expect("cluster query runs");
 
-            let (data, options) = sites(wire);
+            let (data, options) =
+                (common::sites(N, DIMS, 42, SITES), SiteOptions { wire, ..SiteOptions::default() });
             let meter = BandwidthMeter::default();
             let mut servers = Vec::new();
             let mut links: Vec<Box<dyn Link>> = Vec::new();

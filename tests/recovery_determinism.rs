@@ -11,37 +11,19 @@
 //! pool size (`DSUD_THREADS`) — which is exactly what lets this test
 //! assert equality instead of mere plausibility.
 
+mod common;
+
+use common::{fingerprint, wire_from_env};
 use dsud_core::update::UpdateOp;
 use dsud_core::{
     Cluster, FailurePolicy, FaultKind, FaultPlan, LinkConfig, QueryConfig, QueryOutcome, Recorder,
-    SessionOptions, SessionServer, SiteState, Transport, UncertainTuple, WireFormat,
+    SessionOptions, SessionServer, SiteState, Transport, UncertainTuple,
 };
-use dsud_data::WorkloadSpec;
 use dsud_uncertain::{Probability, TupleId};
 
 const N: usize = 800;
 const DIMS: usize = 3;
 const SITES: usize = 5;
-
-/// Wire layout under test: `DSUD_WIRE=columnar|legacy` (legacy default),
-/// same convention as the other determinism suites.
-fn wire_from_env() -> WireFormat {
-    std::env::var("DSUD_WIRE").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-}
-
-fn sites() -> Vec<Vec<UncertainTuple>> {
-    WorkloadSpec::new(N, DIMS).seed(29).generate_partitioned(SITES).expect("workload generates")
-}
-
-/// What recovery must restore exactly: the skyline (ids, bit-exact
-/// probabilities, report order) and the progress sequence. Traffic is
-/// excluded on purpose — the faulted run legitimately resent frames.
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>) {
-    (
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect(),
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect(),
-    )
-}
 
 /// Picks the first seed whose derived plans can defeat the default retry
 /// budget: some site gets a hard-fault window (timeout / disconnect /
@@ -117,13 +99,13 @@ fn recovery_is_bit_identical_on(transport: Transport) {
 
     // Reference: the same data and updates with no faults, ever.
     let reference = SessionServer::new(
-        Cluster::local(DIMS, sites()).expect("cluster builds"),
+        Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES)).expect("cluster builds"),
         SessionOptions::default(),
     );
 
     let chaos_cluster = Cluster::with_transport_chaos(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 29, SITES),
         Default::default(),
         Recorder::default(),
         transport,
@@ -245,7 +227,7 @@ fn recovery_is_bit_identical_tcp() {
 #[test]
 fn deadline_cancels_cleanly_and_is_never_cached() {
     let server = SessionServer::new(
-        Cluster::local(DIMS, sites()).expect("cluster builds"),
+        Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES)).expect("cluster builds"),
         SessionOptions::default(),
     );
     let base = QueryConfig::new(0.3).expect("valid threshold").wire_format(wire_from_env());
@@ -261,8 +243,10 @@ fn deadline_cancels_cleanly_and_is_never_cached() {
     let full = server.run_edsud(&base, false, &mut |_, _| {}).expect("query completes");
     assert!(!full.cache_hit, "a cancelled outcome must never enter the cache");
     assert!(!full.outcome.cancelled);
-    let reference =
-        Cluster::local(DIMS, sites()).expect("cluster builds").run_edsud(&base).expect("runs");
+    let reference = Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES))
+        .expect("cluster builds")
+        .run_edsud(&base)
+        .expect("runs");
     assert_eq!(fingerprint(&full.outcome), fingerprint(&reference));
 }
 
@@ -278,12 +262,12 @@ fn deadline_cancels_cleanly_and_is_never_cached() {
 fn truncated_op_log_rejoin_still_converges() {
     let seed = quarantining_seed();
     let reference = SessionServer::new(
-        Cluster::local(DIMS, sites()).expect("cluster builds"),
+        Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES)).expect("cluster builds"),
         SessionOptions::default(),
     );
     let chaos_cluster = Cluster::with_transport_chaos(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 29, SITES),
         Default::default(),
         Recorder::default(),
         Transport::Inline,
@@ -389,12 +373,12 @@ fn failed_inject_defers_quarantines_and_replays_at_rejoin() {
     let (seed, victim, window_start) = inject_defeating_seed();
 
     let reference = SessionServer::new(
-        Cluster::local(DIMS, sites()).expect("cluster builds"),
+        Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES)).expect("cluster builds"),
         SessionOptions::default(),
     );
     let chaos_cluster = Cluster::with_transport_chaos(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 29, SITES),
         Default::default(),
         Recorder::default(),
         Transport::Inline,
@@ -501,7 +485,7 @@ fn cache_hit_scenario_seeds(min_start: u64, want: usize) -> Vec<(u64, u32)> {
 fn cache_hit_recovery_scenario(seed: u64, victim: u32) -> bool {
     let chaos_cluster = Cluster::with_transport_chaos(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 29, SITES),
         Default::default(),
         Recorder::default(),
         Transport::Inline,

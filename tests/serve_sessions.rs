@@ -13,40 +13,29 @@
 //!   cache: the repeat recomputes and sees the new data; reversing the
 //!   update restores the original answer bit for bit.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use common::{fingerprint, wire_from_env, Sequence};
 use dsud_core::update::UpdateOp;
 use dsud_core::{
     Cluster, FailurePolicy, FaultKind, FaultPlan, LinkConfig, QueryConfig, QueryOutcome, Recorder,
-    SessionOptions, SessionServer, SiteOptions, SiteState, Transport, UncertainTuple, WireFormat,
+    SessionOptions, SessionServer, SiteOptions, SiteState, Transport, UncertainTuple,
 };
 
-/// Wire layout under test: `DSUD_WIRE=columnar|legacy` (legacy default),
-/// so CI can run the whole determinism matrix under both layouts.
-fn wire_from_env() -> WireFormat {
-    std::env::var("DSUD_WIRE").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-}
-use dsud_data::WorkloadSpec;
 use dsud_uncertain::{skyline_probabilities, SkylineEntry, SubspaceMask, TupleId, UncertainDb};
 
 const N: usize = 1_200;
 const DIMS: usize = 3;
 const SITES: usize = 6;
 
-fn sites() -> Vec<Vec<UncertainTuple>> {
-    WorkloadSpec::new(N, DIMS).seed(11).generate_partitioned(SITES).expect("workload generates")
-}
-
-/// Everything the session layer must preserve: the skyline (ids,
-/// bit-exact probabilities, report order), the progress sequence, and the
-/// paper's bandwidth measure for this query.
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>, u64, u64) {
-    let skyline: Vec<(TupleId, u64)> =
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect();
-    let progress: Vec<(TupleId, u64)> =
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect();
-    (skyline, progress, outcome.tuples_transmitted(), outcome.traffic.total().bytes)
+/// Everything the session layer must preserve: the answer and progress
+/// sequence bit for bit, plus the paper's bandwidth measure and the
+/// query's bytes.
+fn with_traffic(outcome: &QueryOutcome) -> ((Sequence, Sequence), u64, u64) {
+    (fingerprint(outcome), outcome.tuples_transmitted(), outcome.traffic.total().bytes)
 }
 
 /// The 8-query workload mix: distinct thresholds and algorithms so no two
@@ -65,7 +54,7 @@ const MIX: [(f64, bool); 8] = [
 fn one_shot(q: f64, edsud: bool) -> QueryOutcome {
     let mut cluster = Cluster::with_transport(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 11, SITES),
         SiteOptions::default(),
         Recorder::default(),
         Transport::Inline,
@@ -79,7 +68,7 @@ fn one_shot(q: f64, edsud: bool) -> QueryOutcome {
 fn session_server(transport: Transport, max_concurrent: usize, cache: usize) -> SessionServer {
     let cluster = Cluster::with_transport(
         DIMS,
-        sites(),
+        common::sites(N, DIMS, 11, SITES),
         SiteOptions::default(),
         Recorder::default(),
         transport,
@@ -131,8 +120,8 @@ fn concurrent_session_queries_match_sequential_one_shots_bitwise() {
         for (i, (outcome, reference)) in outcomes.iter().zip(&references).enumerate() {
             let (q, edsud) = MIX[i];
             assert_eq!(
-                fingerprint(outcome),
-                fingerprint(reference),
+                with_traffic(outcome),
+                with_traffic(reference),
                 "{transport} q={q} edsud={edsud}"
             );
             assert_eq!(outcome.stats, reference.stats, "{transport} q={q} edsud={edsud}");
@@ -253,25 +242,14 @@ fn update_between_queries_invalidates_the_cache() {
     let restored = server.run_edsud(&config, false, &mut |_, _| {}).expect("restored query runs");
     assert!(!restored.cache_hit);
     assert_eq!(
-        fingerprint(&restored.outcome),
-        fingerprint(&original.outcome),
+        with_traffic(&restored.outcome),
+        with_traffic(&original.outcome),
         "undoing the update must restore the original answer bitwise"
     );
 
     let stats = server.stats();
     assert_eq!(stats.updates_applied, 2);
     assert!(stats.cache_invalidated >= 2, "both updates dropped a cached answer");
-}
-
-/// Answer-only identity for the faulted-site test: skyline and progress,
-/// bit for bit, but not traffic — a retried request legitimately resends
-/// frames without changing the answer.
-fn answer_fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>) {
-    let skyline: Vec<(TupleId, u64)> =
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect();
-    let progress: Vec<(TupleId, u64)> =
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect();
-    (skyline, progress)
 }
 
 /// First seed whose derived fault plans can kill a site outright: some
@@ -301,7 +279,8 @@ type Streamed = Vec<(TupleId, f64, bool)>;
 /// centrally by Eq. 3 — the truth a streamed upper bound must not undercut
 /// for tuples outside the one-shot answer.
 fn central_probabilities() -> HashMap<TupleId, f64> {
-    let all: Vec<UncertainTuple> = sites().into_iter().flatten().collect();
+    let all: Vec<UncertainTuple> =
+        common::sites(N, DIMS, 11, SITES).into_iter().flatten().collect();
     let db = UncertainDb::from_tuples(DIMS, all.iter().cloned()).expect("db builds");
     let mask = SubspaceMask::full(DIMS).expect("full mask");
     let probs = skyline_probabilities(&db, mask).expect("central probabilities");
@@ -326,7 +305,7 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
     for transport in [Transport::Inline, Transport::Threaded, Transport::Tcp] {
         let cluster = Cluster::with_transport_chaos(
             DIMS,
-            sites(),
+            common::sites(N, DIMS, 11, SITES),
             SiteOptions::default(),
             Recorder::default(),
             transport,
@@ -427,8 +406,8 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
                     );
                 } else {
                     assert_eq!(
-                        answer_fingerprint(outcome),
-                        answer_fingerprint(&references[i]),
+                        fingerprint(outcome),
+                        fingerprint(&references[i]),
                         "{transport} wave {wave} q={q} edsud={edsud}: non-degraded outcome \
                          diverged from the clean reference"
                     );
@@ -471,8 +450,8 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
             assert_eq!(bounds, 0, "{transport} q={q} edsud={edsud}: healed entries stamped");
             assert!(!answer.outcome.degraded, "{transport} q={q} edsud={edsud}: still degraded");
             assert_eq!(
-                answer_fingerprint(&answer.outcome),
-                answer_fingerprint(&references[i]),
+                fingerprint(&answer.outcome),
+                fingerprint(&references[i]),
                 "{transport} q={q} edsud={edsud}: healed answer diverged"
             );
         }
@@ -496,7 +475,7 @@ fn admission_gate_queues_beyond_the_width() {
                 let config =
                     QueryConfig::new(0.3).expect("valid threshold").wire_format(wire_from_env());
                 let answer = server.run_edsud(&config, false, &mut |_, _| {}).expect("query runs");
-                assert_eq!(fingerprint(&answer.outcome), fingerprint(reference));
+                assert_eq!(with_traffic(&answer.outcome), with_traffic(reference));
             });
         }
     });

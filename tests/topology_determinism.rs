@@ -13,12 +13,13 @@
 //! site quarantined, every survivor exact — and replays identically on
 //! inline, threaded, and TCP transports.
 
+mod common;
+
+use common::{fingerprint, wire_from_env};
 use dsud_core::{
     Cluster, FailurePolicy, FaultKind, FaultPlan, LinkConfig, PipelineDepth, QueryConfig,
-    QueryOutcome, Recorder, SiteOptions, Topology, Transport, UncertainTuple, WireFormat,
+    QueryOutcome, Recorder, SiteOptions, Topology, Transport, WireFormat,
 };
-use dsud_data::WorkloadSpec;
-use dsud_uncertain::TupleId;
 
 const N: usize = 1_200;
 const DIMS: usize = 3;
@@ -29,31 +30,6 @@ const DIMS: usize = 3;
 const SITES: usize = 9;
 const Q: f64 = 0.3;
 
-/// Wire layout under test: `DSUD_WIRE=columnar|legacy` (legacy default),
-/// same convention as the other determinism suites.
-fn wire_from_env() -> WireFormat {
-    std::env::var("DSUD_WIRE").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-}
-
-fn sites(wire: WireFormat) -> (Vec<Vec<UncertainTuple>>, SiteOptions) {
-    let data = WorkloadSpec::new(N, DIMS)
-        .seed(42)
-        .generate_partitioned(SITES)
-        .expect("workload generates");
-    (data, SiteOptions { wire, ..SiteOptions::default() })
-}
-
-/// What the topology must preserve: the skyline and the progress
-/// sequence, bit for bit. Traffic is deliberately absent — merged
-/// aggregate frames legitimately change every root-link message count,
-/// which is the optimization under test, not a defect.
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>) {
-    (
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect(),
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect(),
-    )
-}
-
 fn run(
     topology: Topology,
     wire: WireFormat,
@@ -63,7 +39,8 @@ fn run(
     edsud: bool,
 ) -> QueryOutcome {
     threadpool::set_pool_size(pool);
-    let (data, options) = sites(wire);
+    let (data, options) =
+        (common::sites(N, DIMS, 42, SITES), SiteOptions { wire, ..SiteOptions::default() });
     let mut cluster = Cluster::with_topology(
         DIMS,
         data,
@@ -197,10 +174,7 @@ fn subtree_killing_seed() -> u64 {
 }
 
 fn chaos_run(transport: Transport) -> QueryOutcome {
-    let data = WorkloadSpec::new(N, DIMS)
-        .seed(42)
-        .generate_partitioned(CHAOS_SITES)
-        .expect("workload generates");
+    let data = common::sites(N, DIMS, 42, CHAOS_SITES);
     let wire = wire_from_env();
     let mut cluster = Cluster::with_topology(
         DIMS,

@@ -7,12 +7,14 @@
 //! session daemon. Only the *byte* column may move (and on wide batched
 //! feedback frames it must move down).
 
+mod common;
+
+use common::{fingerprint, Sequence};
 use dsud_core::{
     update::{apply_batch, Maintainer, UpdateOp},
     BandwidthMeter, BatchSize, Cluster, PipelineDepth, QueryConfig, QueryOutcome, Recorder,
     SessionOptions, SessionServer, SiteOptions, Transport, WireFormat,
 };
-use dsud_data::WorkloadSpec;
 use dsud_uncertain::{Probability, TupleId, UncertainTuple};
 
 const N: usize = 1_200;
@@ -20,32 +22,20 @@ const DIMS: usize = 3;
 const SITES: usize = 8;
 const Q: f64 = 0.3;
 
-fn sites(wire: WireFormat) -> (Vec<Vec<UncertainTuple>>, SiteOptions) {
-    let data = WorkloadSpec::new(N, DIMS)
-        .seed(42)
-        .generate_partitioned(SITES)
-        .expect("workload generates");
-    (data, SiteOptions { wire, ..SiteOptions::default() })
-}
-
-/// Everything the wire layout must preserve: the skyline, the progress
-/// sequence, the run statistics, and the per-class message/tuple counts.
-/// Bytes are deliberately absent — they are the one thing allowed to
-/// differ.
-#[allow(clippy::type_complexity)]
-fn fingerprint(
-    outcome: &QueryOutcome,
-) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>, Vec<(u64, u64)>) {
-    let skyline: Vec<(TupleId, u64)> =
-        outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect();
-    let progress: Vec<(TupleId, u64)> =
-        outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect();
+/// Everything the wire layout must preserve: the answer, and the
+/// per-class message/tuple counts. Bytes are deliberately absent — they
+/// are the one thing allowed to differ.
+fn observed(outcome: &QueryOutcome) -> ((Sequence, Sequence), Vec<(u64, u64)>) {
     let t = &outcome.traffic;
-    let classes: Vec<(u64, u64)> = [&t.upload, &t.feedback, &t.reply, &t.control, &t.maintenance]
+    let classes = [&t.upload, &t.feedback, &t.reply, &t.control, &t.maintenance]
         .iter()
         .map(|c| (c.messages, c.tuples))
         .collect();
-    (skyline, progress, classes)
+    (fingerprint(outcome), classes)
+}
+
+fn site_options(wire: WireFormat) -> SiteOptions {
+    SiteOptions { wire, ..SiteOptions::default() }
 }
 
 fn run(
@@ -57,7 +47,7 @@ fn run(
     edsud: bool,
 ) -> QueryOutcome {
     threadpool::set_pool_size(pool);
-    let (data, options) = sites(wire);
+    let (data, options) = (common::sites(N, DIMS, 42, SITES), site_options(wire));
     let mut cluster = Cluster::with_transport(DIMS, data, options, Recorder::default(), transport)
         .expect("cluster builds");
     let config = QueryConfig::new(Q)
@@ -81,7 +71,7 @@ fn dsud_columnar_wire_is_bit_identical_across_the_execution_matrix() {
         false,
     );
     assert!(!reference.skyline.is_empty(), "workload must produce a non-trivial skyline");
-    let (ref_skyline, ref_progress, _) = fingerprint(&reference);
+    let want = fingerprint(&reference);
     for batch in [BatchSize::Fixed(1), BatchSize::Fixed(16), BatchSize::Auto] {
         for pipeline in [PipelineDepth::Fixed(1), PipelineDepth::Auto] {
             for (transport, pools) in [
@@ -97,13 +87,11 @@ fn dsud_columnar_wire_is_bit_identical_across_the_execution_matrix() {
                     // Same configuration, both layouts: everything but the
                     // byte column must match, including per-class message
                     // and tuple counts.
-                    assert_eq!(fingerprint(&columnar), fingerprint(&legacy), "{at}");
+                    assert_eq!(observed(&columnar), observed(&legacy), "{at}");
                     assert_eq!(columnar.stats, legacy.stats, "{at}");
                     // And the answer itself never drifts from the
                     // unbatched sequential reference.
-                    let (skyline, progress, _) = fingerprint(&columnar);
-                    assert_eq!(skyline, ref_skyline, "{at}");
-                    assert_eq!(progress, ref_progress, "{at}");
+                    assert_eq!(fingerprint(&columnar), want, "{at}");
                     assert_eq!(
                         columnar.tuples_transmitted(),
                         reference.tuples_transmitted(),
@@ -123,7 +111,7 @@ fn edsud_columnar_wire_is_bit_identical_on_every_transport() {
     for transport in [Transport::Inline, Transport::Threaded, Transport::Tcp] {
         for wire in [WireFormat::Legacy, WireFormat::Columnar] {
             let outcome = run(wire, transport, BatchSize::Auto, PipelineDepth::Auto, 8, true);
-            assert_eq!(fingerprint(&outcome), fingerprint(&reference), "{wire} {transport}");
+            assert_eq!(observed(&outcome), observed(&reference), "{wire} {transport}");
             assert_eq!(outcome.stats, reference.stats, "{wire} {transport}");
         }
     }
@@ -135,14 +123,10 @@ fn edsud_columnar_wire_is_bit_identical_on_every_transport() {
 #[test]
 fn columnar_wire_ships_fewer_feedback_bytes_on_wide_batches() {
     let wide = |wire: WireFormat| {
-        let data = WorkloadSpec::new(N, DIMS)
-            .seed(42)
-            .generate_partitioned(32)
-            .expect("workload generates");
         let mut cluster = Cluster::with_transport(
             DIMS,
-            data,
-            SiteOptions { wire, ..SiteOptions::default() },
+            common::sites(N, DIMS, 42, 32),
+            site_options(wire),
             Recorder::default(),
             Transport::Inline,
         )
@@ -155,7 +139,7 @@ fn columnar_wire_ships_fewer_feedback_bytes_on_wide_batches() {
     };
     let legacy = wide(WireFormat::Legacy);
     let columnar = wide(WireFormat::Columnar);
-    assert_eq!(fingerprint(&columnar), fingerprint(&legacy));
+    assert_eq!(observed(&columnar), observed(&legacy));
     assert!(
         columnar.traffic.feedback.bytes < legacy.traffic.feedback.bytes,
         "columnar feedback bytes {} must undercut legacy {}",
@@ -178,7 +162,7 @@ fn served_sessions_answer_identically_under_both_wire_layouts() {
             1,
             edsud,
         );
-        let (data, options) = sites(WireFormat::Legacy);
+        let (data, options) = (common::sites(N, DIMS, 42, SITES), site_options(WireFormat::Legacy));
         let mut cluster =
             Cluster::with_transport(DIMS, data, options, Recorder::default(), Transport::Inline)
                 .expect("cluster builds");
@@ -187,7 +171,7 @@ fn served_sessions_answer_identically_under_both_wire_layouts() {
         outcome.expect("query runs")
     };
 
-    let (data, options) = sites(WireFormat::Columnar);
+    let (data, options) = (common::sites(N, DIMS, 42, SITES), site_options(WireFormat::Columnar));
     let cluster =
         Cluster::with_transport(DIMS, data, options, Recorder::default(), Transport::Threaded)
             .expect("cluster builds");
@@ -209,10 +193,11 @@ fn served_sessions_answer_identically_under_both_wire_layouts() {
                 server.run_dsud(&config, false, &mut |_, _| {})
             }
             .expect("served query runs");
-            let (skyline, progress, _) = fingerprint(&served.outcome);
-            let (want_skyline, want_progress, _) = fingerprint(&expected);
-            assert_eq!(skyline, want_skyline, "q={q} edsud={edsud} {wire}");
-            assert_eq!(progress, want_progress, "q={q} edsud={edsud} {wire}");
+            assert_eq!(
+                fingerprint(&served.outcome),
+                fingerprint(&expected),
+                "q={q} edsud={edsud} {wire}"
+            );
         }
     }
 }
@@ -223,14 +208,10 @@ fn served_sessions_answer_identically_under_both_wire_layouts() {
 #[test]
 fn maintenance_over_columnar_replicas_matches_legacy() {
     let maintained = |wire: WireFormat| -> Vec<(TupleId, u64)> {
-        let data = WorkloadSpec::new(600, DIMS)
-            .seed(7)
-            .generate_partitioned(4)
-            .expect("workload generates");
         let mut cluster = Cluster::with_transport(
             DIMS,
-            data,
-            SiteOptions { wire, ..SiteOptions::default() },
+            common::sites(600, DIMS, 7, 4),
+            site_options(wire),
             Recorder::default(),
             Transport::Inline,
         )
