@@ -12,14 +12,22 @@
 //!
 //! # Draws
 //!
-//! Each draw sends the drawn candidate's home site two requests: its
-//! pending feedback flush, then a `RequestNext` refill. Every draw but the
-//! last settles both before the next head is picked. The last draw of a
-//! full round keeps its refill pending across the closing wave (in a
-//! budget-1 round, the refill that overlaps the broadcast), and the
-//! coordinator settles or abandons it once the round's confirmations are
-//! in (see `crate::pipeline` for when a pending request is actually on
-//! the wire).
+//! Each draw asks the drawn candidate's home site for two things: its
+//! pending feedback flush, then a refill. Both travel as one
+//! [`Message::Draw`] frame, answered by one [`Message::Drawn`] carrying the
+//! flush's survival factors and the uploaded representative; the site
+//! processes them in exactly that order, as if they were two requests. A
+//! draw with nothing to flush sends a bare `RequestNext`. Every draw but
+//! the last is settled before the next head is picked.
+//!
+//! The last draw of a full round keeps its request pending across the
+//! closing wave (see `crate::pipeline` for when a pending request is
+//! actually on the wire). Its survival factors are filed once the wave is
+//! in, before the fold; its upload is held and handed out only after the
+//! round's confirmations, or dropped if they reached the `limit`. When the
+//! round could reach the `limit`, the last draw does not ask for its
+//! refill at all: it sends the flush alone, and the refill follows after
+//! the confirmations only if the run still wants it.
 //!
 //! # The flush-before-refill invariant
 //!
@@ -42,7 +50,7 @@
 use dsud_net::{Fanout, LinkError, Message, TupleBlock, TupleMsg};
 use dsud_obs::{Counter, Recorder};
 
-use crate::cluster::{expect_survival, expect_survival_batch};
+use crate::cluster::{expect_drawn, expect_survival, expect_survival_batch};
 use crate::degrade::FailureTracker;
 use crate::pipeline::{Request, Schedule};
 use crate::{Error, QueryConfig, RunStats, SiteOrder, WireFormat};
@@ -69,17 +77,26 @@ pub(crate) struct BatchRound {
     /// How the draws' requests travel.
     schedule: Schedule,
     rec: Recorder,
-    /// The last draw of a full round, its refill pending until
-    /// [`BatchRound::settle_last`].
+    /// The last draw of a full round, pending until [`BatchRound::close`]
+    /// files its flush and [`BatchRound::settle_last`] hands out its
+    /// refill.
     last: Option<Draw>,
+    /// The last draw's upload, received with its flush and held until
+    /// [`BatchRound::settle_last`].
+    held: Option<TupleMsg>,
 }
 
-/// The two requests one draw sends its home site: the pending feedback
-/// flush (with the candidate indices its reply covers) and the refill.
+/// One draw's request to its home site: the pending feedback flush and the
+/// refill as one [`Message::Draw`], a bare `RequestNext` when there is
+/// nothing to flush, or the flush alone when the refill is deferred.
 pub(crate) struct Draw {
     home: usize,
-    flush: Option<(Request, Vec<usize>)>,
-    refill: Option<Request>,
+    /// The candidates the request's flush covers (empty: no flush).
+    idxs: Vec<usize>,
+    request: Option<Request>,
+    /// Whether the request asks for the refill; when it does not, the
+    /// refill is still due.
+    refills: bool,
 }
 
 impl BatchRound {
@@ -96,6 +113,7 @@ impl BatchRound {
             schedule: Schedule::new(config, rec),
             rec: rec.clone(),
             last: None,
+            held: None,
         }
     }
 
@@ -194,13 +212,13 @@ impl BatchRound {
     }
 
     /// Draws from `home`, whose candidate was just pushed: sends it its
-    /// pending sub-batch, if any, then `RequestNext` if it is active. A
-    /// draw that leaves the round short of its budget is settled on the
-    /// spot and returns the uploaded representative. The draw that fills
-    /// the round is its last: its survival factors are filed now, but its
-    /// refill stays pending until [`BatchRound::settle_last`] — it may
-    /// overlap the closing wave, unless `may_finish` says the round's
-    /// confirmations could reach the `limit` and make it unwanted.
+    /// pending sub-batch, if any, and the refill if it is active. A draw
+    /// that leaves the round short of its budget is settled on the spot
+    /// and returns the uploaded representative. The draw that fills the
+    /// round is its last: it stays pending until [`BatchRound::close`] and
+    /// [`BatchRound::settle_last`], and leaves its refill for the latter
+    /// when `may_finish` says the round's confirmations could reach the
+    /// `limit` and make it unwanted.
     pub(crate) fn draw(
         &mut self,
         fan: &mut Fanout<'_>,
@@ -212,17 +230,15 @@ impl BatchRound {
         let last = self.is_full();
         let mut draw = self.issue_draw(fan, home, tracker, !(last && may_finish));
         if !last {
-            return self.settle(fan, draw, tracker, stats);
+            return self.redeem(fan, &mut draw, tracker, stats);
         }
-        self.file_flush(fan, &mut draw, tracker, stats)?;
         self.last = Some(draw);
         Ok(None)
     }
 
-    /// Redeems the last draw's refill once the round's confirmations are
-    /// in — or abandons it when they reached the `limit` (`wanted` is
-    /// false), so no representative is requested that the run will not
-    /// use.
+    /// Hands out the last draw's refill once the round's confirmations are
+    /// in — or drops it when they reached the `limit` (`wanted` is false),
+    /// so no representative is requested that the run will not use.
     pub(crate) fn settle_last(
         &mut self,
         fan: &mut Fanout<'_>,
@@ -230,74 +246,91 @@ impl BatchRound {
         tracker: &mut FailureTracker,
         stats: &mut RunStats,
     ) -> Result<Option<TupleMsg>, Error> {
-        let Some(draw) = self.last.take() else { return Ok(None) };
-        if wanted {
-            return self.settle(fan, draw, tracker, stats);
+        let held = self.held.take();
+        let Some(mut draw) = self.last.take() else { return Ok(None) };
+        if !wanted {
+            self.abandon(fan, draw);
+            return Ok(None);
         }
-        self.abandon(fan, draw);
-        Ok(None)
+        if draw.request.is_some() {
+            return self.redeem(fan, &mut draw, tracker, stats);
+        }
+        if draw.refills {
+            return Ok(held);
+        }
+        if !tracker.is_active(draw.home) {
+            return Ok(None);
+        }
+        tracker.upload(draw.home, fan.call(draw.home, Message::RequestNext))
     }
 
-    /// Issues a draw's requests to `home` without settling them (see
-    /// [`BatchRound::draw`]); an expunge sweep issues all of its draws
-    /// before settling any with [`BatchRound::settle_all`].
+    /// Issues a draw's request to `home` without settling it (see
+    /// [`BatchRound::draw`]); `refill` says whether it asks for the refill
+    /// too. An expunge sweep issues all of its draws before settling any
+    /// with [`BatchRound::settle_all`].
     pub(crate) fn issue_draw(
         &mut self,
         fan: &mut Fanout<'_>,
         home: usize,
         tracker: &FailureTracker,
-        refill_may_overlap: bool,
+        refill: bool,
     ) -> Draw {
         let (msgs, idxs) = self.take_pending(home);
-        let flush = (!msgs.is_empty() && tracker.is_active(home)).then(|| {
-            let frame = self.batch_frame(msgs);
-            (self.schedule.issue(fan, home, frame, true), idxs)
-        });
-        let refill = tracker
-            .is_active(home)
-            .then(|| self.schedule.issue(fan, home, Message::RequestNext, refill_may_overlap));
-        Draw { home, flush, refill }
+        let mut draw = Draw { home, idxs: Vec::new(), request: None, refills: refill };
+        if !tracker.is_active(home) {
+            return draw;
+        }
+        let msg = if msgs.is_empty() {
+            if !refill {
+                return draw;
+            }
+            Message::RequestNext
+        } else {
+            draw.idxs = idxs;
+            let flush = self.batch_frame(msgs);
+            if refill {
+                Message::Draw(Box::new(flush))
+            } else {
+                flush
+            }
+        };
+        draw.request = Some(self.schedule.issue(fan, home, msg));
+        draw
     }
 
-    /// Redeems a draw's flush and files its survival factors, leaving the
-    /// refill pending. On an error the refill is abandoned too.
-    fn file_flush(
+    /// Redeems a draw's request: files the survival factors of its flush,
+    /// if any, and returns the representative its refill uploaded, if it
+    /// asked for one. A request to a site quarantined since the draw was
+    /// issued is abandoned instead, so the queue evolves exactly as if it
+    /// had never been sent; a quarantine on the reply itself leaves both
+    /// the factors and the upload out.
+    fn redeem(
         &mut self,
         fan: &mut Fanout<'_>,
         draw: &mut Draw,
         tracker: &mut FailureTracker,
         stats: &mut RunStats,
-    ) -> Result<(), Error> {
-        let Some((request, idxs)) = draw.flush.take() else { return Ok(()) };
-        let reply = self.schedule.redeem(fan, request);
-        let filed = self.absorb_batch(draw.home, &idxs, reply, tracker, stats);
-        if filed.is_err() {
-            if let Some(refill) = draw.refill.take() {
-                self.schedule.abandon(fan, refill);
-            }
-        }
-        filed
-    }
-
-    /// Settles a draw: files its flush, then redeems its refill and returns
-    /// the uploaded representative. A refill to a site quarantined since
-    /// the draw was issued is abandoned instead, so the queue evolves
-    /// exactly as if it had never been requested.
-    fn settle(
-        &mut self,
-        fan: &mut Fanout<'_>,
-        mut draw: Draw,
-        tracker: &mut FailureTracker,
-        stats: &mut RunStats,
     ) -> Result<Option<TupleMsg>, Error> {
-        self.file_flush(fan, &mut draw, tracker, stats)?;
-        let Some(refill) = draw.refill else { return Ok(None) };
-        if !tracker.is_active(draw.home) {
-            self.schedule.abandon(fan, refill);
+        let Some(request) = draw.request.take() else { return Ok(None) };
+        let x = draw.home;
+        if !tracker.is_active(x) {
+            self.schedule.abandon(fan, request);
             return Ok(None);
         }
-        let reply = self.schedule.redeem(fan, refill);
-        tracker.upload(draw.home, reply)
+        let reply = self.schedule.redeem(fan, request);
+        if draw.idxs.is_empty() {
+            return tracker.upload(x, reply);
+        }
+        if !draw.refills {
+            self.absorb_batch(x, &draw.idxs, reply, tracker, stats)?;
+            return Ok(None);
+        }
+        let parse = |site, msg| expect_drawn(site, msg, draw.idxs.len());
+        let Some((factors, pruned, next)) = tracker.interpret(x, reply, parse)? else {
+            return Ok(None);
+        };
+        self.file(x, draw.idxs.iter().copied().zip(factors), pruned, stats);
+        Ok(next)
     }
 
     /// Settles a group of draws in issue order, returning each one's
@@ -312,8 +345,8 @@ impl BatchRound {
     ) -> Result<Vec<Option<TupleMsg>>, Error> {
         let mut uploads = Vec::with_capacity(draws.len());
         let mut draws = draws.into_iter();
-        while let Some(draw) = draws.next() {
-            match self.settle(fan, draw, tracker, stats) {
+        while let Some(mut draw) = draws.next() {
+            match self.redeem(fan, &mut draw, tracker, stats) {
                 Ok(next) => uploads.push(next),
                 Err(e) => {
                     draws.for_each(|rest| self.abandon(fan, rest));
@@ -324,9 +357,9 @@ impl BatchRound {
         Ok(uploads)
     }
 
-    /// Drops a draw whose replies are no longer wanted.
+    /// Drops a draw whose reply is no longer wanted.
     fn abandon(&mut self, fan: &mut Fanout<'_>, draw: Draw) {
-        for request in draw.flush.map(|(request, _)| request).into_iter().chain(draw.refill) {
+        if let Some(request) = draw.request {
             self.schedule.abandon(fan, request);
         }
     }
@@ -335,8 +368,9 @@ impl BatchRound {
     /// not seen yet, in one parallel wave. A budget-1 round broadcasts its
     /// candidate to every active site but its home and checks each reply
     /// as a scalar survival reply; a larger budget sends each site its
-    /// pending sub-batch as one coalesced frame. On an error the last
-    /// draw's pending refill is abandoned, so no request stays in flight.
+    /// pending sub-batch as one coalesced frame. Then the last draw's
+    /// flush is filed. On an error the last draw's pending request is
+    /// abandoned, so no request stays in flight.
     pub(crate) fn close(
         &mut self,
         fan: &mut Fanout<'_>,
@@ -349,8 +383,14 @@ impl BatchRound {
             if let Some(draw) = self.last.take() {
                 self.abandon(fan, draw);
             }
+            return closed;
         }
-        closed
+        // The last draw's flush completes the survival matrix; a refill
+        // that rode along with it is held for `settle_last`.
+        let Some(mut draw) = self.last.take_if(|d| !d.idxs.is_empty()) else { return Ok(()) };
+        self.held = self.redeem(fan, &mut draw, tracker, stats)?;
+        self.last = Some(draw);
+        Ok(())
     }
 
     fn deliver_rest(
@@ -424,25 +464,27 @@ mod tests {
 
     /// A site that echoes each probe's local probability as its survival
     /// factor and reports one prune per probe, and has nothing to refill.
+    fn echo(m: Message) -> Message {
+        match m {
+            Message::FeedbackBatch(ts) => Message::SurvivalBatchReply {
+                survivals: ts.iter().map(|t| t.local_prob).collect(),
+                pruned: ts.len() as u64,
+            },
+            // Columnar requests are answered in kind.
+            Message::FeedbackBatchC(block) => Message::SurvivalBatchReplyC {
+                survivals: block.to_msgs().iter().map(|t| t.local_prob).collect(),
+                pruned: block.len() as u64,
+            },
+            Message::Draw(flush) => {
+                Message::Drawn { survivals: Box::new(echo(*flush)), next: None }
+            }
+            // Refills find the site exhausted.
+            _ => Message::Upload(None),
+        }
+    }
+
     fn echo_links(meter: &BandwidthMeter, sites: usize) -> Vec<Box<dyn Link>> {
-        (0..sites)
-            .map(|_| {
-                let service = |m: Message| match m {
-                    Message::FeedbackBatch(ts) => Message::SurvivalBatchReply {
-                        survivals: ts.iter().map(|t| t.local_prob).collect(),
-                        pruned: ts.len() as u64,
-                    },
-                    // Columnar requests are answered in kind.
-                    Message::FeedbackBatchC(block) => Message::SurvivalBatchReplyC {
-                        survivals: block.to_msgs().iter().map(|t| t.local_prob).collect(),
-                        pruned: block.len() as u64,
-                    },
-                    // Refills find the site exhausted.
-                    _ => Message::Upload(None),
-                };
-                Box::new(LocalLink::new(service, meter.clone())) as _
-            })
-            .collect()
+        (0..sites).map(|_| Box::new(LocalLink::new(echo, meter.clone())) as _).collect()
     }
 
     #[test]
@@ -538,14 +580,49 @@ mod tests {
         assert!(round.is_empty());
         round.push(msg(0, 0, 0.8));
         for _ in 0..2 {
-            // Already flushed the second time: only the refill goes out.
+            // The first draw flushes and refills in one frame; already
+            // flushed the second time, it sends a bare refill.
             round.draw(&mut fan, 1, false, &mut tracker, &mut stats).unwrap();
         }
         // ...and the closing wave has nothing left to deliver.
         round.close(&mut fan, &mut tracker, &mut stats).unwrap();
         let snap = meter.snapshot();
-        assert_eq!(snap.feedback.messages, 1);
-        assert_eq!(snap.control.messages, 2, "one refill per draw");
+        assert_eq!((snap.feedback.messages, snap.feedback.tuples), (1, 1), "one draw frame");
+        assert_eq!(snap.control.messages, 1, "one bare refill");
+        assert_eq!(snap.upload.messages, 2, "one reply per draw");
+    }
+
+    /// The last draw of a round that may reach the `limit` sends its flush
+    /// alone and asks for the refill only if the run still wants it; an
+    /// unwanted refill is never sent.
+    #[test]
+    fn a_last_draw_that_may_finish_defers_its_refill() {
+        for wanted in [true, false] {
+            let meter = BandwidthMeter::new();
+            let mut links = echo_links(&meter, 2);
+            let mut fan = Fanout::flat(&mut links);
+            let rec = Recorder::disabled();
+            let mut tracker = FailureTracker::new(2, FailurePolicy::Strict, rec.clone());
+            let mut stats = RunStats::default();
+
+            let mut round = BatchRound::new(2, &legacy(), &rec);
+            round.reset(2);
+            round.push(msg(0, 0, 0.8));
+            round.draw(&mut fan, 0, false, &mut tracker, &mut stats).unwrap();
+            round.push(msg(1, 0, 0.5));
+            round.draw(&mut fan, 1, true, &mut tracker, &mut stats).unwrap();
+            round.close(&mut fan, &mut tracker, &mut stats).unwrap();
+            // The flush is filed before the fold.
+            assert_eq!(round.global_probability(0), 0.8 * 0.8);
+            round.settle_last(&mut fan, wanted, &mut tracker, &mut stats).unwrap();
+            let snap = meter.snapshot();
+            // Site 0's bare refill, plus site 1's only if wanted.
+            assert_eq!(snap.control.messages, 1 + u64::from(wanted), "wanted={wanted}");
+            // Site 1's flush went alone, as a plain feedback batch, and
+            // site 0 got candidate 1 in the closing wave.
+            assert_eq!(snap.feedback.messages, 2);
+            assert_eq!(snap.reply.messages, 2);
+        }
     }
 
     #[test]

@@ -778,6 +778,23 @@ pub(crate) fn expect_survival(site: u32, msg: Message) -> Result<(f64, u64), Err
     }
 }
 
+/// Interprets a reply from `site` that must answer a [`Message::Draw`]
+/// whose flush carried `expected` probes: the flush's survival batch,
+/// checked as [`expect_survival_batch`] checks it, and the refill's upload.
+pub(crate) fn expect_drawn(
+    site: u32,
+    msg: Message,
+    expected: usize,
+) -> Result<(Vec<f64>, u64, Option<TupleMsg>), Error> {
+    match msg {
+        Message::Drawn { survivals, next } => {
+            let (factors, pruned) = expect_survival_batch(site, *survivals, expected)?;
+            Ok((factors, pruned, next))
+        }
+        _ => Err(Error::ProtocolViolation { site, what: "expected Drawn reply" }),
+    }
+}
+
 /// Interprets a reply from `site` that must be a survival batch covering
 /// exactly `expected` probes; every factor must be a valid probability.
 pub(crate) fn expect_survival_batch(

@@ -81,11 +81,12 @@ impl Eq for QueueEntry {}
 /// far is returned with [`QueryOutcome::cancelled`] set, every in-flight
 /// frame already drained, and [`Counter::Cancelled`] bumped.
 ///
-/// With an overlapped [`QueryConfig::pipeline`] each request a draw sends
-/// its home site goes on the wire when it is issued: a draw's feedback
-/// flush and refill travel together, and the last draw's refill travels
-/// during the round's closing survival wave and is completed after the
-/// fold (see the crate-private `pipeline` module). Replies fold in send
+/// Each draw sends its home site one request, the feedback flush and the
+/// refill in one [`Message::Draw`] frame (see the crate-private `batch`
+/// module). With an overlapped [`QueryConfig::pipeline`] that request goes
+/// on the wire when it is issued, and the last draw's request travels
+/// during the round's closing survival wave (see the crate-private
+/// `pipeline` module). Replies fold in send
 /// order, so the answer, stats, and tuple traffic are bit-identical to
 /// `PipelineDepth::Fixed(1)` on healthy runs; under `Degrade` a pipelined
 /// run may have sent a refill that the sequential schedule would have
@@ -177,8 +178,8 @@ pub(crate) fn run_on(
         rec.incr(Counter::Rounds);
         round.reset(batch.budget(queue.len()));
 
-        // Draws: each flushes the home site's pending feedback, then
-        // refills from it (see `crate::batch`). The last draw's refill
+        // Draws: each flushes the home site's pending feedback and refills
+        // from it in one frame (see `crate::batch`). The last draw's request
         // stays pending across the Server-Delivery phase.
         {
             let _span = rec.span("to-server");

@@ -125,9 +125,9 @@ impl Candidate {
 /// Rounds follow DSUD's schedule, with an expunge sweep before every
 /// draw: each doomed candidate's home site gets the same flush-and-refill
 /// draw a selected head's site does. With an overlapped
-/// [`QueryConfig::pipeline`] a sweep puts every doomed candidate's
-/// requests on the wire before completing any — the sites extract their
-/// replacements in parallel — and the last draw's refill overlaps the
+/// [`QueryConfig::pipeline`] a sweep puts every doomed candidate's draw
+/// on the wire before completing any — the sites extract their
+/// replacements in parallel — and the last draw's request overlaps the
 /// closing survival wave, as in DSUD. Replies fold in send order, so
 /// healthy runs stay bit-identical to `PipelineDepth::Fixed(1)`.
 ///
@@ -222,7 +222,7 @@ pub(crate) fn run_on(
         rec.incr(Counter::Rounds);
         round.reset(batch.budget(queue.len()));
 
-        // Draws, each preceded by an expunge sweep. The last draw's refill
+        // Draws, each preceded by an expunge sweep. The last draw's request
         // stays pending across the Server-Delivery phase (see
         // `crate::batch`). One expunge span per round spans the
         // interleaved draws — a span per draw churned the recorder on

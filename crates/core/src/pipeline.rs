@@ -1,8 +1,9 @@
 //! Split-phase requests, and the one place the `--pipeline` choice is made.
 //!
-//! Every request a round sends a single site — a feedback flush, a
-//! `RequestNext` refill — is issued as a [`Request`] and redeemed where
-//! its reply is needed. [`Schedule::issue`] is the only point at which the
+//! Every request a round sends a single site — a draw's flush and refill
+//! in one frame, a bare refill, a flush alone — is issued as a
+//! [`Request`] and redeemed where its reply is needed.
+//! [`Schedule::issue`] is the only point at which the
 //! overlapped and sequential schedules differ: overlapped, the request
 //! goes on the wire when it is issued and travels while the coordinator
 //! does the work in between (the next request, the closing fan-out, the
@@ -12,9 +13,9 @@
 //! every piece of server-side state evolve identically; only wire time
 //! overlaps.
 //!
-//! A round never needs more than two outstanding frames per link — a
-//! pending feedback flush plus the refill behind it — so every window of
-//! two or more (including `auto`) runs the identical overlapped schedule.
+//! A draw is one request, so on a flat topology a round never has more
+//! than one outstanding frame per link, and every window of two or more
+//! (including `auto`) runs the identical overlapped schedule.
 //! Requests ride a [`Fanout`], so under a tree topology an outstanding
 //! request shares its group's aggregator link with the fan-outs that
 //! overlap it; the fan-out's per-link FIFO keeps each op paired with its
@@ -72,18 +73,10 @@ impl Schedule {
     }
 
     /// Issues `msg` to `site`: on the wire now under the overlapped
-    /// schedule when `may_overlap` allows it, otherwise held until
-    /// [`Schedule::redeem`]. A caller passes `may_overlap = false` for a
-    /// request the work in between may make unwanted: a held request that
-    /// is abandoned is never sent.
-    pub(crate) fn issue(
-        &mut self,
-        fan: &mut Fanout<'_>,
-        site: usize,
-        msg: Message,
-        may_overlap: bool,
-    ) -> Request {
-        if !(self.overlapped && may_overlap) {
+    /// schedule, otherwise held until [`Schedule::redeem`]. A held request
+    /// that is abandoned is never sent.
+    pub(crate) fn issue(&mut self, fan: &mut Fanout<'_>, site: usize, msg: Message) -> Request {
+        if !self.overlapped {
             return Request { site, state: State::Held(msg) };
         }
         if self.in_flight == 0 {

@@ -11,6 +11,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use bytes::BufMut;
 use dsud_net::{wire, BatchView, Message, Service, TupleMsg};
 use dsud_obs::Recorder;
 use dsud_prtree::{bbs, BbsScratch, PrTree};
@@ -249,17 +250,31 @@ impl LocalSite {
             })
             .collect();
         self.query = Some(ActiveQuery { q, mask, pending, pruned: Vec::new() });
-        self.next_candidate()
+        Message::Upload(self.next_candidate())
     }
 
-    fn next_candidate(&mut self) -> Message {
-        let Some(active) = self.query.as_mut() else {
-            return Message::Upload(None);
-        };
-        match active.pending.pop_front() {
-            Some(c) => Message::Upload(Some(TupleMsg::new(&c.tuple, c.local_prob))),
-            None => Message::Upload(None),
+    /// The next representative to upload (the To-Server phase), if the
+    /// query has one left.
+    fn next_candidate(&mut self) -> Option<TupleMsg> {
+        self.pop_candidate().map(|c| TupleMsg::new(&c.tuple, c.local_prob))
+    }
+
+    fn pop_candidate(&mut self) -> Option<PendingCandidate> {
+        self.query.as_mut()?.pending.pop_front()
+    }
+
+    /// Runs `f` with the cursor of session query `query_id` in the `query`
+    /// slot (the default cursor when `None`), parking it again afterwards.
+    fn in_session<R>(&mut self, query_id: Option<u64>, f: impl FnOnce(&mut Self) -> R) -> R {
+        let Some(qid) = query_id else { return f(self) };
+        let parked = self.query.take();
+        self.query = self.sessions.remove(&qid);
+        let out = f(self);
+        if let Some(state) = self.query.take() {
+            self.sessions.insert(qid, state);
         }
+        self.query = parked;
+        out
     }
 
     /// The Local-Pruning phase (Section 5.1): a feedback tuple `t` from
@@ -500,14 +515,7 @@ impl Service for LocalSite {
                     self.sessions.remove(&query_id);
                     return Message::Ack;
                 }
-                let parked = self.query.take();
-                self.query = self.sessions.remove(&query_id);
-                let reply = self.handle(*inner);
-                if let Some(state) = self.query.take() {
-                    self.sessions.insert(query_id, state);
-                }
-                self.query = parked;
-                reply
+                self.in_session(Some(query_id), |site| site.handle(*inner))
             }
             // An untagged Release clears the default query slot.
             Message::Release => {
@@ -515,7 +523,13 @@ impl Service for LocalSite {
                 Message::Ack
             }
             Message::Start { q, mask } => self.start(q, mask),
-            Message::RequestNext => self.next_candidate(),
+            Message::RequestNext => Message::Upload(self.next_candidate()),
+            // A draw: its flush, then its refill — the same two events in
+            // the same order as the separate requests.
+            Message::Draw(flush) => {
+                let survivals = Box::new(self.handle(*flush));
+                Message::Drawn { survivals, next: self.next_candidate() }
+            }
             Message::Feedback(t) => self.feedback(&t),
             Message::FeedbackBatch(ts) => self.feedback_batch(&ts),
             // Message-level fallback for columnar feedback (inline links
@@ -581,55 +595,67 @@ impl Service for LocalSite {
             | Message::RegionReplyC(_)
             | Message::Synopsis(_)
             | Message::Sketch(_)
+            | Message::Drawn { .. }
             | Message::HealthAck { .. }
             | Message::DecodeError
             | Message::Ack => Message::Ack,
         }
     }
 
-    /// Frame-level fast path: a columnar feedback batch (bare or inside a
-    /// [`Message::Tagged`] wrapper) is answered straight from the borrowed
+    /// Frame-level fast path: a columnar feedback batch, bare or as the
+    /// flush of a [`Message::Draw`], and either way bare or inside a
+    /// [`Message::Tagged`] wrapper, is answered straight from the borrowed
     /// frame bytes — the probe coordinates are read out of the frame's
-    /// column sections and the reply is encoded directly into the
-    /// transport's reusable buffer, so a warm batched round runs socket to
-    /// dominance kernel with zero per-tuple allocation. Every other frame
-    /// (and any columnar frame that fails validation) takes the default
-    /// decode → [`Service::handle`] → encode path.
+    /// column sections and the reply (with a draw's upload) is encoded
+    /// directly into the transport's reusable buffer, so a warm batched
+    /// round runs socket to dominance kernel with zero per-tuple
+    /// allocation. Every other frame (and any columnar frame that fails
+    /// validation) takes the default decode → [`Service::handle`] → encode
+    /// path.
     fn handle_frame(&mut self, frame: &[u8], out: &mut bytes::BytesMut) {
-        let (query_id, body) = match frame.first() {
-            Some(&t) if t == wire::TAG_FEEDBACK_BATCH_C => (None, frame),
-            // Tagged wrapper: tag 21, big-endian query id, inner frame.
-            Some(21) if frame.len() > 9 && frame[9] == wire::TAG_FEEDBACK_BATCH_C => {
-                let qid = u64::from_be_bytes(frame[1..9].try_into().expect("8 bytes checked"));
-                (Some(qid), &frame[9..])
+        let (query_id, rest) = match frame {
+            [wire::TAG_TAGGED, tail @ ..] if tail.len() > 8 => {
+                let qid = u64::from_be_bytes(tail[..8].try_into().expect("8 bytes checked"));
+                (Some(qid), &tail[8..])
             }
-            _ => {
-                return default_handle_frame(self, frame, out);
-            }
+            _ => (None, frame),
         };
-        let Some(view) = BatchView::parse(body) else {
-            // Malformed columnar frame: the default path answers
-            // `DecodeError` without panicking, exactly like any other
-            // undecodable request.
-            return default_handle_frame(self, frame, out);
+        let (draw, body) = match rest {
+            [wire::TAG_DRAW, body @ ..] => (true, body),
+            _ => (false, rest),
         };
-        let pruned = match query_id {
-            None => self.feedback_batch_view(&view),
-            Some(qid) => {
-                // Same cursor swap as the Tagged arm of `handle`.
-                let parked = self.query.take();
-                self.query = self.sessions.remove(&qid);
-                let pruned = self.feedback_batch_view(&view);
-                if let Some(state) = self.query.take() {
-                    self.sessions.insert(qid, state);
+        let view = match body.first() {
+            Some(&wire::TAG_FEEDBACK_BATCH_C) => BatchView::parse(body),
+            _ => None,
+        };
+        // Not a columnar flush, or a malformed one: the default path
+        // answers `DecodeError` for undecodable frames without panicking.
+        let Some(view) = view else { return default_handle_frame(self, frame, out) };
+        self.in_session(query_id, |site| {
+            let pruned = site.feedback_batch_view(&view);
+            out.clear();
+            if draw {
+                // The draw's refill, after its flush exactly as in
+                // `handle`; the upload precedes the survivals on the wire.
+                match site.pop_candidate() {
+                    Some(c) => {
+                        let t = &c.tuple;
+                        out.put_u8(wire::TAG_DRAWN);
+                        TupleMsg::encode_tuple(
+                            t.id(),
+                            t.values(),
+                            t.prob().get(),
+                            c.local_prob,
+                            out,
+                        );
+                    }
+                    None => out.put_u8(wire::TAG_DRAWN_EXHAUSTED),
                 }
-                self.query = parked;
-                pruned
             }
-        };
-        out.clear();
-        out.reserve(wire::survivals_encoded_len(self.feed.survivals.len()));
-        wire::encode_survivals(&self.feed.survivals, pruned, out);
+            let survivals = &site.feed.survivals;
+            out.reserve(wire::survivals_encoded_len(survivals.len()));
+            wire::encode_survivals(survivals, pruned, out);
+        });
     }
 }
 
@@ -987,6 +1013,88 @@ mod tests {
                 "mutilated frame must be rejected, not crash"
             );
         }
+    }
+
+    /// A draw is its flush followed by its refill: against a twin site fed
+    /// the two requests separately, every draw answers the same survival
+    /// reply and the same upload — through the message path in both
+    /// layouts, and through the columnar frame fast path bare and tagged —
+    /// until both sites run dry.
+    #[test]
+    fn draws_answer_exactly_as_flush_then_refill() {
+        // The first flush prunes the head of the queue, (8,4), so a refill
+        // answered before its flush would upload it.
+        let feedbacks = [
+            TupleMsg::new(&tuple(1, 0, vec![7.5, 3.5], 0.9), 0.9),
+            TupleMsg::new(&tuple(1, 1, vec![10.0, 10.0], 0.5), 0.5),
+            TupleMsg::new(&tuple(2, 0, vec![2.0, 7.5], 0.4), 0.4),
+        ];
+        let block = |j: usize| dsud_net::TupleBlock::from_msgs(&feedbacks[j..j + 1]);
+        type Flush = fn(&[TupleMsg], dsud_net::TupleBlock) -> Message;
+        let legacy: Flush = |msgs, _| Message::FeedbackBatch(msgs.to_vec());
+        let columnar: Flush = |_, block| Message::FeedbackBatchC(block);
+        for (flush, by_frame, query_id) in [
+            (legacy, false, None),
+            (columnar, false, None),
+            (columnar, true, None),
+            (columnar, true, Some(7)),
+        ] {
+            let wrap = |m: Message| match query_id {
+                Some(id) => Message::Tagged { query_id: id, inner: Box::new(m) },
+                None => m,
+            };
+            let mut split = paper_site_s1();
+            let mut drawn = paper_site_s1();
+            for site in [&mut split, &mut drawn] {
+                site.handle(wrap(Message::Start { q: 0.3, mask: full(2) }));
+            }
+            let mut out = bytes::BytesMut::new();
+            for j in 0..feedbacks.len() {
+                let frame = flush(&feedbacks[j..j + 1], block(j));
+                let survivals = Box::new(split.handle(wrap(frame.clone())));
+                let Message::Upload(next) = split.handle(wrap(Message::RequestNext)) else {
+                    panic!("refills upload")
+                };
+                let draw = wrap(Message::Draw(Box::new(frame)));
+                let reply = if by_frame {
+                    drawn.handle_frame(&draw.encode(), &mut out);
+                    Message::decode_slice(&out).expect("fast path answers a valid frame")
+                } else {
+                    drawn.handle(draw)
+                };
+                assert_eq!(reply, Message::Drawn { survivals, next }, "draw {j}");
+            }
+            assert_eq!(drawn.pending_candidates(), 0, "the draws exhausted the site");
+            assert_eq!(split.pending_candidates(), 0);
+        }
+    }
+
+    /// Malformed draw frames — every truncation of a columnar draw, bare
+    /// and tagged — come back as `DecodeError`, never a panic, and leave
+    /// the site's queue untouched.
+    #[test]
+    fn malformed_draw_frames_answer_decode_error() {
+        let mut site = paper_site_s1();
+        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        let pending = site.pending_candidates();
+        let flush = Message::FeedbackBatchC(dsud_net::TupleBlock::from_msgs(&[TupleMsg::new(
+            &tuple(1, 0, vec![2.0, 2.0], 0.9),
+            0.9,
+        )]));
+        let draw = Message::Draw(Box::new(flush));
+        let tagged = Message::Tagged { query_id: 3, inner: Box::new(draw.clone()) };
+        let mut out = bytes::BytesMut::new();
+        for good in [draw.encode(), tagged.encode()] {
+            for cut in 0..good.len() {
+                site.handle_frame(&good[..cut], &mut out);
+                assert_eq!(
+                    Message::decode_slice(&out),
+                    Some(Message::DecodeError),
+                    "cut at {cut} must be rejected"
+                );
+            }
+        }
+        assert_eq!(site.pending_candidates(), pending);
     }
 
     #[test]

@@ -150,14 +150,27 @@ impl TupleMsg {
     }
 
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.id.site.0);
-        buf.put_u64(self.id.seq);
-        buf.put_u16(self.values.len() as u16);
-        for &v in &self.values {
+        Self::encode_tuple(self.id, &self.values, self.prob, self.local_prob, buf);
+    }
+
+    /// Appends the wire form of the tuple with these parts, without
+    /// building an owned [`TupleMsg`] — lets a site write its upload
+    /// straight into a reusable reply buffer.
+    pub fn encode_tuple(
+        id: TupleId,
+        values: &[f64],
+        prob: f64,
+        local_prob: f64,
+        buf: &mut BytesMut,
+    ) {
+        buf.put_u32(id.site.0);
+        buf.put_u64(id.seq);
+        buf.put_u16(values.len() as u16);
+        for &v in values {
             buf.put_f64(v);
         }
-        buf.put_f64(self.prob);
-        buf.put_f64(self.local_prob);
+        buf.put_f64(prob);
+        buf.put_f64(local_prob);
     }
 
     fn decode(buf: &mut impl Buf) -> Option<Self> {
@@ -434,6 +447,25 @@ pub enum Message {
     /// an aggregator, subtree-merged) skyline-probability distribution.
     /// Pure scheduling input: it never influences which tuples qualify.
     Sketch(Box<dsud_sketch::SiteSketch>),
+    /// `H → site`: one draw of a round — the carried feedback flush (a
+    /// [`Message::FeedbackBatch`] or [`Message::FeedbackBatchC`]) followed
+    /// by a refill, in one frame. The site processes the flush exactly as
+    /// if it had arrived alone, then answers the implied
+    /// [`Message::RequestNext`], and replies with one [`Message::Drawn`].
+    /// Class and tuple count are the flush's: the refill request carries
+    /// no tuple.
+    Draw(Box<Message>),
+    /// `site → H`: reply to a [`Message::Draw`] — the flush's survival
+    /// reply (in the flush's wire layout) and the refill's upload (`None`
+    /// when the local skyline is exhausted). Charged as one upload: one
+    /// tuple, or none when exhausted.
+    Drawn {
+        /// The [`Message::SurvivalBatchReply`] or
+        /// [`Message::SurvivalBatchReplyC`] answering the flush.
+        survivals: Box<Message>,
+        /// The next representative, as a [`Message::Upload`] would carry it.
+        next: Option<TupleMsg>,
+    },
 }
 
 /// Traffic classes used by the [`crate::BandwidthMeter`].
@@ -502,6 +534,10 @@ impl Message {
             // Plan-phase frames are control traffic with zero tuple weight:
             // the paper's bandwidth unit must not move when planning is on.
             Message::SketchRequest | Message::Sketch(_) => TrafficClass::Control,
+            // A draw is its flush plus a free refill request; its reply is
+            // the upload plus a free survival reply.
+            Message::Draw(flush) => flush.class(),
+            Message::Drawn { .. } => TrafficClass::Upload,
         }
     }
 
@@ -538,6 +574,8 @@ impl Message {
                     AggReply::Err(_) => 0,
                 })
                 .sum(),
+            Message::Draw(flush) => flush.tuple_count(),
+            Message::Drawn { next, .. } => u64::from(next.is_some()),
             _ => 0,
         }
     }
@@ -652,7 +690,7 @@ impl Message {
                 buf.put_u64(*pruned);
             }
             Message::Tagged { query_id, inner } => {
-                buf.put_u8(21);
+                buf.put_u8(crate::wire::TAG_TAGGED);
                 buf.put_u64(*query_id);
                 inner.encode_body(buf);
             }
@@ -708,6 +746,23 @@ impl Message {
                 buf.put_u8(33);
                 sketch.encode(buf);
             }
+            // The flush is the rest of the frame, like Tagged's inner.
+            Message::Draw(flush) => {
+                buf.put_u8(crate::wire::TAG_DRAW);
+                flush.encode_body(buf);
+            }
+            // Like Upload(None)/Upload(Some), the tag says whether an
+            // upload rides along; it precedes the survival reply, which is
+            // the rest of the frame.
+            Message::Drawn { survivals, next: None } => {
+                buf.put_u8(crate::wire::TAG_DRAWN_EXHAUSTED);
+                survivals.encode_body(buf);
+            }
+            Message::Drawn { survivals, next: Some(t) } => {
+                buf.put_u8(crate::wire::TAG_DRAWN);
+                t.encode(buf);
+                survivals.encode_body(buf);
+            }
         }
     }
 
@@ -756,6 +811,10 @@ impl Message {
             }
             Message::SketchRequest => 0,
             Message::Sketch(_) => dsud_sketch::SiteSketch::encoded_len(),
+            Message::Draw(flush) => flush.encoded_len(),
+            Message::Drawn { survivals, next } => {
+                next.as_ref().map_or(0, TupleMsg::encoded_len) + survivals.encoded_len()
+            }
         }
     }
 
@@ -776,6 +835,10 @@ impl Message {
             | Message::RegionReplyC(block) => Some(rows(block.len(), block.dims as usize)),
             Message::SurvivalBatchReplyC { survivals, .. } => Some(13 + 8 * survivals.len()),
             Message::Tagged { inner, .. } => inner.legacy_encoded_len().map(|l| l + 9),
+            Message::Draw(flush) => flush.legacy_encoded_len().map(|l| l + 1),
+            Message::Drawn { survivals, next } => survivals
+                .legacy_encoded_len()
+                .map(|l| l + 1 + next.as_ref().map_or(0, TupleMsg::encoded_len)),
             _ => None,
         }
     }
@@ -880,7 +943,7 @@ impl Message {
                 let survivals = (0..n).map(|_| buf.get_f64()).collect();
                 Message::SurvivalBatchReply { survivals, pruned: buf.get_u64() }
             }
-            21 => {
+            crate::wire::TAG_TAGGED => {
                 if buf.remaining() < 8 {
                     return None;
                 }
@@ -962,6 +1025,31 @@ impl Message {
                 // and a fixed exact length; the trailing has_remaining
                 // check below rejects any over-long frame.
                 Message::Sketch(Box::new(dsud_sketch::SiteSketch::decode(&mut buf)?))
+            }
+            // Draw frames nest exactly one frame kind each; the recursive
+            // decode enforces its own exact-length contract.
+            crate::wire::TAG_DRAW => {
+                let flush = Self::decode_slice(buf)?;
+                if !matches!(flush, Message::FeedbackBatch(_) | Message::FeedbackBatchC(_)) {
+                    return None;
+                }
+                buf = &[];
+                Message::Draw(Box::new(flush))
+            }
+            crate::wire::TAG_DRAWN_EXHAUSTED | crate::wire::TAG_DRAWN => {
+                let next = match tag {
+                    crate::wire::TAG_DRAWN => Some(TupleMsg::decode(&mut buf)?),
+                    _ => None,
+                };
+                let survivals = Self::decode_slice(buf)?;
+                if !matches!(
+                    survivals,
+                    Message::SurvivalBatchReply { .. } | Message::SurvivalBatchReplyC { .. }
+                ) {
+                    return None;
+                }
+                buf = &[];
+                Message::Drawn { survivals: Box::new(survivals), next }
             }
             _ => return None,
         };
@@ -1092,11 +1180,59 @@ mod tests {
                 ],
             },
         ]
+        .into_iter()
+        .chain(draw_messages())
+        .collect()
+    }
+
+    /// Draw frames in both wire layouts, bare and inside every container
+    /// that routes them.
+    fn draw_messages() -> Vec<Message> {
+        let legacy =
+            || Message::Draw(Box::new(Message::FeedbackBatch(vec![sample_tuple_msg(); 2])));
+        let columnar = || {
+            Message::Draw(Box::new(Message::FeedbackBatchC(crate::TupleBlock::from_msgs(&vec![
+                sample_tuple_msg();
+                3
+            ]))))
+        };
+        let drawn = || Message::Drawn {
+            survivals: Box::new(Message::SurvivalBatchReply {
+                survivals: vec![0.5, 1.0],
+                pruned: 1,
+            }),
+            next: Some(sample_tuple_msg()),
+        };
+        let drawn_c = || Message::Drawn {
+            survivals: Box::new(Message::SurvivalBatchReplyC {
+                survivals: vec![0.25, 0.5, 1.0],
+                pruned: 2,
+            }),
+            next: None,
+        };
+        vec![
+            legacy(),
+            columnar(),
+            drawn(),
+            drawn_c(),
+            Message::Tagged { query_id: 17, inner: Box::new(columnar()) },
+            Message::Tagged { query_id: 17, inner: Box::new(legacy()) },
+            Message::AggScatter {
+                parts: vec![(1, legacy()), (2, columnar()), (5, Message::RequestNext)],
+            },
+            Message::AggReplies {
+                replies: vec![
+                    (1, AggReply::Ok(Box::new(drawn()))),
+                    (2, AggReply::Ok(Box::new(drawn_c()))),
+                    (5, AggReply::Err(LinkError::Disconnected)),
+                ],
+            },
+        ]
     }
 
     /// Golden wire contract: `encoded_len` is the exact frame length for
     /// every variant — the pipelined transports pre-reserve outstanding
-    /// frames from it — and the sample set covers every wire tag `0..=33`.
+    /// frames from it — and the sample set covers every wire tag `0..=36`.
     /// Adding a message variant without extending `all_messages` (and
     /// without a matching `encoded_len` arm) fails here, not in a
     /// transport at 2 a.m.
@@ -1123,7 +1259,7 @@ mod tests {
         }
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags, (0u8..=33).collect::<Vec<_>>(), "every wire tag 0..=33 represented");
+        assert_eq!(tags, (0u8..=36).collect::<Vec<_>>(), "every wire tag 0..=36 represented");
     }
 
     /// The columnar frames are re-encodings, not new semantics: each
@@ -1601,6 +1737,71 @@ mod tests {
             assert!(
                 Message::decode_slice(frame).is_none(),
                 "aggregate corpus entry {i} must reject: {frame:?}"
+            );
+        }
+    }
+
+    /// A draw costs what its two requests cost: the flush's class and
+    /// tuples, one upload tuple back (none when exhausted), and exactly
+    /// the two frames' bytes — the refill's tag becomes the draw's, the
+    /// upload's tag the reply's.
+    #[test]
+    fn draw_frames_charge_their_parts() {
+        let flush = Message::FeedbackBatch(vec![sample_tuple_msg(); 4]);
+        let reply = Message::SurvivalBatchReply { survivals: vec![0.5; 4], pruned: 1 };
+        let draw = Message::Draw(Box::new(flush.clone()));
+        assert_eq!(draw.class(), TrafficClass::Feedback);
+        assert_eq!(draw.tuple_count(), 4);
+        assert_eq!(draw.encoded_len(), flush.encoded_len() + Message::RequestNext.encoded_len());
+        for next in [Some(sample_tuple_msg()), None] {
+            let upload = Message::Upload(next.clone());
+            let drawn = Message::Drawn { survivals: Box::new(reply.clone()), next };
+            assert_eq!(drawn.class(), TrafficClass::Upload);
+            assert_eq!(drawn.tuple_count(), upload.tuple_count());
+            assert_eq!(drawn.encoded_len(), reply.encoded_len() + upload.encoded_len());
+        }
+        // Legacy draws are no columnar frames; columnar ones credit their
+        // flush's saving.
+        assert_eq!(draw.legacy_encoded_len(), None);
+        let block = crate::TupleBlock::from_msgs(&vec![sample_tuple_msg(); 4]);
+        let columnar = Message::Draw(Box::new(Message::FeedbackBatchC(block)));
+        assert_eq!(columnar.legacy_encoded_len(), Some(draw.encoded_len()));
+    }
+
+    /// Malformed draw frames: a trailing byte after every draw sample
+    /// (bare, tagged, and inside aggregate containers), and a wrapper
+    /// around the wrong frame kind. Every entry must decode to `None` — the
+    /// transports answer [`Message::DecodeError`] — never panic.
+    /// Truncations at every offset are a property in `tests/proptests.rs`.
+    #[test]
+    fn malformed_draw_frames_decode_to_none() {
+        let mut corpus: Vec<Vec<u8>> = Vec::new();
+        for msg in draw_messages() {
+            let mut long = msg.encode().to_vec();
+            long.push(0);
+            corpus.push(long);
+        }
+        // A draw carries a feedback batch, a drawn reply a survival batch.
+        let flush = || Message::FeedbackBatch(vec![sample_tuple_msg()]);
+        for inner in [Message::RequestNext, Message::Feedback(sample_tuple_msg())] {
+            corpus.push(Message::Draw(Box::new(inner)).encode().to_vec());
+        }
+        corpus.push(Message::Draw(Box::new(Message::Draw(Box::new(flush())))).encode().to_vec());
+        for inner in [
+            Message::Ack,
+            Message::Upload(None),
+            Message::SurvivalReply { survival: 0.5, pruned: 0 },
+            flush(),
+        ] {
+            for next in [None, Some(sample_tuple_msg())] {
+                let drawn = Message::Drawn { survivals: Box::new(inner.clone()), next };
+                corpus.push(drawn.encode().to_vec());
+            }
+        }
+        for (i, frame) in corpus.iter().enumerate() {
+            assert!(
+                Message::decode_slice(frame).is_none(),
+                "draw corpus entry {i} must reject: {frame:?}"
             );
         }
     }

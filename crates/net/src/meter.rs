@@ -189,6 +189,13 @@ mod tests {
         Message::Feedback(TupleMsg::new(&t, 0.5))
     }
 
+    fn tuple_msg(seq: u64, x: f64) -> TupleMsg {
+        let t =
+            UncertainTuple::new(TupleId::new(0, seq), vec![x, 2.0], Probability::new(0.5).unwrap())
+                .unwrap();
+        TupleMsg::new(&t, 0.25)
+    }
+
     #[test]
     fn batched_frame_meters_one_message_with_actual_encoded_length() {
         // A coalesced FeedbackBatch is one frame on the wire: the meter must
@@ -289,6 +296,50 @@ mod tests {
         meter.record(&Message::SurvivalBatchReplyC { survivals: vec![0.5; 16], pruned: 3 });
         assert_eq!(rec.counter(Counter::ColumnarFrames), 2);
         assert_eq!(rec.counter(Counter::BytesSaved), saved);
+    }
+
+    /// A draw — feedback flush and refill in one frame — meters as one
+    /// feedback message carrying the flush's tuples; its reply as one
+    /// upload message carrying the representative, or nothing once the
+    /// site is exhausted. The paper's tuple measure matches the two
+    /// separate requests it replaces.
+    #[test]
+    fn draw_meters_one_message_each_way_with_the_separate_requests_tuples() {
+        let flush = Message::FeedbackBatch(vec![tuple_msg(0, 1.0); 5]);
+        let draw = Message::Draw(Box::new(flush.clone()));
+        let meter = BandwidthMeter::new();
+        meter.record(&draw);
+        let snap = meter.snapshot();
+        assert_eq!((snap.feedback.messages, snap.feedback.tuples), (1, 5));
+        assert_eq!(snap.feedback.bytes, draw.encode().len() as u64);
+        assert_eq!(snap.control.messages, 0, "the refill request rides free");
+
+        let survivals =
+            || Box::new(Message::SurvivalBatchReply { survivals: vec![0.5; 5], pruned: 2 });
+        for (next, tuples) in [(Some(tuple_msg(1, 0.5)), 1), (None, 0)] {
+            let meter = BandwidthMeter::new();
+            let drawn = Message::Drawn { survivals: survivals(), next };
+            meter.record(&drawn);
+            let snap = meter.snapshot();
+            assert_eq!((snap.upload.messages, snap.upload.tuples), (1, tuples));
+            assert_eq!(snap.upload.bytes, drawn.encode().len() as u64);
+            assert_eq!(snap.reply.messages, 0, "the survival reply rides free");
+        }
+
+        // The same exchange as two requests and two replies: same tuples.
+        let split = BandwidthMeter::new();
+        for msg in
+            [flush, Message::RequestNext, *survivals(), Message::Upload(Some(tuple_msg(1, 0.5)))]
+        {
+            split.record(&msg);
+        }
+        let merged = BandwidthMeter::new();
+        merged.record(&draw);
+        merged.record(&Message::Drawn { survivals: survivals(), next: Some(tuple_msg(1, 0.5)) });
+        let (split, merged) = (split.snapshot(), merged.snapshot());
+        assert_eq!(merged.tuples_transmitted(), split.tuples_transmitted());
+        assert_eq!(merged.total().bytes, split.total().bytes);
+        assert_eq!((merged.total().messages, split.total().messages), (2, 4));
     }
 
     #[test]

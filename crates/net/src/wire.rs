@@ -85,6 +85,18 @@ pub const TAG_REPLICA_SYNC_C: u8 = 25;
 /// Wire tag of the columnar [`Message::RegionReplyC`] frame.
 pub const TAG_REGION_REPLY_C: u8 = 26;
 
+/// Wire tag of the [`Message::Tagged`] session wrapper: the tag, a
+/// big-endian `u64` query id, then the inner frame.
+pub const TAG_TAGGED: u8 = 21;
+/// Wire tag of [`Message::Draw`]: the tag, then the flush frame.
+pub const TAG_DRAW: u8 = 34;
+/// Wire tag of a [`Message::Drawn`] without an upload: the tag, then the
+/// survival reply frame.
+pub const TAG_DRAWN_EXHAUSTED: u8 = 35;
+/// Wire tag of a [`Message::Drawn`] with an upload: the tag, the uploaded
+/// tuple in its legacy row form, then the survival reply frame.
+pub const TAG_DRAWN: u8 = 36;
+
 /// Whether `tag` denotes one of the columnar frames decoded by this module.
 pub(crate) fn is_columnar_tag(tag: u8) -> bool {
     (TAG_FEEDBACK_BATCH_C..=TAG_REGION_REPLY_C).contains(&tag)

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dsud_net::{Message, TupleMsg};
+use dsud_net::{AggReply, LinkError, Message, TupleBlock, TupleMsg};
 use dsud_uncertain::{SubspaceMask, TupleId};
 
 fn arb_tuple_msg() -> impl Strategy<Value = TupleMsg> {
@@ -49,6 +49,64 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Tuples sharing one dimensionality, as a columnar block requires.
+fn arb_rows() -> impl Strategy<Value = Vec<TupleMsg>> {
+    (1usize..6).prop_flat_map(|dims| {
+        prop::collection::vec(
+            (any::<u32>(), any::<u64>(), prop::collection::vec(-1e6f64..1e6, dims..dims + 1)),
+            0..5,
+        )
+        .prop_map(|rows| {
+            rows.into_iter()
+                .map(|(site, seq, values)| TupleMsg {
+                    id: TupleId::new(site, seq),
+                    values,
+                    prob: 0.5,
+                    local_prob: 0.25,
+                })
+                .collect::<Vec<_>>()
+        })
+    })
+}
+
+/// A bare draw or drawn reply in either wire layout.
+fn arb_draw_frame() -> impl Strategy<Value = Message> {
+    let survivals = || (prop::collection::vec(0.0f64..=1.0, 0..6), any::<u64>());
+    prop_oneof![
+        arb_rows().prop_map(|rows| Message::Draw(Box::new(Message::FeedbackBatch(rows)))),
+        arb_rows().prop_map(|rows| {
+            Message::Draw(Box::new(Message::FeedbackBatchC(TupleBlock::from_msgs(&rows))))
+        }),
+        (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2)).prop_map(
+            |((survivals, pruned), next)| Message::Drawn {
+                survivals: Box::new(Message::SurvivalBatchReply { survivals, pruned }),
+                next: next.into_iter().next(),
+            }
+        ),
+        (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2)).prop_map(
+            |((survivals, pruned), next)| Message::Drawn {
+                survivals: Box::new(Message::SurvivalBatchReplyC { survivals, pruned }),
+                next: next.into_iter().next(),
+            }
+        ),
+    ]
+}
+
+/// A draw frame bare, tagged, or routed through a tree aggregator's
+/// scatter (requests) or merged replies (replies).
+fn arb_routed_draw() -> impl Strategy<Value = Message> {
+    (arb_draw_frame(), 0u32..4, any::<u64>()).prop_map(|(msg, route, id)| match route {
+        0 => msg,
+        1 => Message::Tagged { query_id: id, inner: Box::new(msg) },
+        2 if matches!(msg, Message::Draw(_)) => {
+            Message::AggScatter { parts: vec![(3, Message::RequestNext), (7, msg)] }
+        }
+        _ => Message::AggReplies {
+            replies: vec![(3, AggReply::Err(LinkError::Timeout)), (7, AggReply::Ok(Box::new(msg)))],
+        },
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -75,5 +133,30 @@ proptest! {
                 prop_assert!(Message::decode(truncated).is_none());
             }
         }
+    }
+
+    #[test]
+    fn draw_frames_roundtrip_bare_tagged_and_aggregated(msg in arb_routed_draw()) {
+        let bytes = msg.encode();
+        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        prop_assert_eq!(Message::decode_slice(&bytes), Some(msg));
+    }
+
+    #[test]
+    fn malformed_draw_truncations_are_rejected_at_every_offset(msg in arb_routed_draw()) {
+        let bytes = msg.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Message::decode_slice(&bytes[..cut]).is_none());
+        }
+    }
+
+    #[test]
+    fn malformed_draw_bytes_never_panic(
+        tag in prop_oneof![Just(34u8), Just(35u8), Just(36u8)],
+        body in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Random bodies behind each draw tag: Some or None, never a panic.
+        let frame: Vec<u8> = std::iter::once(tag).chain(body).collect();
+        let _ = Message::decode_slice(&frame);
     }
 }

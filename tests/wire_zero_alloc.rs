@@ -160,3 +160,50 @@ fn warm_round_trip_allocates_nothing() {
     assert_eq!(after - before, 0, "warm round trips must not touch the allocator");
     assert!(product.is_finite());
 }
+
+/// A draw — the columnar flush and the refill in one frame, bare and
+/// inside a session wrapper — is answered on the same allocation-free
+/// path: the survival factors and the uploaded representative are
+/// encoded straight into the reused reply buffer.
+#[test]
+fn warm_columnar_draws_allocate_nothing() {
+    for query_id in [None, Some(9)] {
+        let (mut site, flush) = warm_site_and_frame(8);
+        let mut draw = vec![wire::TAG_DRAW];
+        draw.extend_from_slice(&flush);
+        if let Some(id) = query_id {
+            let start =
+                Message::Start { q: 0.01, mask: dsud_uncertain::SubspaceMask::full(2).unwrap() };
+            site.handle(Message::Tagged { query_id: id, inner: Box::new(start) });
+            let mut tagged = vec![wire::TAG_TAGGED];
+            tagged.extend_from_slice(&id.to_be_bytes());
+            tagged.extend_from_slice(&draw);
+            draw = tagged;
+        }
+        let mut out = bytes::BytesMut::new();
+        // Warm-up: sizes the scratch and the reply buffer on a draw that
+        // carries an upload.
+        site.handle_frame(&draw, &mut out);
+        assert!(matches!(Message::decode_slice(&out), Some(Message::Drawn { next: Some(_), .. })));
+        let before = allocations();
+        let mut uploads = 0;
+        for _ in 0..64 {
+            site.handle_frame(&draw, &mut out);
+            uploads += usize::from(out[0] == wire::TAG_DRAWN);
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "warm columnar draws must not touch the allocator ({query_id:?})"
+        );
+        // Sanity: the draws uploaded representatives until the local
+        // skyline ran dry, then kept answering exhausted.
+        assert!(uploads > 0, "{query_id:?}");
+        assert!(matches!(
+            Message::decode_slice(&out),
+            Some(Message::Drawn { survivals, next: None })
+                if matches!(*survivals, Message::SurvivalBatchReplyC { .. })
+        ));
+    }
+}
