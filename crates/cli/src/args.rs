@@ -229,13 +229,12 @@ Flag notes:
                carry the chosen wire layout inside them). With --failure
                degrade, a dead aggregator quarantines its whole subtree,
                stamped as upper bounds like any lost site.
-  --plan       sketch (default) gathers one compact mergeable sketch per
-               site before the first round and sizes --batch auto rounds
-               from the observed probability distribution; static keeps
-               the fixed clamp. The plan phase runs only under --batch
-               auto (a fixed K is never overridden); answers stay
-               bit-identical either way, and a site that cannot ship a
-               sketch silently falls back to the static schedule.
+  --plan       sketch (default) sizes --batch auto rounds from the exact
+               candidate counts the sites report on their Start replies
+               (the name stays from the sketch gather this replaced; no
+               extra frame is sent); static keeps the fixed clamp. It
+               acts only under --batch auto (a fixed K is never
+               overridden); answers stay bit-identical either way.
   --deadline   (client) per-query budget in ms; the server cancels at the
                next round boundary and streams the partial answer, marked
                CANCELLED. Nothing cancelled or degraded enters the cache.
@@ -505,7 +504,8 @@ fn wire_flag(v: Option<&str>) -> Result<WireFormat, CliError> {
 }
 
 /// Parses `--plan` (defaults to `sketch`: the CLI always prefers the
-/// adaptive round planner, which runs only under `--batch auto`; the
+/// round planner, which sizes `--batch auto` rounds from the exact
+/// candidate counts on the Start replies and runs only there; the
 /// library default stays `static` for frame-count-pinned compatibility
 /// tests).
 fn plan_flag(v: Option<&str>) -> Result<PlanMode, CliError> {

@@ -312,10 +312,10 @@ fn query<W: Write>(
 /// Stamps a run report with the settings its query ran under, on the
 /// one-shot and the served path alike. `fan` is the deployment's topology
 /// and fan-out plan (the centralized baseline has none). The `plan` stamp
-/// names the mode that actually ran: `static` unless a plan phase ran
-/// (`summary`), whose cost (`sketch_bytes`, `plan_us`) and decision
-/// (`planned_batch`, absent when the gather degraded back to the static
-/// schedule) are stamped with it.
+/// names the mode that actually ran: `static` unless the planner ran
+/// (`summary`), whose cost (`sketch_bytes`, `plan_us`, both 0 now that the
+/// counts ride the Start replies) and decision (`planned_batch`) are
+/// stamped with it.
 fn stamp_report(
     report: &mut RunReport,
     config: &QueryConfig,
@@ -880,17 +880,16 @@ mod tests {
                     "a tree run merges at least the start broadcast"
                 );
                 if batch == BatchSize::Auto {
+                    // The plan comes from the counts on the Start replies:
+                    // no sketch frames, no merges, even on a tree.
                     assert_eq!(report.plan.as_deref(), Some("sketch"));
-                    assert!(report.sketch_bytes.unwrap() > 0, "sketch frames were charged");
+                    assert_eq!(report.sketch_bytes, Some(0), "no plan-phase frames");
                     assert!(report.plan_us.is_some());
                     assert!(
                         report.planned_batch.unwrap() >= dsud_core::planner::PLAN_BATCH_MIN,
                         "the planner never caps below the static auto clamp"
                     );
-                    assert_eq!(
-                        report.counters.sketch_merges, 1,
-                        "a 2-link tree root folds one sketch beyond the first"
-                    );
+                    assert_eq!(report.counters.sketch_merges, 0, "nothing to merge");
                 } else {
                     // A fixed batch leaves the planner nothing to decide: no
                     // plan phase runs, and the report says so.

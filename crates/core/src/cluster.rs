@@ -113,9 +113,9 @@ pub struct QueryOutcome {
     /// field existed.
     #[serde(default)]
     pub sites: Vec<SiteStatus>,
-    /// What the plan phase observed and decided ([`crate::PlanMode::Sketch`]
-    /// runs only). `None` for static runs and for outcomes serialized
-    /// before the plan phase existed.
+    /// What the planner saw and decided ([`crate::PlanMode::Sketch`] runs
+    /// at [`crate::BatchSize::Auto`] only). `None` for other runs and for
+    /// outcomes serialized before the planner existed.
     #[serde(default)]
     pub plan: Option<crate::PlanSummary>,
 }
@@ -762,6 +762,16 @@ pub(crate) fn expect_upload(site: u32, msg: Message) -> Result<Option<TupleMsg>,
     }
 }
 
+/// Interprets a reply from `site` that must answer a counted
+/// [`Message::Start`]: the first upload plus the candidates pending behind
+/// it.
+pub(crate) fn expect_started(site: u32, msg: Message) -> Result<(Option<TupleMsg>, u64), Error> {
+    match msg {
+        Message::Started { pending, next } => Ok((next, u64::from(pending))),
+        _ => Err(Error::ProtocolViolation { site, what: "expected Started reply" }),
+    }
+}
+
 /// Interprets a reply from `site` that must be a survival reply; the
 /// survival product must be a valid probability or the reply is rejected (a
 /// corrupted site must not silently poison global probabilities).
@@ -843,6 +853,14 @@ mod tests {
             Err(Error::ProtocolViolation { site: 2, what: "expected SurvivalReply" })
         );
         assert_eq!(expect_upload(0, Message::Upload(None)).unwrap(), None);
+        assert_eq!(
+            expect_started(3, Message::Upload(None)),
+            Err(Error::ProtocolViolation { site: 3, what: "expected Started reply" })
+        );
+        assert_eq!(
+            expect_started(0, Message::Started { pending: 9, next: None }).unwrap(),
+            (None, 9)
+        );
         assert_eq!(
             expect_survival(0, Message::SurvivalReply { survival: 0.5, pruned: 2 }).unwrap(),
             (0.5, 2)

@@ -359,9 +359,9 @@ impl std::str::FromStr for WireFormat {
 /// Planning is a pure scheduling optimization: it only adjusts how many
 /// candidates ride each Server-Delivery round when the batch size is
 /// [`BatchSize::Auto`], never which tuples qualify — and at a fixed batch
-/// size no plan phase runs at all. Results, probabilities, progress order,
+/// size it does nothing at all. Results, probabilities, progress order,
 /// and `RunStats` are bit-identical under either mode — only frame counts
-/// (and the one-off plan-phase frames) differ.
+/// and the Start replies' 4-byte counts differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum PlanMode {
     /// No plan phase: `--batch auto` uses the fixed queue-clamp heuristic.
@@ -369,9 +369,10 @@ pub enum PlanMode {
     /// phase existed stay valid.
     #[default]
     Static,
-    /// Under [`BatchSize::Auto`], gather one mergeable sketch per site
-    /// before the first round and size the round budgets from the observed
-    /// skyline-probability distribution instead of the Eq. 6 estimator.
+    /// Under [`BatchSize::Auto`], send a counted Start and size the round
+    /// budgets from the exact candidate total the sites report on their
+    /// Start replies (see [`crate::planner`]). The name stays from the
+    /// sketch gather this mode used to run; no extra frame is sent now.
     /// At a fixed batch size it runs exactly the static schedule.
     Sketch,
 }
@@ -386,7 +387,8 @@ impl PlanMode {
         }
     }
 
-    /// Whether a plan phase (sketch gather) runs before the first round.
+    /// Whether the coordinator plans `--batch auto` rounds from counted
+    /// Start replies.
     pub fn sketch(&self) -> bool {
         matches!(self, PlanMode::Sketch)
     }

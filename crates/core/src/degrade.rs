@@ -260,6 +260,23 @@ impl FailureTracker {
     ) -> Result<Option<TupleMsg>, Error> {
         Ok(self.interpret(site, reply, crate::cluster::expect_upload)?.flatten())
     }
+
+    /// Interprets the reply to a [`Message::Start`] from `site`: the first
+    /// upload plus, when the start was `counted`, how many candidates
+    /// remain behind it (0 for a plain start, and for a site lost here).
+    pub(crate) fn started(
+        &mut self,
+        site: usize,
+        reply: Result<Message, LinkError>,
+        counted: bool,
+    ) -> Result<(Option<TupleMsg>, u64), Error> {
+        let parsed = if counted {
+            self.interpret(site, reply, crate::cluster::expect_started)?
+        } else {
+            self.interpret(site, reply, crate::cluster::expect_upload)?.map(|next| (next, 0))
+        };
+        Ok(parsed.unwrap_or((None, 0)))
+    }
 }
 
 #[cfg(test)]
@@ -301,6 +318,13 @@ mod tests {
         assert_eq!(tracker.upload(0, Err(LinkError::Timeout)).unwrap(), None);
         assert_eq!(tracker.interpret(1, Ok(Message::Ack), expect_survival).unwrap(), None);
         assert!(!tracker.is_active(0) && !tracker.is_active(1));
+        // A site lost at a counted start counts no candidates; a healthy
+        // one counts its pending tail.
+        let mut tracker = FailureTracker::new(2, FailurePolicy::Degrade, Recorder::disabled());
+        assert_eq!(tracker.started(0, Err(LinkError::Timeout), true).unwrap(), (None, 0));
+        let started = Message::Started { pending: 4, next: None };
+        assert_eq!(tracker.started(1, Ok(started), true).unwrap(), (None, 4));
+        assert!(!tracker.is_active(0) && tracker.is_active(1));
     }
 
     #[test]

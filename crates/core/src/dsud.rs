@@ -144,22 +144,27 @@ pub(crate) fn run_on(
     // To-Server phase, first iteration: every site extracts its local
     // skyline and sends its best representative. The broadcast fans the
     // extraction across sites (replies stay in ascending site order, so
-    // the queue is identical to a sequential poll).
+    // the queue is identical to a sequential poll). A planning run's
+    // counted Start also learns how many candidates each site holds.
+    let counted = planner::counts(config);
+    let mut candidates = 0u64;
     let mut queue: BinaryHeap<QueueEntry> = BinaryHeap::with_capacity(order.len());
     {
         let _span = rec.span("to-server:start");
-        for (x, reply) in order.verify(fan.broadcast(|_| true, &Message::Start { q, mask })) {
-            if let Some(t) = tracker.upload(x, reply)? {
+        let start = Message::Start { q, mask, counted };
+        for (x, reply) in order.verify(fan.broadcast(|_| true, &start)) {
+            let (next, pending) = tracker.started(x, reply, counted)?;
+            candidates += pending + u64::from(next.is_some());
+            if let Some(t) = next {
                 queue.push(QueueEntry(t));
             }
         }
     }
 
-    // Plan phase: size `--batch auto` rounds from the sites' sketched
-    // probability distributions instead of the static queue clamp. A pure
-    // scheduling decision — see `crate::planner` for why it cannot change
-    // the answer, and why a failed gather just keeps the static schedule.
-    let (batch, plan_summary) = planner::schedule(fan, config, &rec);
+    // Size `--batch auto` rounds from the exact candidate total instead
+    // of the static queue clamp. A pure scheduling decision — see
+    // `crate::planner` for why it cannot change the answer.
+    let (batch, plan_summary) = planner::schedule(candidates, config);
 
     // Corollary 1: once the head's local probability falls below `q`,
     // nothing fetched or unfetched can still qualify.

@@ -173,11 +173,18 @@ pub(crate) fn run_on(
     let mut round = BatchRound::new(order.len(), config, &rec);
     let mut history: Vec<TupleMsg> = Vec::new();
 
+    // A planning run's counted Start also learns how many candidates each
+    // site holds (see `crate::planner`).
+    let counted = planner::counts(config);
+    let mut candidates = 0u64;
     let mut queue: Vec<Candidate> = Vec::with_capacity(order.len());
     {
         let _span = rec.span("to-server:start");
-        for (x, reply) in order.verify(fan.broadcast(|_| true, &Message::Start { q, mask })) {
-            if let Some(t) = tracker.upload(x, reply)? {
+        let start = Message::Start { q, mask, counted };
+        for (x, reply) in order.verify(fan.broadcast(|_| true, &start)) {
+            let (next, pending) = tracker.started(x, reply, counted)?;
+            candidates += pending + u64::from(next.is_some());
+            if let Some(t) = next {
                 queue.push(Candidate::new(t, &history, mask));
             }
         }
@@ -205,10 +212,10 @@ pub(crate) fn run_on(
         }
     }
 
-    // Plan phase: size `--batch auto` rounds (selection draws and expunge
-    // sweeps alike) from the sites' sketched probability distributions.
-    // Pure scheduling — see `crate::planner`.
-    let (batch, plan_summary) = planner::schedule(fan, config, &rec);
+    // Size `--batch auto` rounds (selection draws and expunge sweeps
+    // alike) from the exact candidate total. Pure scheduling — see
+    // `crate::planner`.
+    let (batch, plan_summary) = planner::schedule(candidates, config);
 
     loop {
         // Deadline checks sit on round boundaries only, so a cancelled run

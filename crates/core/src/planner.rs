@@ -1,42 +1,34 @@
-//! The adaptive round planner: a pre-query *plan phase* that sizes
-//! `--batch auto` rounds from observed per-site skyline-probability
-//! distributions instead of the closed-form Eq. 6 estimator in
-//! [`crate::estimate`].
+//! The round planner: sizes `--batch auto` rounds from the cluster's
+//! exact candidate count instead of the queue-depth clamp.
 //!
-//! The plan phase runs only when a query asks for [`PlanMode::Sketch`]
-//! *and* [`BatchSize::Auto`]: a fixed batch size is a user decision the
-//! planner never overrides, so gathering sketches for it would cost one
-//! exchange per link and change nothing. Such runs carry no
-//! [`PlanSummary`] and ship exactly the static schedule's frames.
+//! Planning runs only when a query asks for [`PlanMode::Sketch`] *and*
+//! [`BatchSize::Auto`]: a fixed batch size is a user decision the planner
+//! never overrides. Such runs carry no [`PlanSummary`] and ship exactly the
+//! static schedule's frames. The mode keeps the name of the sketch gather
+//! it replaced; it now plans from exact counts on the Start reply.
 //!
-//! When it runs, the coordinator gathers one mergeable
-//! [`SiteSketch`] per physical link right after the Start broadcast —
-//! sites build the sketches at load time and keep them updated through the
-//! Section 5.4 maintenance path, so the gather costs exactly one compact
-//! frame per site. Tree aggregators merge their children's sketches before
-//! forwarding: sketch merge is associative (bucket-wise adds and
-//! register-wise maxima), so unlike survival-product folds the tree may
-//! legally combine them, and the root sees one frame per root link.
+//! Every site computes its exact local skyline `SKY(D_i)` for the query's
+//! `(q, mask)` when the query starts (Section 5.1), so the counts cost
+//! nothing extra. A planning coordinator sends a *counted*
+//! [`Message::Start`](dsud_net::Message::Start); each site answers with a
+//! [`Message::Started`](dsud_net::Message::Started) that carries its first
+//! upload and the number of candidates pending behind it. The coordinator
+//! sums the pending counts and the uploads it queued into the exact
+//! cluster total (a site lost at Start counts 0), and [`planned_batch`]
+//! turns that total into a batch cap. No frame is added and no site keeps any
+//! summary between queries, so the total is exact for every subspace and
+//! after every update.
 //!
-//! Planning is a pure *scheduling* decision. The merged sketch's
-//! `count_at_least(q)` is a conservative overestimate of the cluster-wide
-//! candidate population, and the planner turns it into a batch cap for
-//! [`BatchSize::Auto`] rounds; because batching never changes the answer
-//! (see `crate::batch` and `tests/batching_determinism.rs`), neither does
-//! planning. Any link error or unexpected reply during the gather degrades
-//! the plan to the static schedule — it never fails or quarantines a run.
+//! Planning is a pure *scheduling* decision: because batching never
+//! changes the answer (see `crate::batch` and
+//! `tests/batching_determinism.rs`), neither does planning.
 
-use std::time::Instant;
-
-use dsud_net::{Fanout, Message};
-use dsud_obs::{Counter, Recorder};
-use dsud_sketch::SiteSketch;
 use serde::{Deserialize, Serialize};
 
 use crate::{BatchSize, PlanMode, QueryConfig};
 
 /// Smallest batch cap the planner will emit — never below the static
-/// [`BatchSize::AUTO_MAX`], so a sketch plan can only deepen rounds, never
+/// [`BatchSize::AUTO_MAX`], so a plan can only deepen rounds, never
 /// shrink them below what the static schedule would coalesce.
 pub const PLAN_BATCH_MIN: usize = BatchSize::AUTO_MAX;
 
@@ -45,33 +37,35 @@ pub const PLAN_BATCH_MIN: usize = BatchSize::AUTO_MAX;
 /// its scatter completes, so unbounded batches would starve the stream.
 pub const PLAN_BATCH_MAX: usize = 256;
 
-/// What the plan phase observed and decided, stamped into
-/// [`crate::QueryOutcome::plan`] and from there into run reports.
+/// What the planner saw and decided, stamped into
+/// [`crate::QueryOutcome::plan`] and from there into run reports. The
+/// sketch-era fields keep their names so reports keep their shape.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanSummary {
     /// The mode that produced this summary (always [`PlanMode::Sketch`]
-    /// today — runs without a plan phase, static or at a fixed batch
-    /// size, carry no summary at all).
+    /// today — runs without planning, static or at a fixed batch size,
+    /// carry no summary at all).
     pub mode: PlanMode,
-    /// Encoded bytes of every sketch frame the root received.
+    /// Plan-phase bytes beyond the query's own frames: always 0, since
+    /// the counts ride the Start replies.
     pub sketch_bytes: u64,
-    /// Wall-clock microseconds spent gathering and merging.
+    /// Microseconds spent in a plan phase: always 0, since there is no
+    /// exchange to wait for and the cap is one closed-form step.
     pub plan_us: u64,
-    /// The batch cap the planner chose for [`BatchSize::Auto`] rounds;
-    /// `None` when the gather degraded and the static schedule was kept.
+    /// The batch cap the planner chose for [`BatchSize::Auto`] rounds.
     pub planned_batch: Option<usize>,
-    /// Sketch frames received at the root (one per physical link).
+    /// Plan-phase frames received at the root: always 0.
     pub frames: u64,
-    /// Sketches folded at the root beyond the first. Aggregator-side
-    /// merges ride inside the tree and are not separately counted.
+    /// Plan-phase merges at the root: always 0.
     pub merges: u64,
-    /// The merged sketch's conservative candidate-population estimate
-    /// `count_at_least(q)` the cap was derived from.
+    /// The cluster's exact candidate count — the sizes of the sites'
+    /// local skylines at the query's `(q, mask)`, summed over the sites
+    /// that answered the Start — the cap was derived from.
     pub estimated_candidates: u64,
 }
 
-/// Turns the merged sketch's candidate-population estimate into a batch
-/// cap: `⌈2·√C⌉` clamped to `[PLAN_BATCH_MIN, PLAN_BATCH_MAX]`.
+/// Turns the cluster's candidate count into a batch cap: `⌈2·√C⌉`
+/// clamped to `[PLAN_BATCH_MIN, PLAN_BATCH_MAX]`.
 ///
 /// The square-root shape balances the two frame costs a round pays: a
 /// round of `K` candidates ships `O(m + K)` frames instead of the
@@ -82,66 +76,31 @@ pub fn planned_batch(candidates: u64) -> usize {
     cap.clamp(PLAN_BATCH_MIN, PLAN_BATCH_MAX)
 }
 
-/// Runs the plan phase over the fan-out: one [`Message::SketchRequest`]
-/// round-trip per physical link, merged at the root.
-///
-/// Tolerant by construction: any transport error or non-sketch reply
-/// yields a summary with `planned_batch: None`, telling the caller to keep
-/// the static schedule. The gather bypasses the round-op FIFO (no rounds
-/// are in flight at plan time) and dead tree links answer their recorded
-/// error without being re-driven, so a degraded cluster plans over nothing
-/// rather than poisoning its links.
-pub(crate) fn plan(fan: &mut Fanout<'_>, q: f64, rec: &Recorder) -> PlanSummary {
-    let _span = rec.span("plan");
-    let started = Instant::now();
-    let mut merged: Option<SiteSketch> = None;
-    let mut frames = 0u64;
-    let mut merges = 0u64;
-    let mut degraded = false;
-    for reply in fan.gather_sketches() {
-        match reply {
-            Ok(Message::Sketch(sketch)) => {
-                frames += 1;
-                merged = Some(match merged.take() {
-                    None => *sketch,
-                    Some(mut m) => {
-                        m.merge(&sketch);
-                        merges += 1;
-                        m
-                    }
-                });
-            }
-            _ => degraded = true,
-        }
-    }
-    rec.add(Counter::SketchMerges, merges);
-    let frame_len = 1 + SiteSketch::encoded_len() as u64; // tag byte + body
-    let estimated_candidates = merged.as_ref().map_or(0, |m| m.count_at_least(q));
-    PlanSummary {
-        mode: PlanMode::Sketch,
-        sketch_bytes: frames * frame_len,
-        plan_us: started.elapsed().as_micros() as u64,
-        planned_batch: (!degraded && merged.is_some()).then(|| planned_batch(estimated_candidates)),
-        frames,
-        merges,
-        estimated_candidates,
-    }
+/// Whether a coordinator running `config` plans its rounds — and so sends
+/// a counted Start: only a [`PlanMode::Sketch`] config at
+/// [`BatchSize::Auto`].
+pub(crate) fn counts(config: &QueryConfig) -> bool {
+    config.plan.sketch() && config.batch == BatchSize::Auto
 }
 
-/// The plan phase as a coordinator runs it: gathers sketches only for a
-/// [`PlanMode::Sketch`] config at [`BatchSize::Auto`], and returns the
-/// effective batch size plus the summary of the phase, if one ran.
-pub(crate) fn schedule(
-    fan: &mut Fanout<'_>,
-    config: &QueryConfig,
-    rec: &Recorder,
-) -> (BatchSize, Option<PlanSummary>) {
-    let summary =
-        (config.plan.sketch() && config.batch == BatchSize::Auto).then(|| plan(fan, config.q, rec));
+/// The planner as a coordinator runs it, after the Start replies are in:
+/// `candidates` is the cluster's exact candidate total (meaningful only
+/// when [`counts`] holds). Returns the effective batch size plus the
+/// summary of the planning, if any ran.
+pub(crate) fn schedule(candidates: u64, config: &QueryConfig) -> (BatchSize, Option<PlanSummary>) {
+    let summary = counts(config).then(|| PlanSummary {
+        mode: PlanMode::Sketch,
+        sketch_bytes: 0,
+        plan_us: 0,
+        planned_batch: Some(planned_batch(candidates)),
+        frames: 0,
+        merges: 0,
+        estimated_candidates: candidates,
+    });
     (apply(config, summary.as_ref()), summary)
 }
 
-/// The effective batch size after planning: a successful sketch plan caps
+/// The effective batch size after planning: a plan caps
 /// [`BatchSize::Auto`] rounds at the planned size (acting like
 /// `Fixed(cap)`, which the batching contract proves answer-preserving);
 /// explicit `Fixed` sizes — a user decision — are never overridden.
@@ -186,6 +145,28 @@ mod tests {
         assert_eq!(apply(&at(BatchSize::Auto), None), BatchSize::Auto);
         let degraded = PlanSummary { planned_batch: None, ..summary };
         assert_eq!(apply(&at(BatchSize::Auto), Some(&degraded)), BatchSize::Auto);
+    }
+
+    /// Planning is a pure function of the exact total and the config: a
+    /// summary only for a counting config, carrying the total and the
+    /// cap, with no plan-phase cost.
+    #[test]
+    fn schedule_plans_only_counting_configs() {
+        let at = |batch, plan| QueryConfig::new(0.3).unwrap().batch_size(batch).plan_mode(plan);
+        let (batch, summary) = schedule(400, &at(BatchSize::Auto, PlanMode::Sketch));
+        assert_eq!(batch, BatchSize::Fixed(40));
+        let summary = summary.expect("a counting config plans");
+        assert_eq!(summary.estimated_candidates, 400);
+        assert_eq!(summary.planned_batch, Some(40));
+        assert_eq!((summary.sketch_bytes, summary.frames, summary.merges), (0, 0, 0));
+        for (batch, plan) in [
+            (BatchSize::Auto, PlanMode::Static),
+            (BatchSize::Fixed(4), PlanMode::Sketch),
+            (BatchSize::Fixed(1), PlanMode::Static),
+        ] {
+            assert!(!counts(&at(batch, plan)));
+            assert_eq!(schedule(400, &at(batch, plan)), (batch, None));
+        }
     }
 
     #[test]

@@ -21,13 +21,6 @@ use dsud_uncertain::{
 
 use crate::{Error, SiteOptions, UpdatePolicy, WireFormat};
 
-/// Sketch key for a tuple: site in the high 32 bits, sequence below —
-/// collision-free for sequence numbers under 2³², and identical on every
-/// run, so sketches replay deterministically.
-fn sketch_key(id: TupleId) -> u64 {
-    (u64::from(id.site.0) << 32) ^ id.seq
-}
-
 /// A participant `S_i` of the distributed system: owns the uncertain
 /// database `D_i` (indexed by a PR-tree) and implements the site side of
 /// the DSUD / e-DSUD protocol plus update maintenance.
@@ -59,12 +52,6 @@ pub struct LocalSite {
     /// view plus the survival factors of the reply), so a warm site
     /// answers every batched round without heap allocation.
     feed: FeedbackScratch,
-    /// Mergeable plan-phase synopsis of the local skyline-probability
-    /// distribution: built once at load and maintained incrementally
-    /// through the §5.4 update path, so a served session re-plans after
-    /// inserts/deletes without a rebuild. Pure scheduling input — it is
-    /// never consulted when deciding whether a tuple qualifies.
-    sketch: dsud_sketch::SiteSketch,
 }
 
 /// Site-held buffers for one batched feedback round, reused across rounds.
@@ -135,8 +122,6 @@ impl LocalSite {
             return Err(Error::WrongSiteId { expected: site_index, actual: bad.id().site.0 });
         }
         let tree = PrTree::bulk_load(dims, tuples)?;
-        let mut scratch = BbsScratch::default();
-        let sketch = Self::build_sketch(&tree, dims, &mut scratch);
         Ok(LocalSite {
             id: SiteId(site_index),
             dims,
@@ -145,39 +130,9 @@ impl LocalSite {
             query: None,
             sessions: HashMap::new(),
             replica: Vec::new(),
-            scratch,
+            scratch: BbsScratch::default(),
             feed: FeedbackScratch::default(),
-            sketch,
         })
-    }
-
-    /// Probability floor of the load-time sketch build — the finest bucket
-    /// the quantile sketch resolves (2⁻⁸). Query thresholds below the
-    /// floor under-count, which only makes the planner more conservative;
-    /// it never changes an answer.
-    const SKETCH_FLOOR_Q: f64 = 1.0 / 256.0;
-
-    /// Summarizes the full-space local skyline at the sketch floor. Runs
-    /// before the observability recorder attaches, so load-time traversal
-    /// counts in run reports are untouched.
-    fn build_sketch(
-        tree: &PrTree,
-        dims: usize,
-        scratch: &mut BbsScratch,
-    ) -> dsud_sketch::SiteSketch {
-        let mut sketch = dsud_sketch::SiteSketch::default();
-        let Ok(mask) = SubspaceMask::full(dims) else { return sketch };
-        if let Ok(sky) = bbs::local_skyline_with(tree, Self::SKETCH_FLOOR_Q, mask, scratch) {
-            for e in &sky {
-                sketch.record(sketch_key(e.tuple.id()), e.probability);
-            }
-        }
-        sketch
-    }
-
-    /// The site's current plan-phase synopsis.
-    pub fn sketch(&self) -> &dsud_sketch::SiteSketch {
-        &self.sketch
     }
 
     /// Attaches an observability recorder to this site's PR-tree so its
@@ -234,12 +189,23 @@ impl LocalSite {
         self.feed.rows.footprint() + self.feed.survivals.capacity()
     }
 
-    fn start(&mut self, q: f64, mask: SubspaceMask) -> Message {
+    /// Computes `SKY(D_i)` for the query and answers with its first
+    /// representative; a counted start also reports how many candidates
+    /// remain behind it, so the coordinator learns the cluster's exact
+    /// candidate total from the replies it needs anyway.
+    fn start(&mut self, q: f64, mask: SubspaceMask, counted: bool) -> Message {
+        let reply = |next, pending: usize| {
+            if counted {
+                Message::Started { pending: u32::try_from(pending).unwrap_or(u32::MAX), next }
+            } else {
+                Message::Upload(next)
+            }
+        };
         let sky = match bbs::local_skyline_with(&self.tree, q, mask, &mut self.scratch) {
             Ok(sky) => sky,
             // The coordinator validates q and mask before starting; a
             // failure here means the two sides disagree on the space.
-            Err(_) => return Message::Upload(None),
+            Err(_) => return reply(None, 0),
         };
         let pending = sky
             .into_iter()
@@ -250,7 +216,8 @@ impl LocalSite {
             })
             .collect();
         self.query = Some(ActiveQuery { q, mask, pending, pruned: Vec::new() });
-        Message::Upload(self.next_candidate())
+        let next = self.next_candidate();
+        reply(next, self.pending_candidates())
     }
 
     /// The next representative to upload (the To-Server phase), if the
@@ -386,14 +353,6 @@ impl LocalSite {
             // Duplicate or dimension mismatch: nothing changed locally.
             return Message::Ack;
         }
-        // §5.4 sketch maintenance rides every successful insert, query or
-        // no query: the full-space survival product approximates the
-        // tuple's load-time skyline probability, so a served session
-        // re-plans from fresh counts without a rebuild.
-        if let Ok(full) = SubspaceMask::full(self.dims) {
-            let p = prob * self.tree.survival_product(&values, full);
-            self.sketch.record(sketch_key(msg.id), p);
-        }
         let Some(active) = self.query.as_ref() else {
             return Message::Ack;
         };
@@ -425,11 +384,6 @@ impl LocalSite {
         if self.tree.remove(msg.id, &msg.values).is_none() {
             return Message::Ack;
         }
-        // Sketch tombstone: the pre-delete skyline probability is gone with
-        // the tuple, so the existential probability stands in — at worst
-        // the decrement lands in a neighbouring bucket, which skews the
-        // *plan* slightly and the answer not at all.
-        self.sketch.forget(msg.prob);
         if self.query.is_none() {
             return Message::Ack;
         }
@@ -522,7 +476,7 @@ impl Service for LocalSite {
                 self.query = None;
                 Message::Ack
             }
-            Message::Start { q, mask } => self.start(q, mask),
+            Message::Start { q, mask, counted } => self.start(q, mask, counted),
             Message::RequestNext => Message::Upload(self.next_candidate()),
             // A draw: its flush, then its refill — the same two events in
             // the same order as the separate requests.
@@ -572,10 +526,6 @@ impl Service for LocalSite {
             // nonce so the coordinator can match the ack to its probe. No
             // query state is touched — a probe mid-query is invisible.
             Message::HealthProbe { nonce } => Message::HealthAck { nonce },
-            // Plan phase: ship the maintained synopsis. No query state is
-            // read or written, so a sketch request is invisible to every
-            // cursor — multiplexed or one-shot.
-            Message::SketchRequest => Message::Sketch(Box::new(self.sketch.clone())),
             // Aggregate container frames terminate at aggregators, never at
             // leaf sites; like the site-originated messages below they are
             // protocol errors by construction, answered inertly.
@@ -584,8 +534,11 @@ impl Service for LocalSite {
             | Message::AggReplies { .. } => Message::Ack,
             // Site-originated messages arriving at a site are protocol
             // errors by construction; answer inertly rather than panic so a
-            // buggy coordinator cannot take down a site thread.
-            Message::Upload(_)
+            // buggy coordinator cannot take down a site thread. Sites keep
+            // no sketch: a plan-phase sketch request is answered the same
+            // way, touching no cursor.
+            Message::SketchRequest
+            | Message::Upload(_)
             | Message::SurvivalReply { .. }
             | Message::SurvivalBatchReply { .. }
             | Message::SurvivalBatchReplyC { .. }
@@ -596,6 +549,7 @@ impl Service for LocalSite {
             | Message::Synopsis(_)
             | Message::Sketch(_)
             | Message::Drawn { .. }
+            | Message::Started { .. }
             | Message::HealthAck { .. }
             | Message::DecodeError
             | Message::Ack => Message::Ack,
@@ -707,17 +661,89 @@ mod tests {
     #[test]
     fn start_uploads_best_local_candidate() {
         let mut site = paper_site_s1();
-        let reply = site.handle(Message::Start { q: 0.5, mask: full(2) });
+        let reply = site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let Message::Upload(Some(t)) = reply else { panic!("expected upload, got {reply:?}") };
         assert_eq!(t.values, vec![6.0, 6.0]);
         assert!((t.local_prob - 0.65).abs() < 1e-12);
         assert_eq!(site.pending_candidates(), 2);
     }
 
+    /// A counted start uploads exactly what a plain one does and reports
+    /// the candidates left behind it, bare and `Tagged`; their sum with
+    /// the upload is the local skyline's size at the query's `(q, mask)`.
+    #[test]
+    fn counted_start_reports_the_pending_count() {
+        for (q, mask) in
+            [(0.5, full(2)), (0.3, full(2)), (0.3, SubspaceMask::from_dims(&[1]).unwrap())]
+        {
+            for query_id in [None, Some(5)] {
+                let wrap = |m: Message| match query_id {
+                    Some(id) => Message::Tagged { query_id: id, inner: Box::new(m) },
+                    None => m,
+                };
+                let mut plain = paper_site_s1();
+                let mut counted = paper_site_s1();
+                let Message::Upload(want) =
+                    plain.handle(wrap(Message::Start { q, mask, counted: false }))
+                else {
+                    panic!("a plain start uploads")
+                };
+                let reply = counted.handle(wrap(Message::Start { q, mask, counted: true }));
+                let Message::Started { pending, next } = reply else {
+                    panic!("a counted start answers Started, got {reply:?}")
+                };
+                assert_eq!(next, want);
+                let sky = bbs::local_skyline(counted.tree(), q, mask).unwrap();
+                assert_eq!(pending as usize + usize::from(next.is_some()), sky.len());
+                // The cursors behind both replies stream identically.
+                loop {
+                    let a = plain.handle(wrap(Message::RequestNext));
+                    assert_eq!(a, counted.handle(wrap(Message::RequestNext)));
+                    if matches!(a, Message::Upload(None)) {
+                        break;
+                    }
+                }
+            }
+        }
+        // The paper's S1 at q = 0.5: (6,6) first, two more behind it.
+        let mut site = paper_site_s1();
+        let reply = site.handle(Message::Start { q: 0.5, mask: full(2), counted: true });
+        assert!(matches!(reply, Message::Started { pending: 2, next: Some(_) }), "{reply:?}");
+    }
+
+    /// Sites keep no sketch: a sketch request is answered `Ack` and
+    /// touches no cursor, bare or `Tagged`.
+    #[test]
+    fn sketch_requests_answer_ack_and_touch_no_cursor() {
+        let tagged = |inner: Message| Message::Tagged { query_id: 3, inner: Box::new(inner) };
+        let mut site = paper_site_s1();
+        let mut twin = paper_site_s1();
+        for s in [&mut site, &mut twin] {
+            s.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
+            s.handle(tagged(Message::Start { q: 0.5, mask: full(2), counted: false }));
+        }
+        assert_eq!(site.handle(Message::SketchRequest), Message::Ack);
+        assert_eq!(site.handle(tagged(Message::SketchRequest)), Message::Ack);
+        let mut out = bytes::BytesMut::new();
+        site.handle_frame(&Message::SketchRequest.encode(), &mut out);
+        assert_eq!(Message::decode_slice(&out), Some(Message::Ack));
+        assert_eq!(site.pending_candidates(), twin.pending_candidates());
+        let wraps: [fn(Message) -> Message; 2] = [|m| m, tagged];
+        for wrap in wraps {
+            loop {
+                let a = site.handle(wrap(Message::RequestNext));
+                assert_eq!(a, twin.handle(wrap(Message::RequestNext)));
+                if matches!(a, Message::Upload(None)) {
+                    break;
+                }
+            }
+        }
+    }
+
     #[test]
     fn request_next_streams_in_descending_order() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let Message::Upload(Some(t2)) = site.handle(Message::RequestNext) else { panic!() };
         assert_eq!(t2.values, vec![8.0, 4.0]);
         let Message::Upload(Some(t3)) = site.handle(Message::RequestNext) else { panic!() };
@@ -728,7 +754,7 @@ mod tests {
     #[test]
     fn feedback_returns_survival_and_prunes() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         // Feedback (5.5, 5.5) with P = 0.9 from another site: it dominates
         // the remaining candidates... (6,6) already uploaded; remaining are
         // (8,4) and (3,8); (5.5,5.5) dominates neither... use (2,2).
@@ -746,7 +772,7 @@ mod tests {
     #[test]
     fn feedback_survival_matches_definition() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let probe = tuple(1, 0, vec![10.0, 10.0], 0.5);
         let Message::SurvivalReply { survival, .. } =
             site.handle(Message::Feedback(TupleMsg::new(&probe, 0.5)))
@@ -762,7 +788,7 @@ mod tests {
     #[test]
     fn pruning_respects_accumulated_discounts() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.3, mask: full(2) });
+        site.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
         // Two weak dominators, each insufficient alone, together push
         // (8,4) (local 0.6) below 0.3: 0.6 × 0.7 × 0.7 = 0.294.
         for seq in 0..2 {
@@ -787,7 +813,7 @@ mod tests {
         ];
 
         let mut single = paper_site_s1();
-        single.handle(Message::Start { q: 0.3, mask: full(2) });
+        single.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
         let mut expected_survivals = Vec::new();
         let mut expected_pruned = 0;
         for f in &feedbacks {
@@ -801,7 +827,7 @@ mod tests {
         }
 
         let mut batched = paper_site_s1();
-        batched.handle(Message::Start { q: 0.3, mask: full(2) });
+        batched.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
         let Message::SurvivalBatchReply { survivals, pruned } =
             batched.handle(Message::FeedbackBatch(feedbacks))
         else {
@@ -837,7 +863,7 @@ mod tests {
             .map(|i| tuple(0, i, vec![(i % 16) as f64 + 1.0, (i / 16) as f64 + 1.0], 0.6))
             .collect();
         let mut site = LocalSite::new(0, 2, tuples, SiteOptions::default()).unwrap();
-        site.handle(Message::Start { q: 0.01, mask: full(2) });
+        site.handle(Message::Start { q: 0.01, mask: full(2), counted: false });
 
         let batch: Vec<TupleMsg> = (0..8)
             .map(|k| {
@@ -901,7 +927,7 @@ mod tests {
         ];
 
         let mut by_msg = paper_site_s1();
-        by_msg.handle(Message::Start { q: 0.3, mask: full(2) });
+        by_msg.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
         let Message::SurvivalBatchReply { survivals: want_survivals, pruned: want_pruned } =
             by_msg.handle(Message::FeedbackBatch(feedbacks.clone()))
         else {
@@ -909,7 +935,7 @@ mod tests {
         };
 
         let mut by_frame = paper_site_s1();
-        by_frame.handle(Message::Start { q: 0.3, mask: full(2) });
+        by_frame.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
         let frame = Message::FeedbackBatchC(dsud_net::TupleBlock::from_msgs(&feedbacks)).encode();
         let mut out = bytes::BytesMut::new();
         by_frame.handle_frame(&frame, &mut out);
@@ -943,7 +969,7 @@ mod tests {
         let tagged = |inner: Message| Message::Tagged { query_id: 7, inner: Box::new(inner) };
 
         let mut by_msg = paper_site_s1();
-        by_msg.handle(tagged(Message::Start { q: 0.5, mask: full(2) }));
+        by_msg.handle(tagged(Message::Start { q: 0.5, mask: full(2), counted: false }));
         let Message::SurvivalBatchReply { survivals: want_survivals, pruned: want_pruned } =
             by_msg.handle(tagged(Message::FeedbackBatch(feedbacks.clone())))
         else {
@@ -951,7 +977,7 @@ mod tests {
         };
 
         let mut by_frame = paper_site_s1();
-        by_frame.handle(tagged(Message::Start { q: 0.5, mask: full(2) }));
+        by_frame.handle(tagged(Message::Start { q: 0.5, mask: full(2), counted: false }));
         let frame =
             tagged(Message::FeedbackBatchC(dsud_net::TupleBlock::from_msgs(&feedbacks))).encode();
         let mut out = bytes::BytesMut::new();
@@ -984,7 +1010,7 @@ mod tests {
     #[test]
     fn malformed_columnar_frames_answer_decode_error() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let good = Message::FeedbackBatchC(dsud_net::TupleBlock::from_msgs(&[TupleMsg::new(
             &tuple(1, 0, vec![2.0, 2.0], 0.9),
             0.9,
@@ -1046,7 +1072,7 @@ mod tests {
             let mut split = paper_site_s1();
             let mut drawn = paper_site_s1();
             for site in [&mut split, &mut drawn] {
-                site.handle(wrap(Message::Start { q: 0.3, mask: full(2) }));
+                site.handle(wrap(Message::Start { q: 0.3, mask: full(2), counted: false }));
             }
             let mut out = bytes::BytesMut::new();
             for j in 0..feedbacks.len() {
@@ -1075,7 +1101,7 @@ mod tests {
     #[test]
     fn malformed_draw_frames_answer_decode_error() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let pending = site.pending_candidates();
         let flush = Message::FeedbackBatchC(dsud_net::TupleBlock::from_msgs(&[TupleMsg::new(
             &tuple(1, 0, vec![2.0, 2.0], 0.9),
@@ -1103,7 +1129,7 @@ mod tests {
         let mut site =
             LocalSite::new(0, 2, tuples, SiteOptions { pruning: false, ..SiteOptions::default() })
                 .unwrap();
-        site.handle(Message::Start { q: 0.3, mask: full(2) });
+        site.handle(Message::Start { q: 0.3, mask: full(2), counted: false });
         let killer = tuple(1, 0, vec![1.0, 1.0], 0.99);
         let Message::SurvivalReply { pruned, .. } =
             site.handle(Message::Feedback(TupleMsg::new(&killer, 0.99)))
@@ -1117,7 +1143,7 @@ mod tests {
     #[test]
     fn own_site_feedback_does_not_discount() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         // A (hypothetical) echo of the site's own tuple must not prune:
         // same-site dominators are already in the local probabilities.
         let own = tuple(0, 0, vec![1.0, 1.0], 0.9);
@@ -1132,7 +1158,7 @@ mod tests {
     #[test]
     fn insert_classifies_notifications() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         // Strong new tuple: must notify.
         let strong = tuple(0, 100, vec![1.0, 1.0], 0.9);
         let reply = site.handle(Message::InjectInsert(TupleMsg::new(&strong, 0.0)));
@@ -1147,7 +1173,7 @@ mod tests {
     #[test]
     fn insert_notifies_when_dominating_replica_member() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let member = tuple(1, 0, vec![50.0, 50.0], 0.9);
         site.handle(Message::ReplicaSync(vec![TupleMsg::new(&member, 0.9)]));
         // Weak itself (P small ⇒ local prob < q) but dominates the member.
@@ -1159,7 +1185,7 @@ mod tests {
     #[test]
     fn delete_notifies_and_removes() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let victim = tuple(0, 0, vec![6.0, 6.0], 0.7);
         let reply = site.handle(Message::InjectDelete(TupleMsg::new(&victim, 0.65)));
         assert!(matches!(reply, Message::NotifyDelete(_)));
@@ -1172,7 +1198,7 @@ mod tests {
     #[test]
     fn region_query_returns_dominated_candidates() {
         let mut site = paper_site_s1();
-        site.handle(Message::Start { q: 0.5, mask: full(2) });
+        site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         // Region dominated by (5,3): contains (8,4) only (6,6 has y=6 > 3? no
         // wait (5,3) ≺ (6,6)? 5≤6, 3≤6 strict → yes; (5,3) ≺ (8,4) yes;
         // (5,3) ≺ (3,8) no).

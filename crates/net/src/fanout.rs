@@ -380,30 +380,6 @@ impl<'a> Fanout<'a> {
         self.drain_group_replies(sent)
     }
 
-    /// Plan-phase gather: one [`Message::SketchRequest`] round-trip per
-    /// *physical* link — per site when flat, per root aggregator when
-    /// tree-routed (each aggregator merges its whole subtree into one
-    /// sketch, so the root receives at most `root_fanout` frames either
-    /// way). Deliberately outside the tree's FIFO op tracking: no query
-    /// operation is in flight at plan time, and a failed or malformed
-    /// reply never poisons a link — the planner degrades to static and
-    /// the query proceeds untouched. Already-poisoned links report their
-    /// stored error without being re-driven.
-    pub fn gather_sketches(&mut self) -> Vec<Result<Message, LinkError>> {
-        let dead: Vec<Option<LinkError>> = match &self.tree {
-            Some(t) => t.dead.clone(),
-            None => vec![None; self.links.len()],
-        };
-        self.links
-            .iter_mut()
-            .zip(dead)
-            .map(|(l, d)| match d {
-                Some(e) => Err(e),
-                None => l.call(Message::SketchRequest),
-            })
-            .collect()
-    }
-
     /// Round-trips one request to one site.
     pub fn call(&mut self, site: usize, msg: Message) -> Result<Message, LinkError> {
         if self.tree.is_none() {
@@ -718,32 +694,6 @@ impl Aggregator {
                 }
                 self.merge(requests, addressed)
             }
-            // Plan phase: fan the request to every child and merge their
-            // sketches into one frame. This is the only reply kind the
-            // tree may legally combine — sketch merge (bucket adds,
-            // register maxima) is associative and commutative, so any
-            // merge order yields the root's sketch bit-for-bit, where a
-            // survival-product fold must happen at the root in ascending
-            // site order. Failed or sketchless children are simply absent
-            // from the merge: the plan degrades, the answer cannot.
-            Message::SketchRequest => {
-                let requests: Vec<(usize, Message)> = (0..self.links.len())
-                    .map(|c| (c, Self::wrap(query_id, Message::SketchRequest)))
-                    .collect();
-                let mut merged: Option<dsud_sketch::SiteSketch> = None;
-                for (_, outcome) in crate::scatter(&mut self.links, requests) {
-                    if let Ok(Message::Sketch(s)) = outcome {
-                        match merged.as_mut() {
-                            Some(m) => m.merge(&s),
-                            None => merged = Some(*s),
-                        }
-                    }
-                }
-                match merged {
-                    Some(s) => Message::Sketch(Box::new(s)),
-                    None => Message::Ack,
-                }
-            }
             // The aggregator acks for itself: heartbeats probe the link to
             // this process, and quarantining it degrades the subtree as a
             // unit (the same granularity its operations fail at).
@@ -891,90 +841,6 @@ mod tests {
             }
         }
         plan.roots().iter().map(|node| link_for(node, meter)).collect()
-    }
-
-    /// A site whose sketch is a deterministic function of its id, so any
-    /// lost, duplicated, or mis-merged plan frame changes the merge.
-    fn sketch_site(site: u32) -> impl Service {
-        fn reply(site: u32, msg: Message) -> Message {
-            match msg {
-                Message::Tagged { inner, .. } => reply(site, *inner),
-                Message::SketchRequest => {
-                    let mut s = dsud_sketch::SiteSketch::default();
-                    for i in 0..3u64 {
-                        s.record(
-                            u64::from(site) * 100 + i,
-                            0.05 + 0.07 * (f64::from(site) + i as f64),
-                        );
-                    }
-                    Message::Sketch(Box::new(s))
-                }
-                _ => Message::Ack,
-            }
-        }
-        move |msg: Message| reply(site, msg)
-    }
-
-    fn build_sketch_links(plan: &FanPlan, meter: &BandwidthMeter) -> Vec<Box<dyn Link>> {
-        fn link_for(node: &FanNode, meter: &BandwidthMeter) -> Box<dyn Link> {
-            match node {
-                FanNode::Leaf(site) => Box::new(LocalLink::new(sketch_site(*site), meter.clone())),
-                FanNode::Node(children) => {
-                    let mut agg = Aggregator::new();
-                    for child in children {
-                        let child_link = link_for(child, &BandwidthMeter::new());
-                        match child {
-                            FanNode::Leaf(site) => agg.push_leaf(*site, child_link),
-                            FanNode::Node(_) => agg.push_group(child.members(), child_link),
-                        }
-                    }
-                    Box::new(LocalLink::new(agg, meter.clone()))
-                }
-            }
-        }
-        plan.roots().iter().map(|node| link_for(node, meter)).collect()
-    }
-
-    /// Plan-phase gather under the tree: every fanout must deliver, in at
-    /// most `root_fanout` frames, sketches whose root-side merge equals
-    /// the flat gather's merge exactly — the associativity the aggregator
-    /// layer is allowed to exploit, made observable.
-    #[test]
-    fn tree_sketch_gather_merges_subtrees_associatively() {
-        let meter = BandwidthMeter::new();
-        let flat_plan = FanPlan::flat(9);
-        let mut flat_links = build_sketch_links(&flat_plan, &meter);
-        let mut fan = Fanout::tree(&mut flat_links, &flat_plan, Recorder::default());
-        let flat_replies = fan.gather_sketches();
-        assert_eq!(flat_replies.len(), 9, "flat: one sketch frame per site");
-        let mut expect: Option<dsud_sketch::SiteSketch> = None;
-        for r in flat_replies {
-            let Ok(Message::Sketch(s)) = r else { panic!("flat site answers a sketch: {r:?}") };
-            match expect.as_mut() {
-                Some(m) => m.merge(&s),
-                None => expect = Some(*s),
-            }
-        }
-        let expect = expect.expect("nine sites produce a merged sketch");
-
-        for fanout in [2usize, 4, 8] {
-            let plan = FanPlan::tree(9, fanout);
-            let mut links = build_sketch_links(&plan, &meter);
-            let mut fan = Fanout::tree(&mut links, &plan, Recorder::default());
-            let replies = fan.gather_sketches();
-            assert_eq!(replies.len(), plan.root_fanout(), "tree:{fanout}: one frame per root link");
-            let mut merged: Option<dsud_sketch::SiteSketch> = None;
-            for r in replies {
-                let Ok(Message::Sketch(s)) = r else {
-                    panic!("tree:{fanout} root link answers a sketch: {r:?}")
-                };
-                match merged.as_mut() {
-                    Some(m) => m.merge(&s),
-                    None => merged = Some(*s),
-                }
-            }
-            assert_eq!(merged.as_ref(), Some(&expect), "tree:{fanout} merge must equal flat");
-        }
     }
 
     fn feedback() -> Message {

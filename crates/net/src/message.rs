@@ -260,12 +260,18 @@ impl SynopsisMsg {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
     /// `H → site`: begin a query; compute `SKY(D_i)` for threshold `q` on
-    /// the given subspace and respond with the first representative.
+    /// the given subspace and respond with the first representative — as
+    /// a [`Message::Upload`], or, for a counted start, as a
+    /// [`Message::Started`] that also says how many candidates remain.
     Start {
         /// Probability threshold `q`.
         q: f64,
         /// Queried subspace.
         mask: SubspaceMask,
+        /// Whether the reply carries the local skyline's size: a counted
+        /// start (tag 37) is answered with [`Message::Started`], a plain
+        /// one (tag 0) with [`Message::Upload`]. Same body either way.
+        counted: bool,
     },
     /// `H → site`: send your next surviving representative tuple.
     RequestNext,
@@ -434,18 +440,14 @@ pub enum Message {
         /// `(site, outcome)` entries, ascending by site.
         replies: Vec<(u32, AggReply)>,
     },
-    /// `H → site` (plan phase): ask for the site's current mergeable
-    /// synopsis. Sites answer with one [`Message::Sketch`]; a tree
-    /// aggregator fans the request to its children, merges their replies
-    /// associatively, and answers one combined sketch — the only reply
-    /// kind the tree may legally combine, because sketch merge (bucket
-    /// adds, register maxima) is order-free where survival-product folds
-    /// are not.
+    /// `H → site` (retired plan phase): ask for a mergeable synopsis of the
+    /// site's skyline probabilities. No coordinator sends it any more —
+    /// rounds are planned from the counts on [`Message::Started`] — and
+    /// sites, which keep no sketch, answer it with [`Message::Ack`].
     SketchRequest,
-    /// `site → H` / `aggregator → H` (plan phase): one compact
-    /// [`dsud_sketch::SiteSketch`] frame summarizing the local (or, from
-    /// an aggregator, subtree-merged) skyline-probability distribution.
-    /// Pure scheduling input: it never influences which tuples qualify.
+    /// `site → H` (retired plan phase): one compact
+    /// [`dsud_sketch::SiteSketch`] frame. Never sent; the tag still
+    /// decodes.
     Sketch(Box<dsud_sketch::SiteSketch>),
     /// `H → site`: one draw of a round — the carried feedback flush (a
     /// [`Message::FeedbackBatch`] or [`Message::FeedbackBatchC`]) followed
@@ -464,6 +466,16 @@ pub enum Message {
         /// [`Message::SurvivalBatchReplyC`] answering the flush.
         survivals: Box<Message>,
         /// The next representative, as a [`Message::Upload`] would carry it.
+        next: Option<TupleMsg>,
+    },
+    /// `site → H`: reply to a counted [`Message::Start`] — the first
+    /// representative, as a [`Message::Upload`] would carry it, plus how
+    /// many local skyline candidates remain pending behind it. Charged as
+    /// that upload: one tuple, or none when exhausted.
+    Started {
+        /// Candidates of `SKY(D_i)` still pending after `next`.
+        pending: u32,
+        /// The first representative (`None` when `SKY(D_i)` is empty).
         next: Option<TupleMsg>,
     },
 }
@@ -489,7 +501,7 @@ impl Message {
     /// Traffic class of the message.
     pub fn class(&self) -> TrafficClass {
         match self {
-            Message::Upload(_) => TrafficClass::Upload,
+            Message::Upload(_) | Message::Started { .. } => TrafficClass::Upload,
             Message::Feedback(_) | Message::FeedbackBatch(_) | Message::FeedbackBatchC(_) => {
                 TrafficClass::Feedback
             }
@@ -531,8 +543,8 @@ impl Message {
                     AggReply::Err(_) => None,
                 })
                 .unwrap_or(TrafficClass::Reply),
-            // Plan-phase frames are control traffic with zero tuple weight:
-            // the paper's bandwidth unit must not move when planning is on.
+            // Retired plan-phase frames are control traffic with zero tuple
+            // weight.
             Message::SketchRequest | Message::Sketch(_) => TrafficClass::Control,
             // A draw is its flush plus a free refill request; its reply is
             // the upload plus a free survival reply.
@@ -575,7 +587,9 @@ impl Message {
                 })
                 .sum(),
             Message::Draw(flush) => flush.tuple_count(),
-            Message::Drawn { next, .. } => u64::from(next.is_some()),
+            Message::Drawn { next, .. } | Message::Started { next, .. } => {
+                u64::from(next.is_some())
+            }
             _ => 0,
         }
     }
@@ -602,8 +616,8 @@ impl Message {
     /// after the id header.
     fn encode_body(&self, mut buf: &mut BytesMut) {
         match self {
-            Message::Start { q, mask } => {
-                buf.put_u8(0);
+            Message::Start { q, mask, counted } => {
+                buf.put_u8(if *counted { 37 } else { 0 });
                 buf.put_f64(*q);
                 buf.put_u64(mask.bits());
             }
@@ -763,6 +777,17 @@ impl Message {
                 t.encode(buf);
                 survivals.encode_body(buf);
             }
+            // Like Upload(None)/Upload(Some), the tag says whether an
+            // upload follows the count.
+            Message::Started { pending, next: None } => {
+                buf.put_u8(38);
+                buf.put_u32(*pending);
+            }
+            Message::Started { pending, next: Some(t) } => {
+                buf.put_u8(39);
+                buf.put_u32(*pending);
+                t.encode(buf);
+            }
         }
     }
 
@@ -815,6 +840,7 @@ impl Message {
             Message::Drawn { survivals, next } => {
                 next.as_ref().map_or(0, TupleMsg::encoded_len) + survivals.encoded_len()
             }
+            Message::Started { next, .. } => 4 + next.as_ref().map_or(0, TupleMsg::encoded_len),
         }
     }
 
@@ -865,13 +891,13 @@ impl Message {
         }
         let tag = buf.get_u8();
         let msg = match tag {
-            0 => {
+            0 | 37 => {
                 if buf.remaining() < 16 {
                     return None;
                 }
                 let q = buf.get_f64();
                 let mask = SubspaceMask::try_from_bits(buf.get_u64()).ok()?;
-                Message::Start { q, mask }
+                Message::Start { q, mask, counted: tag == 37 }
             }
             1 => Message::RequestNext,
             2 => Message::Feedback(TupleMsg::decode(&mut buf)?),
@@ -1051,6 +1077,14 @@ impl Message {
                 buf = &[];
                 Message::Drawn { survivals: Box::new(survivals), next }
             }
+            38 | 39 => {
+                if buf.remaining() < 4 {
+                    return None;
+                }
+                let pending = buf.get_u32();
+                let next = if tag == 39 { Some(TupleMsg::decode(&mut buf)?) } else { None };
+                Message::Started { pending, next }
+            }
             _ => return None,
         };
         if buf.has_remaining() {
@@ -1086,7 +1120,7 @@ mod tests {
 
     fn all_messages() -> Vec<Message> {
         vec![
-            Message::Start { q: 0.3, mask: SubspaceMask::full(3).unwrap() },
+            Message::Start { q: 0.3, mask: SubspaceMask::full(3).unwrap(), counted: false },
             Message::RequestNext,
             Message::Feedback(sample_tuple_msg()),
             Message::Upload(None),
@@ -1182,7 +1216,33 @@ mod tests {
         ]
         .into_iter()
         .chain(draw_messages())
+        .chain(start_messages())
         .collect()
+    }
+
+    /// Counted starts and both `Started` replies, bare and inside every
+    /// container that routes them.
+    fn start_messages() -> Vec<Message> {
+        let mask = SubspaceMask::try_from_bits(0b101).unwrap();
+        let counted = || Message::Start { q: 0.25, mask, counted: true };
+        let started = || Message::Started { pending: 41, next: Some(sample_tuple_msg()) };
+        let exhausted = || Message::Started { pending: 0, next: None };
+        vec![
+            counted(),
+            started(),
+            exhausted(),
+            Message::Tagged { query_id: 19, inner: Box::new(counted()) },
+            Message::Tagged { query_id: 19, inner: Box::new(started()) },
+            Message::Tagged { query_id: 19, inner: Box::new(exhausted()) },
+            Message::AggBroadcast { sites: vec![0, 1, 2], inner: Box::new(counted()) },
+            Message::AggReplies {
+                replies: vec![
+                    (0, AggReply::Ok(Box::new(started()))),
+                    (1, AggReply::Ok(Box::new(exhausted()))),
+                    (2, AggReply::Err(LinkError::Timeout)),
+                ],
+            },
+        ]
     }
 
     /// Draw frames in both wire layouts, bare and inside every container
@@ -1232,7 +1292,7 @@ mod tests {
 
     /// Golden wire contract: `encoded_len` is the exact frame length for
     /// every variant — the pipelined transports pre-reserve outstanding
-    /// frames from it — and the sample set covers every wire tag `0..=36`.
+    /// frames from it — and the sample set covers every wire tag `0..=39`.
     /// Adding a message variant without extending `all_messages` (and
     /// without a matching `encoded_len` arm) fails here, not in a
     /// transport at 2 a.m.
@@ -1259,7 +1319,7 @@ mod tests {
         }
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags, (0u8..=36).collect::<Vec<_>>(), "every wire tag 0..=36 represented");
+        assert_eq!(tags, (0u8..=39).collect::<Vec<_>>(), "every wire tag 0..=39 represented");
     }
 
     /// The columnar frames are re-encodings, not new semantics: each
@@ -1449,8 +1509,7 @@ mod tests {
     /// Plan-phase frame corpus: truncations at every section boundary,
     /// corrupted magic/version, trailing bytes — bare, `Tagged`-wrapped,
     /// and inside an aggregate reply container. A malformed sketch must
-    /// decode to `None` (the planner then degrades to static planning),
-    /// never panic or misalign a section cursor.
+    /// decode to `None`, never panic or misalign a section cursor.
     #[test]
     fn malformed_sketch_frames_decode_to_none() {
         let frame = Message::Sketch(Box::new(sample_sketch())).encode();
@@ -1802,6 +1861,59 @@ mod tests {
             assert!(
                 Message::decode_slice(frame).is_none(),
                 "draw corpus entry {i} must reject: {frame:?}"
+            );
+        }
+    }
+
+    /// A counted start costs what a plain one costs, and its reply costs
+    /// the upload it replaces plus the 4-byte count: same class, same
+    /// tuples, one frame each way.
+    #[test]
+    fn start_frames_charge_their_plain_twins() {
+        let mask = SubspaceMask::full(3).unwrap();
+        let plain = Message::Start { q: 0.3, mask, counted: false };
+        let counted = Message::Start { q: 0.3, mask, counted: true };
+        assert_eq!(counted.class(), plain.class());
+        assert_eq!(counted.tuple_count(), 0);
+        assert_eq!(counted.encoded_len(), plain.encoded_len());
+        assert_eq!(plain.encode()[0], 0);
+        assert_eq!(counted.encode()[0], 37);
+        assert_eq!(counted.encode()[1..], plain.encode()[1..], "same 16-byte body");
+        for next in [Some(sample_tuple_msg()), None] {
+            let upload = Message::Upload(next.clone());
+            let started = Message::Started { pending: 7, next };
+            assert_eq!(started.class(), TrafficClass::Upload);
+            assert_eq!(started.tuple_count(), upload.tuple_count());
+            assert_eq!(started.encoded_len(), upload.encoded_len() + 4);
+            assert_eq!(started.legacy_encoded_len(), None);
+        }
+    }
+
+    /// Malformed start frames: a trailing byte after every sample (bare,
+    /// tagged, and inside aggregate containers), a short count, and a
+    /// count announcing an upload that is not there. Every entry must
+    /// decode to `None`, never panic. Truncations at every offset are a
+    /// property in `tests/proptests.rs`.
+    #[test]
+    fn malformed_start_frames_decode_to_none() {
+        let mut corpus: Vec<Vec<u8>> = Vec::new();
+        for msg in start_messages() {
+            let mut long = msg.encode().to_vec();
+            long.push(0);
+            corpus.push(long);
+        }
+        corpus.push(vec![38, 0, 0, 1]);
+        corpus.push(vec![39, 0, 0, 0, 1]);
+        let mut bad_mask =
+            Message::Start { q: 0.3, mask: SubspaceMask::full(2).unwrap(), counted: true }
+                .encode()
+                .to_vec();
+        bad_mask[9..].fill(0); // the empty subspace is no subspace
+        corpus.push(bad_mask);
+        for (i, frame) in corpus.iter().enumerate() {
+            assert!(
+                Message::decode_slice(frame).is_none(),
+                "start corpus entry {i} must reject: {frame:?}"
             );
         }
     }

@@ -226,10 +226,9 @@ mod tests {
         assert_eq!(snap.reply.bytes, reply.encode().len() as u64);
     }
 
-    /// Plan-phase frames mirror the coalesced-frame contract above: one
-    /// control message per sketch frame at its exact encoded length, with
-    /// zero tuples — the paper's bandwidth unit must not move when the
-    /// planner turns on, bare or `Tagged`-wrapped.
+    /// The retired plan-phase frames mirror the coalesced-frame contract
+    /// above: one control message per sketch frame at its exact encoded
+    /// length, with zero tuples, bare or `Tagged`-wrapped.
     #[test]
     fn sketch_frame_meters_one_control_message_with_exact_bytes() {
         let meter = BandwidthMeter::new();
@@ -340,6 +339,29 @@ mod tests {
         assert_eq!(merged.tuples_transmitted(), split.tuples_transmitted());
         assert_eq!(merged.total().bytes, split.total().bytes);
         assert_eq!((merged.total().messages, split.total().messages), (2, 4));
+    }
+
+    /// A counted start and its `Started` reply meter exactly as the plain
+    /// start and the `Upload` they replace: one control message with no
+    /// tuples out, one upload message back carrying the representative or
+    /// nothing — only the reply's 4-byte count is extra.
+    #[test]
+    fn started_meters_as_the_upload_it_replaces() {
+        let mask = dsud_uncertain::SubspaceMask::full(2).unwrap();
+        for next in [Some(tuple_msg(1, 0.5)), None] {
+            let plain = BandwidthMeter::new();
+            plain.record(&Message::Start { q: 0.3, mask, counted: false });
+            plain.record(&Message::Upload(next.clone()));
+            let counted = BandwidthMeter::new();
+            counted.record(&Message::Start { q: 0.3, mask, counted: true });
+            counted.record(&Message::Started { pending: 12, next });
+            let (plain, counted) = (plain.snapshot(), counted.snapshot());
+            assert_eq!(counted.control, plain.control);
+            assert_eq!(counted.upload.messages, plain.upload.messages);
+            assert_eq!(counted.upload.tuples, plain.upload.tuples);
+            assert_eq!(counted.upload.bytes, plain.upload.bytes + 4);
+            assert_eq!(counted.tuples_transmitted(), plain.tuples_transmitted());
+        }
     }
 
     #[test]

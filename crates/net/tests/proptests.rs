@@ -26,9 +26,10 @@ fn arb_tuple_msg() -> impl Strategy<Value = TupleMsg> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (0.01f64..=1.0, 1u64..=64).prop_map(|(q, bits)| Message::Start {
+        (0.01f64..=1.0, 1u64..=64, any::<bool>()).prop_map(|(q, bits, counted)| Message::Start {
             q,
             mask: SubspaceMask::try_from_bits(bits).unwrap(),
+            counted,
         }),
         Just(Message::RequestNext),
         arb_tuple_msg().prop_map(Message::Feedback),
@@ -107,6 +108,32 @@ fn arb_routed_draw() -> impl Strategy<Value = Message> {
     })
 }
 
+/// A counted start or its `Started` reply (exhausted or with an upload),
+/// bare, tagged, or routed through a tree aggregator's broadcast
+/// (requests) or merged replies (replies).
+fn arb_routed_start() -> impl Strategy<Value = Message> {
+    let frame = prop_oneof![
+        (0.01f64..=1.0, 1u64..=64).prop_map(|(q, bits)| Message::Start {
+            q,
+            mask: SubspaceMask::try_from_bits(bits).unwrap(),
+            counted: true,
+        }),
+        (any::<u32>(), prop::collection::vec(arb_tuple_msg(), 0..2)).prop_map(|(pending, next)| {
+            Message::Started { pending, next: next.into_iter().next() }
+        }),
+    ];
+    (frame, 0u32..3, any::<u64>()).prop_map(|(msg, route, id)| match route {
+        0 => msg,
+        1 => Message::Tagged { query_id: id, inner: Box::new(msg) },
+        _ if matches!(msg, Message::Start { .. }) => {
+            Message::AggBroadcast { sites: vec![3, 7], inner: Box::new(msg) }
+        }
+        _ => Message::AggReplies {
+            replies: vec![(3, AggReply::Err(LinkError::Timeout)), (7, AggReply::Ok(Box::new(msg)))],
+        },
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -156,6 +183,31 @@ proptest! {
         body in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         // Random bodies behind each draw tag: Some or None, never a panic.
+        let frame: Vec<u8> = std::iter::once(tag).chain(body).collect();
+        let _ = Message::decode_slice(&frame);
+    }
+
+    #[test]
+    fn start_frames_roundtrip_bare_tagged_and_aggregated(msg in arb_routed_start()) {
+        let bytes = msg.encode();
+        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        prop_assert_eq!(Message::decode_slice(&bytes), Some(msg));
+    }
+
+    #[test]
+    fn malformed_start_truncations_are_rejected_at_every_offset(msg in arb_routed_start()) {
+        let bytes = msg.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Message::decode_slice(&bytes[..cut]).is_none());
+        }
+    }
+
+    #[test]
+    fn malformed_start_bytes_never_panic(
+        tag in prop_oneof![Just(37u8), Just(38u8), Just(39u8)],
+        body in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Random bodies behind each start tag: Some or None, never a panic.
         let frame: Vec<u8> = std::iter::once(tag).chain(body).collect();
         let _ = Message::decode_slice(&frame);
     }

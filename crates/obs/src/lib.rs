@@ -169,10 +169,9 @@ pub enum Counter {
     /// Per-site replies the root folded out of merged `AggReplies` frames.
     /// Zero in a flat run.
     AggFoldOps,
-    /// Plan-phase sketch merges performed at the root (one per additional
-    /// sketch folded into the merged synopsis; tree aggregators merge
-    /// their subtrees in-flight and are not separately counted). Zero
-    /// with `--plan static`.
+    /// Plan-phase sketch merges performed at the root. Always zero now
+    /// that the planner reads exact counts off the Start replies; kept so
+    /// the counter snapshot keeps its shape.
     SketchMerges,
 }
 
@@ -465,18 +464,23 @@ pub struct RunReport {
     /// caller that knows it; `None` otherwise. Absent before schema 10.
     #[serde(default)]
     pub plan: Option<String>,
-    /// Total sketch-frame bytes the plan phase shipped over the root
-    /// links, stamped by the caller that knows it. Absent before
-    /// schema 10.
+    /// Plan-phase bytes shipped beyond the query's own frames, stamped by
+    /// the caller that knows it. `Some(0)` whenever the planner ran: it
+    /// plans from exact counts on the Start replies, so it ships no
+    /// sketch frames (reports from before that carry the bytes of their
+    /// sketch gather). Absent before schema 10.
     #[serde(default)]
     pub sketch_bytes: Option<u64>,
-    /// Microseconds the plan phase spent gathering and merging sketches,
-    /// stamped by the caller that knows it. Absent before schema 10.
+    /// Microseconds spent in a plan phase, stamped by the caller that
+    /// knows it. `Some(0)` whenever the planner ran: there is no exchange
+    /// to wait for (reports from before the counted Start carry the time
+    /// of their sketch gather). Absent before schema 10.
     #[serde(default)]
     pub plan_us: Option<u64>,
-    /// Effective `--batch auto` candidate budget the planner settled on,
-    /// stamped by the caller that knows it; `None` in static runs. Absent
-    /// before schema 10.
+    /// Effective `--batch auto` candidate budget the planner settled on —
+    /// `⌈2√C⌉` clamped to `[16, 256]` for the cluster's exact candidate
+    /// count `C` — stamped by the caller that knows it; `None` in static
+    /// and fixed-batch runs. Absent before schema 10.
     #[serde(default)]
     pub planned_batch: Option<usize>,
     /// Progressive answer trace, in report order (timestamps are

@@ -1,31 +1,35 @@
 //! The planning contract: `--plan sketch` is a pure *scheduling*
 //! optimization. Against the static schedule it must preserve the skyline
 //! (ids, bit-exact probabilities, report order), the progressive result
-//! sequence, and the run statistics — the plan phase only resizes
+//! sequence, and the run statistics — planning only resizes
 //! `--batch auto` rounds, and the batching contract
 //! (`tests/batching_determinism.rs`) proves round size never changes the
-//! answer. On a flat topology sketch frames are zero-tuple control
-//! traffic, so even `tuples_transmitted()` must match exactly; on trees
-//! the round schedule changes which frames aggregators can merge, so
+//! answer. The counts the planner reads ride the Start replies, which
+//! carry exactly the tuples of the uploads they replace, so on a flat
+//! topology even `tuples_transmitted()` must match exactly; on trees the
+//! round schedule changes which frames aggregators can merge, so
 //! re-shipped tuple counts may legitimately move while answers hold.
 //!
 //! Pinned across the full execution matrix: transports × wire layouts ×
 //! topologies × pool sizes, for both DSUD and e-DSUD, with explicit batch
-//! sizes (where no plan phase runs, so a sketch-mode run *is* the static
+//! sizes (where nothing is planned, so a sketch-mode run *is* the static
 //! run, traffic included) and `--batch auto` (where planning actually
-//! steers). The suite also pins the plan phase's *cost ceiling*: at most
-//! one sketch frame per site per query, and fewer (not more)
-//! candidate-round frames whenever the planner deepens auto rounds.
+//! steers). The suite also pins what planning costs — no plan-phase frame
+//! at all — and checks the planner's input against an oracle: the exact
+//! candidate total is the sum of the sites' local skyline sizes computed
+//! straight from their trees, on every topology and transport, in the
+//! full space and a subspace, and over the survivors of a degraded start.
 
 mod common;
 
 use common::{fingerprint, wire_from_env};
 use dsud_core::{
-    dsud, edsud, BandwidthMeter, BatchSize, Cluster, Link, LinkConfig, LocalSite, PipelineDepth,
-    PlanMode, PlanSummary, QueryConfig, QueryOutcome, Recorder, SiteOptions, SubspaceMask,
-    Topology, Transport, WireFormat,
+    dsud, edsud, planner, BandwidthMeter, BatchSize, Cluster, FailurePolicy, Link, LinkConfig,
+    LocalSite, PipelineDepth, PlanMode, QueryConfig, QueryOutcome, Recorder, SiteOptions,
+    SubspaceMask, Topology, Transport, UncertainTuple, WireFormat,
 };
-use dsud_net::{tcp, LocalLink};
+use dsud_net::{tcp, FaultMode, FaultyLink, LocalLink};
+use dsud_prtree::bbs;
 
 const N: usize = 1_200;
 const DIMS: usize = 3;
@@ -35,6 +39,10 @@ const DIMS: usize = 3;
 /// so a sketch plan that widens rounds past it is observable in frames.
 const SITES: usize = 9;
 const Q: f64 = 0.3;
+
+fn full() -> SubspaceMask {
+    SubspaceMask::full(DIMS).expect("full mask")
+}
 
 #[allow(clippy::too_many_arguments)]
 fn run(
@@ -71,20 +79,42 @@ fn run(
     outcome.expect("query runs")
 }
 
-/// Where the plan phase runs, and what it may cost. At a fixed batch size
-/// the planner has nothing to decide, so a sketch-mode run gathers no
-/// sketches: no summary, and exactly the static run's traffic (bytes and
-/// frames). At `--batch auto` it runs, within the cost ceiling of one
-/// sketch frame per site per query — a tree root legitimately sees fewer
-/// (its aggregators pre-merge) but never more.
+/// The oracle for the planner's input: the sizes of the sites' local
+/// skylines at `(q, mask)`, computed straight from each site's tree and
+/// summed over the sites in `alive`.
+fn exact_candidates(
+    data: &[Vec<UncertainTuple>],
+    q: f64,
+    mask: SubspaceMask,
+    alive: impl Fn(usize) -> bool,
+) -> u64 {
+    let mut total = 0;
+    for (i, tuples) in data.iter().enumerate().filter(|(i, _)| alive(*i)) {
+        let site = LocalSite::new(i as u32, DIMS, tuples.clone(), SiteOptions::default())
+            .expect("site builds");
+        total += bbs::local_skyline(site.tree(), q, mask).expect("skyline computes").len() as u64;
+    }
+    total
+}
+
+/// Asserts that a planned run sized its rounds from exactly `oracle`
+/// candidates, and that planning cost no frame.
+fn assert_planned_from(outcome: &QueryOutcome, oracle: u64, at: &str) {
+    let plan = outcome.plan.as_ref().expect("sketch runs at batch auto carry a summary");
+    assert_eq!(plan.estimated_candidates, oracle, "{at}");
+    assert_eq!(plan.planned_batch, Some(planner::planned_batch(oracle)), "{at}");
+    assert_eq!((plan.sketch_bytes, plan.frames, plan.merges), (0, 0, 0), "{at}: no plan frames");
+}
+
+/// Where planning runs, and what it may cost. At a fixed batch size the
+/// planner has nothing to decide, so a sketch-mode run sends a plain
+/// Start: no summary, and exactly the static run's traffic (bytes and
+/// frames). At `--batch auto` it plans from the counted Start replies and
+/// ships no plan-phase frame at all.
 fn assert_plan_phase(outcome: &QueryOutcome, reference: &QueryOutcome, batch: BatchSize, at: &str) {
     if batch == BatchSize::Auto {
-        let plan = outcome.plan.as_ref().expect("sketch runs at batch auto carry a summary");
-        assert!(
-            plan.frames as usize <= SITES,
-            "{at}: {} sketch frames for {SITES} sites",
-            plan.frames
-        );
+        let oracle = exact_candidates(&common::sites(N, DIMS, 42, SITES), Q, full(), |_| true);
+        assert_planned_from(outcome, oracle, at);
     } else {
         assert!(outcome.plan.is_none(), "{at}: a fixed batch runs no plan phase");
         assert_eq!(outcome.traffic, reference.traffic, "{at}");
@@ -177,9 +207,9 @@ fn static_plan_ships_no_sketch_traffic() {
 }
 
 /// The whole point of the planner: with `--batch auto` on a deep backlog,
-/// the sketched cap widens rounds past the static clamp, so the *frame*
-/// count on the meter must drop even after paying for the plan phase —
-/// while the answer fingerprint (tuples included) holds still.
+/// the planned cap widens rounds past the static clamp, so the *frame*
+/// count on the meter must drop — while the answer fingerprint (tuples
+/// included) holds still.
 #[test]
 fn sketch_plan_cuts_auto_round_frames_on_both_wire_layouts() {
     for wire in [WireFormat::Legacy, WireFormat::Columnar] {
@@ -215,9 +245,90 @@ fn sketch_plan_cuts_auto_round_frames_on_both_wire_layouts() {
             assert!(
                 plan_msgs < static_msgs,
                 "{algo} {wire}: sketch plan shipped {plan_msgs} frames vs {static_msgs} \
-                 static — deeper rounds must cut the count, plan phase included"
+                 static — deeper rounds must cut the count"
             );
         }
+    }
+}
+
+/// The oracle for the planner's input: every planned run's candidate
+/// total is the sum of the sites' local skyline sizes at the query's
+/// `(q, mask)`, computed straight from the sites' trees — in the full
+/// space and a 2-d subspace, for DSUD and e-DSUD, flat and `tree:2`,
+/// inline and over TCP — and its cap is `planned_batch` of that total.
+#[test]
+fn planned_candidates_match_the_local_skyline_oracle() {
+    let data = common::sites(N, DIMS, 42, SITES);
+    let subspace = SubspaceMask::from_dims(&[0, 2]).expect("2-d subspace");
+    for mask in [full(), subspace] {
+        let oracle = exact_candidates(&data, Q, mask, |_| true);
+        assert!(oracle > SITES as u64, "the workload must give the planner a backlog");
+        for edsud in [false, true] {
+            for topology in [Topology::Flat, Topology::Tree(2)] {
+                for transport in [Transport::Inline, Transport::Tcp] {
+                    let at =
+                        format!("mask {:#b} edsud={edsud} {topology} {transport}", mask.bits());
+                    let mut cluster = Cluster::with_topology(
+                        DIMS,
+                        data.clone(),
+                        SiteOptions::default(),
+                        Recorder::default(),
+                        transport,
+                        LinkConfig::default(),
+                        topology,
+                        None,
+                    )
+                    .expect("cluster builds");
+                    let config = QueryConfig::new(Q)
+                        .expect("valid threshold")
+                        .batch_size(BatchSize::Auto)
+                        .plan_mode(PlanMode::Sketch)
+                        .subspace(mask);
+                    let outcome =
+                        if edsud { cluster.run_edsud(&config) } else { cluster.run_dsud(&config) }
+                            .expect("query runs");
+                    assert_planned_from(&outcome, oracle, &at);
+                }
+            }
+        }
+    }
+}
+
+/// Under `Degrade`, a site lost before it answers the Start counts no
+/// candidates: the total covers exactly the survivors.
+#[test]
+fn degraded_start_counts_only_the_survivors() {
+    const DEAD: usize = 4;
+    let data = common::sites(N, DIMS, 42, SITES);
+    let oracle = exact_candidates(&data, Q, full(), |i| i != DEAD);
+    assert!(oracle < exact_candidates(&data, Q, full(), |_| true), "the dead site held candidates");
+    let config = QueryConfig::new(Q)
+        .expect("valid threshold")
+        .batch_size(BatchSize::Auto)
+        .plan_mode(PlanMode::Sketch)
+        .failure_policy(FailurePolicy::Degrade);
+    for edsud in [false, true] {
+        let meter = BandwidthMeter::default();
+        let mut links: Vec<Box<dyn Link>> = Vec::new();
+        for (i, tuples) in data.iter().enumerate() {
+            let site = LocalSite::new(i as u32, DIMS, tuples.clone(), SiteOptions::default())
+                .expect("site builds");
+            let link = LocalLink::new(site, meter.clone());
+            links.push(if i == DEAD {
+                Box::new(FaultyLink::new(link, FaultMode::Disconnect, 0))
+            } else {
+                Box::new(link)
+            });
+        }
+        let outcome = if edsud {
+            edsud::run(&mut links, &meter, full(), &config)
+        } else {
+            dsud::run(&mut links, &meter, full(), &config)
+        }
+        .expect("a degraded query completes");
+        assert!(outcome.degraded, "edsud={edsud}: the dead site is quarantined");
+        assert!(!outcome.sites[DEAD].healthy(), "edsud={edsud}");
+        assert_planned_from(&outcome, oracle, &format!("degraded edsud={edsud}"));
     }
 }
 
@@ -233,9 +344,7 @@ fn raw_links_entry_runs_the_cluster_schedule() {
         .plan_mode(PlanMode::Sketch)
         .pipeline_depth(PipelineDepth::Auto)
         .wire_format(wire);
-    let mask = SubspaceMask::full(DIMS).expect("full mask");
-    // Everything but the plan phase's wall-clock time.
-    let plan = |o: &QueryOutcome| o.plan.clone().map(|p| PlanSummary { plan_us: 0, ..p });
+    let mask = full();
     for transport in [Transport::Inline, Transport::Tcp] {
         for edsud in [false, true] {
             let at = format!("{transport} edsud={edsud}");
@@ -281,7 +390,7 @@ fn raw_links_entry_runs_the_cluster_schedule() {
             assert_eq!(raw.stats, clustered.stats, "{at}");
             assert_eq!(raw.traffic, clustered.traffic, "{at}");
             assert!(clustered.plan.is_some(), "{at}: batch auto runs the plan phase");
-            assert_eq!(plan(&raw), plan(&clustered), "{at}");
+            assert_eq!(raw.plan, clustered.plan, "{at}");
         }
     }
 }

@@ -76,7 +76,11 @@ fn warm_site_and_frame(k: u64) -> (LocalSite, Vec<u8>) {
         .map(|i| tuple(0, i, vec![(i % 16) as f64 + 1.0, (i / 16) as f64 + 1.0], 0.6))
         .collect();
     let mut site = LocalSite::new(0, 2, tuples, SiteOptions::default()).unwrap();
-    site.handle(Message::Start { q: 0.01, mask: dsud_uncertain::SubspaceMask::full(2).unwrap() });
+    site.handle(Message::Start {
+        q: 0.01,
+        mask: dsud_uncertain::SubspaceMask::full(2).unwrap(),
+        counted: false,
+    });
     let batch: Vec<TupleMsg> = (0..k)
         .map(|j| TupleMsg::new(&tuple(1, j, vec![4.0 + j as f64, 12.0 - j as f64], 0.5), 0.5))
         .collect();
@@ -172,8 +176,11 @@ fn warm_columnar_draws_allocate_nothing() {
         let mut draw = vec![wire::TAG_DRAW];
         draw.extend_from_slice(&flush);
         if let Some(id) = query_id {
-            let start =
-                Message::Start { q: 0.01, mask: dsud_uncertain::SubspaceMask::full(2).unwrap() };
+            let start = Message::Start {
+                q: 0.01,
+                mask: dsud_uncertain::SubspaceMask::full(2).unwrap(),
+                counted: false,
+            };
             site.handle(Message::Tagged { query_id: id, inner: Box::new(start) });
             let mut tagged = vec![wire::TAG_TAGGED];
             tagged.extend_from_slice(&id.to_be_bytes());
