@@ -22,6 +22,11 @@ use dsud_bench::{
 use dsud_core::estimate;
 use dsud_data::{ProbabilityLaw, SpatialDistribution};
 
+/// A run's answer (sequence numbers and probability bits, in report
+/// order) with two of its traffic counters, kept as the reference the
+/// other settings of an experiment must reproduce.
+type AnswerAndCounts = (Vec<(u64, u64)>, u64, u64);
+
 fn artifact_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     fs::create_dir_all(&dir).expect("can create target/experiments");
@@ -449,7 +454,7 @@ fn planning() {
         "algo", "plan", "cand frames", "messages", "bytes", "tuples", "batch", "answers"
     );
     for algo in [Algo::Dsud, Algo::Edsud] {
-        let mut baseline: Option<(Vec<(u64, u64)>, u64, u64)> = None;
+        let mut baseline: Option<AnswerAndCounts> = None;
         for plan in [PlanMode::Static, PlanMode::Sketch] {
             let mut cluster =
                 Cluster::local_with_options(spec.d, spec.generate(0), SiteOptions::default())
@@ -679,7 +684,7 @@ fn wire() {
         "algo", "wire", "messages", "bytes", "tuples", "wall(ms)", "answers"
     );
     for algo in [Algo::Dsud, Algo::Edsud] {
-        let mut reference: Option<(Vec<(u64, u64)>, u64, u64)> = None;
+        let mut reference: Option<AnswerAndCounts> = None;
         for wire in [WireFormat::Legacy, WireFormat::Columnar] {
             let meter = BandwidthMeter::default();
             let mut links: Vec<Box<dyn Link>> = Vec::new();

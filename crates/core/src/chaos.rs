@@ -91,9 +91,12 @@ pub struct ChaosReport {
     pub recovered: bool,
 }
 
+/// Tuple ids with their probabilities' bit patterns, in report order.
+type Sequence = Vec<(TupleId, u64)>;
+
 /// Skyline + progress identity, excluding transmitted counts (retries
 /// resend frames without changing the answer).
-fn fingerprint(outcome: &QueryOutcome) -> (Vec<(TupleId, u64)>, Vec<(TupleId, u64)>) {
+fn fingerprint(outcome: &QueryOutcome) -> (Sequence, Sequence) {
     (
         outcome.skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect(),
         outcome.progress.events().iter().map(|e| (e.id, e.probability.to_bits())).collect(),
@@ -109,7 +112,7 @@ fn config_at(i: usize, opts: &ChaosOptions) -> (QueryConfig, bool) {
         .failure_policy(FailurePolicy::Degrade)
         .wire_format(opts.wire);
     let cfg = if i % 3 == 1 { cfg.batch_size(crate::BatchSize::Fixed(4)) } else { cfg };
-    let edsud = i % 2 == 0;
+    let edsud = i.is_multiple_of(2);
     (cfg, edsud)
 }
 
@@ -127,7 +130,7 @@ fn spike_at(k: usize, seed: u64, sites: usize, dims: usize) -> UncertainTuple {
 /// The deterministic update workload: even steps insert a fresh spike
 /// tuple, odd steps delete the one the previous step inserted.
 fn update_at(k: usize, seed: u64, sites: usize, dims: usize) -> UpdateOp {
-    if k % 2 == 0 {
+    if k.is_multiple_of(2) {
         UpdateOp::Insert(spike_at(k, seed, sites, dims))
     } else {
         UpdateOp::Delete(spike_at(k - 1, seed, sites, dims))

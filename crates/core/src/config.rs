@@ -227,10 +227,11 @@ impl std::str::FromStr for PipelineDepth {
 /// answer is bit-identical at every fanout. Only the number of frames (and
 /// bytes) crossing the root's own links changes — from `O(m)` per round to
 /// `O(root fanout)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum Topology {
     /// One direct link per site, the original deployment shape. The
     /// default so pre-topology configs keep their exact link layout.
+    #[default]
     Flat,
     /// Group sites under aggregators `F ≥ 2` children at a time, stacking
     /// layers until the root talks to at most `F` links (`O(log_F m)`
@@ -239,12 +240,6 @@ pub enum Topology {
     /// Let the coordinator pick: one aggregator layer of `⌈√m⌉`-site
     /// groups, cutting root fan-out to `O(√m)` with a single extra hop.
     Auto,
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology::Flat
-    }
 }
 
 impl Topology {

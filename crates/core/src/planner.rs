@@ -20,8 +20,8 @@
 //! after every update.
 //!
 //! Planning is a pure *scheduling* decision: because batching never
-//! changes the answer (see `crate::batch` and
-//! `tests/batching_determinism.rs`), neither does planning.
+//! changes the answer (see `crate::batch` and the differential oracle,
+//! `tests/differential.rs`), neither does planning.
 
 use serde::{Deserialize, Serialize};
 

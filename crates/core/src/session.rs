@@ -1028,7 +1028,7 @@ impl SessionServer {
     fn note_served(&self) {
         let served = self.queries_served.fetch_add(1, Ordering::Relaxed) + 1;
         let every = self.options.heartbeat_every;
-        if every > 0 && served % every == 0 {
+        if every > 0 && served.is_multiple_of(every) {
             self.heartbeat();
         }
     }
@@ -1070,7 +1070,6 @@ mod tests {
         admission.acquire(1);
         admission.acquire(1); // 2 running: at capacity
         let gate = std::sync::Arc::new(Admission::new(2));
-        drop(admission);
 
         // Fill the gate, then race 8 more acquires; served order must be
         // ticket order and concurrency must never exceed the width.

@@ -160,3 +160,43 @@ proptest! {
         prop_assert!((h - want).abs() < 1e-12, "H(1, {}) = {}, want {}", n, h, want);
     }
 }
+
+/// A small live site: 40 seeded tuples in 3-d.
+fn small_site() -> dsud_core::LocalSite {
+    let tuples = dsud_data::WorkloadSpec::new(40, 3).seed(5).generate().expect("workload");
+    dsud_core::LocalSite::new(0, 3, tuples, dsud_core::SiteOptions::default()).expect("site")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random tails behind every tag byte (0..=39 assigned, 40 not), bare
+    /// and behind a `Tagged` header, fed to one live site: it never
+    /// panics, answers `DecodeError` to whatever does not decode, and
+    /// otherwise answers a frame that decodes.
+    #[test]
+    fn malformed_frames_under_every_tag_get_a_well_formed_reply(
+        query_id in any::<u64>(),
+        tail in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        use dsud_net::{wire::TAG_TAGGED, Message, Service};
+
+        let mut site = small_site();
+        let mut out = bytes::BytesMut::new();
+        for tag in 0..=40u8 {
+            let bare: Vec<u8> = std::iter::once(tag).chain(tail.iter().copied()).collect();
+            let tagged: Vec<u8> = std::iter::once(TAG_TAGGED)
+                .chain(query_id.to_be_bytes())
+                .chain(bare.iter().copied())
+                .collect();
+            for frame in [bare, tagged] {
+                site.handle_frame(&frame, &mut out);
+                let reply = Message::decode_slice(&out);
+                prop_assert!(reply.is_some(), "tag {tag}: reply {:?} does not decode", &out[..]);
+                if Message::decode_slice(&frame).is_none() {
+                    prop_assert_eq!(reply, Some(Message::DecodeError), "tag {}", tag);
+                }
+            }
+        }
+    }
+}

@@ -614,7 +614,7 @@ impl Message {
     /// Appends the wire form without clearing the buffer first — the
     /// recursive step [`Message::Tagged`] uses to splice its inner message
     /// after the id header.
-    fn encode_body(&self, mut buf: &mut BytesMut) {
+    fn encode_body(&self, buf: &mut BytesMut) {
         match self {
             Message::Start { q, mask, counted } => {
                 buf.put_u8(if *counted { 37 } else { 0 });
@@ -624,12 +624,12 @@ impl Message {
             Message::RequestNext => buf.put_u8(1),
             Message::Feedback(t) => {
                 buf.put_u8(2);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::Upload(None) => buf.put_u8(3),
             Message::Upload(Some(t)) => {
                 buf.put_u8(4);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::SurvivalReply { survival, pruned } => {
                 buf.put_u8(5);
@@ -638,46 +638,46 @@ impl Message {
             }
             Message::NotifyInsert(t) => {
                 buf.put_u8(6);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::NotifyDelete(t) => {
                 buf.put_u8(7);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::ReplicaSync(tuples) => {
                 buf.put_u8(8);
                 buf.put_u32(tuples.len() as u32);
                 for t in tuples {
-                    t.encode(&mut buf);
+                    t.encode(buf);
                 }
             }
             Message::Ack => buf.put_u8(9),
             Message::ReplicaAdd(t) => {
                 buf.put_u8(10);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::ReplicaRemove(t) => {
                 buf.put_u8(11);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::RegionQuery(t) => {
                 buf.put_u8(12);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::RegionReply(tuples) => {
                 buf.put_u8(13);
                 buf.put_u32(tuples.len() as u32);
                 for t in tuples {
-                    t.encode(&mut buf);
+                    t.encode(buf);
                 }
             }
             Message::InjectInsert(t) => {
                 buf.put_u8(14);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::InjectDelete(t) => {
                 buf.put_u8(15);
-                t.encode(&mut buf);
+                t.encode(buf);
             }
             Message::SynopsisRequest { resolution } => {
                 buf.put_u8(16);
@@ -685,14 +685,14 @@ impl Message {
             }
             Message::Synopsis(syn) => {
                 buf.put_u8(17);
-                syn.encode(&mut buf);
+                syn.encode(buf);
             }
             Message::DecodeError => buf.put_u8(18),
             Message::FeedbackBatch(tuples) => {
                 buf.put_u8(19);
                 buf.put_u32(tuples.len() as u32);
                 for t in tuples {
-                    t.encode(&mut buf);
+                    t.encode(buf);
                 }
             }
             Message::SurvivalBatchReply { survivals, pruned } => {
@@ -1489,8 +1489,7 @@ mod tests {
     fn sketch_frames_have_golden_wire_bytes() {
         assert_eq!(&Message::SketchRequest.encode()[..], &[32]);
 
-        let mut empty =
-            Message::Sketch(Box::new(dsud_sketch::SiteSketch::default())).encode().to_vec();
+        let mut empty = Message::Sketch(Box::default()).encode().to_vec();
         assert_eq!(empty.len(), 1 + dsud_sketch::SiteSketch::encoded_len());
         // tag, magic 0x5AD5 big-endian, version 1, tuples=0, deletes=0.
         assert_eq!(

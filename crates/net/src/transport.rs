@@ -414,18 +414,22 @@ impl<S: Service> LocalLink<S> {
 
 impl<S: Service> Link for LocalLink<S> {
     // The inline transport has no concurrency to exploit: `send` computes
-    // eagerly and buffers the reply until its ticket is redeemed.
+    // eagerly and buffers the reply until its ticket is redeemed. The reply
+    // is metered when it is redeemed, as the threaded and TCP links meter
+    // it, so progress watermarks of overlapped rounds are the same on every
+    // transport.
     fn send(&mut self, msg: Message) -> Result<Ticket, LinkError> {
         self.meter.record(&msg);
         let reply = self.service.handle(msg);
-        self.meter.record(&reply);
         self.replies.push_back(reply);
         Ok(self.tickets.issue())
     }
 
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
         self.tickets.redeem(ticket);
-        Ok(self.replies.pop_front().expect("a redeemed ticket has a buffered reply"))
+        let reply = self.replies.pop_front().expect("a redeemed ticket has a buffered reply");
+        self.meter.record(&reply);
+        Ok(reply)
     }
 
     fn reconnect(&mut self) -> Result<(), LinkError> {
@@ -580,7 +584,7 @@ impl Link for ChannelLink {
         self.stale_replies += self.tickets.outstanding();
         self.tickets.reset();
         self.deadlines.clear();
-        if self.dead || !self.worker.as_ref().is_some_and(|h| !h.is_finished()) {
+        if self.dead || self.worker.as_ref().is_none_or(|h| h.is_finished()) {
             self.dead = true;
             return Err(LinkError::Disconnected);
         }
@@ -791,7 +795,7 @@ impl FaultPlan {
     pub fn seeded(seed: u64, site: u32) -> Self {
         let mut state = seed ^ (u64::from(site) + 1).wrapping_mul(0xA24B_AED4_963E_E407);
         let shape = splitmix64(&mut state);
-        if shape % 4 == 0 {
+        if shape.is_multiple_of(4) {
             return FaultPlan::quiet();
         }
         let count = 1 + (shape >> 8) % 2;
@@ -935,7 +939,9 @@ pub(crate) mod tests {
     fn local_link_meters_both_directions() {
         let meter = BandwidthMeter::new();
         let mut link = LocalLink::new(echo_service(), meter.clone());
-        let reply = link.call(feedback_msg(0.25)).unwrap();
+        let ticket = link.send(feedback_msg(0.25)).unwrap();
+        assert_eq!(meter.snapshot().reply.messages, 0, "a reply is metered when redeemed");
+        let reply = link.complete(ticket).unwrap();
         assert_eq!(reply, Message::SurvivalReply { survival: 0.25, pruned: 0 });
         let snap = meter.snapshot();
         assert_eq!(snap.feedback.messages, 1);
@@ -1032,10 +1038,7 @@ pub(crate) mod tests {
             LinkError::from(IoError::from(ErrorKind::UnexpectedEof)),
             LinkError::Disconnected
         );
-        assert!(matches!(
-            LinkError::from(IoError::new(ErrorKind::Other, "disk on fire")),
-            LinkError::Io(_)
-        ));
+        assert!(matches!(LinkError::from(IoError::other("disk on fire")), LinkError::Io(_)));
     }
 
     #[test]

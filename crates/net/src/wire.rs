@@ -196,7 +196,7 @@ impl TupleBlock {
 /// reads the same values the safe fallback would.
 #[allow(unsafe_code)]
 fn cast_f64s(bytes: &[u8]) -> Option<&[f64]> {
-    if cfg!(target_endian = "big") || bytes.len() % 8 != 0 {
+    if cfg!(target_endian = "big") || !bytes.len().is_multiple_of(8) {
         return None;
     }
     // SAFETY: every 8-byte bit pattern is a valid f64, the length is a
@@ -434,15 +434,15 @@ pub fn decode_survivals_into(frame: &[u8], out: &mut Vec<f64>) -> Option<u64> {
 /// Decodes any columnar frame (tags 23–26) into its owned [`Message`]
 /// form. `frame` is the whole frame including the tag byte.
 pub(crate) fn decode_columnar(frame: &[u8]) -> Option<Message> {
-    match frame.first()? {
-        &TAG_SURVIVAL_BATCH_REPLY_C => {
+    match *frame.first()? {
+        TAG_SURVIVAL_BATCH_REPLY_C => {
             let mut survivals = Vec::new();
             let pruned = decode_survivals_into(frame, &mut survivals)?;
             Some(Message::SurvivalBatchReplyC { survivals, pruned })
         }
-        &TAG_FEEDBACK_BATCH_C => Some(Message::FeedbackBatchC(BatchView::parse(frame)?.to_block())),
-        &TAG_REPLICA_SYNC_C => Some(Message::ReplicaSyncC(BatchView::parse(frame)?.to_block())),
-        &TAG_REGION_REPLY_C => Some(Message::RegionReplyC(BatchView::parse(frame)?.to_block())),
+        TAG_FEEDBACK_BATCH_C => Some(Message::FeedbackBatchC(BatchView::parse(frame)?.to_block())),
+        TAG_REPLICA_SYNC_C => Some(Message::ReplicaSyncC(BatchView::parse(frame)?.to_block())),
+        TAG_REGION_REPLY_C => Some(Message::RegionReplyC(BatchView::parse(frame)?.to_block())),
         _ => None,
     }
 }

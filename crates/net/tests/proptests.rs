@@ -212,3 +212,38 @@ proptest! {
         let _ = Message::decode_slice(&frame);
     }
 }
+
+/// Every tag byte the protocol assigns (0..=39), plus 40, which it does
+/// not.
+const TAGS: std::ops::RangeInclusive<u8> = 0..=40;
+const UNASSIGNED_TAG: u8 = 40;
+
+/// `tail` behind `tag`, bare and behind a [`Message::Tagged`] header.
+fn malformed_frames(tag: u8, query_id: u64, tail: &[u8]) -> [Vec<u8>; 2] {
+    let bare: Vec<u8> = std::iter::once(tag).chain(tail.iter().copied()).collect();
+    let mut tagged = vec![dsud_net::wire::TAG_TAGGED];
+    tagged.extend_from_slice(&query_id.to_be_bytes());
+    tagged.extend_from_slice(&bare);
+    [bare, tagged]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn malformed_frames_under_every_tag_decode_or_reject(
+        query_id in any::<u64>(),
+        tail in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        for tag in TAGS {
+            for frame in malformed_frames(tag, query_id, &tail) {
+                // Some or None, never a panic; whatever decodes must encode
+                // back to a frame of its advertised length.
+                if let Some(msg) = Message::decode_slice(&frame) {
+                    prop_assert!(tag != UNASSIGNED_TAG, "tag {tag} decoded to {msg:?}");
+                    prop_assert_eq!(msg.encode().len(), msg.encoded_len());
+                }
+            }
+        }
+    }
+}

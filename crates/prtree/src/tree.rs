@@ -340,6 +340,9 @@ impl PrTree {
         }
     }
 
+    // One recursion step carries the whole traversal state; bundling it
+    // into a struct would only move these fields behind a borrow.
+    #[allow(clippy::too_many_arguments)]
     fn survival_products_rec<P: ProbeSet + ?Sized>(
         &self,
         idx: usize,

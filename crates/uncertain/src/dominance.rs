@@ -490,11 +490,7 @@ impl ProbeRows {
 
 impl ProbeSet for ProbeRows {
     fn len(&self) -> usize {
-        if self.dims == 0 {
-            0
-        } else {
-            self.rows.len() / self.dims
-        }
+        self.rows.len().checked_div(self.dims).unwrap_or(0)
     }
 
     fn probe(&self, k: usize) -> &[f64] {

@@ -169,14 +169,17 @@ pub mod strategy {
         }
     }
 
+    /// One boxed arm of a [`Union`].
+    pub type Arm<T> = Box<dyn Fn(&mut TestRng) -> T>;
+
     /// Uniform choice among boxed arms — backs [`prop_oneof!`](crate::prop_oneof).
     pub struct Union<T> {
-        arms: Vec<Box<dyn Fn(&mut TestRng) -> T>>,
+        arms: Vec<Arm<T>>,
     }
 
     impl<T> Union<T> {
         /// Builds a union over `arms`.
-        pub fn new(arms: Vec<Box<dyn Fn(&mut TestRng) -> T>>) -> Self {
+        pub fn new(arms: Vec<Arm<T>>) -> Self {
             assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
             Union { arms }
         }

@@ -345,7 +345,7 @@ mod tests {
         let items: Vec<(u32, usize)> =
             (0..10_000).map(|i| (((i * 2654435761usize) % 97) as u32, i)).collect();
         let mut expected = items.clone();
-        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        expected.sort_by_key(|a| a.0);
         for n in [1, 2, 5, 8] {
             let mut got = items.clone();
             with_pool(n, || par_sort_by(&mut got, |a, b| a.0.cmp(&b.0)));

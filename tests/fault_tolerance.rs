@@ -352,13 +352,12 @@ fn killing_a_site_mid_query_degrades_and_names_it() {
 #[test]
 fn retry_accounting_is_identical_across_pool_sizes_and_transports() {
     fn run_once(pool: usize, transport: Transport) -> (u64, u64, u64, (Sequence, Sequence)) {
-        threadpool::set_pool_size(pool);
         let recorder = Recorder::enabled();
-        let (mut links, meter, _servers) =
-            faulty_cluster(transport, Some((1, FaultMode::Drop, 6)), &recorder);
-        let outcome =
-            dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade)).unwrap();
-        threadpool::set_pool_size(0);
+        let outcome = common::with_pool(pool, || {
+            let (mut links, meter, _servers) =
+                faulty_cluster(transport, Some((1, FaultMode::Drop, 6)), &recorder);
+            dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade)).unwrap()
+        });
         (
             recorder.counter(Counter::LinkRetries),
             recorder.counter(Counter::LinkTimeouts),
