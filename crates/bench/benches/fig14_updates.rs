@@ -26,14 +26,20 @@ fn bench(c: &mut Criterion) {
                         let mut cluster = Cluster::local(2, data.clone()).unwrap();
                         let meter = cluster.meter().clone();
                         let (mut maintainer, _) = Maintainer::bootstrap(
-                            cluster.links_mut(),
+                            &mut cluster.fanout(),
                             &meter,
                             SubspaceMask::full(2).unwrap(),
                             &QueryConfig::new(0.3).unwrap(),
                         )
                         .unwrap();
-                        apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, incremental)
-                            .unwrap()
+                        apply_batch(
+                            &mut maintainer,
+                            &mut cluster.fanout(),
+                            &meter,
+                            &ops,
+                            incremental,
+                        )
+                        .unwrap()
                     });
                 },
             );

@@ -314,17 +314,18 @@ pub fn update_row(spec: &ExpSpec, rate_pct: usize) -> UpdateRow {
         let meter = cluster.meter().clone();
         let mask = SubspaceMask::full(spec.d).expect("dims are valid");
         let config = QueryConfig::new(spec.q).expect("experiment thresholds are valid");
-        let (mut maintainer, _) = Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &config)
-            .expect("bootstrap succeeds");
+        let (mut maintainer, _) =
+            Maintainer::bootstrap(&mut cluster.fanout(), &meter, mask, &config)
+                .expect("bootstrap succeeds");
 
         // Maintenance phase: the update stream arrives.
         let before = meter.snapshot();
         let started = std::time::Instant::now();
         for op in &ops {
             if incremental {
-                maintainer.apply_incremental(cluster.links_mut(), op).expect("updates succeed");
+                maintainer.apply_incremental(&mut cluster.fanout(), op).expect("updates succeed");
             } else {
-                Maintainer::apply_local_only(cluster.links_mut(), op).expect("updates succeed");
+                Maintainer::apply_local_only(&mut cluster.fanout(), op).expect("updates succeed");
             }
         }
         let maintenance_cpu_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -338,7 +339,7 @@ pub fn update_row(spec: &ExpSpec, rate_pct: usize) -> UpdateRow {
             // SKY(H) is already maintained; answering costs no traffic.
             let _ = maintainer.skyline();
         } else {
-            maintainer.refresh_naive(cluster.links_mut(), &meter).expect("refresh succeeds");
+            maintainer.refresh_naive(&mut cluster.fanout(), &meter).expect("refresh succeeds");
         }
         let response_cpu_ms = started.elapsed().as_secs_f64() * 1e3;
         let traffic = meter.snapshot();

@@ -9,7 +9,7 @@
 //! [`soak`] runs the same deterministic query/update mix against two
 //! [`SessionServer`]s over identical data: a clean *reference* deployment
 //! and a *chaos* deployment whose links are wrapped in seeded
-//! [`dsud_net::ChaosLink`]s ([`Cluster::with_transport_chaos`]). The
+//! [`dsud_net::ChaosLink`]s ([`Cluster::with_topology`] with a seed). The
 //! invariants it checks, reported in a [`ChaosReport`]:
 //!
 //! * **no panics** — every query returns a value (faults become degraded
@@ -33,7 +33,7 @@ use dsud_net::FaultPlan;
 use crate::update::UpdateOp;
 use crate::{
     Cluster, Error, FailurePolicy, LinkConfig, QueryConfig, QueryOutcome, Recorder, SessionOptions,
-    SessionServer, SiteState, Transport, WireFormat,
+    SessionServer, SiteState, Topology, Transport, WireFormat,
 };
 
 /// Knobs for one chaos soak. Everything is deterministic in `seed`.
@@ -190,14 +190,15 @@ pub fn soak(
     // Chaos deployment: seeded faults under the retry layer, an automatic
     // heartbeat after every served query, and hair-trigger lifecycle
     // thresholds so the soak exercises quarantine and rejoin quickly.
-    let chaos_cluster = Cluster::with_transport_chaos(
+    let chaos_cluster = Cluster::with_topology(
         dims,
         sites,
         Default::default(),
         Recorder::default(),
         opts.transport,
         LinkConfig::default(),
-        opts.seed,
+        Topology::Flat,
+        Some(opts.seed),
     )?;
     let server = SessionServer::new(
         chaos_cluster,

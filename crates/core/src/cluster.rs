@@ -351,39 +351,6 @@ impl Cluster {
         )
     }
 
-    /// [`Cluster::with_topology`] on a flat topology with a deterministic
-    /// fault injector: every site link gets a [`FaultPlan`] derived from
-    /// `seed` and its site index, spliced *under* the retry layer so the
-    /// stack is `RetryLink(ChaosLink(transport))`. The same seed reproduces the
-    /// identical fault schedule on every transport, which is what lets the
-    /// chaos harness ([`crate::chaos`]) compare a faulted run against a
-    /// clean one bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cluster::with_transport`].
-    pub fn with_transport_chaos(
-        dims: usize,
-        sites: Vec<Vec<UncertainTuple>>,
-        options: SiteOptions,
-        recorder: Recorder,
-        transport: Transport,
-        link_config: LinkConfig,
-        seed: u64,
-    ) -> Result<Self, Error> {
-        Self::assemble(
-            dims,
-            sites,
-            options,
-            recorder,
-            transport,
-            link_config,
-            Some(seed),
-            Topology::Flat,
-            None,
-        )
-    }
-
     /// Wraps one transport link in the (optional) chaos layer and the
     /// mandatory retry layer, surfacing the retry layer's health handle.
     fn finish_link<L: Link + 'static>(
@@ -460,16 +427,18 @@ impl Cluster {
         })
     }
 
-    /// Builds the service tree under one fan-plan node and returns the raw
-    /// link to it (a site link for a leaf, an [`Aggregator`] link for a
-    /// node). Everything below the root reports to `child_meter` and gets
-    /// a plain retry layer — no chaos, no health handle: subtree failures
-    /// surface through the root link's own operations.
+    /// Hosts the service tree under one fan-plan node on `meter` and
+    /// returns the raw link to it: a leaf's own site, or an [`Aggregator`]
+    /// over its children. Everything below the node reports to
+    /// `child_meter` and gets a plain retry layer — no chaos, no health
+    /// handle: subtree failures surface through the root link's own
+    /// operations.
     #[allow(clippy::too_many_arguments)]
-    fn build_subtree(
+    fn spawn_node(
         node: &FanNode,
         built: &mut [Option<LocalSite>],
         transport: Transport,
+        meter: &BandwidthMeter,
         child_meter: &BandwidthMeter,
         link_config: LinkConfig,
         servers: &mut Vec<tcp::SiteServer>,
@@ -478,49 +447,40 @@ impl Cluster {
         match node {
             FanNode::Leaf(site) => {
                 let svc = built[*site as usize].take().expect("each site is wired once");
-                let raw = Self::spawn_service(
-                    svc,
-                    transport,
-                    child_meter,
-                    link_config,
-                    servers,
-                    *site,
-                    delay,
-                )?;
-                Ok(Box::new(RetryLink::new(raw, link_config)))
+                Self::spawn_service(svc, transport, meter, link_config, servers, *site, delay)
             }
             FanNode::Node(children) => {
                 let mut agg = Aggregator::new();
                 for child in children {
-                    let link = Self::build_subtree(
+                    let raw = Self::spawn_node(
                         child,
                         built,
                         transport,
+                        child_meter,
                         child_meter,
                         link_config,
                         servers,
                         delay,
                     )?;
+                    let link = Box::new(RetryLink::new(raw, link_config));
                     match child {
                         FanNode::Leaf(site) => agg.push_leaf(*site, link),
                         FanNode::Node(_) => agg.push_group(child.members(), link),
                     }
                 }
-                let err_site = node.members().first().copied().unwrap_or(0);
-                let raw = Self::spawn_service(
-                    agg,
-                    transport,
-                    child_meter,
-                    link_config,
-                    servers,
-                    err_site,
-                    delay,
-                )?;
-                Ok(Box::new(RetryLink::new(raw, link_config)))
+                let err_site = node.members()[0];
+                Self::spawn_service(agg, transport, meter, link_config, servers, err_site, delay)
             }
         }
     }
 
+    /// Builds every site, then walks the plan: each root node is hosted on
+    /// the cluster meter (sites and aggregators below it hang off a
+    /// throwaway meter, so the cluster meter sees exactly the frames
+    /// crossing the root's own links) and wrapped by [`Self::finish_link`],
+    /// its chaos plan keyed by the node's first member site — a flat
+    /// site's own index — so a seeded plan replays identically at every
+    /// topology.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         dims: usize,
@@ -540,88 +500,29 @@ impl Cluster {
         let meter = BandwidthMeter::with_recorder(recorder.clone());
         let total_tuples = sites.iter().map(Vec::len).sum();
         let plan = topology.plan(sites.len());
-        let built = Self::build_sites(dims, sites, options, &recorder);
+        let mut built: Vec<Option<LocalSite>> = Self::build_sites(dims, sites, options, &recorder)
+            .into_iter()
+            .map(|s| s.map(Some))
+            .collect::<Result<_, _>>()?;
+        let child_meter = BandwidthMeter::new();
         let mut links: Vec<Box<dyn Link>> = Vec::with_capacity(plan.root_fanout());
         let mut health: Vec<Arc<LinkHealth>> = Vec::with_capacity(plan.root_fanout());
         let mut servers: Vec<tcp::SiteServer> = Vec::new();
-
-        if plan.is_flat() {
-            for (i, site) in built.into_iter().enumerate() {
-                let site = site?;
-                let fault = chaos_seed.map(|seed| FaultPlan::seeded(seed, i as u32));
-                let raw = Self::spawn_service(
-                    site,
-                    transport,
-                    &meter,
-                    link_config,
-                    &mut servers,
-                    i as u32,
-                    delay,
-                )?;
-                let (h, link) = Self::finish_link(raw, fault, link_config, &recorder);
-                health.push(h);
-                links.push(link);
-            }
-        } else {
-            // Tree topology: sites and intermediate aggregators hang off a
-            // throwaway meter, so the cluster meter sees exactly the
-            // merged frames crossing the root's own links. One root link
-            // per group, chaos keyed by the group's first member site so a
-            // seeded plan replays identically at every topology.
-            let mut built: Vec<Option<LocalSite>> =
-                built.into_iter().map(|s| s.map(Some)).collect::<Result<_, _>>()?;
-            let child_meter = BandwidthMeter::new();
-            for root in plan.roots() {
-                let members = root.members();
-                let first = members.first().copied().unwrap_or(0);
-                let fault = chaos_seed.map(|seed| FaultPlan::seeded(seed, first));
-                let raw: Box<dyn Link> = match root {
-                    // A root-level leaf (ragged tail group) talks to the
-                    // coordinator directly, like a flat site.
-                    FanNode::Leaf(site) => {
-                        let svc = built[*site as usize].take().expect("each site is wired once");
-                        Self::spawn_service(
-                            svc,
-                            transport,
-                            &meter,
-                            link_config,
-                            &mut servers,
-                            *site,
-                            delay,
-                        )?
-                    }
-                    FanNode::Node(children) => {
-                        let mut agg = Aggregator::new();
-                        for child in children {
-                            let link = Self::build_subtree(
-                                child,
-                                &mut built,
-                                transport,
-                                &child_meter,
-                                link_config,
-                                &mut servers,
-                                delay,
-                            )?;
-                            match child {
-                                FanNode::Leaf(site) => agg.push_leaf(*site, link),
-                                FanNode::Node(_) => agg.push_group(child.members(), link),
-                            }
-                        }
-                        Self::spawn_service(
-                            agg,
-                            transport,
-                            &meter,
-                            link_config,
-                            &mut servers,
-                            first,
-                            delay,
-                        )?
-                    }
-                };
-                let (h, link) = Self::finish_link(raw, fault, link_config, &recorder);
-                health.push(h);
-                links.push(link);
-            }
+        for root in plan.roots() {
+            let raw = Self::spawn_node(
+                root,
+                &mut built,
+                transport,
+                &meter,
+                &child_meter,
+                link_config,
+                &mut servers,
+                delay,
+            )?;
+            let fault = chaos_seed.map(|seed| FaultPlan::seeded(seed, root.members()[0]));
+            let (h, link) = Self::finish_link(raw, fault, link_config, &recorder);
+            health.push(h);
+            links.push(link);
         }
         drop(build_span);
         Ok(Cluster { dims, links, health, meter, total_tuples, plan, servers })
@@ -684,12 +585,21 @@ impl Cluster {
         self.meter.recorder()
     }
 
-    /// Mutable access to the physical links (used by the update driver).
-    /// Under a flat topology these are the per-site links; under a tree
-    /// topology they address root aggregator groups — per-site routing
-    /// must go through a [`Fanout`] or [`dsud_net::SiteRoute`].
+    /// Mutable access to the physical root links, for wrapping them (the
+    /// benchmark's timing links). Under a flat topology these are the
+    /// per-site links; under a tree topology they address root aggregator
+    /// groups. Anything that addresses sites by index goes through
+    /// [`Cluster::fanout`] instead.
     pub fn links_mut(&mut self) -> &mut [Box<dyn Link>] {
         &mut self.links
+    }
+
+    /// The per-site view of the deployment through its topology: site `i`
+    /// of [`Fanout::len`] is reached over its own link under a flat plan
+    /// and through its aggregators under a tree. Maintenance
+    /// ([`crate::update::Maintainer`]) runs over this view.
+    pub fn fanout(&mut self) -> Fanout<'_> {
+        Fanout::tree(&mut self.links, &self.plan, self.meter.recorder().clone())
     }
 
     /// Per-site transport health: attempts, retries, and failure counts
@@ -736,9 +646,8 @@ impl Cluster {
     /// when a site stays unreachable after retries.
     pub fn run_dsud(&mut self, config: &QueryConfig) -> Result<QueryOutcome, Error> {
         let mask = config.resolve_mask(self.dims)?;
-        let rec = self.meter.recorder().clone();
-        let mut fan = Fanout::tree(&mut self.links, &self.plan, rec);
-        dsud::run_on(&mut fan, &self.meter, mask, config, &mut |_, _| {})
+        let meter = self.meter.clone();
+        dsud::run_on(&mut self.fanout(), &meter, mask, config, &mut |_, _| {})
     }
 
     /// Runs the enhanced e-DSUD algorithm (Section 5.2).
@@ -748,9 +657,8 @@ impl Cluster {
     /// Same as [`Cluster::run_dsud`].
     pub fn run_edsud(&mut self, config: &QueryConfig) -> Result<QueryOutcome, Error> {
         let mask = config.resolve_mask(self.dims)?;
-        let rec = self.meter.recorder().clone();
-        let mut fan = Fanout::tree(&mut self.links, &self.plan, rec);
-        edsud::run_on(&mut fan, &self.meter, mask, config, &mut |_, _| {})
+        let meter = self.meter.clone();
+        edsud::run_on(&mut self.fanout(), &meter, mask, config, &mut |_, _| {})
     }
 }
 

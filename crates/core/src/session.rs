@@ -85,10 +85,7 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use dsud_net::server::{share, MuxLink, SharedLink};
-use dsud_net::{
-    tcp, BandwidthMeter, FanPlan, Fanout, Link, LinkError, LinkHealth, Message, MeterSnapshot,
-    SiteRoute, TupleMsg,
-};
+use dsud_net::{tcp, BandwidthMeter, FanPlan, Fanout, Link, LinkHealth, Message, MeterSnapshot};
 use dsud_obs::{Counter, Recorder, RunReport};
 use dsud_uncertain::SkylineEntry;
 
@@ -420,19 +417,13 @@ impl Algo {
 pub struct SessionServer {
     dims: usize,
     total_tuples: usize,
-    /// The cluster's fan-out topology. `shared`, `health`, `groups`, and
-    /// `grouped` are index-paired with the plan's root links: one per site
-    /// in a flat deployment, one per aggregator subtree otherwise.
+    /// The cluster's fan-out topology. `shared`, `health`, and `groups`
+    /// are index-paired with the plan's root links: one per site in a flat
+    /// deployment, one per aggregator subtree otherwise.
     plan: FanPlan,
     /// Member sites behind each root link, ascending (a single-element
     /// group is a directly-linked site).
     groups: Vec<Vec<u32>>,
-    /// Site → index of the root link that reaches it.
-    group_of: Vec<usize>,
-    /// Whether each root link terminates at an aggregator (so per-site
-    /// frames must ride [`dsud_net::Message::AggScatter`]) rather than at
-    /// the site itself.
-    grouped: Vec<bool>,
     /// Declared before `_servers` so the links drop first — same wind-down
     /// order [`Cluster`] itself maintains for its TCP transport.
     shared: Vec<SharedLink>,
@@ -488,22 +479,11 @@ impl SessionServer {
         // subtree as a unit.
         let lifecycle =
             FailureTracker::new(plan.sites(), FailurePolicy::Degrade, meter.recorder().clone());
-        let groups = plan.groups();
-        let mut group_of = vec![0usize; plan.sites()];
-        for (g, members) in groups.iter().enumerate() {
-            for &s in members {
-                group_of[s as usize] = g;
-            }
-        }
-        let grouped: Vec<bool> =
-            plan.roots().iter().map(|r| !matches!(r, dsud_net::FanNode::Leaf(_))).collect();
         SessionServer {
             dims,
             total_tuples,
+            groups: plan.groups(),
             plan,
-            groups,
-            group_of,
-            grouped,
             shared: links.into_iter().map(share).collect(),
             meter,
             health,
@@ -692,29 +672,15 @@ impl SessionServer {
         // Fresh per-query meter: this query's traffic snapshot starts at
         // zero exactly like a one-shot run's, so `outcome.traffic` is
         // bit-identical to the same query executed on a fresh cluster.
-        // One MuxLink per *physical* root link; the coordinator's Fanout
-        // re-derives the per-site view from the plan, so a tree-topology
-        // session query merges frames exactly like a one-shot tree run.
         let query_meter = BandwidthMeter::with_recorder(recorder.clone());
-        let mut links: Vec<Box<dyn Link>> = self
-            .shared
-            .iter()
-            .map(|s| {
-                Box::new(MuxLink::new(query_id, s.clone(), query_meter.clone())) as Box<dyn Link>
-            })
-            .collect();
-        let result = {
-            let mut fan = Fanout::tree(&mut links, &self.plan, recorder.clone());
-            match algo {
-                Algo::Dsud => dsud::run_on(&mut fan, &query_meter, mask, config, &mut stamped),
-                Algo::Edsud => edsud::run_on(&mut fan, &query_meter, mask, config, &mut stamped),
-            }
-        };
+        let result = self.on_fanout(query_id, &query_meter, |fan| match algo {
+            Algo::Dsud => dsud::run_on(fan, &query_meter, mask, config, &mut stamped),
+            Algo::Edsud => edsud::run_on(fan, &query_meter, mask, config, &mut stamped),
+        });
         // Clear the sites' parked cursor state for this query id whether
         // the run succeeded or not; the release is server bookkeeping, not
         // query traffic, so it bypasses the per-query meter (the shared
         // links still meter it into the server aggregate).
-        drop(links);
         self.release_sites(query_id);
         let mut outcome = result?;
         // A query answered while any site sits in session-level quarantine
@@ -787,34 +753,17 @@ impl SessionServer {
         };
 
         if !deferred {
-            let inject = match op {
-                UpdateOp::Insert(t) => Message::InjectInsert(TupleMsg::new(t, 0.0)),
-                UpdateOp::Delete(t) => Message::InjectDelete(TupleMsg::new(t, 0.0)),
-            };
-            // Same semantics as `Maintainer::apply_local_only`: the site's
-            // tree changes; the maintenance notification (if any) is the
-            // metered reply. Behind an aggregator the inject rides a
-            // single-part scatter addressed to the home site, and the
-            // one-entry reply set is unwrapped back to the site's own
-            // answer — flat deployments keep the plain frame byte for
-            // byte.
-            let g = self.group_of[home];
-            let reply = if self.grouped[g] {
-                match self.shared[g].call(Message::AggScatter { parts: vec![(op.site(), inject)] })
-                {
-                    Ok(Message::AggReplies { replies })
-                        if replies.len() == 1 && replies[0].0 == op.site() =>
-                    {
-                        replies.into_iter().next().expect("len checked").1.into_result()
-                    }
-                    Ok(_) => Err(LinkError::Malformed),
-                    Err(e) => Err(e),
-                }
-            } else {
-                self.shared[g].call(inject)
-            };
-            match reply {
-                Ok(_) => {
+            // The site's tree changes; the maintenance notification (if
+            // any) is dropped. The inject rides a fresh query id, which
+            // opens no session slot at the site, so nothing needs
+            // releasing; its traffic is server bookkeeping, metered only
+            // on the server aggregate.
+            let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
+            let injected = self.on_fanout(query_id, &BandwidthMeter::new(), |fan| {
+                Maintainer::apply_local_only(fan, op)
+            });
+            match injected {
+                Ok(()) => {
                     self.updates_applied.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) => {
@@ -832,7 +781,11 @@ impl SessionServer {
                     let mut lifecycle =
                         self.lifecycle.lock().unwrap_or_else(PoisonError::into_inner);
                     lifecycle.set_epoch(epoch - 1);
-                    lifecycle.quarantine(home, QuarantineReason::Transport(e));
+                    let reason = match e {
+                        Error::SiteFailed { source, .. } => QuarantineReason::Transport(source),
+                        other => QuarantineReason::Protocol(other.to_string()),
+                    };
+                    lifecycle.quarantine(home, reason);
                     lifecycle.set_epoch(epoch);
                     drop(lifecycle);
                     self.quarantines.fetch_add(1, Ordering::Relaxed);
@@ -977,43 +930,33 @@ impl SessionServer {
         // Resync frames ride a fresh query id: tagged like any query's, so
         // they interleave safely with concurrent queries on the shared
         // links. The meter is a throwaway — resync traffic is server
-        // bookkeeping and already counted by the aggregate meter. The
-        // maintenance path indexes links by site, so behind an aggregator
-        // each site gets a [`SiteRoute`] view of its group link and the
-        // `Maintainer` stays topology-blind.
+        // bookkeeping and already counted by the aggregate meter.
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         let resync_meter = BandwidthMeter::new();
-        let mut links: Vec<Box<dyn Link>> = (0..self.plan.sites())
-            .map(|s| {
-                let g = self.group_of[s];
-                let mux = MuxLink::new(query_id, self.shared[g].clone(), resync_meter.clone());
-                if self.grouped[g] {
-                    Box::new(SiteRoute::new(s as u32, mux)) as Box<dyn Link>
-                } else {
-                    Box::new(mux) as Box<dyn Link>
+        let replayed = self.on_fanout(query_id, &resync_meter, |fan| {
+            let mut replayed = 0u64;
+            for op in &missed {
+                if Maintainer::apply_local_only(fan, op).is_ok() {
+                    replayed += 1;
+                    rec.incr(Counter::ResyncOps);
                 }
-            })
-            .collect();
-        let mut replayed = 0u64;
-        for op in &missed {
-            if Maintainer::apply_local_only(&mut links, op).is_ok() {
-                replayed += 1;
-                rec.incr(Counter::ResyncOps);
             }
-        }
-        if !covered {
-            // The log was truncated past the quarantine epoch: the replay
-            // above covered only what is still retained, and completeness
-            // can no longer be proven from the log. Rebuild and
-            // re-replicate the global skyline wholesale; errors leave the
-            // site in probation, where the next heartbeat retries.
-            if let (Ok(mask), Ok(config)) =
-                (crate::SubspaceMask::full(self.dims), QueryConfig::new(self.options.bootstrap_q))
-            {
-                let _ = Maintainer::bootstrap(&mut links, &resync_meter, mask, &config);
+            if !covered {
+                // The log was truncated past the quarantine epoch: the
+                // replay above covered only what is still retained, and
+                // completeness can no longer be proven from the log.
+                // Rebuild and re-replicate the global skyline wholesale;
+                // errors leave the site in probation, where the next
+                // heartbeat retries.
+                if let (Ok(mask), Ok(config)) = (
+                    crate::SubspaceMask::full(self.dims),
+                    QueryConfig::new(self.options.bootstrap_q),
+                ) {
+                    let _ = Maintainer::bootstrap(fan, &resync_meter, mask, &config);
+                }
             }
-        }
-        drop(links);
+            replayed
+        });
         self.release_sites(query_id);
         self.resync_ops.fetch_add(replayed, Ordering::Relaxed);
         // The rejoining site's tree just changed: cached answers predate
@@ -1031,6 +974,25 @@ impl SessionServer {
         if every > 0 && served.is_multiple_of(every) {
             self.heartbeat();
         }
+    }
+
+    /// Runs `f` over query `query_id`'s view of the deployment: one
+    /// [`MuxLink`] per root link, tagging every frame with the id and
+    /// metering it on `meter`, routed per site by the deployment's plan —
+    /// so a tree-topology session query merges frames exactly like a
+    /// one-shot tree run.
+    fn on_fanout<R>(
+        &self,
+        query_id: u64,
+        meter: &BandwidthMeter,
+        f: impl FnOnce(&mut Fanout<'_>) -> R,
+    ) -> R {
+        let mut links: Vec<Box<dyn Link>> = self
+            .shared
+            .iter()
+            .map(|s| Box::new(MuxLink::new(query_id, s.clone(), meter.clone())) as Box<dyn Link>)
+            .collect();
+        f(&mut Fanout::tree(&mut links, &self.plan, meter.recorder().clone()))
     }
 
     fn release_sites(&self, query_id: u64) {

@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dsud_net::{BandwidthMeter, Link, Message, TupleMsg};
+use dsud_net::{BandwidthMeter, Fanout, Message, TupleMsg};
 use dsud_uncertain::{dominates_in, SkylineEntry, SubspaceMask, UncertainTuple};
 
 use crate::cluster::expect_survival;
@@ -91,25 +91,28 @@ impl Maintainer {
     ///
     /// Returns the maintainer plus the bootstrap query outcome.
     ///
+    /// Every maintenance entry point reaches the sites through `fan`
+    /// (see [`crate::Cluster::fanout`]), so it works on any topology.
+    ///
     /// # Errors
     ///
     /// Propagates query failures ([`Error::InvalidThreshold`],
     /// [`Error::ProtocolViolation`]).
     pub fn bootstrap(
-        links: &mut [Box<dyn Link>],
+        fan: &mut Fanout<'_>,
         meter: &BandwidthMeter,
         mask: SubspaceMask,
         config: &QueryConfig,
     ) -> Result<(Self, QueryOutcome), Error> {
         let config = QueryConfig { limit: None, deadline_ms: None, ..*config };
-        let outcome = edsud::run(links, meter, mask, &config)?;
+        let outcome = edsud::run_on(fan, meter, mask, &config, &mut |_, _| {})?;
         let members: Vec<Member> = outcome
             .skyline
             .iter()
             .map(|e| Member { msg: TupleMsg::new(&e.tuple, e.probability), prob: e.probability })
             .collect();
         let replica: Vec<TupleMsg> = members.iter().map(|m| m.msg.clone()).collect();
-        sync_replicas(links, &replica, &config)?;
+        sync_replicas(fan, &replica, &config)?;
         let replicated = replica.iter().map(|m| m.id).collect();
         let seen = replica.iter().cloned().collect();
         Ok((Maintainer { config, mask, members, replicated, seen }, outcome))
@@ -131,22 +134,13 @@ impl Maintainer {
     /// # Errors
     ///
     /// Returns [`Error::ProtocolViolation`] if a site misbehaves.
-    pub fn apply_incremental(
-        &mut self,
-        links: &mut [Box<dyn Link>],
-        op: &UpdateOp,
-    ) -> Result<(), Error> {
-        let home = op.site() as usize;
-        let inject = match op {
-            UpdateOp::Insert(t) => Message::InjectInsert(TupleMsg::new(t, 0.0)),
-            UpdateOp::Delete(t) => Message::InjectDelete(TupleMsg::new(t, 0.0)),
-        };
-        match links[home].call(inject).map_err(|e| site_failed(home, e))? {
+    pub fn apply_incremental(&mut self, fan: &mut Fanout<'_>, op: &UpdateOp) -> Result<(), Error> {
+        match inject(fan, op)? {
             Message::Ack => Ok(()), // purely local
-            Message::NotifyInsert(t) => self.handle_insert(links, t),
-            Message::NotifyDelete(t) => self.handle_delete(links, t),
+            Message::NotifyInsert(t) => self.handle_insert(fan, t),
+            Message::NotifyDelete(t) => self.handle_delete(fan, t),
             _ => Err(Error::ProtocolViolation {
-                site: home as u32,
+                site: op.site(),
                 what: "unexpected update notification",
             }),
         }
@@ -158,14 +152,8 @@ impl Maintainer {
     /// # Errors
     ///
     /// Returns [`Error::SiteFailed`] if the link fails.
-    pub fn apply_local_only(links: &mut [Box<dyn Link>], op: &UpdateOp) -> Result<(), Error> {
-        let home = op.site() as usize;
-        let inject = match op {
-            UpdateOp::Insert(t) => Message::InjectInsert(TupleMsg::new(t, 0.0)),
-            UpdateOp::Delete(t) => Message::InjectDelete(TupleMsg::new(t, 0.0)),
-        };
-        links[home].call(inject).map_err(|e| site_failed(home, e))?;
-        Ok(())
+    pub fn apply_local_only(fan: &mut Fanout<'_>, op: &UpdateOp) -> Result<(), Error> {
+        inject(fan, op).map(drop)
     }
 
     /// The naive strategy's second half: recompute `SKY(H)` from scratch
@@ -176,23 +164,23 @@ impl Maintainer {
     /// Propagates query failures.
     pub fn refresh_naive(
         &mut self,
-        links: &mut [Box<dyn Link>],
+        fan: &mut Fanout<'_>,
         meter: &BandwidthMeter,
     ) -> Result<QueryOutcome, Error> {
-        let outcome = edsud::run(links, meter, self.mask, &self.config)?;
+        let outcome = edsud::run_on(fan, meter, self.mask, &self.config, &mut |_, _| {})?;
         self.members = outcome
             .skyline
             .iter()
             .map(|e| Member { msg: TupleMsg::new(&e.tuple, e.probability), prob: e.probability })
             .collect();
         let replica: Vec<TupleMsg> = self.members.iter().map(|m| m.msg.clone()).collect();
-        sync_replicas(links, &replica, &self.config)?;
+        sync_replicas(fan, &replica, &self.config)?;
         self.replicated = replica.iter().map(|m| m.id).collect();
         self.seen = replica.into_iter().collect();
         Ok(outcome)
     }
 
-    fn handle_insert(&mut self, links: &mut [Box<dyn Link>], t: TupleMsg) -> Result<(), Error> {
+    fn handle_insert(&mut self, fan: &mut Fanout<'_>, t: TupleMsg) -> Result<(), Error> {
         // Discount members the new tuple dominates; evict those that sink
         // below the threshold. Evicted tuples still *exist* in the data, so
         // the site replicas are deliberately left stale: a superset replica
@@ -214,9 +202,9 @@ impl Maintainer {
         // The new tuple itself may be a member; pre-filter with confirmed
         // dominators before paying an (m − 1)-tuple evaluation.
         if t.local_prob >= self.config.q && self.seen_bound(&t) >= self.config.q {
-            let global = self.evaluate(links, &t)?;
+            let global = self.evaluate(fan, &t)?;
             if global >= self.config.q {
-                self.add_member(links, t.clone(), global)?;
+                self.add_member(fan, t.clone(), global)?;
             }
             self.remember(t);
         }
@@ -258,7 +246,7 @@ impl Maintainer {
         self.seen.push_back(t);
     }
 
-    fn handle_delete(&mut self, links: &mut [Box<dyn Link>], t: TupleMsg) -> Result<(), Error> {
+    fn handle_delete(&mut self, fan: &mut Fanout<'_>, t: TupleMsg) -> Result<(), Error> {
         // Drop the tuple itself if it was a member, and purge it from the
         // site replicas if it still sits there (it may be an
         // evicted-but-still-replicated tuple).
@@ -266,7 +254,7 @@ impl Maintainer {
             self.members.remove(pos);
         }
         if self.replicated.remove(&t.id) {
-            broadcast_all(links, Message::ReplicaRemove(t.clone()))?;
+            broadcast_all(fan, Message::ReplicaRemove(t.clone()))?;
         }
         self.seen.retain(|c| c.id != t.id);
 
@@ -285,7 +273,7 @@ impl Maintainer {
         // dominated can have gained probability. All sites scan their
         // regions concurrently.
         let mut candidates: Vec<TupleMsg> = Vec::new();
-        for (x, reply) in dsud_net::broadcast(links, |_| true, &Message::RegionQuery(t.clone())) {
+        for (x, reply) in fan.broadcast(|_| true, &Message::RegionQuery(t.clone())) {
             match reply.map_err(|e| site_failed(x, e))? {
                 Message::RegionReply(mut tuples) => candidates.append(&mut tuples),
                 Message::RegionReplyC(block) => candidates.extend(block.to_msgs()),
@@ -304,9 +292,9 @@ impl Maintainer {
             if self.seen_bound(&c) < self.config.q {
                 continue;
             }
-            let global = self.evaluate(links, &c)?;
+            let global = self.evaluate(fan, &c)?;
             if global >= self.config.q {
-                self.add_member(links, c.clone(), global)?;
+                self.add_member(fan, c.clone(), global)?;
             }
             self.remember(c);
         }
@@ -316,10 +304,10 @@ impl Maintainer {
     /// Exact global probability of a candidate: its fresh local probability
     /// times the survival products of all other sites (Lemma 1), gathered
     /// with a concurrent fan-out.
-    fn evaluate(&self, links: &mut [Box<dyn Link>], t: &TupleMsg) -> Result<f64, Error> {
+    fn evaluate(&self, fan: &mut Fanout<'_>, t: &TupleMsg) -> Result<f64, Error> {
         let mut global = t.local_prob;
         let home = t.id.site.0 as usize;
-        for (x, reply) in dsud_net::broadcast(links, |x| x != home, &Message::Feedback(t.clone())) {
+        for (x, reply) in fan.broadcast(|x| x != home, &Message::Feedback(t.clone())) {
             let (survival, _) = expect_survival(x as u32, reply.map_err(|e| site_failed(x, e))?)?;
             global *= survival;
         }
@@ -328,12 +316,12 @@ impl Maintainer {
 
     fn add_member(
         &mut self,
-        links: &mut [Box<dyn Link>],
+        fan: &mut Fanout<'_>,
         mut msg: TupleMsg,
         global: f64,
     ) -> Result<(), Error> {
         msg.local_prob = global;
-        broadcast_all(links, Message::ReplicaAdd(msg.clone()))?;
+        broadcast_all(fan, Message::ReplicaAdd(msg.clone()))?;
         self.replicated.insert(msg.id);
         self.members.push(Member { msg, prob: global });
         Ok(())
@@ -344,11 +332,22 @@ fn site_failed(site: usize, source: dsud_net::LinkError) -> Error {
     Error::SiteFailed { site: site as u32, source }
 }
 
+/// Applies `op` to its home site's tree and returns the site's
+/// maintenance notification (`Ack` when the update is purely local).
+fn inject(fan: &mut Fanout<'_>, op: &UpdateOp) -> Result<Message, Error> {
+    let home = op.site() as usize;
+    let msg = match op {
+        UpdateOp::Insert(t) => Message::InjectInsert(TupleMsg::new(t, 0.0)),
+        UpdateOp::Delete(t) => Message::InjectDelete(TupleMsg::new(t, 0.0)),
+    };
+    fan.call(home, msg).map_err(|e| site_failed(home, e))
+}
+
 /// Maintenance runs under strict semantics: a transport failure anywhere
 /// in a replica broadcast aborts the batch, because half-synced replicas
 /// would silently desynchronize the sites' update filters.
-fn broadcast_all(links: &mut [Box<dyn Link>], msg: Message) -> Result<(), Error> {
-    for (x, reply) in dsud_net::broadcast(links, |_| true, &msg) {
+fn broadcast_all(fan: &mut Fanout<'_>, msg: Message) -> Result<(), Error> {
+    for (x, reply) in fan.broadcast(|_| true, &msg) {
         reply.map_err(|e| site_failed(x, e))?;
     }
     Ok(())
@@ -356,16 +355,16 @@ fn broadcast_all(links: &mut [Box<dyn Link>], msg: Message) -> Result<(), Error>
 
 /// Replicates `replica` to every site in `config`'s wire layout.
 fn sync_replicas(
-    links: &mut [Box<dyn Link>],
+    fan: &mut Fanout<'_>,
     replica: &[TupleMsg],
     config: &QueryConfig,
 ) -> Result<(), Error> {
-    for (i, link) in links.iter_mut().enumerate() {
+    for i in 0..fan.len() {
         let msg = match config.wire {
             WireFormat::Legacy => Message::ReplicaSync(replica.to_vec()),
             WireFormat::Columnar => Message::ReplicaSyncC(dsud_net::TupleBlock::from_msgs(replica)),
         };
-        link.call(msg).map_err(|e| site_failed(i, e))?;
+        fan.call(i, msg).map_err(|e| site_failed(i, e))?;
     }
     Ok(())
 }
@@ -378,20 +377,20 @@ fn sync_replicas(
 /// Propagates protocol failures.
 pub fn apply_batch(
     maintainer: &mut Maintainer,
-    links: &mut [Box<dyn Link>],
+    fan: &mut Fanout<'_>,
     meter: &BandwidthMeter,
     ops: &[UpdateOp],
     incremental: bool,
 ) -> Result<Vec<SkylineEntry>, Error> {
     if incremental {
         for op in ops {
-            maintainer.apply_incremental(links, op)?;
+            maintainer.apply_incremental(fan, op)?;
         }
     } else {
         for op in ops {
-            Maintainer::apply_local_only(links, op)?;
+            Maintainer::apply_local_only(fan, op)?;
         }
-        maintainer.refresh_naive(links, meter)?;
+        maintainer.refresh_naive(fan, meter)?;
     }
     Ok(maintainer.skyline())
 }

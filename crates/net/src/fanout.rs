@@ -546,7 +546,8 @@ fn splice_group_reply(
 }
 
 /// Redeems the transport ticket of a one-part [`Message::AggScatter`] and
-/// unwraps the single [`AggReply`] entry it owes.
+/// unwraps the single [`AggReply`] entry it owes down to the member's own
+/// outcome.
 fn complete_single(
     link: &mut Box<dyn Link>,
     recorder: &Recorder,
@@ -555,12 +556,6 @@ fn complete_single(
 ) -> Result<Message, LinkError> {
     let reply = link.complete(ticket)?;
     recorder.add(Counter::AggFoldOps, 1);
-    unwrap_single(site, reply)
-}
-
-/// Unwraps a single-site [`Message::AggReplies`] down to the member's own
-/// outcome.
-fn unwrap_single(site: u32, reply: Message) -> Result<Message, LinkError> {
     match reply {
         Message::AggReplies { replies } if replies.len() == 1 && replies[0].0 == site => {
             replies.into_iter().next().expect("len checked").1.into_result()
@@ -748,45 +743,10 @@ impl Service for Aggregator {
     }
 }
 
-/// A [`Link`] view of one member site through its group link: every
-/// request rides a one-part [`Message::AggScatter`] and the single merged
-/// reply entry is unwrapped transparently.
-///
-/// This is what keeps the session layer's per-site plumbing — update
-/// injection, resync, maintenance bootstrap — topology-blind: those paths
-/// build a `SiteRoute` over the site's (possibly multiplexed) group link
-/// and keep indexing links by site exactly as in a flat deployment.
-pub struct SiteRoute<L> {
-    site: u32,
-    inner: L,
-}
-
-impl<L: Link> SiteRoute<L> {
-    /// Routes requests for `site` through `inner` (its group link).
-    pub fn new(site: u32, inner: L) -> Self {
-        SiteRoute { site, inner }
-    }
-}
-
-impl<L: Link> Link for SiteRoute<L> {
-    fn send(&mut self, msg: Message) -> Result<Ticket, LinkError> {
-        self.inner.send(Message::AggScatter { parts: vec![(self.site, msg)] })
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
-        let reply = self.inner.complete(ticket)?;
-        unwrap_single(self.site, reply)
-    }
-
-    fn reconnect(&mut self) -> Result<(), LinkError> {
-        self.inner.reconnect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BandwidthMeter, ChannelLink, FaultMode, FaultyLink, LocalLink};
+    use crate::{BandwidthMeter, ChannelLink, ChaosLink, FaultKind, FaultPlan, LocalLink};
 
     /// A stateful echo site: replies carry `(site, requests seen)` so any
     /// reordering, duplication, or dropped delivery changes the
@@ -966,10 +926,9 @@ mod tests {
         let mut links = build_links(&plan, &meter);
         // Replace group 1's link (sites 4..8) with one that drops
         // everything.
-        links[1] = Box::new(FaultyLink::new(
+        links[1] = Box::new(ChaosLink::new(
             LocalLink::new(counting_site(99), BandwidthMeter::new()),
-            FaultMode::Disconnect,
-            0,
+            FaultPlan::quiet().window(1, u64::MAX, FaultKind::Disconnect),
         ));
         let mut fan = Fanout::tree(&mut links, &plan, Recorder::disabled());
         let replies = fan.broadcast(|_| true, &feedback());
@@ -1054,23 +1013,6 @@ mod tests {
         );
         // Unexpected plain traffic is rejected, not crashed on.
         assert_eq!(links[0].call(Message::RequestNext).unwrap(), Message::DecodeError);
-    }
-
-    #[test]
-    fn site_route_is_a_transparent_per_site_link() {
-        let plan = FanPlan::tree(4, 2);
-        let meter = BandwidthMeter::new();
-        // SiteRoute wraps an owned link; exercise it over group 0 / site 1.
-        let mut links = build_links(&plan, &meter);
-        let group0 = links.remove(0);
-        let mut route = SiteRoute::new(1, group0);
-        match route.call(feedback()).unwrap() {
-            Message::SurvivalReply { survival, .. } => assert_eq!(survival, 1001.0),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Split-phase ops work too.
-        let t = route.send(feedback()).unwrap();
-        assert!(matches!(route.complete(t).unwrap(), Message::SurvivalReply { .. }));
     }
 
     /// The aggregator works over threaded transports exactly as inline:

@@ -69,7 +69,7 @@ pub mod tcp;
 mod transport;
 pub mod wire;
 
-pub use fanout::{Aggregator, FanNode, FanPlan, Fanout, OpTicket, SiteRoute};
+pub use fanout::{Aggregator, FanNode, FanPlan, Fanout, OpTicket};
 pub use latency::{DelayedService, LatencyModel};
 pub use message::{AggReply, Message, SynopsisMsg, TrafficClass, TupleMsg};
 pub use meter::{BandwidthMeter, Counters, MeterSnapshot};
@@ -78,7 +78,7 @@ pub use server::{
     share, spawn_query_server, ClientControl, ClientHandler, MuxLink, QueryServer, SharedLink,
 };
 pub use transport::{
-    broadcast, scatter, ChannelLink, ChaosLink, FaultKind, FaultMode, FaultPlan, FaultWindow,
-    FaultyLink, Link, LinkConfig, LinkError, LocalLink, Service, Ticket,
+    broadcast, scatter, ChannelLink, ChaosLink, FaultKind, FaultPlan, FaultWindow, Link,
+    LinkConfig, LinkError, LocalLink, Service, Ticket,
 };
 pub use wire::{BatchView, TupleBlock};

@@ -376,7 +376,7 @@ impl<L: Link> Link for RetryLink<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BandwidthMeter, FaultMode, FaultyLink, LocalLink, Service};
+    use crate::{BandwidthMeter, ChaosLink, FaultKind, FaultPlan, LocalLink, Service};
     use std::time::Duration;
 
     fn echo_service() -> impl Service {
@@ -394,9 +394,14 @@ mod tests {
         }
     }
 
-    fn stalled(budget: u32, stall: u64) -> RetryLink<FaultyLink<LocalLink<impl Service>>> {
+    /// Attempts `from .. from + len` time out.
+    fn stall(from: u64, len: u64) -> FaultPlan {
+        FaultPlan::quiet().window(from, len, FaultKind::Timeout)
+    }
+
+    fn stalled(budget: u32, len: u64) -> RetryLink<ChaosLink<LocalLink<impl Service>>> {
         let inner = LocalLink::new(echo_service(), BandwidthMeter::new());
-        RetryLink::new(FaultyLink::new(inner, FaultMode::Stall(stall), 1), config(budget))
+        RetryLink::new(ChaosLink::new(inner, stall(2, len)), config(budget))
     }
 
     #[test]
@@ -463,14 +468,14 @@ mod tests {
     /// A stall-faulted inline link whose service counts executions: the
     /// reply to the `k`-th executed request is
     /// `SurvivalReply { survival: k }`.
-    fn counting_stalled(budget: u32, stall: u64) -> RetryLink<FaultyLink<LocalLink<impl Service>>> {
+    fn counting_stalled(budget: u32, len: u64) -> RetryLink<ChaosLink<LocalLink<impl Service>>> {
         let mut executed = 0u64;
         let service = move |_msg: Message| {
             executed += 1;
             Message::SurvivalReply { survival: executed as f64, pruned: 0 }
         };
         let inner = LocalLink::new(service, BandwidthMeter::new());
-        RetryLink::new(FaultyLink::new(inner, FaultMode::Stall(stall), 1), config(budget))
+        RetryLink::new(ChaosLink::new(inner, stall(2, len)), config(budget))
     }
 
     fn executed(k: u64) -> Result<Message, LinkError> {
@@ -558,7 +563,7 @@ mod tests {
     fn retries_flow_into_the_recorder() {
         let recorder = Recorder::enabled();
         let inner = LocalLink::new(echo_service(), BandwidthMeter::new());
-        let faulty = FaultyLink::new(inner, FaultMode::Stall(1), 0);
+        let faulty = ChaosLink::new(inner, stall(1, 1));
         let mut link = RetryLink::with_recorder(faulty, config(2), recorder.clone());
         assert!(link.call(Message::RequestNext).is_ok());
         assert_eq!(recorder.counter(Counter::LinkRetries), 1);
@@ -571,7 +576,7 @@ mod tests {
         // opens a fresh window: probation evidence starts from zero while
         // the cumulative history is preserved.
         let inner = LocalLink::new(echo_service(), BandwidthMeter::new());
-        let faulty = FaultyLink::new(inner, FaultMode::Stall(3), 0);
+        let faulty = ChaosLink::new(inner, stall(1, 3));
         let mut link = RetryLink::new(faulty, config(1));
         assert_eq!(link.call(Message::RequestNext), Err(LinkError::Timeout));
         let burst = link.health().snapshot();
@@ -604,7 +609,8 @@ mod tests {
     #[test]
     fn consecutive_misses_accumulate_per_failed_request() {
         let inner = LocalLink::new(echo_service(), BandwidthMeter::new());
-        let faulty = FaultyLink::new(inner, FaultMode::Disconnect, 0);
+        let faulty =
+            ChaosLink::new(inner, FaultPlan::quiet().window(1, u64::MAX, FaultKind::Disconnect));
         let mut link = RetryLink::new(faulty, config(0));
         for expect in 1..=3u64 {
             assert_eq!(link.call(Message::RequestNext), Err(LinkError::Disconnected));
@@ -615,7 +621,8 @@ mod tests {
     #[test]
     fn permanent_disconnect_exhausts_the_budget() {
         let inner = LocalLink::new(echo_service(), BandwidthMeter::new());
-        let faulty = FaultyLink::new(inner, FaultMode::Disconnect, 0);
+        let faulty =
+            ChaosLink::new(inner, FaultPlan::quiet().window(1, u64::MAX, FaultKind::Disconnect));
         let mut link = RetryLink::new(faulty, config(3));
         assert_eq!(link.call(Message::RequestNext), Err(LinkError::Disconnected));
         let health = link.health().snapshot();

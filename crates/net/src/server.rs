@@ -693,7 +693,7 @@ mod tests {
             .map(|s| Box::new(MuxLink::new(4, s.clone(), BandwidthMeter::new())) as _)
             .collect();
         let started = std::time::Instant::now();
-        let replies = crate::transport::tests::with_pool(1, || {
+        let replies = threadpool::with_pool_size(1, || {
             crate::broadcast(&mut links, |_| true, &Message::RequestNext)
         });
         let elapsed = started.elapsed();

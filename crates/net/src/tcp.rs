@@ -440,7 +440,7 @@ pub fn spawn_site<S: Service + 'static>(mut service: S) -> io::Result<SiteServer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultMode, FaultyLink, RetryLink, TupleMsg};
+    use crate::{ChaosLink, FaultKind, FaultPlan, RetryLink, TupleMsg};
     use bytes::Bytes;
     use dsud_uncertain::{Probability, TupleId, UncertainTuple};
 
@@ -650,7 +650,7 @@ mod tests {
             })
             .collect();
         let started = Instant::now();
-        let replies = crate::transport::tests::with_pool(1, || {
+        let replies = threadpool::with_pool_size(1, || {
             crate::broadcast(&mut links, |_| true, &Message::RequestNext)
         });
         let elapsed = started.elapsed();
@@ -735,11 +735,12 @@ mod tests {
 
     #[test]
     fn faulty_tcp_stack_reports_typed_errors() {
-        // FaultyLink scheduling works identically over a real socket.
+        // Fault windows schedule identically over a real socket.
         let server = spawn_site(echo_service()).unwrap();
         let meter = BandwidthMeter::new();
         let tcp = TcpLink::connect(server.addr(), meter).unwrap();
-        let mut link = FaultyLink::new(tcp, FaultMode::Disconnect, 2);
+        let mut link =
+            ChaosLink::new(tcp, FaultPlan::quiet().window(3, u64::MAX, FaultKind::Disconnect));
         assert!(link.call(Message::RequestNext).is_ok());
         assert!(link.call(Message::RequestNext).is_ok());
         assert_eq!(link.call(Message::RequestNext), Err(LinkError::Disconnected));

@@ -602,114 +602,9 @@ impl Drop for ChannelLink {
     }
 }
 
-/// Fault-injecting wrapper around any [`Link`], for robustness testing.
-///
-/// After `healthy_calls` successful round-trips the link starts misbehaving
-/// according to its [`FaultMode`]. The schedule is a pure function of the
-/// per-link attempt count, so the same fault replays identically across
-/// pool sizes and transports. Coordinators must surface such faults as
-/// typed errors or degraded outcomes instead of panicking or hanging.
-#[derive(Debug)]
-pub struct FaultyLink<L> {
-    inner: L,
-    mode: FaultMode,
-    healthy_calls: u64,
-    calls: u64,
-}
-
-/// What a [`FaultyLink`] does once its healthy budget is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// Replies `Ack` to everything — a site that lost its state.
-    WrongReply,
-    /// Replies with garbage survival values (NaN) — a corrupted computation.
-    CorruptSurvival,
-    /// Never replies again: every attempt reports [`LinkError::Timeout`]
-    /// without reaching the service — a permanently lost request.
-    Drop,
-    /// Swallows the next `n` attempts as timeouts, then recovers — a
-    /// straggler that a retry budget of at least `n` rides out with the
-    /// exact healthy-run answer (the service never sees the swallowed
-    /// attempts, so its state is untouched).
-    Stall(u64),
-    /// The connection is gone for good: every attempt reports
-    /// [`LinkError::Disconnected`] without reaching the service.
-    Disconnect,
-}
-
-impl<L: Link> FaultyLink<L> {
-    /// Wraps `inner`, letting `healthy_calls` round-trips through before
-    /// faulting with `mode`.
-    pub fn new(inner: L, mode: FaultMode, healthy_calls: u64) -> Self {
-        FaultyLink { inner, mode, healthy_calls, calls: 0 }
-    }
-
-    /// Round-trips attempted so far.
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
-
-    /// `Some(error)` if the current attempt (per `self.calls`, already
-    /// incremented) is swallowed by the fault before reaching the inner
-    /// link; `None` if the request goes through.
-    fn swallowed(&self) -> Option<LinkError> {
-        if self.calls <= self.healthy_calls {
-            return None;
-        }
-        match self.mode {
-            FaultMode::Drop => Some(LinkError::Timeout),
-            FaultMode::Disconnect => Some(LinkError::Disconnected),
-            FaultMode::Stall(n) if self.calls <= self.healthy_calls + n => Some(LinkError::Timeout),
-            _ => None,
-        }
-    }
-
-    fn corrupt(&self, reply: Message) -> Message {
-        if self.calls <= self.healthy_calls {
-            return reply;
-        }
-        match self.mode {
-            FaultMode::WrongReply => Message::Ack,
-            FaultMode::CorruptSurvival => match reply {
-                Message::SurvivalReply { pruned, .. } => {
-                    Message::SurvivalReply { survival: f64::NAN, pruned }
-                }
-                other => other,
-            },
-            FaultMode::Drop | FaultMode::Stall(_) | FaultMode::Disconnect => reply,
-        }
-    }
-}
-
-impl<L: Link> Link for FaultyLink<L> {
-    // Tickets pass through the inner link untouched: the fault schedule
-    // decides at send time (per the attempt counter) whether a request is
-    // swallowed, and corrupts the payload at completion time.
-    fn send(&mut self, msg: Message) -> Result<Ticket, LinkError> {
-        self.calls += 1;
-        if let Some(e) = self.swallowed() {
-            return Err(e);
-        }
-        // Always drive the inner link, even when the payload is about to be
-        // corrupted: faulting and healthy paths must leave the service
-        // state and the metering identical.
-        self.inner.send(msg)
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
-        let reply = self.inner.complete(ticket)?;
-        Ok(self.corrupt(reply))
-    }
-
-    fn reconnect(&mut self) -> Result<(), LinkError> {
-        self.inner.reconnect()
-    }
-}
-
 /// What a [`FaultPlan`] window injects.
 ///
-/// The generalization of [`FaultMode`] the chaos harness schedules: each
-/// kind is *answer-invariant* — a swallowed attempt never reaches the
+/// Each kind is *answer-invariant* — a swallowed attempt never reaches the
 /// service, and a slow attempt only adds latency — so a run that rides the
 /// faults out (via retries) or quarantines and later resyncs the site must
 /// still converge to the exact never-failed answer.
@@ -752,10 +647,10 @@ impl FaultWindow {
 
 /// A deterministic per-link fault schedule, keyed on the attempt ordinal.
 ///
-/// Like [`FaultyLink`], whether an attempt faults is a pure function of
-/// the per-link attempt counter — never the wall clock — so the same plan
-/// replays the same fault transcript on every transport (inline, threaded,
-/// TCP) and every pool size. Retries advance the counter, which is how a
+/// Whether an attempt faults is a pure function of the per-link attempt
+/// counter — never the wall clock — so the same plan replays the same
+/// fault transcript on every transport (inline, threaded, TCP) and every
+/// pool size. Retries advance the counter, which is how a
 /// finite window "heals": a window longer than the retry budget crashes
 /// the site into quarantine, a shorter one is ridden out invisibly.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -831,8 +726,7 @@ impl FaultPlan {
     }
 }
 
-/// Fault-injecting wrapper driven by a [`FaultPlan`] — the chaos harness's
-/// generalization of [`FaultyLink`].
+/// Fault-injecting wrapper around any [`Link`], driven by a [`FaultPlan`].
 ///
 /// Sits *under* a [`RetryLink`](crate::RetryLink) in the stack
 /// (`RetryLink<ChaosLink<transport>>`): the retry layer's attempts advance
@@ -909,22 +803,6 @@ pub(crate) mod tests {
             UncertainTuple::new(TupleId::new(0, 0), vec![1.0, 1.0], Probability::new(0.5).unwrap())
                 .unwrap();
         Message::Feedback(TupleMsg::new(&t, local_prob))
-    }
-
-    /// Runs `f` at pool size `n`, serialized against every other test in
-    /// this crate that overrides the pool.
-    pub(crate) fn with_pool<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                threadpool::set_pool_size(0);
-            }
-        }
-        let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _reset = Reset;
-        threadpool::set_pool_size(n);
-        f()
     }
 
     fn short_deadline() -> LinkConfig {
@@ -1056,62 +934,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn faulty_link_misbehaves_on_schedule() {
-        let meter = BandwidthMeter::new();
-        let inner = LocalLink::new(echo_service(), meter);
-        let mut link = FaultyLink::new(inner, FaultMode::WrongReply, 2);
-        assert_eq!(link.call(Message::RequestNext), Ok(Message::Upload(None)));
-        assert_eq!(link.call(Message::RequestNext), Ok(Message::Upload(None)));
-        assert_eq!(link.call(Message::RequestNext), Ok(Message::Ack));
-        assert_eq!(link.calls(), 3);
-    }
-
-    #[test]
-    fn wrong_reply_drives_inner_service_on_both_paths() {
-        // The call path and the send/complete path must leave identical
-        // service state and metering even while faulting.
-        let run = |split: bool| {
-            let meter = BandwidthMeter::new();
-            let mut seen = 0u64;
-            let service = move |_msg: Message| {
-                seen += 1;
-                Message::SurvivalReply { survival: seen as f64, pruned: 0 }
-            };
-            let mut link =
-                FaultyLink::new(LocalLink::new(service, meter.clone()), FaultMode::WrongReply, 1);
-            for _ in 0..3 {
-                if split {
-                    let ticket = link.send(Message::RequestNext).unwrap();
-                    link.complete(ticket).unwrap();
-                } else {
-                    link.call(Message::RequestNext).unwrap();
-                }
-            }
-            meter.snapshot()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn corrupt_survival_produces_nan() {
-        let meter = BandwidthMeter::new();
-        let inner = LocalLink::new(echo_service(), meter);
-        let mut link = FaultyLink::new(inner, FaultMode::CorruptSurvival, 0);
-        match link.call(feedback_msg(0.5)).unwrap() {
-            Message::SurvivalReply { survival, .. } => assert!(survival.is_nan()),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn drop_and_disconnect_faults_never_reach_the_service() {
-        for (mode, expected) in [
-            (FaultMode::Drop, LinkError::Timeout),
-            (FaultMode::Disconnect, LinkError::Disconnected),
+        for (kind, expected) in [
+            (FaultKind::Timeout, LinkError::Timeout),
+            (FaultKind::Disconnect, LinkError::Disconnected),
         ] {
             let meter = BandwidthMeter::new();
             let inner = LocalLink::new(echo_service(), meter.clone());
-            let mut link = FaultyLink::new(inner, mode, 1);
+            let mut link = ChaosLink::new(inner, FaultPlan::quiet().window(2, u64::MAX, kind));
             assert!(link.call(Message::RequestNext).is_ok());
             assert_eq!(link.call(Message::RequestNext), Err(expected.clone()));
             assert_eq!(link.call(Message::RequestNext), Err(expected));
@@ -1124,7 +954,7 @@ pub(crate) mod tests {
     fn stall_fault_recovers_after_n_attempts() {
         let meter = BandwidthMeter::new();
         let inner = LocalLink::new(echo_service(), meter);
-        let mut link = FaultyLink::new(inner, FaultMode::Stall(2), 1);
+        let mut link = ChaosLink::new(inner, FaultPlan::quiet().window(2, 2, FaultKind::Timeout));
         assert_eq!(link.call(Message::RequestNext), Ok(Message::Upload(None)));
         assert_eq!(link.call(Message::RequestNext), Err(LinkError::Timeout));
         assert_eq!(link.call(Message::RequestNext), Err(LinkError::Timeout));
@@ -1231,12 +1061,12 @@ pub(crate) mod tests {
                     seen += 1;
                     Message::SurvivalReply { survival: (site * 100 + seen) as f64, pruned: 0 }
                 };
-                let local = LocalLink::new(service, meter.clone());
-                match site {
-                    3 => Box::new(FaultyLink::new(local, FaultMode::Drop, 1)) as _,
-                    5 => Box::new(FaultyLink::new(local, FaultMode::Disconnect, 1)) as _,
-                    _ => Box::new(FaultyLink::new(local, FaultMode::Stall(0), u64::MAX)) as _,
-                }
+                let plan = match site {
+                    3 => FaultPlan::quiet().window(2, u64::MAX, FaultKind::Timeout),
+                    5 => FaultPlan::quiet().window(2, u64::MAX, FaultKind::Disconnect),
+                    _ => FaultPlan::quiet(),
+                };
+                Box::new(ChaosLink::new(LocalLink::new(service, meter.clone()), plan)) as _
             })
             .collect()
     }
@@ -1245,7 +1075,7 @@ pub(crate) mod tests {
 
     /// Three rounds of broadcasts and scatters over fresh counting links.
     fn fan_out_transcript(pool: usize) -> Vec<Round> {
-        with_pool(pool, || {
+        threadpool::with_pool_size(pool, || {
             let mut links = counting_links(8);
             let mut rounds = Vec::new();
             for _ in 0..3 {
@@ -1298,7 +1128,7 @@ pub(crate) mod tests {
                 assert!(seen.contains(&std::thread::current().id()), "{call} at pool {pool}");
                 seen.clear();
             };
-            with_pool(pool, || {
+            threadpool::with_pool_size(pool, || {
                 assert_eq!(broadcast(&mut links, |_| true, &Message::RequestNext).len(), 16);
                 check("broadcast");
                 let requests = (0..16).map(|i| (i, Message::RequestNext)).collect();
@@ -1324,7 +1154,9 @@ pub(crate) mod tests {
             .map(|_| Box::new(ChannelLink::spawn_with(stalled(), meter.clone(), config)) as _)
             .collect();
         let started = Instant::now();
-        let replies = with_pool(1, || broadcast(&mut links, |_| true, &Message::RequestNext));
+        let replies = threadpool::with_pool_size(1, || {
+            broadcast(&mut links, |_| true, &Message::RequestNext)
+        });
         let elapsed = started.elapsed();
         assert_eq!(replies, vec![(0, Err(LinkError::Timeout)), (1, Err(LinkError::Timeout))]);
         assert!(elapsed < 2 * config.request_timeout, "two stalled sites took {elapsed:?}");
@@ -1366,7 +1198,7 @@ pub(crate) mod tests {
         let requests =
             || vec![(0, feedback_msg(0.1)), (3, feedback_msg(0.2)), (4, feedback_msg(0.4))];
         let transcript = |pool| {
-            with_pool(pool, || {
+            threadpool::with_pool_size(pool, || {
                 let mut links = counting_links(5);
                 (0..3).map(|_| scatter(&mut links, requests())).collect::<Vec<_>>()
             })

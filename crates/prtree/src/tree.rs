@@ -1127,14 +1127,12 @@ mod tests {
     #[test]
     fn bulk_load_is_pool_size_invariant() {
         let tuples = random_tuples(2000, 3, 123);
-        threadpool::set_pool_size(1);
-        let reference = PrTree::bulk_load(3, tuples.clone()).unwrap();
-        threadpool::set_pool_size(0);
+        let reference =
+            threadpool::with_pool_size(1, || PrTree::bulk_load(3, tuples.clone())).unwrap();
         let ref_order: Vec<u64> = reference.iter().map(|t| t.id().seq).collect();
         for pool in [2usize, 8] {
-            threadpool::set_pool_size(pool);
-            let tree = PrTree::bulk_load(3, tuples.clone()).unwrap();
-            threadpool::set_pool_size(0);
+            let tree =
+                threadpool::with_pool_size(pool, || PrTree::bulk_load(3, tuples.clone())).unwrap();
             tree.check_invariants();
             assert_eq!(tree.shape(), reference.shape(), "pool {pool}");
             let order: Vec<u64> = tree.iter().map(|t| t.id().seq).collect();

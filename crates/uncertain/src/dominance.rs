@@ -133,23 +133,9 @@ const LANE: usize = 64;
 /// `std::simd` dependency.
 const CHUNK: usize = 16;
 
-/// Whether the chunked comparison kernel is disabled.
-///
-/// Set `DSUD_KERNEL=scalar` to force the original serial 64-lane loop —
-/// both kernels produce identical bitsets (booleans shifted into a word;
-/// no floating-point accumulation differs), so this switch exists for
-/// benchmarking and for ruling the kernel out when debugging, never for
-/// correctness. The variable is read once per process.
-fn scalar_kernel_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("DSUD_KERNEL").map(|v| v.eq_ignore_ascii_case("scalar")).unwrap_or(false)
-    })
-}
-
-/// `(leq, lt)` comparison bitsets of one full column word against `p`,
-/// evaluated serially (the pre-chunking kernel, kept as the runtime
-/// fallback and as the ground truth the chunked kernel is tested against).
+/// `(leq, lt)` comparison bitsets of a column word (full or tail) against
+/// `p`, evaluated serially: the kernel for tail words, and the ground
+/// truth the chunked kernel is tested against.
 fn cmp_word_scalar(col: &[f64], p: f64, reversed: bool) -> (u64, u64) {
     let mut leq: u64 = 0;
     let mut lt: u64 = 0;
@@ -187,10 +173,9 @@ fn cmp_word_chunked(col: &[f64], p: f64, reversed: bool) -> (u64, u64) {
 }
 
 /// Direct, per-word entry points to both comparison kernels, exposed for
-/// the `experiments -- wire` microbenchmark. `DSUD_KERNEL` is read once
-/// per process, so a single benchmark binary that times *both* kernels
-/// must call them explicitly rather than through the switch; production
-/// code always goes through [`Batch`], never through this module.
+/// the `experiments -- wire` microbenchmark, which times them side by
+/// side; production code always goes through [`Batch`], never through
+/// this module.
 #[doc(hidden)]
 pub mod kernel {
     /// Rows per bitset word; benchmark columns must be sliced to this.
@@ -396,10 +381,10 @@ impl Batch {
             }
             let p = point[d];
             let col = &self.cols[d][base..base + n];
-            // Full words take the chunked kernel; tail words (and the
-            // DSUD_KERNEL=scalar escape hatch) take the serial loop. Both
-            // produce identical bitsets, so the split is invisible.
-            let (leq_d, lt_d) = if n == LANE && !scalar_kernel_forced() {
+            // Full words take the chunked kernel, tail words the serial
+            // loop. Both produce identical bitsets, so the split is
+            // invisible.
+            let (leq_d, lt_d) = if n == LANE {
                 cmp_word_chunked(col, p, reversed)
             } else {
                 cmp_word_scalar(col, p, reversed)

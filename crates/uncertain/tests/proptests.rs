@@ -59,10 +59,7 @@ fn arb_anticorrelated_db(dims: usize, max_n: usize) -> impl Strategy<Value = Unc
 fn assert_parallel_matches_seq(db: &UncertainDb, mask: SubspaceMask) {
     let seq = skyline_probabilities_seq(db, mask).unwrap();
     for pool in [1usize, 2, 8] {
-        threadpool::set_pool_size(pool);
-        let par = skyline_probabilities(db, mask);
-        threadpool::set_pool_size(0);
-        let par = par.unwrap();
+        let par = threadpool::with_pool_size(pool, || skyline_probabilities(db, mask)).unwrap();
         assert_eq!(seq.len(), par.len());
         for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
             assert!(s.to_bits() == p.to_bits(), "pool {pool}: tuple {i} diverges: {s} vs {p}");

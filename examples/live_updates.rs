@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cluster = Cluster::local(dims, data.clone())?;
     let meter = cluster.meter().clone();
     let (mut maintainer, bootstrap) =
-        Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &QueryConfig::new(q)?)?;
+        Maintainer::bootstrap(&mut cluster.fanout(), &meter, mask, &QueryConfig::new(q)?)?;
     println!(
         "bootstrap: {} skyline tuples for {} transmitted tuples\n",
         bootstrap.skyline.len(),
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let before = meter.snapshot();
         for op in &ops {
-            maintainer.apply_incremental(cluster.links_mut(), op)?;
+            maintainer.apply_incremental(&mut cluster.fanout(), op)?;
         }
         let cost = meter.snapshot().since(&before).tuples_transmitted();
         println!(
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Contrast: what one naive refresh costs right now.
     let before = meter.snapshot();
-    maintainer.refresh_naive(cluster.links_mut(), &meter)?;
+    maintainer.refresh_naive(&mut cluster.fanout(), &meter)?;
     let naive_cost = meter.snapshot().since(&before).tuples_transmitted();
     println!("\none naive from-scratch refresh would cost {naive_cost} tuples");
     Ok(())

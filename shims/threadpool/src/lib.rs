@@ -25,7 +25,8 @@
 //!   concurrency.
 //!
 //! The pool size comes from, in priority order: a programmatic
-//! [`set_pool_size`] override (tests and benchmarks), the `DSUD_THREADS`
+//! [`set_pool_size`] / [`with_pool_size`] override (tests and benchmarks),
+//! the `DSUD_THREADS`
 //! environment variable, and [`std::thread::available_parallelism`].
 //! `DSUD_THREADS=1` (or `set_pool_size(1)`) is the documented sequential
 //! fallback: [`map_chunks`] then makes a single chunk, so every primitive
@@ -51,10 +52,30 @@ static POOL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Overrides the pool size for the whole process, taking precedence over
 /// `DSUD_THREADS`. Passing `0` clears the override.
 ///
-/// Intended for tests and benchmarks that compare thread counts without
-/// mutating the process environment (which would race with other tests).
+/// Intended for benchmarks that compare thread counts without mutating the
+/// process environment. Tests, which run concurrently, use
+/// [`with_pool_size`].
 pub fn set_pool_size(n: usize) {
     POOL_OVERRIDE.store(n.min(MAX_THREADS), Ordering::SeqCst);
+}
+
+/// Runs `f` with the pool pinned to `n` threads, then clears the override
+/// (also when `f` panics). The override is one process-wide setting, so
+/// every call takes the same lock: a run labelled "pool 8" really runs on
+/// 8, even while other tests of the same binary override it too. Calls
+/// must not nest.
+pub fn with_pool_size<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    static HELD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            set_pool_size(0);
+        }
+    }
+    let _held = HELD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _clear = Clear;
+    set_pool_size(n);
+    f()
 }
 
 /// The number of worker threads parallel operations may use.
@@ -258,17 +279,6 @@ where
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the global pool override.
-    static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn with_pool<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_pool_size(n);
-        let out = f();
-        set_pool_size(0);
-        out
-    }
-
     #[test]
     fn pool_size_is_at_least_one() {
         assert!(pool_size() >= 1);
@@ -277,7 +287,7 @@ mod tests {
 
     #[test]
     fn override_wins_and_clears() {
-        with_pool(3, || assert_eq!(pool_size(), 3));
+        with_pool_size(3, || assert_eq!(pool_size(), 3));
     }
 
     #[test]
@@ -285,7 +295,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().enumerate().map(|(i, x)| x * 2 + i as u64).collect();
         for n in [1, 2, 3, 8] {
-            let got = with_pool(n, || parallel_map(&items, |i, x| x * 2 + i as u64));
+            let got = with_pool_size(n, || parallel_map(&items, |i, x| x * 2 + i as u64));
             assert_eq!(got, expected, "pool size {n}");
         }
     }
@@ -295,16 +305,16 @@ mod tests {
         let items: Vec<String> = (0..500).map(|i| format!("s{i}")).collect();
         let expected = items.clone();
         for n in [1, 4] {
-            let got = with_pool(n, || parallel_map_vec(items.clone(), |_, s| s));
+            let got = with_pool_size(n, || parallel_map_vec(items.clone(), |_, s| s));
             assert_eq!(got, expected, "pool size {n}");
         }
     }
 
     #[test]
     fn small_inputs_run_inline() {
-        let got = with_pool(8, || parallel_map(&[1, 2, 3], |_, x| x + 1));
+        let got = with_pool_size(8, || parallel_map(&[1, 2, 3], |_, x| x + 1));
         assert_eq!(got, vec![2, 3, 4]);
-        assert!(with_pool(8, || parallel_map(&[] as &[i32], |_, x| *x)).is_empty());
+        assert!(with_pool_size(8, || parallel_map(&[] as &[i32], |_, x| *x)).is_empty());
     }
 
     #[test]
@@ -312,7 +322,7 @@ mod tests {
         for n in [1usize, 2, 3, 8] {
             let items: Vec<usize> = (0..16).collect();
             let caller = std::thread::current().id();
-            let got = with_pool(n, || {
+            let got = with_pool_size(n, || {
                 map_chunks(items.clone(), |start, slab| {
                     // Contiguous: a chunk's items follow its start index.
                     assert!(slab.iter().enumerate().all(|(j, x)| *x == start + j));
@@ -335,7 +345,7 @@ mod tests {
 
     #[test]
     fn map_chunks_handles_empty_input() {
-        let got: Vec<u8> = with_pool(4, || map_chunks(Vec::<u8>::new(), |_, slab| slab));
+        let got: Vec<u8> = with_pool_size(4, || map_chunks(Vec::<u8>::new(), |_, slab| slab));
         assert!(got.is_empty());
     }
 
@@ -348,7 +358,7 @@ mod tests {
         expected.sort_by_key(|a| a.0);
         for n in [1, 2, 5, 8] {
             let mut got = items.clone();
-            with_pool(n, || par_sort_by(&mut got, |a, b| a.0.cmp(&b.0)));
+            with_pool_size(n, || par_sort_by(&mut got, |a, b| a.0.cmp(&b.0)));
             assert_eq!(got, expected, "pool size {n}");
         }
     }

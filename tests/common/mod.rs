@@ -1,12 +1,10 @@
 //! Helpers shared by the integration suites: the seeded workload, the
-//! bit-exact answer fingerprint, the pool override, and the differential
-//! oracle ([`oracle`]). Each suite compiles this module on its own and
-//! uses a subset of it.
+//! bit-exact answer fingerprint, and the differential oracle
+//! ([`oracle`]). Each suite compiles this module on its own and uses a
+//! subset of it.
 #![allow(dead_code)]
 
 pub mod oracle;
-
-use std::sync::Mutex;
 
 use dsud_core::{QueryOutcome, UncertainTuple};
 use dsud_data::WorkloadSpec;
@@ -14,24 +12,6 @@ use dsud_uncertain::TupleId;
 
 #[allow(unused_imports)]
 pub use oracle::{run, Case};
-
-/// Runs `f` with the thread pool pinned to `n` threads, then restores the
-/// environment's size. The override is one process-wide setting, so
-/// every override in a test binary takes the same lock: a run labelled
-/// "pool 8" really runs on 8.
-pub fn with_pool<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    static POOL: Mutex<()> = Mutex::new(());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            threadpool::set_pool_size(0);
-        }
-    }
-    let _held = POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let _restore = Restore;
-    threadpool::set_pool_size(n);
-    f()
-}
 
 /// A seeded `n`-tuple, `dims`-dimensional workload split across `sites`
 /// sites.

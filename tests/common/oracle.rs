@@ -180,7 +180,7 @@ pub fn run(case: &Case) -> QueryOutcome {
 }
 
 fn run_recorded(case: &Case, recorder: Recorder) -> QueryOutcome {
-    super::with_pool(case.pool, || {
+    threadpool::with_pool_size(case.pool, || {
         let mut cluster = Cluster::with_topology(
             case.dims,
             case.data(),

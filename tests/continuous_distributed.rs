@@ -53,7 +53,7 @@ fn run_scenario(rng: &mut StdRng) {
     let mask = SubspaceMask::full(DIMS).unwrap();
     let config = QueryConfig::new(Q).unwrap();
     let (mut maintainer, _) =
-        Maintainer::bootstrap(cluster.links_mut(), &meter, mask, &config).unwrap();
+        Maintainer::bootstrap(&mut cluster.fanout(), &meter, mask, &config).unwrap();
 
     // Stream 200 arrivals round-robin across the sites; every arrival
     // slides the oldest tuple out of that site's window.
@@ -64,8 +64,8 @@ fn run_scenario(rng: &mut StdRng) {
         let outgoing = windows[site].pop_front().expect("windows are full");
         windows[site].push_back(incoming.clone());
 
-        maintainer.apply_incremental(cluster.links_mut(), &UpdateOp::Insert(incoming)).unwrap();
-        maintainer.apply_incremental(cluster.links_mut(), &UpdateOp::Delete(outgoing)).unwrap();
+        maintainer.apply_incremental(&mut cluster.fanout(), &UpdateOp::Insert(incoming)).unwrap();
+        maintainer.apply_incremental(&mut cluster.fanout(), &UpdateOp::Delete(outgoing)).unwrap();
 
         if step % 20 == 19 {
             // Centralized recomputation over the live windows.

@@ -3,11 +3,12 @@
 //! [`FailurePolicy::Degrade`] — never a panic, hang, or silently wrong
 //! answer — on every transport and at every thread-pool size.
 //!
-//! Fault schedules are injected by [`FaultyLink`], which counts calls to
-//! itself and short-circuits *before* the wrapped transport, so the same
-//! schedule replays identically on inline, threaded, and TCP links. The
-//! "killed site" tests instead panic the real site service mid-query, so
-//! the failure travels through the genuine transport machinery.
+//! Transport faults are injected by a [`ChaosLink`] window, which counts
+//! attempts and short-circuits *before* the wrapped transport, so the same
+//! schedule replays identically on inline, threaded, and TCP links. Wrong
+//! answers come from the site itself ([`Misbehaving`]). The "killed site"
+//! tests instead panic the real site service mid-query, so the failure
+//! travels through the genuine transport machinery.
 
 mod common;
 
@@ -18,9 +19,9 @@ use dsud_core::{dsud, edsud, Error, LocalSite, SiteOptions, SubspaceMask};
 use dsud_core::{
     BandwidthMeter, Cluster, Counter, FailurePolicy, FaultKind, FaultPlan, Link, LinkConfig,
     LinkError, QuarantineReason, QueryConfig, Recorder, RetryLink, SessionOptions, SessionServer,
-    Transport,
+    Topology, Transport,
 };
-use dsud_net::{tcp, ChannelLink, FaultMode, FaultyLink, LocalLink, Message, Service};
+use dsud_net::{tcp, ChannelLink, ChaosLink, LocalLink, Message, Service, TupleMsg};
 
 const DIMS: usize = 2;
 const SITES: usize = 4;
@@ -37,7 +38,8 @@ fn config(failure: FailurePolicy) -> QueryConfig {
 }
 
 /// Short deadlines so swallowed requests fail fast, zero backoff so retry
-/// sleeps never slow the suite down, budget 2 so `Stall(2)` is recoverable.
+/// sleeps never slow the suite down, budget 2 so a two-attempt stall is
+/// recoverable.
 fn fast_config() -> LinkConfig {
     LinkConfig {
         request_timeout: Duration::from_millis(500),
@@ -46,28 +48,102 @@ fn fast_config() -> LinkConfig {
     }
 }
 
-fn boxed<L: Link + 'static>(
-    inner: L,
-    fault: Option<(FaultMode, u64)>,
-    cfg: LinkConfig,
-    recorder: &Recorder,
-) -> Box<dyn Link> {
-    match fault {
-        Some((mode, healthy_calls)) => Box::new(RetryLink::with_recorder(
-            FaultyLink::new(inner, mode, healthy_calls),
-            cfg,
-            recorder.clone(),
-        )),
-        None => Box::new(RetryLink::with_recorder(inner, cfg, recorder.clone())),
+/// Every attempt after the first `healthy` fails with `kind`, for good.
+fn dead_after(healthy: u64, kind: FaultKind) -> Fault {
+    Fault::Link(FaultPlan::quiet().window(healthy + 1, u64::MAX, kind))
+}
+
+/// What goes wrong at the faulted site.
+#[derive(Debug, Clone)]
+enum Fault {
+    /// A transport schedule between the retry layer and the transport.
+    Link(FaultPlan),
+    /// The site answers wrongly after this many requests.
+    Reply(Misreply, u64),
+}
+
+/// The wrong answer a [`Misbehaving`] site gives.
+#[derive(Debug, Clone, Copy)]
+enum Misreply {
+    /// `Ack` to everything — a site that lost its state.
+    Ack,
+    /// NaN survival products — a corrupted computation.
+    NanSurvival,
+}
+
+/// A site that answers wrongly once it has handled `healthy` requests. It
+/// still handles every request, so its state moves as a healthy site's.
+struct Misbehaving<S> {
+    inner: S,
+    healthy: u64,
+    answer: Misreply,
+}
+
+impl<S: Service> Service for Misbehaving<S> {
+    fn handle(&mut self, msg: Message) -> Message {
+        let reply = self.inner.handle(msg);
+        if self.healthy > 0 {
+            self.healthy -= 1;
+            return reply;
+        }
+        match (self.answer, reply) {
+            (Misreply::Ack, _) => Message::Ack,
+            (Misreply::NanSurvival, Message::SurvivalReply { pruned, .. }) => {
+                Message::SurvivalReply { survival: f64::NAN, pruned }
+            }
+            (Misreply::NanSurvival, other) => other,
+        }
     }
 }
 
+/// A site service that echoes a feedback tuple's probability as its
+/// survival product and answers everything else with an empty upload.
+fn echo(msg: Message) -> Message {
+    match msg {
+        Message::Feedback(t) => Message::SurvivalReply { survival: t.local_prob, pruned: 0 },
+        _ => Message::Upload(None),
+    }
+}
+
+/// The wrapper's schedule: right answers for the first `healthy`
+/// requests, then `Ack` to everything.
+#[test]
+fn misbehaving_site_turns_wrong_on_schedule() {
+    let mut lost = Misbehaving { inner: echo, healthy: 2, answer: Misreply::Ack };
+    assert_eq!(lost.handle(Message::RequestNext), Message::Upload(None));
+    assert_eq!(lost.handle(Message::RequestNext), Message::Upload(None));
+    assert_eq!(lost.handle(Message::RequestNext), Message::Ack);
+}
+
+/// A corrupted site puts NaN in place of every survival product and
+/// leaves its other replies alone.
+#[test]
+fn misbehaving_site_corrupts_survival_to_nan() {
+    let tuple = common::sites(8, DIMS, 10, 1).remove(0).remove(0);
+    let feedback = Message::Feedback(TupleMsg::new(&tuple, 0.5));
+    let mut corrupt = Misbehaving { inner: echo, healthy: 0, answer: Misreply::NanSurvival };
+    match corrupt.handle(feedback) {
+        Message::SurvivalReply { survival, .. } => assert!(survival.is_nan()),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(corrupt.handle(Message::RequestNext), Message::Upload(None));
+}
+
+fn boxed<L: Link + 'static>(
+    inner: L,
+    plan: FaultPlan,
+    cfg: LinkConfig,
+    recorder: &Recorder,
+) -> Box<dyn Link> {
+    Box::new(RetryLink::with_recorder(ChaosLink::new(inner, plan), cfg, recorder.clone()))
+}
+
 /// A 4-site cluster over the given transport, with `fault` (if any)
-/// injected between the retry layer and the transport at `fault_site`.
-/// The returned servers must stay alive for the duration of the query.
+/// injected at the site it names. The returned servers must stay alive
+/// for the duration of the query.
 fn faulty_cluster(
     transport: Transport,
-    fault: Option<(usize, FaultMode, u64)>,
+    fault: Option<(usize, Fault)>,
     recorder: &Recorder,
 ) -> (Vec<Box<dyn Link>>, BandwidthMeter, Vec<tcp::SiteServer>) {
     let meter = BandwidthMeter::with_recorder(recorder.clone());
@@ -76,18 +152,25 @@ fn faulty_cluster(
     let mut servers = Vec::new();
     for (i, tuples) in common::sites(600, DIMS, 10, SITES).into_iter().enumerate() {
         let site = LocalSite::new(i as u32, DIMS, tuples, SiteOptions::default()).unwrap();
-        let mode = fault.and_then(|(fs, m, h)| (fs == i).then_some((m, h)));
+        let (plan, (answer, healthy)) = match &fault {
+            Some((at, Fault::Link(plan))) if *at == i => (plan.clone(), (Misreply::Ack, u64::MAX)),
+            Some((at, Fault::Reply(answer, healthy))) if *at == i => {
+                (FaultPlan::quiet(), (*answer, *healthy))
+            }
+            _ => (FaultPlan::quiet(), (Misreply::Ack, u64::MAX)),
+        };
+        let site = Misbehaving { inner: site, healthy, answer };
         let link = match transport {
-            Transport::Inline => boxed(LocalLink::new(site, meter.clone()), mode, cfg, recorder),
+            Transport::Inline => boxed(LocalLink::new(site, meter.clone()), plan, cfg, recorder),
             Transport::Threaded => {
-                boxed(ChannelLink::spawn_with(site, meter.clone(), cfg), mode, cfg, recorder)
+                boxed(ChannelLink::spawn_with(site, meter.clone(), cfg), plan, cfg, recorder)
             }
             Transport::Tcp => {
                 let server = tcp::spawn_site(site).expect("site server starts");
                 let link = tcp::TcpLink::connect_with(server.addr(), meter.clone(), cfg)
                     .expect("link connects");
                 servers.push(server);
-                boxed(link, mode, cfg, recorder)
+                boxed(link, plan, cfg, recorder)
             }
         };
         links.push(link);
@@ -102,7 +185,7 @@ fn strict_drop_is_site_failed_on_every_transport() {
     for transport in ALL_TRANSPORTS {
         let recorder = Recorder::disabled();
         let (mut links, meter, _servers) =
-            faulty_cluster(transport, Some((1, FaultMode::Drop, 3)), &recorder);
+            faulty_cluster(transport, Some((1, dead_after(3, FaultKind::Timeout))), &recorder);
         let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
         match err {
             Err(Error::SiteFailed { site: 1, source: LinkError::Timeout }) => {}
@@ -116,7 +199,7 @@ fn strict_disconnect_is_site_failed_on_every_transport() {
     for transport in ALL_TRANSPORTS {
         let recorder = Recorder::disabled();
         let (mut links, meter, _servers) =
-            faulty_cluster(transport, Some((2, FaultMode::Disconnect, 5)), &recorder);
+            faulty_cluster(transport, Some((2, dead_after(5, FaultKind::Disconnect))), &recorder);
         let err = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
         match err {
             Err(Error::SiteFailed { site: 2, source: LinkError::Disconnected }) => {}
@@ -132,10 +215,10 @@ fn strict_disconnect_is_site_failed_on_every_transport() {
 #[test]
 fn degrade_quarantines_the_failed_site_and_completes() {
     for transport in ALL_TRANSPORTS {
-        for fault in [FaultMode::Drop, FaultMode::Disconnect] {
+        for fault in [FaultKind::Timeout, FaultKind::Disconnect] {
             let recorder = Recorder::enabled();
             let (mut links, meter, _servers) =
-                faulty_cluster(transport, Some((1, fault, 3)), &recorder);
+                faulty_cluster(transport, Some((1, dead_after(3, fault))), &recorder);
             let outcome = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade))
                 .unwrap_or_else(|e| panic!("{transport:?}/{fault:?}: degrade mode failed: {e}"));
             assert!(outcome.degraded, "{transport:?}/{fault:?}: outcome not marked degraded");
@@ -166,11 +249,12 @@ fn stall_within_budget_recovers_the_exact_healthy_answer() {
         let healthy =
             edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict)).unwrap();
 
-        // Stall(2) swallows two attempts; budget 2 grants two retries, so
+        // The stall swallows two attempts; budget 2 grants two retries, so
         // the third attempt lands and the service never saw the stalls.
         let stalled_rec = Recorder::enabled();
+        let stall = Fault::Link(FaultPlan::quiet().window(5, 2, FaultKind::Timeout));
         let (mut links, meter, _servers) =
-            faulty_cluster(transport, Some((1, FaultMode::Stall(2), 4)), &stalled_rec);
+            faulty_cluster(transport, Some((1, stall)), &stalled_rec);
         let stalled = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict))
             .unwrap_or_else(|e| panic!("{transport:?}: stall within budget failed: {e}"));
 
@@ -197,7 +281,7 @@ fn stall_within_budget_recovers_the_exact_healthy_answer() {
 fn strict_wrong_reply_is_a_protocol_violation_naming_the_site() {
     let recorder = Recorder::disabled();
     let (mut links, meter, _servers) =
-        faulty_cluster(Transport::Inline, Some((1, FaultMode::WrongReply, 3)), &recorder);
+        faulty_cluster(Transport::Inline, Some((1, Fault::Reply(Misreply::Ack, 3))), &recorder);
     let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
     assert!(matches!(err, Err(Error::ProtocolViolation { site: 1, .. })), "got {err:?}");
 }
@@ -206,7 +290,7 @@ fn strict_wrong_reply_is_a_protocol_violation_naming_the_site() {
 fn degrade_wrong_reply_quarantines_with_a_protocol_reason() {
     let recorder = Recorder::enabled();
     let (mut links, meter, _servers) =
-        faulty_cluster(Transport::Inline, Some((2, FaultMode::WrongReply, 5)), &recorder);
+        faulty_cluster(Transport::Inline, Some((2, Fault::Reply(Misreply::Ack, 5))), &recorder);
     let outcome = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade)).unwrap();
     assert!(outcome.degraded);
     assert!(
@@ -220,7 +304,7 @@ fn degrade_wrong_reply_quarantines_with_a_protocol_reason() {
 fn fault_on_first_contact_is_caught() {
     let recorder = Recorder::disabled();
     let (mut links, meter, _servers) =
-        faulty_cluster(Transport::Inline, Some((0, FaultMode::WrongReply, 0)), &recorder);
+        faulty_cluster(Transport::Inline, Some((0, Fault::Reply(Misreply::Ack, 0))), &recorder);
     let err = dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
     assert!(matches!(err, Err(Error::ProtocolViolation { site: 0, .. })), "got {err:?}");
 }
@@ -229,8 +313,9 @@ fn fault_on_first_contact_is_caught() {
 fn healthy_budget_large_enough_means_success() {
     // A fault scheduled after the query completes never fires.
     let recorder = Recorder::disabled();
+    let never = Fault::Reply(Misreply::Ack, u64::MAX);
     let (mut links, meter, _servers) =
-        faulty_cluster(Transport::Inline, Some((1, FaultMode::WrongReply, u64::MAX)), &recorder);
+        faulty_cluster(Transport::Inline, Some((1, never)), &recorder);
     let outcome = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict)).unwrap();
     assert!(!outcome.skyline.is_empty());
     assert!(!outcome.degraded);
@@ -240,8 +325,9 @@ fn healthy_budget_large_enough_means_success() {
 #[test]
 fn corrupted_survival_values_are_rejected() {
     let recorder = Recorder::disabled();
+    let corrupt = Fault::Reply(Misreply::NanSurvival, 4);
     let (mut links, meter, _servers) =
-        faulty_cluster(Transport::Inline, Some((1, FaultMode::CorruptSurvival, 4)), &recorder);
+        faulty_cluster(Transport::Inline, Some((1, corrupt)), &recorder);
     let err = edsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Strict));
     assert!(
         matches!(
@@ -287,7 +373,12 @@ fn killed_site_cluster(
         let link: Box<dyn Link> = match transport {
             Transport::Threaded if i == killed => {
                 let doomed = PanicAfter { inner: site, remaining: after };
-                boxed(ChannelLink::spawn_with(doomed, meter.clone(), cfg), None, cfg, recorder)
+                boxed(
+                    ChannelLink::spawn_with(doomed, meter.clone(), cfg),
+                    FaultPlan::quiet(),
+                    cfg,
+                    recorder,
+                )
             }
             Transport::Tcp if i == killed => {
                 let doomed = PanicAfter { inner: site, remaining: after };
@@ -295,17 +386,20 @@ fn killed_site_cluster(
                 let link = tcp::TcpLink::connect_with(server.addr(), meter.clone(), cfg)
                     .expect("link connects");
                 servers.push(server);
-                boxed(link, None, cfg, recorder)
+                boxed(link, FaultPlan::quiet(), cfg, recorder)
             }
-            Transport::Inline | Transport::Threaded => {
-                boxed(ChannelLink::spawn_with(site, meter.clone(), cfg), None, cfg, recorder)
-            }
+            Transport::Inline | Transport::Threaded => boxed(
+                ChannelLink::spawn_with(site, meter.clone(), cfg),
+                FaultPlan::quiet(),
+                cfg,
+                recorder,
+            ),
             Transport::Tcp => {
                 let server = tcp::spawn_site(site).expect("site server starts");
                 let link = tcp::TcpLink::connect_with(server.addr(), meter.clone(), cfg)
                     .expect("link connects");
                 servers.push(server);
-                boxed(link, None, cfg, recorder)
+                boxed(link, FaultPlan::quiet(), cfg, recorder)
             }
         };
         links.push(link);
@@ -353,9 +447,9 @@ fn killing_a_site_mid_query_degrades_and_names_it() {
 fn retry_accounting_is_identical_across_pool_sizes_and_transports() {
     fn run_once(pool: usize, transport: Transport) -> (u64, u64, u64, (Sequence, Sequence)) {
         let recorder = Recorder::enabled();
-        let outcome = common::with_pool(pool, || {
+        let outcome = threadpool::with_pool_size(pool, || {
             let (mut links, meter, _servers) =
-                faulty_cluster(transport, Some((1, FaultMode::Drop, 6)), &recorder);
+                faulty_cluster(transport, Some((1, dead_after(6, FaultKind::Timeout))), &recorder);
             dsud::run(&mut links, &meter, mask(), &config(FailurePolicy::Degrade)).unwrap()
         });
         (
@@ -414,14 +508,15 @@ fn site_killed_mid_served_query_degrades_then_recovers_exactly() {
     };
 
     for transport in ALL_TRANSPORTS {
-        let cluster = Cluster::with_transport_chaos(
+        let cluster = Cluster::with_topology(
             DIMS,
             common::sites(600, DIMS, 10, SITES),
             SiteOptions::default(),
             Recorder::enabled(),
             transport,
             LinkConfig::default(),
-            seed,
+            Topology::Flat,
+            Some(seed),
         )
         .expect("cluster builds");
         // Cache off so the repeated query always exercises the links.

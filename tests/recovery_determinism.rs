@@ -17,7 +17,7 @@ use common::fingerprint;
 use dsud_core::update::UpdateOp;
 use dsud_core::{
     Cluster, FailurePolicy, FaultKind, FaultPlan, LinkConfig, QueryConfig, QueryOutcome, Recorder,
-    SessionOptions, SessionServer, SiteState, Transport, UncertainTuple, WireFormat,
+    SessionOptions, SessionServer, SiteState, Topology, Transport, UncertainTuple, WireFormat,
 };
 use dsud_uncertain::{Probability, TupleId};
 
@@ -28,18 +28,25 @@ const SITES: usize = 5;
 /// Every scenario runs under both wire layouts.
 const WIRES: [WireFormat; 2] = [WireFormat::Legacy, WireFormat::Columnar];
 
+/// The sites whose ids key the seeded fault plans: the first member
+/// behind each root link (every site under a flat topology).
+fn chaos_keys(topology: Topology) -> Vec<u32> {
+    topology.plan(SITES).groups().iter().map(|members| members[0]).collect()
+}
+
 /// Picks the first seed whose derived plans can defeat the default retry
-/// budget: some site gets a hard-fault window (timeout / disconnect /
+/// budget: some root link gets a hard-fault window (timeout / disconnect /
 /// malformed) at least `retry_budget + 1` attempts long, so a heartbeat
 /// probe walking the ordinals one by one is guaranteed to burn its whole
-/// budget inside the window and quarantine the site. Pure function of the
-/// scan range — every matrix combination picks the same seed.
-fn quarantining_seed() -> u64 {
+/// budget inside the window and quarantine the sites behind it. Pure
+/// function of the scan range — every matrix combination of a topology
+/// picks the same seed.
+fn quarantining_seed(topology: Topology) -> u64 {
     let attempts = u64::from(LinkConfig::default().retry_budget) + 1;
     (1..256)
         .find(|&seed| {
-            (0..SITES as u32).any(|site| {
-                FaultPlan::seeded(seed, site)
+            chaos_keys(topology).into_iter().any(|key| {
+                FaultPlan::seeded(seed, key)
                     .windows()
                     .iter()
                     .any(|w| w.len >= attempts && !matches!(w.kind, FaultKind::Slow(_)))
@@ -49,14 +56,30 @@ fn quarantining_seed() -> u64 {
 }
 
 /// Sweeps needed to walk every link's attempt ordinal past its last fault
-/// window: each heartbeat advances every site by at least one attempt.
-fn sweeps_to_drain(seed: u64) -> u64 {
-    let last_end = (0..SITES as u32)
-        .flat_map(|site| FaultPlan::seeded(seed, site).windows().to_vec())
+/// window: each heartbeat advances every root link by at least one attempt.
+fn sweeps_to_drain(seed: u64, topology: Topology) -> u64 {
+    let last_end = chaos_keys(topology)
+        .into_iter()
+        .flat_map(|key| FaultPlan::seeded(seed, key).windows().to_vec())
         .map(|w| w.start + w.len)
         .max()
         .unwrap_or(0);
     last_end + 8
+}
+
+/// A deployment whose root links replay the fault plans seeded by `seed`.
+fn chaos_cluster(transport: Transport, topology: Topology, seed: u64) -> Cluster {
+    Cluster::with_topology(
+        DIMS,
+        common::sites(N, DIMS, 29, SITES),
+        Default::default(),
+        Recorder::default(),
+        transport,
+        LinkConfig::default(),
+        topology,
+        Some(seed),
+    )
+    .expect("chaos cluster builds")
 }
 
 fn query_mix(wire: WireFormat) -> Vec<(QueryConfig, bool)> {
@@ -95,11 +118,13 @@ fn spike(site: u32, seq: u64) -> UncertainTuple {
     .expect("spike builds")
 }
 
-/// The full lifecycle on one transport: quarantine → deferred updates →
-/// reconnect + resync → rejoin → bit-identical answers.
-fn recovery_is_bit_identical_on(transport: Transport) {
+/// The full lifecycle on one deployment: quarantine → deferred updates →
+/// reconnect + resync → rejoin → bit-identical answers. Under a tree a
+/// lost root link quarantines every site behind it, and the resync
+/// reaches them through their aggregators.
+fn recovery_is_bit_identical_on(transport: Transport, topology: Topology) {
     for wire in WIRES {
-        let seed = quarantining_seed();
+        let seed = quarantining_seed(topology);
 
         // Reference: the same data and updates with no faults, ever.
         let reference = SessionServer::new(
@@ -107,27 +132,17 @@ fn recovery_is_bit_identical_on(transport: Transport) {
             SessionOptions::default(),
         );
 
-        let chaos_cluster = Cluster::with_transport_chaos(
-            DIMS,
-            common::sites(N, DIMS, 29, SITES),
-            Default::default(),
-            Recorder::default(),
-            transport,
-            LinkConfig::default(),
-            seed,
-        )
-        .expect("chaos cluster builds");
         // Manual heartbeats (heartbeat_every: 0) keep the probe schedule in
         // the test's hands; hair-trigger thresholds make one failed probe a
         // quarantine and one clean probe a rejoin.
         let server = SessionServer::new(
-            chaos_cluster,
+            chaos_cluster(transport, topology, seed),
             SessionOptions { miss_threshold: 1, probation_probes: 1, ..SessionOptions::default() },
         );
 
         // --- Phase 1: heartbeat until the seeded faults quarantine a site ----
         let mut quarantined: Vec<u32> = Vec::new();
-        for _ in 0..sweeps_to_drain(seed) {
+        for _ in 0..sweeps_to_drain(seed, topology) {
             let summary = server.heartbeat();
             quarantined.extend(summary.quarantined.iter().copied());
             if !quarantined.is_empty() {
@@ -136,13 +151,13 @@ fn recovery_is_bit_identical_on(transport: Transport) {
         }
         assert!(
             !quarantined.is_empty(),
-            "{transport} {wire}: seed {seed} must quarantine at least one site \
+            "{transport} {topology} {wire}: seed {seed} must quarantine at least one site \
              (the seed scan guarantees a window longer than the retry budget)"
         );
         let victim = quarantined[0];
         assert!(
             matches!(server.site_states()[victim as usize], SiteState::Quarantined { .. }),
-            "{transport} {wire}: site {victim} must report Quarantined"
+            "{transport} {topology} {wire}: site {victim} must report Quarantined"
         );
 
         // --- Phase 2: updates while the victim is down --------------------
@@ -150,7 +165,9 @@ fn recovery_is_bit_identical_on(transport: Transport) {
         // rejoin) and one at a healthy site (applies immediately). The
         // reference applies both right away.
         let deferred_spike = spike(victim, 0);
-        let live_home = (0..SITES as u32).find(|s| *s != victim).expect("more than one site");
+        let live_home = (0..SITES as u32)
+            .find(|s| !quarantined.contains(s))
+            .expect("a site outside the quarantined subtree");
         let live_spike = spike(live_home, 1);
         for op in [UpdateOp::Insert(deferred_spike.clone()), UpdateOp::Insert(live_spike.clone())] {
             reference.apply_update(&op).expect("reference update applies");
@@ -163,7 +180,7 @@ fn recovery_is_bit_identical_on(transport: Transport) {
         let mid_outage = serve(&server, cfg, *edsud);
         assert!(
             mid_outage.degraded,
-            "{transport} {wire}: an answer produced during session quarantine must be stamped degraded"
+            "{transport} {topology} {wire}: an answer produced during session quarantine must be stamped degraded"
         );
 
         // --- Phase 3: heal — drain every fault window, rejoin everything ----
@@ -171,24 +188,27 @@ fn recovery_is_bit_identical_on(transport: Transport) {
         // undrained window ahead, and a phase-4 query must not walk into it.
         // Every sweep advances every link's ordinal by at least one, so this
         // bound provably walks past the last scheduled fault.
-        for _ in 0..sweeps_to_drain(seed) {
+        for _ in 0..sweeps_to_drain(seed, topology) {
             server.heartbeat();
         }
         assert!(
             server.site_states().iter().all(|s| matches!(s, SiteState::Active)),
-            "{transport} {wire}: every site must be Active after the fault windows drain, got {:?}",
+            "{transport} {topology} {wire}: every site must be Active after the fault windows drain, got {:?}",
             server.site_states()
         );
         let stats = server.stats();
-        assert!(stats.quarantines >= 1, "{transport} {wire}: lifecycle must record the quarantine");
-        assert!(stats.rejoins >= 1, "{transport} {wire}: the victim must rejoin");
+        assert!(
+            stats.quarantines >= 1,
+            "{transport} {topology} {wire}: lifecycle must record the quarantine"
+        );
+        assert!(stats.rejoins >= 1, "{transport} {topology} {wire}: the victim must rejoin");
         assert!(
             stats.resync_ops >= 1,
-            "{transport} {wire}: the update deferred for site {victim} must be replayed at rejoin"
+            "{transport} {topology} {wire}: the update deferred for site {victim} must be replayed at rejoin"
         );
         assert!(
             stats.heartbeat_misses >= 1,
-            "{transport} {wire}: the probes that failed are counted"
+            "{transport} {topology} {wire}: the probes that failed are counted"
         );
 
         // --- Phase 4: recovered answers are bit-identical to never-failed ---
@@ -197,21 +217,21 @@ fn recovery_is_bit_identical_on(transport: Transport) {
             let got = serve(&server, cfg, *edsud);
             assert!(
                 !got.degraded,
-                "{transport} {wire} query {i}: recovered answers are exact, not degraded"
+                "{transport} {topology} {wire} query {i}: recovered answers are exact, not degraded"
             );
-            assert!(!got.cancelled, "{transport} {wire} query {i}: no deadline was set");
+            assert!(!got.cancelled, "{transport} {topology} {wire} query {i}: no deadline was set");
             assert_eq!(
                 fingerprint(&got),
                 fingerprint(&want),
-                "{transport} {wire} query {i}: post-recovery answer diverged from the never-failed run"
+                "{transport} {topology} {wire} query {i}: post-recovery answer diverged from the never-failed run"
             );
             assert!(
                 got.skyline.iter().any(|e| e.tuple.id() == deferred_spike.id()),
-                "{transport} {wire} query {i}: the update deferred during the outage must be in the answer"
+                "{transport} {topology} {wire} query {i}: the update deferred during the outage must be in the answer"
             );
             assert!(
                 got.skyline.iter().any(|e| e.tuple.id() == live_spike.id()),
-                "{transport} {wire} query {i}: the live update must be in the answer"
+                "{transport} {topology} {wire} query {i}: the live update must be in the answer"
             );
         }
     }
@@ -219,17 +239,22 @@ fn recovery_is_bit_identical_on(transport: Transport) {
 
 #[test]
 fn recovery_is_bit_identical_inline() {
-    recovery_is_bit_identical_on(Transport::Inline);
+    recovery_is_bit_identical_on(Transport::Inline, Topology::Flat);
 }
 
 #[test]
 fn recovery_is_bit_identical_threaded() {
-    recovery_is_bit_identical_on(Transport::Threaded);
+    recovery_is_bit_identical_on(Transport::Threaded, Topology::Flat);
 }
 
 #[test]
 fn recovery_is_bit_identical_tcp() {
-    recovery_is_bit_identical_on(Transport::Tcp);
+    recovery_is_bit_identical_on(Transport::Tcp, Topology::Flat);
+}
+
+#[test]
+fn recovery_is_bit_identical_under_a_tree() {
+    recovery_is_bit_identical_on(Transport::Inline, Topology::Tree(2));
 }
 
 /// A deadline of zero cancels at the first round boundary: the outcome is
@@ -273,23 +298,13 @@ fn deadline_cancels_cleanly_and_is_never_cached() {
 #[test]
 fn truncated_op_log_rejoin_still_converges() {
     for wire in WIRES {
-        let seed = quarantining_seed();
+        let seed = quarantining_seed(Topology::Flat);
         let reference = SessionServer::new(
             Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES)).expect("cluster builds"),
             SessionOptions::default(),
         );
-        let chaos_cluster = Cluster::with_transport_chaos(
-            DIMS,
-            common::sites(N, DIMS, 29, SITES),
-            Default::default(),
-            Recorder::default(),
-            Transport::Inline,
-            LinkConfig::default(),
-            seed,
-        )
-        .expect("chaos cluster builds");
         let server = SessionServer::new(
-            chaos_cluster,
+            chaos_cluster(Transport::Inline, Topology::Flat, seed),
             SessionOptions {
                 miss_threshold: 1,
                 probation_probes: 1,
@@ -300,7 +315,7 @@ fn truncated_op_log_rejoin_still_converges() {
         );
 
         let mut quarantined: Vec<u32> = Vec::new();
-        for _ in 0..sweeps_to_drain(seed) {
+        for _ in 0..sweeps_to_drain(seed, Topology::Flat) {
             quarantined.extend(server.heartbeat().quarantined.iter().copied());
             if !quarantined.is_empty() {
                 break;
@@ -320,7 +335,7 @@ fn truncated_op_log_rejoin_still_converges() {
             server.apply_update(&op).expect("chaos-server update is accepted");
         }
 
-        for _ in 0..sweeps_to_drain(seed) {
+        for _ in 0..sweeps_to_drain(seed, Topology::Flat) {
             server.heartbeat();
         }
         assert!(
@@ -391,18 +406,8 @@ fn failed_inject_defers_quarantines_and_replays_at_rejoin() {
             Cluster::local(DIMS, common::sites(N, DIMS, 29, SITES)).expect("cluster builds"),
             SessionOptions::default(),
         );
-        let chaos_cluster = Cluster::with_transport_chaos(
-            DIMS,
-            common::sites(N, DIMS, 29, SITES),
-            Default::default(),
-            Recorder::default(),
-            Transport::Inline,
-            LinkConfig::default(),
-            seed,
-        )
-        .expect("chaos cluster builds");
         let server = SessionServer::new(
-            chaos_cluster,
+            chaos_cluster(Transport::Inline, Topology::Flat, seed),
             SessionOptions { miss_threshold: 1, probation_probes: 1, ..SessionOptions::default() },
         );
 
@@ -431,7 +436,7 @@ fn failed_inject_defers_quarantines_and_replays_at_rejoin() {
         assert!(stats.quarantines >= 1, "the inject-failure quarantine must be counted");
 
         // Heal: drain the fault window, rejoin, and replay the stranded op.
-        for _ in 0..sweeps_to_drain(seed) {
+        for _ in 0..sweeps_to_drain(seed, Topology::Flat) {
             server.heartbeat();
         }
         assert!(
@@ -499,20 +504,10 @@ fn cache_hit_scenario_seeds(min_start: u64, want: usize) -> Vec<(u64, u32)> {
 /// *cache-hit* serves quarantined the victim and later moved it to
 /// probation (the resync path), and the cluster walked back to Active.
 fn cache_hit_recovery_scenario(seed: u64, victim: u32, wire: WireFormat) -> bool {
-    let chaos_cluster = Cluster::with_transport_chaos(
-        DIMS,
-        common::sites(N, DIMS, 29, SITES),
-        Default::default(),
-        Recorder::default(),
-        Transport::Inline,
-        LinkConfig::default(),
-        seed,
-    )
-    .expect("chaos cluster builds");
     // heartbeat_every: 1 is the chaos soak's configuration — every served
     // query, cache hits included, runs a full sweep.
     let server = SessionServer::new(
-        chaos_cluster,
+        chaos_cluster(Transport::Inline, Topology::Flat, seed),
         SessionOptions {
             heartbeat_every: 1,
             miss_threshold: 1,
@@ -539,7 +534,7 @@ fn cache_hit_recovery_scenario(seed: u64, victim: u32, wire: WireFormat) -> bool
     // cache-hit path — the exact path that used to hold the cache lock
     // through probe/resync and self-deadlock on the resync's cache clear.
     let mut probation_under_cache_hit = false;
-    for _ in 0..sweeps_to_drain(seed) + 8 {
+    for _ in 0..sweeps_to_drain(seed, Topology::Flat) + 8 {
         let before = server.site_states();
         let out = server.run_dsud(&cfg, false, &mut |_, _| {}).expect("serve completes");
         let after = server.site_states();

@@ -26,7 +26,7 @@ use dsud_core::{
     LocalSite, PipelineDepth, PlanMode, QueryConfig, QueryOutcome, Recorder, SiteOptions,
     SubspaceMask, Topology, Transport, UncertainTuple, WireFormat,
 };
-use dsud_net::{tcp, ChannelLink, DelayedService, FaultMode, FaultyLink, LocalLink};
+use dsud_net::{tcp, ChannelLink, ChaosLink, DelayedService, LocalLink};
 use dsud_prtree::bbs;
 use dsud_uncertain::{Probability, TupleId};
 
@@ -322,7 +322,7 @@ fn maintenance_over_columnar_replicas_matches_legacy() {
         let meter = BandwidthMeter::default();
         let config = QueryConfig::new(Q).expect("valid threshold").wire_format(wire);
         let (mut maintainer, outcome) =
-            Maintainer::bootstrap(cluster.links_mut(), &meter, full(), &config)
+            Maintainer::bootstrap(&mut cluster.fanout(), &meter, full(), &config)
                 .expect("bootstrap runs");
         // Delete a current member (forces a region re-evaluation) and
         // insert a strong new tuple (forces a membership check).
@@ -334,7 +334,7 @@ fn maintenance_over_columnar_replicas_matches_legacy() {
         )
         .unwrap();
         let ops = [UpdateOp::Delete(victim), UpdateOp::Insert(newcomer)];
-        let skyline = apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, true)
+        let skyline = apply_batch(&mut maintainer, &mut cluster.fanout(), &meter, &ops, true)
             .expect("maintenance runs");
         skyline.iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect()
     };
@@ -582,7 +582,8 @@ fn degraded_start_counts_only_the_survivors() {
                 .expect("site builds");
             let link = LocalLink::new(site, meter.clone());
             links.push(if i == DEAD {
-                Box::new(FaultyLink::new(link, FaultMode::Disconnect, 0))
+                let dead = FaultPlan::quiet().window(1, u64::MAX, FaultKind::Disconnect);
+                Box::new(ChaosLink::new(link, dead))
             } else {
                 Box::new(link)
             });

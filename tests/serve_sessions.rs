@@ -23,7 +23,8 @@ use common::{fingerprint, Sequence};
 use dsud_core::update::UpdateOp;
 use dsud_core::{
     Cluster, FailurePolicy, FaultKind, FaultPlan, LinkConfig, QueryConfig, QueryOutcome, Recorder,
-    SessionOptions, SessionServer, SiteOptions, SiteState, Transport, UncertainTuple, WireFormat,
+    SessionOptions, SessionServer, SiteOptions, SiteState, Topology, Transport, UncertainTuple,
+    WireFormat,
 };
 
 use dsud_uncertain::{skyline_probabilities, SkylineEntry, SubspaceMask, TupleId, UncertainDb};
@@ -69,13 +70,21 @@ fn one_shot(q: f64, edsud: bool, wire: WireFormat) -> QueryOutcome {
         .expect("one-shot query runs")
 }
 
-fn session_server(transport: Transport, max_concurrent: usize, cache: usize) -> SessionServer {
-    let cluster = Cluster::with_transport(
+fn session_server(
+    transport: Transport,
+    topology: Topology,
+    max_concurrent: usize,
+    cache: usize,
+) -> SessionServer {
+    let cluster = Cluster::with_topology(
         DIMS,
         common::sites(N, DIMS, 11, SITES),
         SiteOptions::default(),
         Recorder::default(),
         transport,
+        LinkConfig::default(),
+        topology,
+        None,
     )
     .expect("cluster builds");
     SessionServer::new(
@@ -98,7 +107,7 @@ fn concurrent_session_queries_match_sequential_one_shots_bitwise() {
         );
 
         for transport in [Transport::Inline, Transport::Threaded, Transport::Tcp] {
-            let server = Arc::new(session_server(transport, MIX.len(), 0));
+            let server = Arc::new(session_server(transport, Topology::Flat, MIX.len(), 0));
             let outcomes: Vec<QueryOutcome> = std::thread::scope(|s| {
                 let handles: Vec<_> = MIX
                     .iter()
@@ -152,7 +161,7 @@ fn concurrent_session_queries_match_sequential_one_shots_bitwise() {
 #[test]
 fn warm_cache_repeat_is_identical_with_zero_rounds() {
     for wire in WIRES {
-        let server = session_server(Transport::Inline, 4, 16);
+        let server = session_server(Transport::Inline, Topology::Flat, 4, 16);
         let config = QueryConfig::new(0.3).expect("valid threshold").wire_format(wire);
 
         let cold = server.run_edsud(&config, true, &mut |_, _| {}).expect("cold query runs");
@@ -207,7 +216,7 @@ fn warm_cache_repeat_is_identical_with_zero_rounds() {
 #[test]
 fn cache_keys_distinguish_algorithm_and_threshold() {
     for wire in WIRES {
-        let server = session_server(Transport::Inline, 4, 16);
+        let server = session_server(Transport::Inline, Topology::Flat, 4, 16);
         for (q, edsud) in [(0.3, true), (0.3, false), (0.4, true)] {
             let config = QueryConfig::new(q).expect("valid threshold").wire_format(wire);
             let answer = if edsud {
@@ -224,15 +233,27 @@ fn cache_keys_distinguish_algorithm_and_threshold() {
 
 /// An update through the maintenance path invalidates the cache: the
 /// repeat recomputes against the new data, and undoing the update brings
-/// back the original answer bit for bit.
+/// back the original answer bit for bit. Under a tree the update's home
+/// site sits behind two aggregator layers.
 #[test]
 fn update_between_queries_invalidates_the_cache() {
-    for wire in WIRES {
-        let server = session_server(Transport::Inline, 4, 16);
+    let deployments = [
+        (Transport::Inline, Topology::Flat),
+        (Transport::Inline, Topology::Tree(2)),
+        (Transport::Tcp, Topology::Tree(2)),
+    ];
+    for (wire, (transport, topology)) in
+        WIRES.into_iter().flat_map(|wire| deployments.map(|d| (wire, d)))
+    {
+        let at = format!("{wire} {transport} {topology}");
+        let server = session_server(transport, topology, 4, 16);
         let config = QueryConfig::new(0.3).expect("valid threshold").wire_format(wire);
 
         let original = server.run_edsud(&config, false, &mut |_, _| {}).expect("first query runs");
-        assert!(server.run_edsud(&config, false, &mut |_, _| {}).expect("repeat runs").cache_hit);
+        assert!(
+            server.run_edsud(&config, false, &mut |_, _| {}).expect("repeat runs").cache_hit,
+            "{at}"
+        );
 
         // A dominating, high-probability tuple at site 0 must enter the answer.
         let spike = UncertainTuple::new(
@@ -245,25 +266,25 @@ fn update_between_queries_invalidates_the_cache() {
 
         let after_insert =
             server.run_edsud(&config, false, &mut |_, _| {}).expect("post-update query runs");
-        assert!(!after_insert.cache_hit, "the update must invalidate the cached answer");
+        assert!(!after_insert.cache_hit, "{at}: the update must invalidate the cached answer");
         assert!(
             after_insert.outcome.skyline.iter().any(|e| e.tuple.id() == spike.id()),
-            "the inserted tuple must appear in the recomputed skyline"
+            "{at}: the inserted tuple must appear in the recomputed skyline"
         );
 
         server.apply_update(&UpdateOp::Delete(spike)).expect("delete applies");
         let restored =
             server.run_edsud(&config, false, &mut |_, _| {}).expect("restored query runs");
-        assert!(!restored.cache_hit);
+        assert!(!restored.cache_hit, "{at}");
         assert_eq!(
             with_traffic(&restored.outcome),
             with_traffic(&original.outcome),
-            "undoing the update must restore the original answer bitwise"
+            "{at}: undoing the update must restore the original answer bitwise"
         );
 
         let stats = server.stats();
-        assert_eq!(stats.updates_applied, 2);
-        assert!(stats.cache_invalidated >= 2, "both updates dropped a cached answer");
+        assert_eq!(stats.updates_applied, 2, "{at}");
+        assert!(stats.cache_invalidated >= 2, "{at}: both updates dropped a cached answer");
     }
 }
 
@@ -319,14 +340,15 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
         let mut stamped = 0usize;
 
         for transport in [Transport::Inline, Transport::Threaded, Transport::Tcp] {
-            let cluster = Cluster::with_transport_chaos(
+            let cluster = Cluster::with_topology(
                 DIMS,
                 common::sites(N, DIMS, 11, SITES),
                 SiteOptions::default(),
                 Recorder::default(),
                 transport,
                 LinkConfig::default(),
-                seed,
+                Topology::Flat,
+                Some(seed),
             )
             .expect("cluster builds");
             // Cache off: a pre-fault exact answer must not shadow later waves.
@@ -492,7 +514,7 @@ fn site_killed_mid_served_query_degrades_victim_without_poisoning_neighbours() {
 #[test]
 fn admission_gate_queues_beyond_the_width() {
     for wire in WIRES {
-        let server = Arc::new(session_server(Transport::Inline, 1, 0));
+        let server = Arc::new(session_server(Transport::Inline, Topology::Flat, 1, 0));
         // With width 1, 4 concurrent queries serialize; all must still answer
         // correctly and at most one runs at a time.
         let reference = one_shot(0.3, true, wire);

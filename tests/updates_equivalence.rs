@@ -9,6 +9,7 @@ use rand::{Rng, SeedableRng};
 use dsud_core::update::{apply_batch, Maintainer, UpdateOp};
 use dsud_core::{probabilistic_skyline, TupleId, UncertainDb, UncertainTuple};
 use dsud_core::{Cluster, Probability, QueryConfig, SubspaceMask};
+use dsud_core::{LinkConfig, Recorder, SiteOptions, Topology, Transport};
 use dsud_data::{SpatialDistribution, WorkloadSpec};
 
 const Q: f64 = 0.3;
@@ -64,18 +65,18 @@ fn run_scenario(
     let mut incr_cluster = Cluster::local(dims, data.clone()).unwrap();
     let meter = incr_cluster.meter().clone();
     let (mut maintainer, _) =
-        Maintainer::bootstrap(incr_cluster.links_mut(), &meter, full(dims), &config()).unwrap();
+        Maintainer::bootstrap(&mut incr_cluster.fanout(), &meter, full(dims), &config()).unwrap();
     let incremental =
-        apply_batch(&mut maintainer, incr_cluster.links_mut(), &meter, &ops, true).unwrap();
+        apply_batch(&mut maintainer, &mut incr_cluster.fanout(), &meter, &ops, true).unwrap();
 
     // Naive strategy on an identical twin cluster.
     let mut naive_cluster = Cluster::local(dims, data.clone()).unwrap();
     let naive_meter = naive_cluster.meter().clone();
     let (mut naive_maintainer, _) =
-        Maintainer::bootstrap(naive_cluster.links_mut(), &naive_meter, full(dims), &config())
+        Maintainer::bootstrap(&mut naive_cluster.fanout(), &naive_meter, full(dims), &config())
             .unwrap();
     let naive =
-        apply_batch(&mut naive_maintainer, naive_cluster.links_mut(), &naive_meter, &ops, false)
+        apply_batch(&mut naive_maintainer, &mut naive_cluster.fanout(), &naive_meter, &ops, false)
             .unwrap();
 
     // Ground truth over the updated data.
@@ -215,9 +216,9 @@ fn incremental_uses_less_maintenance_traffic_than_naive() {
         let mut cluster = Cluster::local(dims, data.clone()).unwrap();
         let meter = cluster.meter().clone();
         let (mut maintainer, _) =
-            Maintainer::bootstrap(cluster.links_mut(), &meter, full(dims), &config()).unwrap();
+            Maintainer::bootstrap(&mut cluster.fanout(), &meter, full(dims), &config()).unwrap();
         let before = meter.snapshot();
-        apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, incremental).unwrap();
+        apply_batch(&mut maintainer, &mut cluster.fanout(), &meter, &ops, incremental).unwrap();
         meter.snapshot().since(&before).tuples_transmitted()
     };
 
@@ -258,8 +259,8 @@ fn replica_policy_is_sound() {
     let mut cluster = Cluster::local_with_options(dims, data.clone(), options).unwrap();
     let meter = cluster.meter().clone();
     let (mut maintainer, _) =
-        Maintainer::bootstrap(cluster.links_mut(), &meter, full(dims), &config()).unwrap();
-    let reported = apply_batch(&mut maintainer, cluster.links_mut(), &meter, &ops, true).unwrap();
+        Maintainer::bootstrap(&mut cluster.fanout(), &meter, full(dims), &config()).unwrap();
+    let reported = apply_batch(&mut maintainer, &mut cluster.fanout(), &meter, &ops, true).unwrap();
 
     apply_to_data(&mut data, &ops);
     let exact: std::collections::HashMap<TupleId, f64> =
@@ -280,5 +281,53 @@ fn replica_policy_is_sound() {
             entry.probability,
             true_prob
         );
+    }
+}
+
+/// Maintenance reaches the sites through the cluster's fan-out, so a tree
+/// deployment (every site behind two aggregator layers) maintains exactly
+/// the flat skyline, bit for bit, through an insert and a member delete —
+/// under both strategies.
+#[test]
+fn maintenance_under_a_tree_matches_flat_bitwise() {
+    let dims = 2;
+    let data = WorkloadSpec::new(1_000, dims)
+        .spatial(SpatialDistribution::Anticorrelated)
+        .seed(21)
+        .generate_partitioned(6)
+        .unwrap();
+    let maintained = |topology: Topology, incremental: bool| -> Vec<(TupleId, u64)> {
+        let mut cluster = Cluster::with_topology(
+            dims,
+            data.clone(),
+            SiteOptions::default(),
+            Recorder::default(),
+            Transport::Inline,
+            LinkConfig::default(),
+            topology,
+            None,
+        )
+        .unwrap();
+        let meter = cluster.meter().clone();
+        let (mut maintainer, outcome) =
+            Maintainer::bootstrap(&mut cluster.fanout(), &meter, full(dims), &config()).unwrap();
+        let newcomer = UncertainTuple::new(
+            TupleId::new(3, 90_000),
+            vec![1e-3; dims],
+            Probability::new(0.9).unwrap(),
+        )
+        .unwrap();
+        let victim = outcome.skyline[0].tuple.clone();
+        let ops = [UpdateOp::Insert(newcomer), UpdateOp::Delete(victim)];
+        apply_batch(&mut maintainer, &mut cluster.fanout(), &meter, &ops, incremental)
+            .unwrap()
+            .iter()
+            .map(|e| (e.tuple.id(), e.probability.to_bits()))
+            .collect()
+    };
+    for incremental in [true, false] {
+        let flat = maintained(Topology::Flat, incremental);
+        assert!(flat.iter().any(|(id, _)| *id == TupleId::new(3, 90_000)), "the insert lands");
+        assert_eq!(maintained(Topology::Tree(2), incremental), flat, "incremental={incremental}");
     }
 }
