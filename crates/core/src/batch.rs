@@ -46,9 +46,33 @@
 //! in ascending site order — the same left-fold grouping as the unbatched
 //! accumulation loop — so the reported probabilities are `f64`
 //! bit-identical as well.
+//!
+//! # Feedback a drained site cannot use
+//!
+//! A site whose last refill reply said its queue is empty (`UploadLast`,
+//! an exhausted `Upload`, a `Drawn` marked drained, a `Started` with
+//! nothing pending) is *drained*: feedback can prune nothing there, so
+//! the only thing a delivery buys is the site's survival factor. When the
+//! deployment's dominance cover of the site ([`Fanout::may_hold_dominator`])
+//! proves the site holds no dominator of a candidate, that factor is the
+//! empty product — exactly `1.0`, an IEEE identity in the fold — and the
+//! delivery is left out: the factor is filed as `1.0` without a frame.
+//! Both delivery points, draw flushes and the closing wave (budget-1
+//! broadcasts included), go through [`BatchRound::take_pending`]. A draw
+//! whose home is drained sends nothing at all: its refill could only come
+//! back empty, and its flush, with nothing left to prune, has no order to
+//! keep and waits for the closing wave.
+//!
+//! The drained flag comes only from refill replies, and every batch size
+//! and schedule redeems a site's refill before anything else is delivered
+//! to it (a site has at most one representative queued, so it is drawn
+//! again only after its refill is in; the last draw's pending refill goes
+//! to a site the closing wave has nothing for). So the skipped set, like
+//! every other event, is the same at every batch size.
 
 use dsud_net::{Fanout, LinkError, Message, TupleBlock, TupleMsg};
 use dsud_obs::{Counter, Recorder};
+use dsud_uncertain::SubspaceMask;
 
 use crate::cluster::{expect_drawn, expect_survival, expect_survival_batch};
 use crate::degrade::FailureTracker;
@@ -71,6 +95,8 @@ pub(crate) struct BatchRound {
     survivals: Vec<Vec<Option<f64>>>,
     /// The shared ascending fold order (see [`SiteOrder`]).
     order: SiteOrder,
+    /// The query's subspace, against which covers prove skips.
+    mask: SubspaceMask,
     /// Wire layout for the coalesced feedback frames. Purely a transport
     /// choice: both layouts deliver the same tuples in the same order.
     wire: WireFormat,
@@ -100,15 +126,21 @@ pub(crate) struct Draw {
 }
 
 impl BatchRound {
-    /// A ledger over `sites` sites, framed in `config`'s wire layout and
-    /// scheduled by its pipeline setting.
-    pub(crate) fn new(sites: usize, config: &QueryConfig, rec: &Recorder) -> Self {
+    /// A ledger over `sites` sites for a query on `mask`, framed in
+    /// `config`'s wire layout and scheduled by its pipeline setting.
+    pub(crate) fn new(
+        sites: usize,
+        config: &QueryConfig,
+        mask: SubspaceMask,
+        rec: &Recorder,
+    ) -> Self {
         BatchRound {
             cands: Vec::new(),
             budget: 1,
             sent_upto: vec![0; sites],
             survivals: vec![Vec::new(); sites],
             order: SiteOrder::new(sites),
+            mask,
             wire: config.wire,
             schedule: Schedule::new(config, rec),
             rec: rec.clone(),
@@ -159,23 +191,38 @@ impl BatchRound {
         &self.cands[j]
     }
 
-    /// Takes the candidates site `x` has not seen yet (excluding its own),
-    /// with their indices, marking them delivered.
-    fn take_pending(&mut self, x: usize) -> (Vec<TupleMsg>, Vec<usize>) {
-        let mut msgs = Vec::new();
+    /// Takes the indices of the candidates site `x` has not seen yet
+    /// (excluding its own), marking them delivered. If `x` is active and
+    /// drained, a candidate its cover proves it holds no dominator of is
+    /// left out, and its factor filed as exactly `1.0` (see the module
+    /// docs).
+    fn take_pending(&mut self, x: usize, fan: &Fanout<'_>, tracker: &FailureTracker) -> Vec<usize> {
+        let provable = tracker.is_active(x) && tracker.is_drained(x);
         let mut idxs = Vec::new();
+        let mut proved = Vec::new();
         for (j, c) in self.cands.iter().enumerate().skip(self.sent_upto[x]) {
-            if c.id.site.0 as usize != x {
-                msgs.push(c.clone());
+            if c.id.site.0 as usize == x {
+                continue;
+            }
+            if provable && !fan.may_hold_dominator(x, &c.values, self.mask) {
+                proved.push((j, 1.0));
+            } else {
                 idxs.push(j);
             }
         }
         self.sent_upto[x] = self.cands.len();
-        (msgs, idxs)
+        self.rec.add(Counter::SkippedDeliveries, proved.len() as u64);
+        self.fill(x, proved);
+        idxs
+    }
+
+    /// The candidates `idxs` names, as the feedback they are delivered as.
+    fn msgs(&self, idxs: &[usize]) -> Vec<TupleMsg> {
+        idxs.iter().map(|&j| self.cands[j].clone()).collect()
     }
 
     /// Files site `x`'s survival factors for the candidates `factors`
-    /// names.
+    /// names, and the reply's prune count.
     fn file(
         &mut self,
         x: usize,
@@ -183,6 +230,12 @@ impl BatchRound {
         pruned: u64,
         stats: &mut RunStats,
     ) {
+        self.fill(x, factors);
+        stats.pruned_at_sites += pruned;
+        self.rec.add(Counter::PrunedAtSites, pruned);
+    }
+
+    fn fill(&mut self, x: usize, factors: impl IntoIterator<Item = (usize, f64)>) {
         let row = &mut self.survivals[x];
         if row.len() < self.cands.len() {
             row.resize(self.cands.len(), None);
@@ -190,8 +243,6 @@ impl BatchRound {
         for (j, s) in factors {
             row[j] = Some(s);
         }
-        stats.pruned_at_sites += pruned;
-        self.rec.add(Counter::PrunedAtSites, pruned);
     }
 
     /// Files a site's batched survival reply covering candidates `idxs`
@@ -258,7 +309,7 @@ impl BatchRound {
         if draw.refills {
             return Ok(held);
         }
-        if !tracker.is_active(draw.home) {
+        if !tracker.is_active(draw.home) || tracker.is_drained(draw.home) {
             return Ok(None);
         }
         tracker.upload(draw.home, fan.call(draw.home, Message::RequestNext))
@@ -275,19 +326,25 @@ impl BatchRound {
         tracker: &FailureTracker,
         refill: bool,
     ) -> Draw {
-        let (msgs, idxs) = self.take_pending(home);
         let mut draw = Draw { home, idxs: Vec::new(), request: None, refills: refill };
+        // A drained site's refill can only come back empty, and with
+        // nothing left to prune its flush has no order to keep: it waits
+        // for the closing wave.
+        if tracker.is_drained(home) {
+            return draw;
+        }
+        let idxs = self.take_pending(home, fan, tracker);
         if !tracker.is_active(home) {
             return draw;
         }
-        let msg = if msgs.is_empty() {
+        let msg = if idxs.is_empty() {
             if !refill {
                 return draw;
             }
             Message::RequestNext
         } else {
+            let flush = self.batch_frame(self.msgs(&idxs));
             draw.idxs = idxs;
-            let flush = self.batch_frame(msgs);
             if refill {
                 Message::Draw(Box::new(flush))
             } else {
@@ -326,9 +383,10 @@ impl BatchRound {
             return Ok(None);
         }
         let parse = |site, msg| expect_drawn(site, msg, draw.idxs.len());
-        let Some((factors, pruned, next)) = tracker.interpret(x, reply, parse)? else {
+        let Some((factors, pruned, next, drained)) = tracker.interpret(x, reply, parse)? else {
             return Ok(None);
         };
+        tracker.note_refill(x, drained);
         self.file(x, draw.idxs.iter().copied().zip(factors), pruned, stats);
         Ok(next)
     }
@@ -400,10 +458,13 @@ impl BatchRound {
         stats: &mut RunStats,
     ) -> Result<(), Error> {
         if self.budget == 1 {
-            let cand = &self.cands[0];
-            let home = cand.id.site.0 as usize;
-            let feedback = Message::Feedback(cand.clone());
-            let replies = fan.broadcast(|x| x != home && tracker.is_active(x), &feedback);
+            let deliver: Vec<bool> = self
+                .order
+                .iter()
+                .map(|x| !self.take_pending(x, fan, tracker).is_empty() && tracker.is_active(x))
+                .collect();
+            let feedback = Message::Feedback(self.cands[0].clone());
+            let replies = fan.broadcast(|x| deliver[x], &feedback);
             for (x, reply) in self.order.verify(replies) {
                 if let Some((s, pruned)) = tracker.interpret(x, reply, expect_survival)? {
                     self.file(x, [(0, s)], pruned, stats);
@@ -417,12 +478,12 @@ impl BatchRound {
         let mut requests = Vec::new();
         let mut idxs_by_site: Vec<Vec<usize>> = vec![Vec::new(); self.order.len()];
         for x in self.order.iter() {
-            let (msgs, idxs) = self.take_pending(x);
-            if msgs.is_empty() || !tracker.is_active(x) {
+            let idxs = self.take_pending(x, fan, tracker);
+            if idxs.is_empty() || !tracker.is_active(x) {
                 continue;
             }
+            requests.push((x, self.batch_frame(self.msgs(&idxs))));
             idxs_by_site[x] = idxs;
-            requests.push((x, self.batch_frame(msgs)));
         }
         for (x, reply) in self.order.verify(fan.scatter(requests)) {
             let idxs = std::mem::take(&mut idxs_by_site[x]);
@@ -445,12 +506,18 @@ impl BatchRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailurePolicy;
-    use dsud_net::{BandwidthMeter, Link, LocalLink};
+    use crate::{FailurePolicy, LocalSite, SiteOptions};
+    use dsud_net::{BandwidthMeter, FanPlan, Link, LocalLink, Routes};
+    use dsud_uncertain::{Probability, TupleId, UncertainTuple};
 
     /// A config whose only setting the round reads is the legacy wire.
     fn legacy() -> QueryConfig {
         QueryConfig::new(0.5).expect("valid threshold")
+    }
+
+    /// The 2-d space the test candidates live in.
+    fn plane() -> SubspaceMask {
+        SubspaceMask::full(2).expect("two dimensions")
     }
 
     fn msg(site: u32, seq: u64, local_prob: f64) -> TupleMsg {
@@ -476,7 +543,7 @@ mod tests {
                 pruned: block.len() as u64,
             },
             Message::Draw(flush) => {
-                Message::Drawn { survivals: Box::new(echo(*flush)), next: None }
+                Message::Drawn { survivals: Box::new(echo(*flush)), next: None, drained: true }
             }
             // Refills find the site exhausted.
             _ => Message::Upload(None),
@@ -496,7 +563,7 @@ mod tests {
         let mut tracker = FailureTracker::new(3, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(3, &legacy(), &rec);
+        let mut round = BatchRound::new(3, &legacy(), plane(), &rec);
         round.reset(2);
         round.push(msg(0, 0, 0.9));
         // Flushing site 0 before its refill sends nothing: the only drawn
@@ -541,7 +608,7 @@ mod tests {
             // Wide enough that every frame clears the columnar layout's
             // ~6-row byte break-even (11-byte header premium vs 2 bytes
             // saved per row).
-            let mut round = BatchRound::new(3, &legacy().wire_format(wire), &rec);
+            let mut round = BatchRound::new(3, &legacy().wire_format(wire), plane(), &rec);
             round.reset(24);
             for j in 0..24 {
                 round.push(msg(j % 3, j as u64, 0.05 + 0.03 * j as f64));
@@ -575,21 +642,22 @@ mod tests {
         let mut tracker = FailureTracker::new(2, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(2, &legacy(), &rec);
+        let mut round = BatchRound::new(2, &legacy(), plane(), &rec);
         round.reset(4);
         assert!(round.is_empty());
         round.push(msg(0, 0, 0.8));
         for _ in 0..2 {
-            // The first draw flushes and refills in one frame; already
-            // flushed the second time, it sends a bare refill.
+            // The first draw flushes and refills in one frame; its reply
+            // says the site is exhausted, so the second, with nothing to
+            // flush, sends no refill either.
             round.draw(&mut fan, 1, false, &mut tracker, &mut stats).unwrap();
         }
         // ...and the closing wave has nothing left to deliver.
         round.close(&mut fan, &mut tracker, &mut stats).unwrap();
         let snap = meter.snapshot();
         assert_eq!((snap.feedback.messages, snap.feedback.tuples), (1, 1), "one draw frame");
-        assert_eq!(snap.control.messages, 1, "one bare refill");
-        assert_eq!(snap.upload.messages, 2, "one reply per draw");
+        assert_eq!(snap.control.messages, 0, "no refill to an exhausted site");
+        assert_eq!(snap.upload.messages, 1, "one reply to the one draw");
     }
 
     /// The last draw of a round that may reach the `limit` sends its flush
@@ -605,7 +673,7 @@ mod tests {
             let mut tracker = FailureTracker::new(2, FailurePolicy::Strict, rec.clone());
             let mut stats = RunStats::default();
 
-            let mut round = BatchRound::new(2, &legacy(), &rec);
+            let mut round = BatchRound::new(2, &legacy(), plane(), &rec);
             round.reset(2);
             round.push(msg(0, 0, 0.8));
             round.draw(&mut fan, 0, false, &mut tracker, &mut stats).unwrap();
@@ -639,7 +707,7 @@ mod tests {
         let mut tracker = FailureTracker::new(3, FailurePolicy::Strict, rec.clone());
         let mut stats = RunStats::default();
 
-        let mut round = BatchRound::new(3, &legacy(), &rec);
+        let mut round = BatchRound::new(3, &legacy(), plane(), &rec);
         for (home, p) in [(1, 0.5), (2, 0.25)] {
             round.reset(1);
             round.push(msg(home, 0, p));
@@ -651,5 +719,79 @@ mod tests {
         let snap = meter.snapshot();
         assert_eq!((snap.feedback.messages, snap.feedback.tuples), (4, 4));
         assert_eq!(stats.pruned_at_sites, 4);
+    }
+
+    /// Real sites: site 2 holds one tuple far from the origin, so its
+    /// start drains it and its cover proves it dominates none of the other
+    /// sites' heads.
+    fn drained_deployment(meter: &BandwidthMeter) -> Vec<Box<dyn Link>> {
+        let t = |site, seq, v: [f64; 2], p| {
+            UncertainTuple::new(TupleId::new(site, seq), v.to_vec(), Probability::new(p).unwrap())
+                .unwrap()
+        };
+        let data = [
+            vec![t(0, 0, [1.0, 5.0], 0.9), t(0, 1, [5.0, 1.0], 0.8)],
+            vec![t(1, 0, [2.0, 2.0], 0.6), t(1, 1, [3.0, 6.0], 0.5)],
+            vec![t(2, 0, [9.0, 9.0], 0.7)],
+        ];
+        data.into_iter()
+            .enumerate()
+            .map(|(i, tuples)| {
+                let site = LocalSite::new(i as u32, 2, tuples, SiteOptions::default()).unwrap();
+                Box::new(LocalLink::new(site, meter.clone())) as Box<dyn Link>
+            })
+            .collect()
+    }
+
+    /// A drained site whose cover proves it holds no dominator of a
+    /// candidate gets no frame for it — in a budget-1 broadcast and in a
+    /// batched closing wave — while the fold and the prune count are
+    /// exactly those of the run that delivers everything.
+    #[test]
+    fn a_drained_site_its_cover_clears_gets_no_frame() {
+        for budget in [1, 2] {
+            let mut runs = Vec::new();
+            for covered in [false, true] {
+                let meter = BandwidthMeter::new();
+                let mut links = drained_deployment(&meter);
+                let rec = Recorder::enabled();
+                let plan = FanPlan::flat(3);
+                let routes = if covered {
+                    crate::cluster::routes_with_covers(&mut links, plan, &rec)
+                } else {
+                    Routes::new(plan)
+                };
+                meter.reset();
+                let mut fan = Fanout::tree(&mut links, &routes, rec.clone());
+                let mut tracker = FailureTracker::new(3, FailurePolicy::Strict, rec.clone());
+                let mut stats = RunStats::default();
+                let start = Message::Start { q: 0.1, mask: plane(), counted: false };
+                let heads: Vec<TupleMsg> = (0..3)
+                    .map(|x| tracker.upload(x, fan.call(x, start.clone())).unwrap().unwrap())
+                    .collect();
+                assert!(tracker.is_drained(2) && !tracker.is_drained(0) && !tracker.is_drained(1));
+
+                let mut round = BatchRound::new(3, &legacy(), plane(), &rec);
+                round.reset(budget);
+                for head in heads.into_iter().take(budget) {
+                    let home = head.id.site.0 as usize;
+                    round.push(head);
+                    round.draw(&mut fan, home, false, &mut tracker, &mut stats).unwrap();
+                }
+                round.close(&mut fan, &mut tracker, &mut stats).unwrap();
+                round.settle_last(&mut fan, true, &mut tracker, &mut stats).unwrap();
+                let folds: Vec<u64> =
+                    (0..round.len()).map(|j| round.global_probability(j).to_bits()).collect();
+                let skipped = rec.counter(Counter::SkippedDeliveries);
+                runs.push((folds, stats.pruned_at_sites, meter.snapshot().feedback, skipped));
+            }
+            let (all, proved) = (&runs[0], &runs[1]);
+            let at = format!("budget {budget}");
+            assert_eq!(proved.0, all.0, "{at}: the fold is unchanged");
+            assert_eq!(proved.1, all.1, "{at}: pruning is unchanged");
+            assert_eq!((all.3, proved.3), (0, budget as u64), "{at}: one skip per candidate");
+            assert_eq!(proved.2.messages + 1, all.2.messages, "{at}: site 2 gets no frame");
+            assert_eq!(proved.2.tuples + budget as u64, all.2.tuples, "{at}");
+        }
     }
 }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use dsud_net::{
     tcp, Aggregator, BandwidthMeter, ChannelLink, ChaosLink, DelayedService, FanNode, FanPlan,
     Fanout, FaultPlan, HealthSnapshot, Link, LinkConfig, LinkError, LinkHealth, LocalLink, Message,
-    MeterSnapshot, RetryLink, Service, TupleMsg,
+    MeterSnapshot, RetryLink, Routes, Service, TupleMsg,
 };
 use dsud_obs::Recorder;
 use dsud_uncertain::{SkylineEntry, UncertainTuple};
@@ -144,11 +144,12 @@ pub struct Cluster {
     health: Vec<Arc<LinkHealth>>,
     meter: BandwidthMeter,
     total_tuples: usize,
-    /// The fan-out shape the coordinator routes through. The shared meter
-    /// (and hence every outcome's `traffic`) observes only the root's own
-    /// links, so under a tree topology it measures exactly the merged
-    /// root-link traffic the topology exists to shrink.
-    plan: FanPlan,
+    /// The fan-out shape the coordinator routes through, its routing
+    /// tables and the sites' dominance covers, built once. The shared
+    /// meter (and hence every outcome's `traffic`) observes only the
+    /// root's own links, so under a tree topology it measures exactly the
+    /// merged root-link traffic the topology exists to shrink.
+    routes: Routes,
     servers: Vec<tcp::SiteServer>,
 }
 
@@ -156,8 +157,8 @@ impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("dims", &self.dims)
-            .field("sites", &self.plan.sites())
-            .field("root_fanout", &self.plan.root_fanout())
+            .field("sites", &self.routes.plan().sites())
+            .field("root_fanout", &self.routes.plan().root_fanout())
             .field("total_tuples", &self.total_tuples)
             .finish_non_exhaustive()
     }
@@ -480,7 +481,11 @@ impl Cluster {
     /// crossing the root's own links) and wrapped by [`Self::finish_link`],
     /// its chaos plan keyed by the node's first member site — a flat
     /// site's own index — so a seeded plan replays identically at every
-    /// topology.
+    /// topology. The sites' dominance covers are read off the sites as
+    /// they are built (a `cluster:cover` span), before they move behind
+    /// their links: the cluster builds every site itself, so a
+    /// `CoverRequest` exchange would only add each fresh link's first
+    /// round trip to the build.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         dims: usize,
@@ -504,11 +509,16 @@ impl Cluster {
             .into_iter()
             .map(|s| s.map(Some))
             .collect::<Result<_, _>>()?;
+        let mut routes = Routes::new(plan);
+        {
+            let _span = recorder.span("cluster:cover");
+            routes.set_covers(built.iter().flatten().map(|site| Some(site.cover())).collect());
+        }
         let child_meter = BandwidthMeter::new();
-        let mut links: Vec<Box<dyn Link>> = Vec::with_capacity(plan.root_fanout());
-        let mut health: Vec<Arc<LinkHealth>> = Vec::with_capacity(plan.root_fanout());
+        let mut links: Vec<Box<dyn Link>> = Vec::with_capacity(routes.plan().root_fanout());
+        let mut health: Vec<Arc<LinkHealth>> = Vec::with_capacity(routes.plan().root_fanout());
         let mut servers: Vec<tcp::SiteServer> = Vec::new();
-        for root in plan.roots() {
+        for root in routes.plan().roots() {
             let raw = Self::spawn_node(
                 root,
                 &mut built,
@@ -525,7 +535,7 @@ impl Cluster {
             links.push(link);
         }
         drop(build_span);
-        Ok(Cluster { dims, links, health, meter, total_tuples, plan, servers })
+        Ok(Cluster { dims, links, health, meter, total_tuples, routes, servers })
     }
 
     /// Constructs every [`LocalSite`] (each a PR-tree bulk load) on at most
@@ -556,12 +566,12 @@ impl Cluster {
     /// under a tree topology the coordinator holds fewer links than
     /// sites).
     pub fn site_count(&self) -> usize {
-        self.plan.sites()
+        self.routes.plan().sites()
     }
 
     /// The fan-out plan the coordinator routes through.
     pub fn plan(&self) -> &FanPlan {
-        &self.plan
+        self.routes.plan()
     }
 
     /// Dimensionality of the data space.
@@ -599,7 +609,7 @@ impl Cluster {
     /// and through its aggregators under a tree. Maintenance
     /// ([`crate::update::Maintainer`]) runs over this view.
     pub fn fanout(&mut self) -> Fanout<'_> {
-        Fanout::tree(&mut self.links, &self.plan, self.meter.recorder().clone())
+        Fanout::tree(&mut self.links, &self.routes, self.meter.recorder().clone())
     }
 
     /// Per-site transport health: attempts, retries, and failure counts
@@ -616,7 +626,7 @@ impl Cluster {
 
     /// Decomposes the cluster into the parts a [`crate::SessionServer`]
     /// re-assembles around shared, query-multiplexed links:
-    /// `(dims, total_tuples, links, health, meter, plan, site_servers)`.
+    /// `(dims, total_tuples, links, health, meter, routes, site_servers)`.
     /// The health handles stay paired with `links` by index (one per
     /// physical link) so the session layer's heartbeat can keep per-link
     /// miss counts. The servers must outlive the links for the same
@@ -630,10 +640,18 @@ impl Cluster {
         Vec<Box<dyn Link>>,
         Vec<Arc<LinkHealth>>,
         BandwidthMeter,
-        FanPlan,
+        Routes,
         Vec<tcp::SiteServer>,
     ) {
-        (self.dims, self.total_tuples, self.links, self.health, self.meter, self.plan, self.servers)
+        (
+            self.dims,
+            self.total_tuples,
+            self.links,
+            self.health,
+            self.meter,
+            self.routes,
+            self.servers,
+        )
     }
 
     /// Runs the DSUD algorithm (Section 5.1).
@@ -662,17 +680,45 @@ impl Cluster {
     }
 }
 
-/// Interprets a reply from `site` that must be an upload.
-pub(crate) fn expect_upload(site: u32, msg: Message) -> Result<Option<TupleMsg>, Error> {
+/// The routes of `plan` over its root `links`, with every site's dominance
+/// cover asked for in one parallel `CoverRequest` exchange — for callers
+/// that hold only links to the sites. A site that does not answer with a
+/// cover keeps none, so every delivery to it goes out; a failing site is
+/// left to the queries' own failure policy.
+pub(crate) fn routes_with_covers(
+    links: &mut [Box<dyn Link>],
+    plan: FanPlan,
+    recorder: &Recorder,
+) -> Routes {
+    let mut routes = Routes::new(plan);
+    let covers = Fanout::tree(links, &routes, recorder.clone())
+        .broadcast(|_| true, &Message::CoverRequest)
+        .into_iter()
+        .map(|(_, reply)| match reply {
+            Ok(Message::Cover(cover)) => Some(cover),
+            _ => None,
+        })
+        .collect();
+    routes.set_covers(covers);
+    routes
+}
+
+/// Interprets a reply from `site` that must be an upload: the uploaded
+/// representative, and whether the site's queue is now empty.
+pub(crate) fn expect_upload(site: u32, msg: Message) -> Result<(Option<TupleMsg>, bool), Error> {
     match msg {
-        Message::Upload(t) => Ok(t),
+        Message::Upload(t) => {
+            let drained = t.is_none();
+            Ok((t, drained))
+        }
+        Message::UploadLast(t) => Ok((Some(t), true)),
         _ => Err(Error::ProtocolViolation { site, what: "expected Upload reply" }),
     }
 }
 
 /// Interprets a reply from `site` that must answer a counted
 /// [`Message::Start`]: the first upload plus the candidates pending behind
-/// it.
+/// it (none: the site's queue is empty).
 pub(crate) fn expect_started(site: u32, msg: Message) -> Result<(Option<TupleMsg>, u64), Error> {
     match msg {
         Message::Started { pending, next } => Ok((next, u64::from(pending))),
@@ -696,18 +742,19 @@ pub(crate) fn expect_survival(site: u32, msg: Message) -> Result<(f64, u64), Err
     }
 }
 
+/// The parts of a [`Message::Drawn`] reply: the flush's survival factors
+/// and prune count, the refill's upload, and whether the refill emptied
+/// the site's queue.
+pub(crate) type Drawn = (Vec<f64>, u64, Option<TupleMsg>, bool);
+
 /// Interprets a reply from `site` that must answer a [`Message::Draw`]
 /// whose flush carried `expected` probes: the flush's survival batch,
 /// checked as [`expect_survival_batch`] checks it, and the refill's upload.
-pub(crate) fn expect_drawn(
-    site: u32,
-    msg: Message,
-    expected: usize,
-) -> Result<(Vec<f64>, u64, Option<TupleMsg>), Error> {
+pub(crate) fn expect_drawn(site: u32, msg: Message, expected: usize) -> Result<Drawn, Error> {
     match msg {
-        Message::Drawn { survivals, next } => {
+        Message::Drawn { survivals, next, drained } => {
             let (factors, pruned) = expect_survival_batch(site, *survivals, expected)?;
-            Ok((factors, pruned, next))
+            Ok((factors, pruned, next, drained))
         }
         _ => Err(Error::ProtocolViolation { site, what: "expected Drawn reply" }),
     }
@@ -760,7 +807,7 @@ mod tests {
             expect_survival(2, Message::Ack),
             Err(Error::ProtocolViolation { site: 2, what: "expected SurvivalReply" })
         );
-        assert_eq!(expect_upload(0, Message::Upload(None)).unwrap(), None);
+        assert_eq!(expect_upload(0, Message::Upload(None)).unwrap(), (None, true));
         assert_eq!(
             expect_started(3, Message::Upload(None)),
             Err(Error::ProtocolViolation { site: 3, what: "expected Started reply" })

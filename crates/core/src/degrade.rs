@@ -112,6 +112,10 @@ pub(crate) struct FailureTracker {
     probe_streak: Vec<u64>,
     /// Current op-log epoch, stamped into quarantine/probation records.
     epoch: u64,
+    /// Per site: whether its last refill reply of the query left its
+    /// queue empty. A drained site has nothing left to prune, so feedback
+    /// it provably cannot discount is skipped (see `crate::batch`).
+    drained: Vec<bool>,
     recorder: Recorder,
 }
 
@@ -122,8 +126,19 @@ impl FailureTracker {
             states: vec![SiteState::Active; sites],
             probe_streak: vec![0; sites],
             epoch: 0,
+            drained: vec![false; sites],
             recorder,
         }
+    }
+
+    /// Whether `site`'s last refill reply left its queue empty.
+    pub(crate) fn is_drained(&self, site: usize) -> bool {
+        self.drained[site]
+    }
+
+    /// Records what `site`'s latest refill reply said about its queue.
+    pub(crate) fn note_refill(&mut self, site: usize, drained: bool) {
+        self.drained[site] = drained;
     }
 
     /// Whether the coordinator should still talk to `site`.
@@ -251,31 +266,41 @@ impl FailureTracker {
         failure.map(|()| None)
     }
 
-    /// Interprets an upload reply from `site`. `Ok(None)` covers both an
-    /// exhausted site and a quarantined one.
+    /// Interprets an upload reply from `site`, noting whether it drained
+    /// the site. `Ok(None)` covers both an exhausted site and a
+    /// quarantined one.
     pub(crate) fn upload(
         &mut self,
         site: usize,
         reply: Result<Message, LinkError>,
     ) -> Result<Option<TupleMsg>, Error> {
-        Ok(self.interpret(site, reply, crate::cluster::expect_upload)?.flatten())
+        let Some((next, drained)) = self.interpret(site, reply, crate::cluster::expect_upload)?
+        else {
+            return Ok(None);
+        };
+        self.note_refill(site, drained);
+        Ok(next)
     }
 
-    /// Interprets the reply to a [`Message::Start`] from `site`: the first
-    /// upload plus, when the start was `counted`, how many candidates
-    /// remain behind it (0 for a plain start, and for a site lost here).
+    /// Interprets the reply to a [`Message::Start`] from `site`, noting
+    /// whether it drained the site: the first upload plus, when the start
+    /// was `counted`, how many candidates remain behind it (0 for a plain
+    /// start, and for a site lost here).
     pub(crate) fn started(
         &mut self,
         site: usize,
         reply: Result<Message, LinkError>,
         counted: bool,
     ) -> Result<(Option<TupleMsg>, u64), Error> {
-        let parsed = if counted {
-            self.interpret(site, reply, crate::cluster::expect_started)?
-        } else {
-            self.interpret(site, reply, crate::cluster::expect_upload)?.map(|next| (next, 0))
+        if !counted {
+            return Ok((self.upload(site, reply)?, 0));
+        }
+        let Some((next, pending)) = self.interpret(site, reply, crate::cluster::expect_started)?
+        else {
+            return Ok((None, 0));
         };
-        Ok(parsed.unwrap_or((None, 0)))
+        self.note_refill(site, pending == 0);
+        Ok((next, pending))
     }
 }
 

@@ -25,11 +25,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dsud_net::{BandwidthMeter, Fanout, Link, Message, TupleMsg};
+use dsud_net::{BandwidthMeter, FanPlan, Fanout, Link, Message, TupleMsg};
 use dsud_obs::Counter;
 use dsud_uncertain::{SkylineEntry, SubspaceMask};
 
 use crate::batch::BatchRound;
+use crate::cluster::routes_with_covers;
 use crate::degrade::FailureTracker;
 use crate::progress::Reporter;
 use crate::{planner, Error, QueryConfig, QueryOutcome, RunStats, SiteOrder};
@@ -68,7 +69,10 @@ impl Eq for QueueEntry {}
 /// `mask` is `config`'s subspace already resolved for the sites' data
 /// space (see [`QueryConfig::resolve_mask`]). Every other setting comes
 /// from `config`, and the run follows exactly the schedule
-/// [`crate::Cluster::run_dsud`] gives the same config on a flat topology.
+/// [`crate::Cluster::run_dsud`] gives the same config on a flat topology:
+/// with no deployment to keep the sites' dominance covers in, it asks for
+/// them first (one `CoverRequest` per link, before the query's traffic
+/// is measured), so it leaves out the same feedback to drained sites.
 ///
 /// Under [`FailurePolicy::Degrade`](crate::FailurePolicy::Degrade) a site
 /// whose transport stays broken after retries is quarantined — excluded
@@ -104,7 +108,9 @@ pub fn run(
     mask: SubspaceMask,
     config: &QueryConfig,
 ) -> Result<QueryOutcome, Error> {
-    run_on(&mut Fanout::flat(links), meter, mask, config, &mut |_, _| {})
+    let rec = meter.recorder();
+    let routes = routes_with_covers(links, FanPlan::flat(links.len()), rec);
+    run_on(&mut Fanout::tree(links, &routes, rec.clone()), meter, mask, config, &mut |_, _| {})
 }
 
 /// [`run`] over an arbitrary [`Fanout`] — the actual coordinator. A flat
@@ -139,7 +145,7 @@ pub(crate) fn run_on(
     let order = SiteOrder::new(fan.len());
     let mut tracker = FailureTracker::new(order.len(), config.failure, rec.clone());
     let mut stats = RunStats::default();
-    let mut round = BatchRound::new(order.len(), config, &rec);
+    let mut round = BatchRound::new(order.len(), config, mask, &rec);
 
     // To-Server phase, first iteration: every site extracts its local
     // skyline and sends its best representative. The broadcast fans the

@@ -26,11 +26,12 @@
 
 use std::collections::HashMap;
 
-use dsud_net::{BandwidthMeter, Fanout, Link, Message, TupleMsg};
+use dsud_net::{BandwidthMeter, FanPlan, Fanout, Link, Message, TupleMsg};
 use dsud_obs::Counter;
 use dsud_uncertain::{dominates_in, SkylineEntry, SubspaceMask};
 
 use crate::batch::BatchRound;
+use crate::cluster::routes_with_covers;
 use crate::degrade::FailureTracker;
 use crate::progress::Reporter;
 use crate::synopsis::SynopsisBound;
@@ -115,9 +116,10 @@ impl Candidate {
 
 /// Runs e-DSUD over raw site links, under the same contract as
 /// [`crate::dsud::run`]: `mask` is `config`'s subspace already resolved,
-/// every other setting comes from `config`, and the run follows exactly
-/// the schedule [`crate::Cluster::run_edsud`] gives the same config on a
-/// flat topology.
+/// every other setting comes from `config`, the sites' covers are asked
+/// for first, and the run follows exactly the schedule
+/// [`crate::Cluster::run_edsud`] gives the same config on a flat
+/// topology.
 ///
 /// A [`QueryConfig::synopsis`] resolution requests one grid synopsis per
 /// site at query start (charged on the meter) and folds it into the
@@ -140,7 +142,9 @@ pub fn run(
     mask: SubspaceMask,
     config: &QueryConfig,
 ) -> Result<QueryOutcome, Error> {
-    run_on(&mut Fanout::flat(links), meter, mask, config, &mut |_, _| {})
+    let rec = meter.recorder();
+    let routes = routes_with_covers(links, FanPlan::flat(links.len()), rec);
+    run_on(&mut Fanout::tree(links, &routes, rec.clone()), meter, mask, config, &mut |_, _| {})
 }
 
 /// [`run`] over an arbitrary [`Fanout`] — the actual coordinator. As in
@@ -170,7 +174,7 @@ pub(crate) fn run_on(
     let order = SiteOrder::new(fan.len());
     let mut tracker = FailureTracker::new(order.len(), config.failure, rec.clone());
     let mut stats = RunStats::default();
-    let mut round = BatchRound::new(order.len(), config, &rec);
+    let mut round = BatchRound::new(order.len(), config, mask, &rec);
     let mut history: Vec<TupleMsg> = Vec::new();
 
     // A planning run's counted Start also learns how many candidates each

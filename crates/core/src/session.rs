@@ -85,7 +85,9 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use dsud_net::server::{share, MuxLink, SharedLink};
-use dsud_net::{tcp, BandwidthMeter, FanPlan, Fanout, Link, LinkHealth, Message, MeterSnapshot};
+use dsud_net::{
+    tcp, BandwidthMeter, FanPlan, Fanout, Link, LinkHealth, Message, MeterSnapshot, Routes,
+};
 use dsud_obs::{Counter, Recorder, RunReport};
 use dsud_uncertain::SkylineEntry;
 
@@ -417,13 +419,12 @@ impl Algo {
 pub struct SessionServer {
     dims: usize,
     total_tuples: usize,
-    /// The cluster's fan-out topology. `shared`, `health`, and `groups`
-    /// are index-paired with the plan's root links: one per site in a flat
-    /// deployment, one per aggregator subtree otherwise.
-    plan: FanPlan,
-    /// Member sites behind each root link, ascending (a single-element
-    /// group is a directly-linked site).
-    groups: Vec<Vec<u32>>,
+    /// The cluster's fan-out topology, routing tables and site covers,
+    /// shared by every query's fan-out. `shared` and `health` are
+    /// index-paired with the plan's root links (`routes.groups()`): one
+    /// per site in a flat deployment, one per aggregator subtree
+    /// otherwise.
+    routes: Routes,
     /// Declared before `_servers` so the links drop first — same wind-down
     /// order [`Cluster`] itself maintains for its TCP transport.
     shared: Vec<SharedLink>,
@@ -458,7 +459,7 @@ impl std::fmt::Debug for SessionServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionServer")
             .field("dims", &self.dims)
-            .field("sites", &self.plan.sites())
+            .field("sites", &self.routes.plan().sites())
             .field("root_fanout", &self.shared.len())
             .field("total_tuples", &self.total_tuples)
             .finish_non_exhaustive()
@@ -469,7 +470,7 @@ impl SessionServer {
     /// Takes ownership of a constructed cluster and re-assembles it around
     /// shared, query-multiplexed links.
     pub fn new(cluster: Cluster, options: SessionOptions) -> Self {
-        let (dims, total_tuples, links, health, meter, plan, servers) = cluster.into_parts();
+        let (dims, total_tuples, links, health, meter, routes, servers) = cluster.into_parts();
         // The lifecycle tracker always degrades (quarantines) rather than
         // failing: a daemon-level health decision must never abort the
         // daemon. Per-query failure policies are unaffected — each run
@@ -477,13 +478,13 @@ impl SessionServer {
         // daemon probes *links*: a missed group link quarantines every
         // member site behind it, so a lost aggregator degrades its whole
         // subtree as a unit.
+        let sites = routes.plan().sites();
         let lifecycle =
-            FailureTracker::new(plan.sites(), FailurePolicy::Degrade, meter.recorder().clone());
+            FailureTracker::new(sites, FailurePolicy::Degrade, meter.recorder().clone());
         SessionServer {
             dims,
             total_tuples,
-            groups: plan.groups(),
-            plan,
+            routes,
             shared: links.into_iter().map(share).collect(),
             meter,
             health,
@@ -515,12 +516,12 @@ impl SessionServer {
     /// Number of resident sites `m` (leaf sites, regardless of how many
     /// root links the topology plan collapses them behind).
     pub fn site_count(&self) -> usize {
-        self.plan.sites()
+        self.routes.plan().sites()
     }
 
     /// The fan-out topology the resident deployment was assembled with.
     pub fn plan(&self) -> &FanPlan {
-        &self.plan
+        self.routes.plan()
     }
 
     /// Total tuples across all sites at construction time.
@@ -554,7 +555,7 @@ impl SessionServer {
     /// Current lifecycle state of every site, in site order.
     pub fn site_states(&self) -> Vec<SiteState> {
         let lifecycle = self.lifecycle.lock().unwrap_or_else(PoisonError::into_inner);
-        (0..self.plan.sites()).map(|i| lifecycle.state(i).clone()).collect()
+        (0..self.site_count()).map(|i| lifecycle.state(i).clone()).collect()
     }
 
     /// Per-site health records in the same shape query outcomes carry.
@@ -737,7 +738,7 @@ impl SessionServer {
     /// Returns [`Error::InvalidArgument`] for an out-of-range home site.
     pub fn apply_update(&self, op: &UpdateOp) -> Result<(), Error> {
         let home = op.site() as usize;
-        if home >= self.plan.sites() {
+        if home >= self.site_count() {
             return Err(Error::InvalidArgument("update names a site outside the cluster"));
         }
         self.admission.acquire(self.admission.max);
@@ -819,7 +820,7 @@ impl SessionServer {
             match reply {
                 Ok(Message::HealthAck { nonce: echoed }) if echoed == nonce => {
                     summary.acks += 1;
-                    for &site in &self.groups[i] {
+                    for &site in &self.routes.groups()[i] {
                         self.probe_succeeded(site as usize, i, &mut summary);
                     }
                 }
@@ -827,7 +828,7 @@ impl SessionServer {
                     summary.misses += 1;
                     self.heartbeat_misses.fetch_add(1, Ordering::Relaxed);
                     rec.incr(Counter::HeartbeatMisses);
-                    for &site in &self.groups[i] {
+                    for &site in &self.routes.groups()[i] {
                         self.probe_missed(
                             site as usize,
                             i,
@@ -842,7 +843,7 @@ impl SessionServer {
                     summary.misses += 1;
                     self.heartbeat_misses.fetch_add(1, Ordering::Relaxed);
                     rec.incr(Counter::HeartbeatMisses);
-                    for &site in &self.groups[i] {
+                    for &site in &self.routes.groups()[i] {
                         self.probe_missed(
                             site as usize,
                             i,
@@ -992,7 +993,7 @@ impl SessionServer {
             .iter()
             .map(|s| Box::new(MuxLink::new(query_id, s.clone(), meter.clone())) as Box<dyn Link>)
             .collect();
-        f(&mut Fanout::tree(&mut links, &self.plan, meter.recorder().clone()))
+        f(&mut Fanout::tree(&mut links, &self.routes, meter.recorder().clone()))
     }
 
     fn release_sites(&self, query_id: u64) {

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::BufMut;
-use dsud_net::{wire, BatchView, Message, Service, TupleMsg};
+use dsud_net::{wire, BatchView, Cover, Message, Service, TupleMsg};
 use dsud_obs::Recorder;
 use dsud_prtree::{bbs, BbsScratch, PrTree};
 use dsud_uncertain::{
@@ -161,6 +161,12 @@ impl LocalSite {
         &self.tree
     }
 
+    /// The site's dominance cover ([`PrTree::dominance_cover`]): what it
+    /// answers a [`Message::CoverRequest`] with.
+    pub fn cover(&self) -> Cover {
+        Cover::new(self.dims, self.tree.dominance_cover())
+    }
+
     /// The site's current replica of `SKY(H)`.
     pub fn replica(&self) -> &[TupleMsg] {
         &self.replica
@@ -194,18 +200,12 @@ impl LocalSite {
     /// remain behind it, so the coordinator learns the cluster's exact
     /// candidate total from the replies it needs anyway.
     fn start(&mut self, q: f64, mask: SubspaceMask, counted: bool) -> Message {
-        let reply = |next, pending: usize| {
-            if counted {
-                Message::Started { pending: u32::try_from(pending).unwrap_or(u32::MAX), next }
-            } else {
-                Message::Upload(next)
-            }
-        };
         let sky = match bbs::local_skyline_with(&self.tree, q, mask, &mut self.scratch) {
             Ok(sky) => sky,
             // The coordinator validates q and mask before starting; a
             // failure here means the two sides disagree on the space.
-            Err(_) => return reply(None, 0),
+            Err(_) if counted => return Message::Started { pending: 0, next: None },
+            Err(_) => return Message::Upload(None),
         };
         let pending = sky
             .into_iter()
@@ -216,14 +216,27 @@ impl LocalSite {
             })
             .collect();
         self.query = Some(ActiveQuery { q, mask, pending, pruned: Vec::new() });
+        if !counted {
+            return self.upload();
+        }
         let next = self.next_candidate();
-        reply(next, self.pending_candidates())
+        let pending = u32::try_from(self.pending_candidates()).unwrap_or(u32::MAX);
+        Message::Started { pending, next }
     }
 
     /// The next representative to upload (the To-Server phase), if the
     /// query has one left.
     fn next_candidate(&mut self) -> Option<TupleMsg> {
         self.pop_candidate().map(|c| TupleMsg::new(&c.tuple, c.local_prob))
+    }
+
+    /// A refill's reply: the next representative, as
+    /// [`Message::UploadLast`] when it leaves the queue empty.
+    fn upload(&mut self) -> Message {
+        match self.next_candidate() {
+            Some(t) if self.pending_candidates() == 0 => Message::UploadLast(t),
+            next => Message::Upload(next),
+        }
     }
 
     fn pop_candidate(&mut self) -> Option<PendingCandidate> {
@@ -477,13 +490,15 @@ impl Service for LocalSite {
                 Message::Ack
             }
             Message::Start { q, mask, counted } => self.start(q, mask, counted),
-            Message::RequestNext => Message::Upload(self.next_candidate()),
+            Message::RequestNext => self.upload(),
             // A draw: its flush, then its refill — the same two events in
             // the same order as the separate requests.
             Message::Draw(flush) => {
                 let survivals = Box::new(self.handle(*flush));
-                Message::Drawn { survivals, next: self.next_candidate() }
+                let next = self.next_candidate();
+                Message::Drawn { survivals, next, drained: self.pending_candidates() == 0 }
             }
+            Message::CoverRequest => Message::Cover(self.cover()),
             Message::Feedback(t) => self.feedback(&t),
             Message::FeedbackBatch(ts) => self.feedback_batch(&ts),
             // Message-level fallback for columnar feedback (inline links
@@ -550,6 +565,8 @@ impl Service for LocalSite {
             | Message::Sketch(_)
             | Message::Drawn { .. }
             | Message::Started { .. }
+            | Message::UploadLast(_)
+            | Message::Cover(_)
             | Message::HealthAck { .. }
             | Message::DecodeError
             | Message::Ack => Message::Ack,
@@ -594,7 +611,11 @@ impl Service for LocalSite {
                 match site.pop_candidate() {
                     Some(c) => {
                         let t = &c.tuple;
-                        out.put_u8(wire::TAG_DRAWN);
+                        out.put_u8(if site.pending_candidates() == 0 {
+                            wire::TAG_DRAWN_LAST
+                        } else {
+                            wire::TAG_DRAWN
+                        });
                         TupleMsg::encode_tuple(
                             t.id(),
                             t.values(),
@@ -627,6 +648,7 @@ fn default_handle_frame(site: &mut LocalSite, frame: &[u8], out: &mut bytes::Byt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::expect_upload;
     use dsud_uncertain::Probability;
 
     fn tuple(site: u32, seq: u64, values: Vec<f64>, p: f64) -> UncertainTuple {
@@ -683,16 +705,17 @@ mod tests {
                 };
                 let mut plain = paper_site_s1();
                 let mut counted = paper_site_s1();
-                let Message::Upload(want) =
-                    plain.handle(wrap(Message::Start { q, mask, counted: false }))
-                else {
-                    panic!("a plain start uploads")
-                };
+                let (want, drained) = expect_upload(
+                    0,
+                    plain.handle(wrap(Message::Start { q, mask, counted: false })),
+                )
+                .expect("a plain start uploads");
                 let reply = counted.handle(wrap(Message::Start { q, mask, counted: true }));
                 let Message::Started { pending, next } = reply else {
                     panic!("a counted start answers Started, got {reply:?}")
                 };
                 assert_eq!(next, want);
+                assert_eq!(pending == 0, drained, "both replies say whether the queue is empty");
                 let sky = bbs::local_skyline(counted.tree(), q, mask).unwrap();
                 assert_eq!(pending as usize + usize::from(next.is_some()), sky.len());
                 // The cursors behind both replies stream identically.
@@ -740,15 +763,32 @@ mod tests {
         }
     }
 
+    /// Refills stream in descending order; the one that empties the queue
+    /// says so.
     #[test]
     fn request_next_streams_in_descending_order() {
         let mut site = paper_site_s1();
         site.handle(Message::Start { q: 0.5, mask: full(2), counted: false });
         let Message::Upload(Some(t2)) = site.handle(Message::RequestNext) else { panic!() };
         assert_eq!(t2.values, vec![8.0, 4.0]);
-        let Message::Upload(Some(t3)) = site.handle(Message::RequestNext) else { panic!() };
+        let Message::UploadLast(t3) = site.handle(Message::RequestNext) else { panic!() };
         assert_eq!(t3.values, vec![3.0, 8.0]);
         assert!(matches!(site.handle(Message::RequestNext), Message::Upload(None)));
+    }
+
+    /// The cover a site ships proves what its tree computes: no corner
+    /// dominates a point with survival product below one, and its corners
+    /// are row-major in the site's dimensionality.
+    #[test]
+    fn cover_request_answers_the_tree_cover() {
+        let mut site = paper_site_s1();
+        let Message::Cover(cover) = site.handle(Message::CoverRequest) else { panic!() };
+        assert_eq!(cover.dims(), 2);
+        assert_eq!(cover.points(), site.tree().dominance_cover().as_slice());
+        // (2.5, 7.5) is dominated by (2, 7); (1, 1) by nothing.
+        assert!(cover.dominates(&[2.5, 7.5], full(2)));
+        assert!(!cover.dominates(&[1.0, 1.0], full(2)));
+        assert_eq!(site.tree().survival_product(&[1.0, 1.0], full(2)), 1.0);
     }
 
     #[test]
@@ -1078,9 +1118,8 @@ mod tests {
             for j in 0..feedbacks.len() {
                 let frame = flush(&feedbacks[j..j + 1], block(j));
                 let survivals = Box::new(split.handle(wrap(frame.clone())));
-                let Message::Upload(next) = split.handle(wrap(Message::RequestNext)) else {
-                    panic!("refills upload")
-                };
+                let (next, drained) = expect_upload(0, split.handle(wrap(Message::RequestNext)))
+                    .expect("refills upload");
                 let draw = wrap(Message::Draw(Box::new(frame)));
                 let reply = if by_frame {
                     drawn.handle_frame(&draw.encode(), &mut out);
@@ -1088,7 +1127,7 @@ mod tests {
                 } else {
                     drawn.handle(draw)
                 };
-                assert_eq!(reply, Message::Drawn { survivals, next }, "draw {j}");
+                assert_eq!(reply, Message::Drawn { survivals, next, drained }, "draw {j}");
             }
             assert_eq!(drawn.pending_candidates(), 0, "the draws exhausted the site");
             assert_eq!(split.pending_candidates(), 0);

@@ -335,12 +335,25 @@ fn site_failed(site: usize, source: dsud_net::LinkError) -> Error {
 /// Applies `op` to its home site's tree and returns the site's
 /// maintenance notification (`Ack` when the update is purely local).
 fn inject(fan: &mut Fanout<'_>, op: &UpdateOp) -> Result<Message, Error> {
+    // Every update reaches its site through here — a maintainer's, a
+    // served one, a deferred one replayed at rejoin — so this is where the
+    // deployment's cover of the site follows it, always a superset of what
+    // the site stores: an insert's point goes in before the tuple reaches
+    // the site, a deleted tuple's point comes out only once it is gone.
     let home = op.site() as usize;
-    let msg = match op {
-        UpdateOp::Insert(t) => Message::InjectInsert(TupleMsg::new(t, 0.0)),
-        UpdateOp::Delete(t) => Message::InjectDelete(TupleMsg::new(t, 0.0)),
-    };
-    fan.call(home, msg).map_err(|e| site_failed(home, e))
+    match op {
+        UpdateOp::Insert(t) => {
+            fan.extend_cover(home, t.id(), t.values());
+            let msg = Message::InjectInsert(TupleMsg::new(t, 0.0));
+            fan.call(home, msg).map_err(|e| site_failed(home, e))
+        }
+        UpdateOp::Delete(t) => {
+            let msg = Message::InjectDelete(TupleMsg::new(t, 0.0));
+            let reply = fan.call(home, msg).map_err(|e| site_failed(home, e))?;
+            fan.retract_cover(home, t.id(), t.values());
+            Ok(reply)
+        }
+    }
 }
 
 /// Maintenance runs under strict semantics: a transport failure anywhere

@@ -42,9 +42,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use dsud_obs::{Counter, Recorder};
+use dsud_uncertain::{dominates_in, SubspaceMask, TupleId};
+use parking_lot::RwLock;
 
 use crate::message::AggReply;
-use crate::{Link, LinkError, Message, Service, Ticket};
+use crate::{Cover, Link, LinkError, Message, Service, Ticket};
 
 /// One position in a [`FanPlan`]: either a site itself or an aggregator
 /// over an ascending run of child nodes.
@@ -175,13 +177,110 @@ enum TicketRepr {
     Tree(u64),
 }
 
-/// Tree-mode routing state: which group link serves each site, plus the
-/// per-link FIFO of single-site operations still in flight.
-struct TreeState {
-    /// Member sites per physical link, ascending.
+/// What every fan-out over one deployment shares, built once: the routing
+/// tables of its [`FanPlan`] and what the coordinator knows of each site's
+/// contents — its dominance [`Cover`].
+///
+/// A deployment owner (`dsud-core`'s `Cluster` or `SessionServer`) keeps
+/// one and lends it to each [`Fanout::tree`]. Covers change only when a
+/// tuple is inserted or deleted ([`Routes::extend_cover`],
+/// [`Routes::retract_cover`]), behind a per-site lock, so concurrent
+/// fan-outs can share one value.
+#[derive(Debug)]
+pub struct Routes {
+    plan: FanPlan,
+    /// Member sites per root link, ascending (one site per link when the
+    /// plan is flat).
     groups: Vec<Vec<u32>>,
-    /// Site index → physical link index.
+    /// Site index → root link index.
     group_of: Vec<usize>,
+    /// Per site, its cover; `None` while it is unknown (for every site
+    /// until [`Routes::set_covers`]).
+    covers: Vec<Option<RwLock<SiteCover>>>,
+}
+
+/// One site's cover as the coordinator keeps it: the site's corners, plus
+/// the point of every tuple inserted there since, by id, so that deleting
+/// it takes exactly its point back out.
+#[derive(Debug)]
+struct SiteCover {
+    corners: Cover,
+    inserted: Vec<(TupleId, Vec<f64>)>,
+}
+
+impl Routes {
+    /// The routing tables of `plan`, without covers.
+    pub fn new(plan: FanPlan) -> Self {
+        let groups = plan.groups();
+        let mut group_of = vec![0usize; plan.sites()];
+        for (g, members) in groups.iter().enumerate() {
+            debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "group members ascend");
+            for &site in members {
+                group_of[site as usize] = g;
+            }
+        }
+        let covers = (0..plan.sites()).map(|_| None).collect();
+        Routes { plan, groups, group_of, covers }
+    }
+
+    /// The plan the tables were built from.
+    pub fn plan(&self) -> &FanPlan {
+        &self.plan
+    }
+
+    /// Member sites behind each root link, ascending.
+    pub fn groups(&self) -> &[Vec<u32>] {
+        &self.groups
+    }
+
+    /// Installs each site's cover, in site order (`None`: the site keeps
+    /// none, and every delivery to it goes out).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one entry per site.
+    pub fn set_covers(&mut self, covers: Vec<Option<Cover>>) {
+        assert_eq!(covers.len(), self.plan.sites(), "one cover per site");
+        self.covers = covers
+            .into_iter()
+            .map(|c| c.map(|corners| RwLock::new(SiteCover { corners, inserted: Vec::new() })))
+            .collect();
+    }
+
+    /// Whether `site` may hold a tuple dominating `point` on `mask`:
+    /// `false` only when the site's cover proves it holds none.
+    pub fn may_hold_dominator(&self, site: usize, point: &[f64], mask: SubspaceMask) -> bool {
+        let Some(Some(cover)) = self.covers.get(site) else { return true };
+        let cover = cover.read();
+        cover.corners.dominates(point, mask)
+            || cover.inserted.iter().any(|(_, p)| dominates_in(p, point, mask))
+    }
+
+    /// Adds the point of tuple `id`, about to be stored at `site`, to the
+    /// site's cover.
+    pub fn extend_cover(&self, site: usize, id: TupleId, point: &[f64]) {
+        if let Some(Some(cover)) = self.covers.get(site) {
+            let mut cover = cover.write();
+            if !cover.inserted.iter().any(|(i, p)| *i == id && p == point) {
+                cover.inserted.push((id, point.to_vec()));
+            }
+        }
+    }
+
+    /// Takes the point of inserted tuple `id`, just deleted from `site`,
+    /// back out of the site's cover. A tuple the coordinator never
+    /// inserted leaves the cover alone.
+    pub fn retract_cover(&self, site: usize, id: TupleId, point: &[f64]) {
+        if let Some(Some(cover)) = self.covers.get(site) {
+            cover.write().inserted.retain(|(i, p)| !(*i == id && p == point));
+        }
+    }
+}
+
+/// Tree-mode per-fan-out state: the per-link FIFO of single-site
+/// operations still in flight. The routing itself is the borrowed
+/// [`Routes`].
+struct TreeState {
     /// Per physical link: `(op id, inner ticket, site)` in send order.
     /// Transport tickets redeem in send order, so completing op `k` first
     /// drains every earlier entry into the stash.
@@ -239,53 +338,48 @@ impl TreeState {
 /// scatter path.
 pub struct Fanout<'a> {
     links: &'a mut [Box<dyn Link>],
+    /// The deployment's routing and covers; `None` over bare links.
+    routes: Option<&'a Routes>,
     tree: Option<TreeState>,
 }
 
 impl<'a> Fanout<'a> {
-    /// A flat fan-out: one link per site, no aggregation, identical to the
-    /// pre-topology coordinator behavior.
+    /// A flat fan-out over bare links: one link per site, no aggregation,
+    /// identical to the pre-topology coordinator behavior. It knows no
+    /// covers, so every site may hold a dominator of every point.
     pub fn flat(links: &'a mut [Box<dyn Link>]) -> Self {
-        Fanout { links, tree: None }
+        Fanout { links, routes: None, tree: None }
     }
 
-    /// A fan-out routed through `plan`. A flat plan (or one whose link
-    /// count says no aggregation happened) behaves exactly like
-    /// [`Fanout::flat`]; otherwise `links` must hold one physical link per
-    /// root group, and per-site operations are wrapped in aggregate
-    /// frames. Root-side merge/fold counters are recorded on `recorder`.
+    /// A fan-out routed through a deployment's `routes`. A flat plan
+    /// behaves exactly like [`Fanout::flat`] on the wire; otherwise `links`
+    /// must hold one physical link per root group, and per-site operations
+    /// are wrapped in aggregate frames. Root-side merge/fold counters are
+    /// recorded on `recorder`.
     ///
     /// # Panics
     ///
     /// Panics when the link count matches neither the plan's site count
     /// (flat) nor its root fan-out (tree).
-    pub fn tree(links: &'a mut [Box<dyn Link>], plan: &FanPlan, recorder: Recorder) -> Self {
+    pub fn tree(links: &'a mut [Box<dyn Link>], routes: &'a Routes, recorder: Recorder) -> Self {
+        let plan = routes.plan();
         if plan.is_flat() {
             assert_eq!(links.len(), plan.sites(), "flat plan needs one link per site");
-            return Self::flat(links);
+            return Fanout { links, routes: Some(routes), tree: None };
         }
         assert_eq!(
             links.len(),
             plan.root_fanout(),
             "tree plan needs one physical link per root group"
         );
-        let groups = plan.groups();
-        let mut group_of = vec![0usize; plan.sites()];
-        for (g, members) in groups.iter().enumerate() {
-            debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "group members ascend");
-            for &site in members {
-                group_of[site as usize] = g;
-            }
-        }
-        let fifo = (0..groups.len()).map(|_| VecDeque::new()).collect();
+        let groups = routes.groups.len();
         Fanout {
             links,
+            routes: Some(routes),
             tree: Some(TreeState {
-                dead: vec![None; groups.len()],
-                groups,
-                group_of,
-                fifo,
+                fifo: (0..groups).map(|_| VecDeque::new()).collect(),
                 stash: HashMap::new(),
+                dead: vec![None; groups],
                 next_op: 0,
                 recorder,
             }),
@@ -294,9 +388,33 @@ impl<'a> Fanout<'a> {
 
     /// Number of virtual sites (not physical links).
     pub fn len(&self) -> usize {
-        match &self.tree {
-            Some(t) => t.group_of.len(),
+        match self.routes {
+            Some(routes) => routes.plan().sites(),
             None => self.links.len(),
+        }
+    }
+
+    /// Whether `site` may hold a tuple dominating `point` on `mask`:
+    /// `false` only when the deployment's cover of the site proves it
+    /// holds none. Always `true` over bare links.
+    pub fn may_hold_dominator(&self, site: usize, point: &[f64], mask: SubspaceMask) -> bool {
+        self.routes.is_none_or(|r| r.may_hold_dominator(site, point, mask))
+    }
+
+    /// Adds tuple `id`'s point to the deployment's cover of `site`, before
+    /// the tuple is stored there (see [`Routes::extend_cover`]).
+    pub fn extend_cover(&self, site: usize, id: TupleId, point: &[f64]) {
+        if let Some(routes) = self.routes {
+            routes.extend_cover(site, id, point);
+        }
+    }
+
+    /// Takes inserted tuple `id`'s point back out of the deployment's
+    /// cover of `site`, once it is deleted there (see
+    /// [`Routes::retract_cover`]).
+    pub fn retract_cover(&self, site: usize, id: TupleId, point: &[f64]) {
+        if let Some(routes) = self.routes {
+            routes.retract_cover(site, id, point);
         }
     }
 
@@ -318,12 +436,13 @@ impl<'a> Fanout<'a> {
         let Some(tree) = &mut self.tree else {
             return crate::broadcast(self.links, include, msg);
         };
+        let routes = self.routes.expect("a tree fan-out is built from routes");
         // Send phase: one merged frame per group with at least one
         // included member.
         let mut sent: Vec<(usize, Vec<u32>, Result<Ticket, LinkError>)> = Vec::new();
-        for g in 0..tree.groups.len() {
+        for (g, members) in routes.groups.iter().enumerate() {
             let sites: Vec<u32> =
-                tree.groups[g].iter().copied().filter(|s| include(*s as usize)).collect();
+                members.iter().copied().filter(|s| include(*s as usize)).collect();
             if sites.is_empty() {
                 continue;
             }
@@ -355,12 +474,13 @@ impl<'a> Fanout<'a> {
         let Some(tree) = &mut self.tree else {
             return crate::scatter(self.links, requests);
         };
+        let routes = self.routes.expect("a tree fan-out is built from routes");
         let mut per_group: Vec<Vec<(u32, Message)>> =
-            (0..tree.groups.len()).map(|_| Vec::new()).collect();
-        let mut seen = vec![false; tree.group_of.len()];
+            (0..routes.groups.len()).map(|_| Vec::new()).collect();
+        let mut seen = vec![false; routes.group_of.len()];
         for (site, msg) in requests {
             assert!(!std::mem::replace(&mut seen[site], true), "duplicate scatter target {site}");
-            per_group[tree.group_of[site]].push((site as u32, msg));
+            per_group[routes.group_of[site]].push((site as u32, msg));
         }
         let mut sent: Vec<(usize, Vec<u32>, Result<Ticket, LinkError>)> = Vec::new();
         for (g, mut parts) in per_group.into_iter().enumerate() {
@@ -401,7 +521,7 @@ impl<'a> Fanout<'a> {
         let Some(tree) = &mut self.tree else {
             return self.links[site].send(msg).map(|t| OpTicket(TicketRepr::Flat(t)));
         };
-        let g = tree.group_of[site];
+        let g = self.routes.expect("a tree fan-out is built from routes").group_of[site];
         if let Some(e) = tree.dead[g].clone() {
             return Err(e);
         }
@@ -442,8 +562,8 @@ impl<'a> Fanout<'a> {
             TicketRepr::Flat(t) => return self.links[site].complete(t),
             TicketRepr::Tree(op) => op,
         };
+        let g = self.routes.expect("a tree fan-out is built from routes").group_of[site];
         let tree = self.tree.as_mut().expect("a tree ticket comes from a tree fan-out");
-        let g = tree.group_of[site];
         loop {
             if let Some(result) = tree.stash.remove(&op) {
                 return result;
@@ -856,7 +976,8 @@ mod tests {
         let transcript = |plan: &FanPlan| {
             let meter = BandwidthMeter::new();
             let mut links = build_links(plan, &meter);
-            let mut fan = Fanout::tree(&mut links, plan, Recorder::disabled());
+            let routes = Routes::new(plan.clone());
+            let mut fan = Fanout::tree(&mut links, &routes, Recorder::disabled());
             assert_eq!(fan.len(), 11);
             let mut log = Vec::new();
             log.extend(fan.broadcast(|_| true, &feedback()));
@@ -895,7 +1016,8 @@ mod tests {
             let meter = BandwidthMeter::new();
             let plan = FanPlan::flat(4);
             let mut links = build_links(&plan, &meter);
-            let mut fan = Fanout::tree(&mut links, &plan, Recorder::disabled());
+            let routes = Routes::new(plan.clone());
+            let mut fan = Fanout::tree(&mut links, &routes, Recorder::disabled());
             let t2 = fan.send(2, feedback()).unwrap();
             let t0 = fan.send(0, feedback()).unwrap();
             let r0 = fan.complete(0, t0).unwrap();
@@ -906,7 +1028,8 @@ mod tests {
         let meter = BandwidthMeter::new();
         let plan = FanPlan::tree(4, 2);
         let mut links = build_links(&plan, &meter);
-        let mut fan = Fanout::tree(&mut links, &plan, Recorder::disabled());
+        let routes = Routes::new(plan.clone());
+        let mut fan = Fanout::tree(&mut links, &routes, Recorder::disabled());
         // Two in-flight ops on the two groups, then a broadcast that rides
         // the same physical links, then out-of-order completion.
         let t2 = fan.send(2, feedback()).unwrap();
@@ -930,7 +1053,8 @@ mod tests {
             LocalLink::new(counting_site(99), BandwidthMeter::new()),
             FaultPlan::quiet().window(1, u64::MAX, FaultKind::Disconnect),
         ));
-        let mut fan = Fanout::tree(&mut links, &plan, Recorder::disabled());
+        let routes = Routes::new(plan.clone());
+        let mut fan = Fanout::tree(&mut links, &routes, Recorder::disabled());
         let replies = fan.broadcast(|_| true, &feedback());
         assert_eq!(replies.len(), 8);
         for (site, reply) in replies {
@@ -951,7 +1075,8 @@ mod tests {
         let plan = FanPlan::tree(8, 4);
         let meter = BandwidthMeter::new();
         let mut links = build_links(&plan, &meter);
-        let mut fan = Fanout::tree(&mut links, &plan, recorder.clone());
+        let routes = Routes::new(plan.clone());
+        let mut fan = Fanout::tree(&mut links, &routes, recorder.clone());
         fan.broadcast(|_| true, &feedback());
         // 8 logical deliveries over 2 root frames: 6 merged away.
         assert_eq!(recorder.counter(Counter::AggMergedFrames), 6);

@@ -59,6 +59,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cover;
 pub mod fanout;
 mod latency;
 mod message;
@@ -69,7 +70,8 @@ pub mod tcp;
 mod transport;
 pub mod wire;
 
-pub use fanout::{Aggregator, FanNode, FanPlan, Fanout, OpTicket};
+pub use cover::Cover;
+pub use fanout::{Aggregator, FanNode, FanPlan, Fanout, OpTicket, Routes};
 pub use latency::{DelayedService, LatencyModel};
 pub use message::{AggReply, Message, SynopsisMsg, TrafficClass, TupleMsg};
 pub use meter::{BandwidthMeter, Counters, MeterSnapshot};

@@ -280,7 +280,8 @@ pub enum Message {
     /// local skyline.
     Feedback(TupleMsg),
     /// `site → H`: representative upload (`None` when the local skyline is
-    /// exhausted).
+    /// exhausted). An upload that leaves the site's queue empty travels as
+    /// [`Message::UploadLast`] instead.
     Upload(Option<TupleMsg>),
     /// `site → H`: reply to a [`Message::Feedback`] — the survival product
     /// `P_sky(t, D_x)` of Observation 1, plus how many local candidates the
@@ -467,17 +468,31 @@ pub enum Message {
         survivals: Box<Message>,
         /// The next representative, as a [`Message::Upload`] would carry it.
         next: Option<TupleMsg>,
+        /// Whether the refill left the site's queue empty. Always `true`
+        /// without an upload; the tag carries it, so it costs no byte.
+        drained: bool,
     },
     /// `site → H`: reply to a counted [`Message::Start`] — the first
     /// representative, as a [`Message::Upload`] would carry it, plus how
     /// many local skyline candidates remain pending behind it. Charged as
     /// that upload: one tuple, or none when exhausted.
     Started {
-        /// Candidates of `SKY(D_i)` still pending after `next`.
+        /// Candidates of `SKY(D_i)` still pending after `next` (0: the
+        /// site's queue is empty).
         pending: u32,
         /// The first representative (`None` when `SKY(D_i)` is empty).
         next: Option<TupleMsg>,
     },
+    /// `site → H`: a representative upload that leaves the site's queue
+    /// empty — [`Message::Upload`] plus the promise that every later
+    /// refill of the query uploads nothing. Same body, its own tag.
+    UploadLast(TupleMsg),
+    /// `H → site`: send your dominance cover (see [`crate::Cover`]). Asked
+    /// once per deployment, at assembly.
+    CoverRequest,
+    /// `site → H`: reply to [`Message::CoverRequest`]. Setup metadata, not
+    /// tuples: control class, no tuple weight.
+    Cover(crate::Cover),
 }
 
 /// Traffic classes used by the [`crate::BandwidthMeter`].
@@ -501,7 +516,9 @@ impl Message {
     /// Traffic class of the message.
     pub fn class(&self) -> TrafficClass {
         match self {
-            Message::Upload(_) | Message::Started { .. } => TrafficClass::Upload,
+            Message::Upload(_) | Message::UploadLast(_) | Message::Started { .. } => {
+                TrafficClass::Upload
+            }
             Message::Feedback(_) | Message::FeedbackBatch(_) | Message::FeedbackBatchC(_) => {
                 TrafficClass::Feedback
             }
@@ -546,6 +563,7 @@ impl Message {
             // Retired plan-phase frames are control traffic with zero tuple
             // weight.
             Message::SketchRequest | Message::Sketch(_) => TrafficClass::Control,
+            Message::CoverRequest | Message::Cover(_) => TrafficClass::Control,
             // A draw is its flush plus a free refill request; its reply is
             // the upload plus a free survival reply.
             Message::Draw(flush) => flush.class(),
@@ -556,7 +574,7 @@ impl Message {
     /// Number of tuples the message carries — the paper's bandwidth unit.
     pub fn tuple_count(&self) -> u64 {
         match self {
-            Message::Upload(Some(_)) | Message::Feedback(_) => 1,
+            Message::Upload(Some(_)) | Message::UploadLast(_) | Message::Feedback(_) => 1,
             Message::NotifyInsert(_) | Message::NotifyDelete(_) => 1,
             Message::ReplicaAdd(_) | Message::ReplicaRemove(_) | Message::RegionQuery(_) => 1,
             Message::ReplicaSync(tuples)
@@ -768,12 +786,17 @@ impl Message {
             // Like Upload(None)/Upload(Some), the tag says whether an
             // upload rides along; it precedes the survival reply, which is
             // the rest of the frame.
-            Message::Drawn { survivals, next: None } => {
+            // A third tag marks an upload that drained the site.
+            Message::Drawn { survivals, next: None, .. } => {
                 buf.put_u8(crate::wire::TAG_DRAWN_EXHAUSTED);
                 survivals.encode_body(buf);
             }
-            Message::Drawn { survivals, next: Some(t) } => {
-                buf.put_u8(crate::wire::TAG_DRAWN);
+            Message::Drawn { survivals, next: Some(t), drained } => {
+                buf.put_u8(if *drained {
+                    crate::wire::TAG_DRAWN_LAST
+                } else {
+                    crate::wire::TAG_DRAWN
+                });
                 t.encode(buf);
                 survivals.encode_body(buf);
             }
@@ -788,6 +811,19 @@ impl Message {
                 buf.put_u32(*pending);
                 t.encode(buf);
             }
+            Message::UploadLast(t) => {
+                buf.put_u8(40);
+                t.encode(buf);
+            }
+            Message::CoverRequest => buf.put_u8(42),
+            Message::Cover(cover) => {
+                buf.put_u8(43);
+                buf.put_u16(cover.dims() as u16);
+                buf.put_u32(cover.len() as u32);
+                for &v in cover.points() {
+                    buf.put_f64(v);
+                }
+            }
         }
     }
 
@@ -795,9 +831,14 @@ impl Message {
     pub fn encoded_len(&self) -> usize {
         1 + match self {
             Message::Start { .. } => 16,
-            Message::RequestNext | Message::Upload(None) | Message::Ack | Message::DecodeError => 0,
+            Message::RequestNext
+            | Message::Upload(None)
+            | Message::Ack
+            | Message::DecodeError
+            | Message::CoverRequest => 0,
             Message::Feedback(t)
             | Message::Upload(Some(t))
+            | Message::UploadLast(t)
             | Message::NotifyInsert(t)
             | Message::NotifyDelete(t)
             | Message::ReplicaAdd(t)
@@ -837,10 +878,11 @@ impl Message {
             Message::SketchRequest => 0,
             Message::Sketch(_) => dsud_sketch::SiteSketch::encoded_len(),
             Message::Draw(flush) => flush.encoded_len(),
-            Message::Drawn { survivals, next } => {
+            Message::Drawn { survivals, next, .. } => {
                 next.as_ref().map_or(0, TupleMsg::encoded_len) + survivals.encoded_len()
             }
             Message::Started { next, .. } => 4 + next.as_ref().map_or(0, TupleMsg::encoded_len),
+            Message::Cover(cover) => 2 + 4 + 8 * cover.points().len(),
         }
     }
 
@@ -862,7 +904,7 @@ impl Message {
             Message::SurvivalBatchReplyC { survivals, .. } => Some(13 + 8 * survivals.len()),
             Message::Tagged { inner, .. } => inner.legacy_encoded_len().map(|l| l + 9),
             Message::Draw(flush) => flush.legacy_encoded_len().map(|l| l + 1),
-            Message::Drawn { survivals, next } => survivals
+            Message::Drawn { survivals, next, .. } => survivals
                 .legacy_encoded_len()
                 .map(|l| l + 1 + next.as_ref().map_or(0, TupleMsg::encoded_len)),
             _ => None,
@@ -1062,11 +1104,14 @@ impl Message {
                 buf = &[];
                 Message::Draw(Box::new(flush))
             }
-            crate::wire::TAG_DRAWN_EXHAUSTED | crate::wire::TAG_DRAWN => {
+            crate::wire::TAG_DRAWN_EXHAUSTED
+            | crate::wire::TAG_DRAWN
+            | crate::wire::TAG_DRAWN_LAST => {
                 let next = match tag {
-                    crate::wire::TAG_DRAWN => Some(TupleMsg::decode(&mut buf)?),
-                    _ => None,
+                    crate::wire::TAG_DRAWN_EXHAUSTED => None,
+                    _ => Some(TupleMsg::decode(&mut buf)?),
                 };
+                let drained = tag != crate::wire::TAG_DRAWN;
                 let survivals = Self::decode_slice(buf)?;
                 if !matches!(
                     survivals,
@@ -1075,7 +1120,7 @@ impl Message {
                     return None;
                 }
                 buf = &[];
-                Message::Drawn { survivals: Box::new(survivals), next }
+                Message::Drawn { survivals: Box::new(survivals), next, drained }
             }
             38 | 39 => {
                 if buf.remaining() < 4 {
@@ -1084,6 +1129,21 @@ impl Message {
                 let pending = buf.get_u32();
                 let next = if tag == 39 { Some(TupleMsg::decode(&mut buf)?) } else { None };
                 Message::Started { pending, next }
+            }
+            40 => Message::UploadLast(TupleMsg::decode(&mut buf)?),
+            42 => Message::CoverRequest,
+            43 => {
+                if buf.remaining() < 6 {
+                    return None;
+                }
+                let dims = buf.get_u16() as usize;
+                let rows = buf.get_u32() as usize;
+                let values = rows.checked_mul(dims)?;
+                if dims == 0 || buf.remaining() < values.checked_mul(8)? {
+                    return None;
+                }
+                let points = (0..values).map(|_| buf.get_f64()).collect();
+                Message::Cover(crate::Cover::new(dims, points))
             }
             _ => return None,
         };
@@ -1213,6 +1273,21 @@ mod tests {
                     (1, AggReply::Err(LinkError::Timeout)),
                 ],
             },
+            // A draining upload and the cover exchange, bare and routed.
+            Message::UploadLast(sample_tuple_msg()),
+            Message::Tagged {
+                query_id: 5,
+                inner: Box::new(Message::UploadLast(sample_tuple_msg())),
+            },
+            Message::CoverRequest,
+            Message::Cover(crate::Cover::new(3, vec![1.0, 2.0, 3.0, 0.5, 4.0, 1.5])),
+            Message::AggBroadcast { sites: vec![0, 1], inner: Box::new(Message::CoverRequest) },
+            Message::AggReplies {
+                replies: vec![
+                    (0, AggReply::Ok(Box::new(Message::Cover(crate::Cover::new(1, vec![2.0]))))),
+                    (1, AggReply::Ok(Box::new(Message::Cover(crate::Cover::new(2, Vec::new()))))),
+                ],
+            },
         ]
         .into_iter()
         .chain(draw_messages())
@@ -1262,6 +1337,7 @@ mod tests {
                 pruned: 1,
             }),
             next: Some(sample_tuple_msg()),
+            drained: false,
         };
         let drawn_c = || Message::Drawn {
             survivals: Box::new(Message::SurvivalBatchReplyC {
@@ -1269,12 +1345,19 @@ mod tests {
                 pruned: 2,
             }),
             next: None,
+            drained: true,
+        };
+        let drawn_last = || Message::Drawn {
+            survivals: Box::new(Message::SurvivalBatchReply { survivals: vec![1.0], pruned: 0 }),
+            next: Some(sample_tuple_msg()),
+            drained: true,
         };
         vec![
             legacy(),
             columnar(),
             drawn(),
             drawn_c(),
+            drawn_last(),
             Message::Tagged { query_id: 17, inner: Box::new(columnar()) },
             Message::Tagged { query_id: 17, inner: Box::new(legacy()) },
             Message::AggScatter {
@@ -1319,7 +1402,7 @@ mod tests {
         }
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags, (0u8..=39).collect::<Vec<_>>(), "every wire tag 0..=39 represented");
+        assert_eq!(tags, (0u8..=43).collect::<Vec<_>>(), "every wire tag 0..=43 represented");
     }
 
     /// The columnar frames are re-encodings, not new semantics: each
@@ -1813,7 +1896,8 @@ mod tests {
         assert_eq!(draw.encoded_len(), flush.encoded_len() + Message::RequestNext.encoded_len());
         for next in [Some(sample_tuple_msg()), None] {
             let upload = Message::Upload(next.clone());
-            let drawn = Message::Drawn { survivals: Box::new(reply.clone()), next };
+            let drained = next.is_none();
+            let drawn = Message::Drawn { survivals: Box::new(reply.clone()), next, drained };
             assert_eq!(drawn.class(), TrafficClass::Upload);
             assert_eq!(drawn.tuple_count(), upload.tuple_count());
             assert_eq!(drawn.encoded_len(), reply.encoded_len() + upload.encoded_len());
@@ -1852,7 +1936,8 @@ mod tests {
             flush(),
         ] {
             for next in [None, Some(sample_tuple_msg())] {
-                let drawn = Message::Drawn { survivals: Box::new(inner.clone()), next };
+                let drained = next.is_none();
+                let drawn = Message::Drawn { survivals: Box::new(inner.clone()), next, drained };
                 corpus.push(drawn.encode().to_vec());
             }
         }

@@ -317,7 +317,8 @@ mod tests {
             || Box::new(Message::SurvivalBatchReply { survivals: vec![0.5; 5], pruned: 2 });
         for (next, tuples) in [(Some(tuple_msg(1, 0.5)), 1), (None, 0)] {
             let meter = BandwidthMeter::new();
-            let drawn = Message::Drawn { survivals: survivals(), next };
+            let drained = next.is_none();
+            let drawn = Message::Drawn { survivals: survivals(), next, drained };
             meter.record(&drawn);
             let snap = meter.snapshot();
             assert_eq!((snap.upload.messages, snap.upload.tuples), (1, tuples));
@@ -334,7 +335,11 @@ mod tests {
         }
         let merged = BandwidthMeter::new();
         merged.record(&draw);
-        merged.record(&Message::Drawn { survivals: survivals(), next: Some(tuple_msg(1, 0.5)) });
+        merged.record(&Message::Drawn {
+            survivals: survivals(),
+            next: Some(tuple_msg(1, 0.5)),
+            drained: false,
+        });
         let (split, merged) = (split.snapshot(), merged.snapshot());
         assert_eq!(merged.tuples_transmitted(), split.tuples_transmitted());
         assert_eq!(merged.total().bytes, split.total().bytes);

@@ -96,6 +96,9 @@ pub const TAG_DRAWN_EXHAUSTED: u8 = 35;
 /// Wire tag of a [`Message::Drawn`] with an upload: the tag, the uploaded
 /// tuple in its legacy row form, then the survival reply frame.
 pub const TAG_DRAWN: u8 = 36;
+/// Wire tag of a [`Message::Drawn`] whose upload left the site's queue
+/// empty: laid out as [`TAG_DRAWN`].
+pub const TAG_DRAWN_LAST: u8 = 41;
 
 /// Whether `tag` denotes one of the columnar frames decoded by this module.
 pub(crate) fn is_columnar_tag(tag: u8) -> bool {

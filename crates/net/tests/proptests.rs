@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dsud_net::{AggReply, LinkError, Message, TupleBlock, TupleMsg};
+use dsud_net::{AggReply, Cover, LinkError, Message, TupleBlock, TupleMsg};
 use dsud_uncertain::{SubspaceMask, TupleId};
 
 fn arb_tuple_msg() -> impl Strategy<Value = TupleMsg> {
@@ -47,7 +47,18 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_tuple_msg().prop_map(Message::InjectInsert),
         arb_tuple_msg().prop_map(Message::InjectDelete),
         Just(Message::Ack),
+        arb_tuple_msg().prop_map(Message::UploadLast),
+        Just(Message::CoverRequest),
+        arb_cover().prop_map(Message::Cover),
     ]
+}
+
+/// A dominance cover of 0 to 8 points in 1 to 5 dimensions.
+fn arb_cover() -> impl Strategy<Value = Cover> {
+    (1usize..6).prop_flat_map(|dims| {
+        prop::collection::vec(prop::collection::vec(-1e6f64..1e6, dims..dims + 1), 0..8)
+            .prop_map(move |rows| Cover::new(dims, rows.concat()))
+    })
 }
 
 /// Tuples sharing one dimensionality, as a columnar block requires.
@@ -78,15 +89,17 @@ fn arb_draw_frame() -> impl Strategy<Value = Message> {
         arb_rows().prop_map(|rows| {
             Message::Draw(Box::new(Message::FeedbackBatchC(TupleBlock::from_msgs(&rows))))
         }),
-        (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2)).prop_map(
-            |((survivals, pruned), next)| Message::Drawn {
+        (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2), any::<bool>()).prop_map(
+            |((survivals, pruned), next, last)| Message::Drawn {
                 survivals: Box::new(Message::SurvivalBatchReply { survivals, pruned }),
+                drained: last || next.is_empty(),
                 next: next.into_iter().next(),
             }
         ),
-        (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2)).prop_map(
-            |((survivals, pruned), next)| Message::Drawn {
+        (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2), any::<bool>()).prop_map(
+            |((survivals, pruned), next, last)| Message::Drawn {
                 survivals: Box::new(Message::SurvivalBatchReplyC { survivals, pruned }),
+                drained: last || next.is_empty(),
                 next: next.into_iter().next(),
             }
         ),
@@ -179,12 +192,32 @@ proptest! {
 
     #[test]
     fn malformed_draw_bytes_never_panic(
-        tag in prop_oneof![Just(34u8), Just(35u8), Just(36u8)],
+        tag in prop_oneof![Just(34u8), Just(35u8), Just(36u8), Just(41u8)],
         body in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         // Random bodies behind each draw tag: Some or None, never a panic.
         let frame: Vec<u8> = std::iter::once(tag).chain(body).collect();
         let _ = Message::decode_slice(&frame);
+    }
+
+    #[test]
+    fn refill_flag_and_cover_frames_reject_every_truncation(
+        msg in prop_oneof![
+            arb_tuple_msg().prop_map(Message::UploadLast),
+            arb_cover().prop_map(Message::Cover),
+        ],
+        query_id in any::<u64>(),
+    ) {
+        let msg: Message = msg;
+        let tagged = Message::Tagged { query_id, inner: Box::new(msg.clone()) };
+        for msg in [msg, tagged] {
+            let bytes = msg.encode();
+            prop_assert_eq!(bytes.len(), msg.encoded_len());
+            prop_assert_eq!(Message::decode_slice(&bytes), Some(msg));
+            for cut in 0..bytes.len() {
+                prop_assert!(Message::decode_slice(&bytes[..cut]).is_none());
+            }
+        }
     }
 
     #[test]
@@ -213,10 +246,10 @@ proptest! {
     }
 }
 
-/// Every tag byte the protocol assigns (0..=39), plus 40, which it does
+/// Every tag byte the protocol assigns (0..=43), plus 44, which it does
 /// not.
-const TAGS: std::ops::RangeInclusive<u8> = 0..=40;
-const UNASSIGNED_TAG: u8 = 40;
+const TAGS: std::ops::RangeInclusive<u8> = 0..=44;
+const UNASSIGNED_TAG: u8 = 44;
 
 /// `tail` behind `tag`, bare and behind a [`Message::Tagged`] header.
 fn malformed_frames(tag: u8, query_id: u64, tail: &[u8]) -> [Vec<u8>; 2] {

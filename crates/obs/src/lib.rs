@@ -67,7 +67,10 @@ use serde::{Deserialize, Serialize};
 ///   snapshot plus the run's `plan`, `sketch_bytes`, `plan_us`, and
 ///   `planned_batch` stamps. Schema ≤ 9 files still deserialize (the
 ///   counter defaults to 0, the stamps to `None`).
-pub const SCHEMA_VERSION: u32 = 10;
+/// * 11 — adds the feedback-skipping counter `skipped_deliveries` to the
+///   counter snapshot. Schema ≤ 10 files still deserialize (the counter
+///   defaults to 0).
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Typed counters of the paper's cost model.
 ///
@@ -173,9 +176,13 @@ pub enum Counter {
     /// that the planner reads exact counts off the Start replies; kept so
     /// the counter snapshot keeps its shape.
     SketchMerges,
+    /// Feedback deliveries left out because the receiving site was
+    /// drained and its dominance cover proved its survival factor is
+    /// exactly 1.0 (one per site and candidate).
+    SkippedDeliveries,
 }
 
-const COUNTER_COUNT: usize = 31;
+const COUNTER_COUNT: usize = 32;
 
 impl Counter {
     fn index(self) -> usize {
@@ -324,6 +331,10 @@ pub struct CounterSnapshot {
     /// schema 10.
     #[serde(default)]
     pub sketch_merges: u64,
+    /// Final value of [`Counter::SkippedDeliveries`]. Absent (0) before
+    /// schema 11.
+    #[serde(default)]
+    pub skipped_deliveries: u64,
 }
 
 impl CounterSnapshot {
@@ -360,6 +371,7 @@ impl CounterSnapshot {
             agg_merged_frames: c[Counter::AggMergedFrames.index()],
             agg_fold_ops: c[Counter::AggFoldOps.index()],
             sketch_merges: c[Counter::SketchMerges.index()],
+            skipped_deliveries: c[Counter::SkippedDeliveries.index()],
         }
     }
 
@@ -397,6 +409,7 @@ impl CounterSnapshot {
             Counter::AggMergedFrames => self.agg_merged_frames,
             Counter::AggFoldOps => self.agg_fold_ops,
             Counter::SketchMerges => self.sketch_merges,
+            Counter::SkippedDeliveries => self.skipped_deliveries,
         }
     }
 }
@@ -1111,6 +1124,38 @@ mod tests {
         assert_eq!(report.sketch_bytes, None);
         assert_eq!(report.plan_us, None);
         assert_eq!(report.planned_batch, None);
+    }
+
+    #[test]
+    fn schema_ten_reports_deserialize_with_a_zero_skip_counter() {
+        let json = r#"{
+            "schema_version": 10,
+            "algorithm": "dsud",
+            "wall_ms": 1.0,
+            "counters": {
+                "bytes_sent": 9, "messages": 4, "tuples_shipped": 2,
+                "feedback_broadcasts": 1, "rounds": 1, "expunged": 0,
+                "pruned_at_sites": 0, "prtree_nodes_visited": 0,
+                "prtree_pruned_subtrees": 0, "local_skyline_size": 0,
+                "progressive_results": 1, "sketch_merges": 0
+            },
+            "spans": [],
+            "phases": [],
+            "progressive": []
+        }"#;
+        let report: RunReport = serde_json::from_str(json).unwrap();
+        assert_eq!(report.counters.messages, 4);
+        assert_eq!(report.counters.skipped_deliveries, 0);
+        assert_eq!(report.counters.get(Counter::SkippedDeliveries), 0);
+    }
+
+    #[test]
+    fn skip_counter_flows_into_the_snapshot() {
+        let rec = Recorder::enabled();
+        rec.add(Counter::SkippedDeliveries, 5);
+        let report = rec.report("dsud").unwrap();
+        assert_eq!(report.counters.skipped_deliveries, 5);
+        assert_eq!(report.counters.get(Counter::SkippedDeliveries), 5);
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub use bbs::BbsScratch;
 pub use error::Error;
 pub use mbr::Mbr;
 pub use node::Summary;
-pub use tree::{MultiProbeScratch, PrTree, DEFAULT_MAX_ENTRIES};
+pub use tree::{MultiProbeScratch, PrTree, COVER_RUN, DEFAULT_MAX_ENTRIES};

@@ -18,6 +18,12 @@ use crate::{Error, Summary};
 /// illustration; real trees use a few dozen).
 pub const DEFAULT_MAX_ENTRIES: usize = 32;
 
+/// Tuples per corner of a [`PrTree::dominance_cover`]: a full leaf yields
+/// four corners. Shorter runs prove more skips and ship more corners; see
+/// EXPERIMENTS.md, "Feedback to drained sites", for how eight was chosen
+/// against runs of four and whole leaves.
+pub const COVER_RUN: usize = 8;
+
 /// Reusable buffers for [`PrTree::survival_products`], the multi-probe
 /// dominator-window traversal.
 ///
@@ -292,6 +298,35 @@ impl PrTree {
             None => 1.0,
             Some(root) => self.survival_rec(root, point, mask),
         }
+    }
+
+    /// A dominance cover of the stored tuples: the lower corner (per
+    /// dimension minimum) of each run of [`COVER_RUN`] consecutive tuples
+    /// in each leaf, row-major, `dims()` values per corner. Every stored
+    /// tuple is no smaller than its run's corner on any dimension, so a
+    /// point that no corner dominates on a subspace has no dominator in
+    /// the tree there, and its [`PrTree::survival_product`] is exactly
+    /// `1.0`. One pass over the tuples: `O(n·d)`.
+    pub fn dominance_cover(&self) -> Vec<f64> {
+        let mut corners = Vec::with_capacity(self.len.div_ceil(COVER_RUN) * self.dims);
+        let mut stack: Vec<usize> = self.root.into_iter().collect();
+        while let Some(idx) = stack.pop() {
+            match &self.node(idx).body {
+                NodeBody::Leaf(leaf) => {
+                    for run in leaf.tuples().chunks(COVER_RUN) {
+                        let start = corners.len();
+                        corners.extend_from_slice(run[0].values());
+                        for t in &run[1..] {
+                            for (c, &v) in corners[start..].iter_mut().zip(t.values()) {
+                                *c = c.min(v);
+                            }
+                        }
+                    }
+                }
+                NodeBody::Internal(children) => stack.extend(children.iter().map(|(c, _)| *c)),
+            }
+        }
+        corners
     }
 
     /// The survival products of `K` probe points in a *single* shared

@@ -189,4 +189,54 @@ proptest! {
             .collect();
         prop_assert_eq!(got, expected);
     }
+
+    /// The dominance cover is sound: a probe that no cover corner
+    /// dominates on the mask has a survival product of exactly `1.0`,
+    /// single-probe and multi-probe. Coordinates come from a small grid,
+    /// so duplicates and ties with the probes are common; some sites also
+    /// grow by incremental inserts after the bulk load.
+    #[test]
+    fn cover_proves_survival_of_exactly_one(
+        rows in prop::collection::vec(
+            (prop::collection::vec(0u8..8, 3), 0.01f64..=1.0),
+            1..120,
+        ),
+        inserted in 0usize..40,
+        probes in prop::collection::vec(prop::collection::vec(0u8..9, 3), 1..24),
+        dim_bits in 1u8..8,
+        cap in 2usize..12,
+    ) {
+        use dsud_uncertain::dominates_in;
+        let tuples: Vec<UncertainTuple> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (values, p))| {
+                let values = values.iter().map(|&v| f64::from(v)).collect();
+                UncertainTuple::new(TupleId::new(0, i as u64), values, Probability::new(*p).unwrap())
+                    .unwrap()
+            })
+            .collect();
+        let split = tuples.len().saturating_sub(inserted);
+        let mut tree = PrTree::bulk_load_with(3, tuples[..split].to_vec(), cap).unwrap();
+        for t in &tuples[split..] {
+            tree.insert(t.clone()).unwrap();
+        }
+        let dims: Vec<usize> = (0..3).filter(|d| dim_bits & (1 << d) != 0).collect();
+        let mask = SubspaceMask::from_dims(&dims).unwrap();
+        let cover = tree.dominance_cover();
+        prop_assert!(cover.len().is_multiple_of(3));
+        prop_assert!(cover.len() / 3 >= tree.len().div_ceil(cap));
+        let probes: Vec<Vec<f64>> =
+            probes.iter().map(|p| p.iter().map(|&v| f64::from(v)).collect()).collect();
+        let rows: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
+        let mut batched = Vec::new();
+        tree.survival_products(&rows, mask, &mut MultiProbeScratch::default(), &mut batched);
+        for (probe, multi) in probes.iter().zip(&batched) {
+            if cover.chunks_exact(3).any(|c| dominates_in(c, probe, mask)) {
+                continue;
+            }
+            prop_assert_eq!(tree.survival_product(probe, mask).to_bits(), 1.0f64.to_bits());
+            prop_assert_eq!(multi.to_bits(), 1.0f64.to_bits());
+        }
+    }
 }

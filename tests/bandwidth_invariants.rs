@@ -2,7 +2,9 @@
 //! relies on must hold on deterministic seeded workloads, and the meter's
 //! decomposition must be internally consistent.
 
-use dsud_core::{baseline, BandwidthMeter, Cluster, QueryConfig, SiteOptions, SubspaceMask};
+use dsud_core::{
+    baseline, BandwidthMeter, Cluster, Counter, QueryConfig, Recorder, SiteOptions, SubspaceMask,
+};
 use dsud_data::{SpatialDistribution, WorkloadSpec};
 
 fn run_pair(
@@ -68,21 +70,37 @@ fn ceiling_lower_bounds_everything() {
 
 #[test]
 fn traffic_decomposition_is_consistent() {
-    let (dsud, edsud) = run_pair(1_500, 2, 8, 0.3, 9, SpatialDistribution::Independent);
-    for out in [&dsud, &edsud] {
+    let sites = WorkloadSpec::new(1_500, 2)
+        .spatial(SpatialDistribution::Independent)
+        .seed(9)
+        .generate_partitioned(8)
+        .unwrap();
+    let config = QueryConfig::new(0.3).unwrap();
+    let mut runs = Vec::new();
+    for edsud in [false, true] {
+        let recorder = Recorder::enabled();
+        let mut cluster =
+            Cluster::local_instrumented(2, sites.clone(), SiteOptions::default(), recorder.clone())
+                .unwrap();
+        let out = if edsud { cluster.run_edsud(&config) } else { cluster.run_dsud(&config) };
+        runs.push((out.unwrap(), recorder.counter(Counter::SkippedDeliveries)));
+    }
+    for (out, skipped) in &runs {
         let t = &out.traffic;
         assert_eq!(
             t.tuples_transmitted(),
             t.upload.tuples + t.feedback.tuples + t.maintenance.tuples
         );
-        // Every broadcast reaches m−1 sites and elicits one reply each.
+        // Every broadcast reaches m−1 sites: as a frame eliciting one
+        // reply, or as a delivery a drained site's cover proved needs none.
         assert_eq!(t.feedback.messages, t.reply.messages);
-        assert_eq!(t.feedback.tuples, out.stats.broadcasts * 7);
+        assert_eq!(t.feedback.tuples + skipped, out.stats.broadcasts * 7);
         // Bytes flow wherever messages flow.
         assert!(t.upload.bytes > 0);
         assert!(t.total().bytes >= t.total().tuples * 30);
     }
     // DSUD broadcasts every fetched candidate; e-DSUD expunges some.
+    let (dsud, edsud) = (&runs[0].0, &runs[1].0);
     assert!(edsud.stats.expunged > 0, "expected expunges on this workload");
     assert!(edsud.stats.broadcasts <= dsud.stats.broadcasts);
 }

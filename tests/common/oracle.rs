@@ -313,7 +313,8 @@ impl Tally {
     }
 
     /// Fails unless every axis value appeared (faults both ridden out and
-    /// stamped among them) and at least 8 cases met the world oracle.
+    /// stamped among them, and runs that left feedback to a drained site
+    /// out) and at least 8 cases met the world oracle.
     pub fn assert_covered(&self) {
         let axes = [
             ("algorithm", names(&["dsud", "edsud"])),
@@ -328,6 +329,7 @@ impl Tally {
             ("plan", names(&PLANS)),
             ("entry", names(&ENTRIES)),
             ("fault", names(&["none", "ridden out", "stamped"])),
+            ("skipped deliveries", names(&["none", "some"])),
         ];
         let missing: Vec<(&str, &String)> = axes
             .iter()
@@ -343,7 +345,7 @@ impl Tally {
 /// Runs `case` and holds it to checks (a)–(c), recording its axes in
 /// `tally`.
 pub fn check(case: &Case, tally: &mut Tally) {
-    let recorder = if case.fault.is_some() { Recorder::enabled() } else { Recorder::default() };
+    let recorder = Recorder::enabled();
     let outcome = run_recorded(case, recorder.clone());
     let at = format!("{case:?}");
 
@@ -391,6 +393,10 @@ pub fn check(case: &Case, tally: &mut Tally) {
     tally.note("plan", case.plan);
     tally.note("entry", case.entry);
     tally.note("fault", fault);
+    // Served queries record on their own per-query recorder, so only
+    // one-shot runs show their skips here.
+    let skipped = recorder.counter(Counter::SkippedDeliveries) > 0;
+    tally.note("skipped deliveries", if skipped { "some" } else { "none" });
 }
 
 /// Check (a): the reference's answer, bit for bit.

@@ -151,53 +151,53 @@ fn pin_row(
 #[test]
 fn round_schedule_traffic_is_pinned() {
     const PINNED: &[(&str, &str)] = &[
-        ("dsud b1 p1 flat l-", "73/65/3583 455/455/25025 455/0/7735 73/0/201 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b1 p1 flat l-", "66/65/3576 395/395/21725 395/0/6715 66/0/194 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b1 p1 flat l4", "24/24/1320 119/119/6545 119/0/2023 24/0/152 0/0/0 | 17/17/0/57 | 4 4001a6f502258eb1"),
-        ("dsud b1 p1 tree:2 l-", "67/65/4575 130/130/9620 130/0/12480 67/0/986 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b1 p1 tree:2 l-", "60/65/4470 124/124/9020 124/0/10890 60/0/888 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b1 p1 tree:2 l4", "18/24/1626 34/34/2516 34/0/3264 18/0/300 0/0/0 | 17/17/0/57 | 4 4001a6f502258eb1"),
-        ("dsud b1 pauto flat l-", "73/65/3583 455/455/25025 455/0/7735 73/0/201 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b1 pauto flat l-", "66/65/3576 395/395/21725 395/0/6715 66/0/194 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b1 pauto flat l4", "24/24/1320 119/119/6545 119/0/2023 24/0/152 0/0/0 | 17/17/0/57 | 4 4001a6f502258eb1"),
-        ("dsud b1 pauto tree:2 l-", "67/65/4575 130/130/9620 130/0/12480 67/0/986 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b1 pauto tree:2 l-", "60/65/4470 124/124/9020 124/0/10890 60/0/888 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b1 pauto tree:2 l4", "18/24/1626 34/34/2516 34/0/3264 18/0/300 0/0/0 | 17/17/0/57 | 4 4001a6f502258eb1"),
-        ("dsud b16 p1 flat l-", "73/65/6551 91/455/25081 35/0/1855 17/0/145 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 p1 flat l-", "66/65/6098 78/395/21770 28/0/1652 16/0/144 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 p1 flat l4", "39/39/3427 42/224/12332 16/0/1056 13/0/141 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud b16 p1 tree:2 l-", "67/65/7543 66/455/26139 10/0/2220 11/0/202 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 p1 tree:2 l-", "60/65/6992 58/395/22684 8/0/1944 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 p1 tree:2 l4", "33/39/3943 32/224/12828 6/0/1230 7/0/146 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud b16 pauto flat l-", "73/65/6551 91/455/25081 35/0/1855 17/0/145 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 pauto flat l-", "66/65/6098 78/395/21770 28/0/1652 16/0/144 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 pauto flat l4", "39/39/3427 42/224/12332 16/0/1056 13/0/141 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud b16 pauto tree:2 l-", "67/65/7543 66/455/26139 10/0/2220 11/0/202 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 pauto tree:2 l-", "60/65/6992 58/395/22684 8/0/1944 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 pauto tree:2 l4", "33/39/3943 32/224/12828 6/0/1230 7/0/146 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud bauto p1 flat l-", "73/65/5595 115/455/25197 63/0/3123 21/0/149 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto p1 flat l-", "66/65/5406 107/395/21911 61/0/2721 20/0/148 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto p1 flat l4", "31/31/2345 40/168/9288 24/0/1224 15/0/143 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("dsud bauto p1 tree:2 l-", "67/65/6587 70/455/26467 18/0/3780 15/0/258 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto p1 tree:2 l-", "60/65/6300 64/395/23087 18/0/3360 14/0/244 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto p1 tree:2 l4", "25/31/2749 25/168/9733 9/0/1485 9/0/174 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("dsud bauto pauto flat l-", "73/65/5595 115/455/25197 63/0/3123 21/0/149 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto pauto flat l-", "66/65/5406 107/395/21911 61/0/2721 20/0/148 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto pauto flat l4", "31/31/2345 40/168/9288 24/0/1224 15/0/143 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("dsud bauto pauto tree:2 l-", "67/65/6587 70/455/26467 18/0/3780 15/0/258 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto pauto tree:2 l-", "60/65/6300 64/395/23087 18/0/3360 14/0/244 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto pauto tree:2 l4", "25/31/2749 25/168/9733 9/0/1485 9/0/174 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("edsud b1 p1 flat l-", "75/67/3693 336/336/18480 336/0/5712 75/0/203 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b1 p1 flat l-", "70/67/3688 283/283/15565 283/0/4811 70/0/198 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 p1 flat l4", "25/25/1375 70/70/3850 70/0/1190 25/0/153 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
-        ("edsud b1 p1 tree:2 l-", "69/67/4713 96/96/7104 96/0/9216 69/0/1014 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b1 p1 tree:2 l-", "64/67/4638 91/91/6592 91/0/7813 64/0/944 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 p1 tree:2 l4", "19/25/1695 20/20/1480 20/0/1920 19/0/314 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
-        ("edsud b1 pauto flat l-", "75/67/3693 336/336/18480 336/0/5712 75/0/203 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b1 pauto flat l-", "70/67/3688 283/283/15565 283/0/4811 70/0/198 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 pauto flat l4", "25/25/1375 70/70/3850 70/0/1190 25/0/153 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
-        ("edsud b1 pauto tree:2 l-", "69/67/4713 96/96/7104 96/0/9216 69/0/1014 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b1 pauto tree:2 l-", "64/67/4638 91/91/6592 91/0/7813 64/0/944 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 pauto tree:2 l4", "19/25/1695 20/20/1480 20/0/1920 19/0/314 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
-        ("edsud b16 p1 flat l-", "75/67/6290 70/336/18543 21/0/1001 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 p1 flat l-", "70/67/5932 63/283/15641 19/0/839 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 p1 flat l4", "32/32/2533 25/112/6190 8/0/448 15/0/143 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud b16 p1 tree:2 l-", "69/67/7310 55/336/19378 6/0/1220 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 p1 tree:2 l-", "64/67/6882 50/283/16395 6/0/1040 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 p1 tree:2 l4", "26/32/2951 20/112/6490 3/0/535 9/0/174 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud b16 pauto flat l-", "75/67/6290 70/336/18543 21/0/1001 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 pauto flat l-", "70/67/5932 63/283/15641 19/0/839 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 pauto flat l4", "32/32/2533 25/112/6190 8/0/448 15/0/143 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud b16 pauto tree:2 l-", "69/67/7310 55/336/19378 6/0/1220 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 pauto tree:2 l-", "64/67/6882 50/283/16395 6/0/1040 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 pauto tree:2 l4", "26/32/2951 20/112/6490 3/0/535 9/0/174 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto p1 flat l-", "75/67/5358 94/336/18631 49/0/2217 30/0/158 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto p1 flat l-", "70/67/5210 80/283/15724 38/0/1782 28/0/156 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto p1 flat l4", "32/32/2275 31/112/6218 16/0/784 17/0/145 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto p1 tree:2 l-", "69/67/6378 59/331/19375 14/0/2728 24/0/384 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto p1 tree:2 l-", "64/67/6160 54/283/16634 12/0/2184 22/0/356 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto p1 tree:2 l4", "26/32/2693 21/112/6571 6/0/958 11/0/202 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto pauto flat l-", "75/67/5358 94/336/18631 49/0/2217 30/0/158 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto pauto flat l-", "70/67/5210 80/283/15724 38/0/1782 28/0/156 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto pauto flat l4", "32/32/2275 31/112/6218 16/0/784 17/0/145 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto pauto tree:2 l-", "69/67/6378 59/331/19375 14/0/2728 24/0/384 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto pauto tree:2 l-", "64/67/6160 54/283/16634 12/0/2184 22/0/356 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto pauto tree:2 l4", "26/32/2693 21/112/6571 6/0/958 11/0/202 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
     ];
     let mut observed = Vec::new();

@@ -209,7 +209,7 @@ fn warm_columnar_draws_allocate_nothing() {
         assert!(uploads > 0, "{query_id:?}");
         assert!(matches!(
             Message::decode_slice(&out),
-            Some(Message::Drawn { survivals, next: None })
+            Some(Message::Drawn { survivals, next: None, drained: true })
                 if matches!(*survivals, Message::SurvivalBatchReplyC { .. })
         ));
     }
