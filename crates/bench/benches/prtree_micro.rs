@@ -37,9 +37,25 @@ fn bench(c: &mut Criterion) {
         b.iter(|| PrTree::bulk_load(3, tuples.clone()).unwrap());
     });
 
-    group.bench_with_input(BenchmarkId::new("bbs_local_skyline", "q=0.3"), &0.3, |b, &q| {
-        b.iter(|| bbs::local_skyline(&tree, q, mask).unwrap());
-    });
+    // The BBS procedure skips and cuts short the window products that
+    // cannot reach `q`, so its cost falls as `q` rises.
+    for q in [0.3, 0.5, 0.7] {
+        group.bench_with_input(
+            BenchmarkId::new("bbs_local_skyline", format!("q={q}")),
+            &q,
+            |b, &q| {
+                b.iter(|| bbs::local_skyline(&tree, q, mask).unwrap());
+            },
+        );
+    }
+    let sub = SubspaceMask::from_dims(&[0, 2]).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("bbs_local_skyline", "q=0.3,dims=0+2"),
+        &0.3,
+        |b, &q| {
+            b.iter(|| bbs::local_skyline(&tree, q, sub).unwrap());
+        },
+    );
 
     group.bench_function("insert_1000", |b| {
         b.iter(|| {

@@ -240,3 +240,92 @@ proptest! {
         }
     }
 }
+
+/// Tuples on a small grid, so duplicate coordinates are common; about one
+/// in five has `P = 1.0`, whose dominated tuples survive with exactly 0.
+fn arb_grid_tuples(
+    dims: usize,
+    n: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = Vec<UncertainTuple>> {
+    prop::collection::vec((prop::collection::vec(0u8..6, dims), 0.01f64..=1.0, 0u8..5), n).prop_map(
+        |rows| {
+            rows.into_iter()
+                .enumerate()
+                .map(|(i, (values, p, certain))| {
+                    let values = values.into_iter().map(f64::from).collect();
+                    let p = if certain == 0 { 1.0 } else { p };
+                    UncertainTuple::new(
+                        TupleId::new(0, i as u64),
+                        values,
+                        Probability::new(p).unwrap(),
+                    )
+                    .unwrap()
+                })
+                .collect()
+        },
+    )
+}
+
+/// The ungated definition of a local skyline: every tuple with
+/// `P(t) × survival_product ≥ q`, by descending probability, then id.
+fn ungated(
+    tree: &PrTree,
+    tuples: &[UncertainTuple],
+    q: f64,
+    mask: SubspaceMask,
+    keep: impl Fn(&UncertainTuple) -> bool,
+) -> Vec<(TupleId, u64)> {
+    let mut out: Vec<(TupleId, f64)> = tuples
+        .iter()
+        .filter(|t| keep(t))
+        .map(|t| (t.id(), t.prob().get() * tree.survival_product(t.values(), mask)))
+        .filter(|&(_, p)| p >= q)
+        .collect();
+    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+    out.into_iter().map(|(id, p)| (id, p.to_bits())).collect()
+}
+
+fn bits(sky: Vec<dsud_uncertain::SkylineEntry>) -> Vec<(TupleId, u64)> {
+    sky.into_iter().map(|e| (e.tuple.id(), e.probability.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both BBS procedures, which skip and cut short the window products
+    /// that cannot reach `q`, return exactly the ungated answer: the same
+    /// ids in the same order with the same probability bits. `q` is one of
+    /// the tuples' own `P(t)` or exact local probabilities, so ties at the
+    /// threshold are the common case; trees are at least three levels high.
+    #[test]
+    fn gated_bbs_is_bit_identical_to_the_ungated_definition(
+        tuples in arb_grid_tuples(3, 30..=150),
+        dim_bits in 1u8..8,
+        cap in 2usize..6,
+        pick in 0usize..1000,
+        origin in prop::collection::vec(0u8..7, 3),
+    ) {
+        use dsud_uncertain::dominates_in;
+        let dims: Vec<usize> = (0..3).filter(|d| dim_bits & (1 << d) != 0).collect();
+        let mask = SubspaceMask::from_dims(&dims).unwrap();
+        let tree = PrTree::bulk_load_with(3, tuples.clone(), cap).unwrap();
+        prop_assert!(tree.shape().0 >= 3);
+        let thresholds: Vec<f64> = tuples
+            .iter()
+            .flat_map(|t| {
+                let p = t.prob().get();
+                [p, p * tree.survival_product(t.values(), mask)]
+            })
+            .filter(|&q| q > 0.0)
+            .collect();
+        let q = thresholds[pick % thresholds.len()];
+        let origin: Vec<f64> = origin.into_iter().map(f64::from).collect();
+
+        let got = bits(bbs::local_skyline(&tree, q, mask).unwrap());
+        prop_assert_eq!(got, ungated(&tree, &tuples, q, mask, |_| true));
+        let got = bits(bbs::local_skyline_in_region(&tree, q, mask, &origin).unwrap());
+        let expected =
+            ungated(&tree, &tuples, q, mask, |t| dominates_in(&origin, t.values(), mask));
+        prop_assert_eq!(got, expected);
+    }
+}
