@@ -703,15 +703,27 @@ pub(crate) fn routes_with_covers(
     routes
 }
 
+/// Passes on a tuple uploaded by `site` if it is one of `site`'s own. The
+/// coordinators file every upload, and size their per-site state, by the
+/// tuple's site id, so a reply naming another site is rejected, not trusted.
+fn own_upload(site: u32, t: Option<TupleMsg>) -> Result<Option<TupleMsg>, Error> {
+    match t {
+        Some(t) if t.id.site.0 != site => {
+            Err(Error::ProtocolViolation { site, what: "uploaded tuple from another site" })
+        }
+        t => Ok(t),
+    }
+}
+
 /// Interprets a reply from `site` that must be an upload: the uploaded
 /// representative, and whether the site's queue is now empty.
 pub(crate) fn expect_upload(site: u32, msg: Message) -> Result<(Option<TupleMsg>, bool), Error> {
     match msg {
         Message::Upload(t) => {
             let drained = t.is_none();
-            Ok((t, drained))
+            Ok((own_upload(site, t)?, drained))
         }
-        Message::UploadLast(t) => Ok((Some(t), true)),
+        Message::UploadLast(t) => Ok((own_upload(site, Some(t))?, true)),
         _ => Err(Error::ProtocolViolation { site, what: "expected Upload reply" }),
     }
 }
@@ -721,7 +733,7 @@ pub(crate) fn expect_upload(site: u32, msg: Message) -> Result<(Option<TupleMsg>
 /// it (none: the site's queue is empty).
 pub(crate) fn expect_started(site: u32, msg: Message) -> Result<(Option<TupleMsg>, u64), Error> {
     match msg {
-        Message::Started { pending, next } => Ok((next, u64::from(pending))),
+        Message::Started { pending, next } => Ok((own_upload(site, next)?, u64::from(pending))),
         _ => Err(Error::ProtocolViolation { site, what: "expected Started reply" }),
     }
 }
@@ -754,7 +766,7 @@ pub(crate) fn expect_drawn(site: u32, msg: Message, expected: usize) -> Result<D
     match msg {
         Message::Drawn { survivals, next, drained } => {
             let (factors, pruned) = expect_survival_batch(site, *survivals, expected)?;
-            Ok((factors, pruned, next, drained))
+            Ok((factors, pruned, own_upload(site, next)?, drained))
         }
         _ => Err(Error::ProtocolViolation { site, what: "expected Drawn reply" }),
     }
@@ -825,6 +837,38 @@ mod tests {
                 expect_survival(0, Message::SurvivalReply { survival: bad, pruned: 0 }).is_err()
             );
         }
+    }
+
+    /// An upload is filed under its tuple's site id, so a reply whose
+    /// tuple names another site is a protocol violation in every reply
+    /// that can carry one, and the replying site's own tuple passes.
+    #[test]
+    fn uploads_naming_another_site_are_rejected() {
+        let upload = |site| TupleMsg {
+            id: dsud_uncertain::TupleId::new(site, 7),
+            values: vec![1.0, 2.0],
+            prob: 0.5,
+            local_prob: 0.4,
+        };
+        let drawn = |site| Message::Drawn {
+            survivals: Box::new(Message::SurvivalBatchReply { survivals: vec![0.5], pruned: 0 }),
+            next: Some(upload(site)),
+            drained: false,
+        };
+        let started = |site| Message::Started { pending: 3, next: Some(upload(site)) };
+        let violation =
+            Error::ProtocolViolation { site: 2, what: "uploaded tuple from another site" };
+        for forged in [0, 3, u32::MAX] {
+            let upload_reply = Message::Upload(Some(upload(forged)));
+            assert_eq!(expect_upload(2, upload_reply).unwrap_err(), violation);
+            let last = Message::UploadLast(upload(forged));
+            assert_eq!(expect_upload(2, last).unwrap_err(), violation);
+            assert_eq!(expect_started(2, started(forged)).unwrap_err(), violation);
+            assert_eq!(expect_drawn(2, drawn(forged), 1).unwrap_err(), violation);
+        }
+        assert_eq!(expect_upload(2, Message::UploadLast(upload(2))), Ok((Some(upload(2)), true)));
+        assert_eq!(expect_started(2, started(2)), Ok((Some(upload(2)), 3)));
+        assert_eq!(expect_drawn(2, drawn(2), 1), Ok((vec![0.5], 0, Some(upload(2)), false)));
     }
 
     #[test]
