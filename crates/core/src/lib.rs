@@ -64,6 +64,7 @@ pub mod dsud;
 pub mod edsud;
 mod error;
 pub mod estimate;
+mod pending;
 mod pipeline;
 pub mod planner;
 mod progress;

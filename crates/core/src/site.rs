@@ -9,7 +9,7 @@
 //! [`dsud_net::Service`], the identical code runs inline, on a thread, or
 //! behind a TCP socket.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use bytes::BufMut;
 use dsud_net::{wire, BatchView, Cover, Message, Service, TupleMsg};
@@ -19,6 +19,7 @@ use dsud_uncertain::{
     dominates_in, ProbeRows, ProbeSet, SiteId, SubspaceMask, TupleId, UncertainTuple,
 };
 
+use crate::pending::{PendingCandidate, PendingSet};
 use crate::{Error, SiteOptions, UpdatePolicy, WireFormat};
 
 /// A participant `S_i` of the distributed system: owns the uncertain
@@ -52,6 +53,10 @@ pub struct LocalSite {
     /// view plus the survival factors of the reply), so a warm site
     /// answers every batched round without heap allocation.
     feed: FeedbackScratch,
+    /// Local-Pruning finds its hits with the plain scan over the queue
+    /// (the reference the pending index is tested against).
+    #[cfg(test)]
+    reference_scan: bool,
 }
 
 /// Site-held buffers for one batched feedback round, reused across rounds.
@@ -62,46 +67,18 @@ struct FeedbackScratch {
 }
 
 /// Per-query state: the surviving local skyline, in descending local
-/// probability order, with accumulated feedback discounts.
+/// probability order, with accumulated feedback discounts and the index
+/// Local-Pruning searches it with.
 #[derive(Debug)]
 struct ActiveQuery {
     q: f64,
     mask: SubspaceMask,
-    pending: VecDeque<PendingCandidate>,
+    pending: PendingSet,
     /// Candidates eliminated by feedback, remembered with the discounts
     /// that killed them. The paper's update protocol "retrieves the skyline
     /// tuples pruned by t" when a member `t` is deleted — this is that
     /// memory (used by [`UpdatePolicy::Replica`]).
     pruned: Vec<PendingCandidate>,
-}
-
-#[derive(Debug)]
-struct PendingCandidate {
-    tuple: UncertainTuple,
-    local_prob: f64,
-    /// Per-feedback discounts: each foreign feedback tuple that dominates
-    /// this candidate contributes `(id, 1 − P(t))`. The product is the
-    /// upper-bound discount on the candidate's global probability used by
-    /// the Local-Pruning phase.
-    discounted_by: Vec<(TupleId, f64)>,
-}
-
-impl PendingCandidate {
-    fn discount(&self) -> f64 {
-        self.discounted_by.iter().map(|(_, f)| f).product()
-    }
-
-    fn bound(&self) -> f64 {
-        self.local_prob * self.discount()
-    }
-
-    /// Removes a deleted feedback tuple's factor; returns whether the
-    /// candidate's bound crossed back over `q`.
-    fn forget(&mut self, id: TupleId, q: f64) -> bool {
-        let before = self.bound();
-        self.discounted_by.retain(|(d, _)| *d != id);
-        before < q && self.bound() >= q
-    }
 }
 
 impl LocalSite {
@@ -132,6 +109,8 @@ impl LocalSite {
             replica: Vec::new(),
             scratch: BbsScratch::default(),
             feed: FeedbackScratch::default(),
+            #[cfg(test)]
+            reference_scan: false,
         })
     }
 
@@ -203,19 +182,28 @@ impl LocalSite {
         let sky = match bbs::local_skyline_with(&self.tree, q, mask, &mut self.scratch) {
             Ok(sky) => sky,
             // The coordinator validates q and mask before starting; a
-            // failure here means the two sides disagree on the space.
-            Err(_) if counted => return Message::Started { pending: 0, next: None },
-            Err(_) => return Message::Upload(None),
+            // failure here means the two sides disagree on the space. The
+            // rejected query replaces the previous one all the same, so no
+            // later refill streams the previous query's candidates.
+            Err(_) => {
+                self.query = None;
+                return if counted {
+                    Message::Started { pending: 0, next: None }
+                } else {
+                    Message::Upload(None)
+                };
+            }
         };
-        let pending = sky
-            .into_iter()
-            .map(|e| PendingCandidate {
-                tuple: e.tuple,
-                local_prob: e.probability,
-                discounted_by: Vec::new(),
-            })
-            .collect();
+        let pending = PendingSet::new(sky.into_iter().map(|e| PendingCandidate {
+            tuple: e.tuple,
+            local_prob: e.probability,
+            discounted_by: Vec::new(),
+        }));
         self.query = Some(ActiveQuery { q, mask, pending, pruned: Vec::new() });
+        #[cfg(test)]
+        if let Some(active) = &mut self.query {
+            active.pending.reference = self.reference_scan;
+        }
         if !counted {
             return self.upload();
         }
@@ -291,17 +279,24 @@ impl LocalSite {
         Message::SurvivalBatchReply { survivals, pruned }
     }
 
-    /// [`LocalSite::feedback_batch`] over a borrowed columnar view — the
-    /// frame-level fast path behind [`Service::handle_frame`]. The probe
-    /// rows are gathered into the site-held [`FeedbackScratch`] (so the
-    /// strided columns become contiguous rows exactly once), the survival
-    /// factors land in the same scratch for the caller to encode, and the
-    /// pruning passes run in batch order — bit-identical to the
-    /// message-level path, with zero per-tuple allocation once warm.
-    fn feedback_batch_view(&mut self, view: &BatchView<'_>) -> u64 {
+    /// [`LocalSite::feedback_batch`] over columnar rows: a borrowed frame
+    /// view (the fast path behind [`Service::handle_frame`]) or an owned
+    /// block (inline links, which decode before dispatch). `gather`
+    /// transposes the `n` rows into the site-held [`FeedbackScratch`] (so
+    /// the strided columns become contiguous rows exactly once) and `row`
+    /// names row `k`'s id and `P(t)`. The survival factors land in the same
+    /// scratch for the caller to answer with, and the pruning passes run in
+    /// batch order — bit-identical to the row-message path, with zero
+    /// per-tuple allocation once warm.
+    fn feedback_columns(
+        &mut self,
+        n: usize,
+        gather: impl FnOnce(&mut ProbeRows),
+        row: impl Fn(usize) -> (TupleId, f64),
+    ) -> u64 {
         let mask = self.active_mask();
         let mut feed = std::mem::take(&mut self.feed);
-        view.gather_rows(&mut feed.rows);
+        gather(&mut feed.rows);
         self.tree.survival_products(
             &feed.rows,
             mask,
@@ -309,9 +304,9 @@ impl LocalSite {
             &mut feed.survivals,
         );
         let mut pruned = 0;
-        for k in 0..view.len() {
-            pruned +=
-                self.apply_feedback_pruning(view.id(k), view.prob(k), feed.rows.probe(k), mask);
+        for k in 0..n {
+            let (id, prob) = row(k);
+            pruned += self.apply_feedback_pruning(id, prob, feed.rows.probe(k), mask);
         }
         self.feed = feed;
         pruned
@@ -331,31 +326,13 @@ impl LocalSite {
         values: &[f64],
         mask: SubspaceMask,
     ) -> u64 {
-        let mut pruned = 0;
-        if let Some(active) = self.query.as_mut() {
-            if self.options.pruning && id.site != self.id {
-                let q = active.q;
+        match self.query.as_mut() {
+            Some(active) if self.options.pruning && id.site != self.id => {
                 let factor = 1.0 - prob;
-                let mut graveyard: Vec<PendingCandidate> = Vec::new();
-                active.pending.retain_mut(|c| {
-                    if dominates_in(values, c.tuple.values(), mask) {
-                        c.discounted_by.push((id, factor));
-                        if c.bound() < q {
-                            pruned += 1;
-                            graveyard.push(PendingCandidate {
-                                tuple: c.tuple.clone(),
-                                local_prob: c.local_prob,
-                                discounted_by: std::mem::take(&mut c.discounted_by),
-                            });
-                            return false;
-                        }
-                    }
-                    true
-                });
-                active.pruned.append(&mut graveyard);
+                active.pending.prune(id, factor, values, mask, active.q, &mut active.pruned)
             }
+            _ => 0,
         }
-        pruned
     }
 
     fn inject_insert(&mut self, msg: &TupleMsg) -> Message {
@@ -501,15 +478,17 @@ impl Service for LocalSite {
             Message::CoverRequest => Message::Cover(self.cover()),
             Message::Feedback(t) => self.feedback(&t),
             Message::FeedbackBatch(ts) => self.feedback_batch(&ts),
-            // Message-level fallback for columnar feedback (inline links
-            // decode before dispatch, bypassing the frame fast path): same
-            // computation, answered in kind.
-            Message::FeedbackBatchC(block) => match self.feedback_batch(&block.to_msgs()) {
-                Message::SurvivalBatchReply { survivals, pruned } => {
-                    Message::SurvivalBatchReplyC { survivals, pruned }
-                }
-                other => other,
-            },
+            // Message-level columnar feedback (inline links decode before
+            // dispatch, bypassing the frame fast path): the fast path's
+            // body over the owned block, answered in kind.
+            Message::FeedbackBatchC(block) => {
+                let pruned = self.feedback_columns(
+                    block.len(),
+                    |rows| block.gather_rows(rows),
+                    |k| (TupleId::new(block.sites[k], block.seqs[k]), block.probs[k]),
+                );
+                Message::SurvivalBatchReplyC { survivals: self.feed.survivals.clone(), pruned }
+            }
             Message::InjectInsert(t) => self.inject_insert(&t),
             Message::InjectDelete(t) => self.inject_delete(&t),
             Message::RegionQuery(t) => self.region_query(&t),
@@ -603,7 +582,11 @@ impl Service for LocalSite {
         // answers `DecodeError` for undecodable frames without panicking.
         let Some(view) = view else { return default_handle_frame(self, frame, out) };
         self.in_session(query_id, |site| {
-            let pruned = site.feedback_batch_view(&view);
+            let pruned = site.feedback_columns(
+                view.len(),
+                |rows| view.gather_rows(rows),
+                |k| (view.id(k), view.prob(k)),
+            );
             out.clear();
             if draw {
                 // The draw's refill, after its flush exactly as in
@@ -732,6 +715,31 @@ mod tests {
         let mut site = paper_site_s1();
         let reply = site.handle(Message::Start { q: 0.5, mask: full(2), counted: true });
         assert!(matches!(reply, Message::Started { pending: 2, next: Some(_) }), "{reply:?}");
+    }
+
+    /// A Start the site rejects (`q` out of range) ends the previous
+    /// query: a refill after it uploads nothing, bare or `Tagged`.
+    #[test]
+    fn a_rejected_start_clears_the_previous_cursor() {
+        for query_id in [None, Some(4)] {
+            let wrap = |m: Message| match query_id {
+                Some(id) => Message::Tagged { query_id: id, inner: Box::new(m) },
+                None => m,
+            };
+            for counted in [false, true] {
+                let mut site = paper_site_s1();
+                site.handle(wrap(Message::Start { q: 0.5, mask: full(2), counted }));
+                let rejected = site.handle(wrap(Message::Start { q: 1.5, mask: full(2), counted }));
+                let empty = if counted {
+                    Message::Started { pending: 0, next: None }
+                } else {
+                    Message::Upload(None)
+                };
+                assert_eq!(rejected, empty);
+                assert_eq!(site.handle(wrap(Message::RequestNext)), Message::Upload(None));
+                assert_eq!(site.pending_candidates(), 0);
+            }
+        }
     }
 
     /// Sites keep no sketch: a sketch request is answered `Ack` and
@@ -1160,6 +1168,136 @@ mod tests {
             }
         }
         assert_eq!(site.pending_candidates(), pending);
+    }
+
+    /// What Local-Pruning leaves behind in session `qid`: the pending
+    /// count and the pruned list (ids, local probabilities and discount
+    /// bits, in order).
+    type PrunedBits = Vec<(TupleId, u64, Vec<(TupleId, u64)>)>;
+    fn pruning_state(site: &mut LocalSite, qid: u64) -> (usize, PrunedBits) {
+        let pending = site.in_session(Some(qid), |s| s.pending_candidates());
+        let pruned = site.sessions.get(&qid).map_or_else(Vec::new, |a| {
+            a.pruned
+                .iter()
+                .map(|c| {
+                    let discounts = c.discounted_by.iter().map(|(id, f)| (*id, f.to_bits()));
+                    (c.tuple.id(), c.local_prob.to_bits(), discounts.collect())
+                })
+                .collect()
+        });
+        (pending, pruned)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The pending index is held to the plain scan over the queue:
+        /// two sites, one on each, answer interleaved single, batched and
+        /// columnar feedback, draws, refills and Replica-policy region
+        /// queries across two `Tagged` sessions with random masks, byte
+        /// for byte, and keep the same pending counts and pruned lists.
+        /// Coordinates sit on a small grid, so sort keys and box corners
+        /// tie with the feedback tuples' coordinates all the time.
+        #[test]
+        fn pending_index_is_bit_identical_to_the_plain_scan(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0u8..6, 3), 0.01f64..=0.25),
+                40..=300,
+            ),
+            queries in proptest::collection::vec((1u8..8, 0.0005f64..0.01), 2),
+            ops in proptest::collection::vec(
+                (
+                    0u8..8,
+                    0u64..2,
+                    0u8..2,
+                    proptest::collection::vec(
+                        (proptest::collection::vec(0u8..6, 3), 0.05f64..=0.99, 0u32..4),
+                        1..8,
+                    ),
+                ),
+                1..48,
+            ),
+        ) {
+            let grid = |cell: &[u8]| cell.iter().map(|&v| f64::from(v)).collect::<Vec<_>>();
+            let tuples: Vec<_> =
+                rows.iter().enumerate().map(|(i, (c, p))| tuple(0, i as u64, grid(c), *p)).collect();
+            let options = SiteOptions { update_policy: UpdatePolicy::Replica, ..Default::default() };
+            let mut indexed = LocalSite::new(0, 3, tuples.clone(), options).unwrap();
+            let mut scanned = LocalSite::new(0, 3, tuples, options).unwrap();
+            scanned.reference_scan = true;
+            let tagged = |qid: u64, inner: Message| Message::Tagged { query_id: qid, inner: Box::new(inner) };
+            let mut out = bytes::BytesMut::new();
+            let mut answer = |site: &mut LocalSite, msg: &Message, by_frame: bool| {
+                if by_frame {
+                    site.handle_frame(&msg.encode(), &mut out);
+                    out.to_vec()
+                } else {
+                    site.handle(msg.clone()).encode().to_vec()
+                }
+            };
+            for (qid, &(dim_bits, q)) in queries.iter().enumerate() {
+                let dims: Vec<usize> = (0..3).filter(|d| dim_bits & (1 << d) != 0).collect();
+                let mask = SubspaceMask::from_dims(&dims).unwrap();
+                let start = tagged(qid as u64, Message::Start { q, mask, counted: true });
+                proptest::prop_assert_eq!(
+                    answer(&mut indexed, &start, false),
+                    answer(&mut scanned, &start, false)
+                );
+            }
+            let mut seq = 0;
+            let mut sent: Vec<TupleMsg> = Vec::new();
+            for (kind, qid, by_frame, batch) in ops {
+                let msgs: Vec<TupleMsg> = batch
+                    .iter()
+                    .map(|(cell, p, site)| {
+                        seq += 1;
+                        // Site 3 stands for a foreign tuple whose P(t) is
+                        // NaN on the wire: its factor never prunes.
+                        let (site, p) = if *site == 3 { (1, f64::NAN) } else { (*site, *p) };
+                        TupleMsg { prob: p, ..TupleMsg::new(&tuple(site, seq, grid(cell), 0.5), p) }
+                    })
+                    .collect();
+                let block = || dsud_net::TupleBlock::from_msgs(&msgs);
+                let inner = match kind {
+                    0 => Message::Feedback(msgs[0].clone()),
+                    1 => Message::FeedbackBatch(msgs.clone()),
+                    2 | 3 => Message::FeedbackBatchC(block()),
+                    4 => Message::Draw(Box::new(Message::FeedbackBatch(msgs.clone()))),
+                    5 => Message::Draw(Box::new(Message::FeedbackBatchC(block()))),
+                    6 => Message::RequestNext,
+                    // A deleted feedback tuple: Replica-policy sites resurrect
+                    // what its feedback pruned.
+                    _ => Message::RegionQuery(
+                        sent.get(seq as usize % sent.len().max(1)).unwrap_or(&msgs[0]).clone(),
+                    ),
+                };
+                sent.extend(msgs);
+                let msg = tagged(qid, inner);
+                let by_frame = by_frame == 1;
+                proptest::prop_assert_eq!(
+                    answer(&mut indexed, &msg, by_frame),
+                    answer(&mut scanned, &msg, by_frame),
+                    "{:?}", msg
+                );
+                for qid in 0..2 {
+                    proptest::prop_assert_eq!(
+                        pruning_state(&mut indexed, qid),
+                        pruning_state(&mut scanned, qid)
+                    );
+                }
+            }
+            // The survivors pop in the same order.
+            for qid in 0..2 {
+                loop {
+                    let next = tagged(qid, Message::RequestNext);
+                    let a = answer(&mut indexed, &next, false);
+                    proptest::prop_assert_eq!(&a, &answer(&mut scanned, &next, false));
+                    if Message::decode_slice(&a) == Some(Message::Upload(None)) {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -177,6 +177,16 @@ impl TupleBlock {
         block
     }
 
+    /// Transposes the block's coordinates into a reusable row-major probe
+    /// buffer, as [`BatchView::gather_rows`] does for a borrowed frame.
+    pub fn gather_rows(&self, rows: &mut ProbeRows) {
+        let n = self.len();
+        rows.reset(self.dims as usize);
+        for i in 0..n {
+            rows.push_row_with(|d| self.cols[d * n + i]);
+        }
+    }
+
     /// Re-materializes the row-major tuple vector (bit-identical to the
     /// rows [`TupleBlock::from_msgs`] consumed).
     pub fn to_msgs(&self) -> Vec<TupleMsg> {
