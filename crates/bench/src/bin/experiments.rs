@@ -288,7 +288,7 @@ fn fig14() {
 /// [`dsud_core::RunReport`] as `BENCH_<algo>.json` in the working
 /// directory (span timings, cost-model counters, progressive trace).
 fn reports() {
-    use dsud_core::{BatchSize, Cluster, PlanMode, QueryConfig, Recorder, SiteOptions, WireFormat};
+    use dsud_core::{BatchSize, Cluster, QueryConfig, Recorder, SiteOptions, WireFormat};
     println!("\n== Run reports: instrumented DSUD / e-DSUD at Table 3 defaults ==");
     let spec = ExpSpec::table3_defaults();
     for (algo, name) in [(Algo::Dsud, "dsud"), (Algo::Edsud, "edsud")] {
@@ -303,8 +303,7 @@ fn reports() {
         let config = QueryConfig::new(spec.q)
             .expect("experiment thresholds are valid")
             .batch_size(BatchSize::Auto)
-            .wire_format(WireFormat::Columnar)
-            .plan_mode(PlanMode::Sketch);
+            .wire_format(WireFormat::Columnar);
         let outcome = match algo {
             Algo::Dsud => cluster.run_dsud(&config),
             _ => cluster.run_edsud(&config),
@@ -317,12 +316,8 @@ fn reports() {
         report.topology = Some(dsud_core::Topology::Flat.to_string());
         report.agg_depth = Some(cluster.plan().depth());
         report.root_fanout = Some(cluster.plan().root_fanout());
-        report.plan = Some(config.plan.to_string());
-        if let Some(s) = outcome.plan.as_ref() {
-            report.sketch_bytes = Some(s.sketch_bytes);
-            report.plan_us = Some(s.plan_us);
-            report.planned_batch = s.planned_batch;
-        }
+        report.plan = Some("sketch".to_string());
+        report.planned_batch = outcome.plan.as_ref().and_then(|s| s.planned_batch);
         let path = PathBuf::from(format!("BENCH_{name}.json"));
         let json = serde_json::to_string_pretty(&report).expect("reports serialize");
         fs::write(&path, json).expect("can write run report");
@@ -423,119 +418,6 @@ fn batching() {
         }
     }
     dump_json("batching", &rows);
-}
-
-/// Planned rounds: candidate-round frames with `--plan sketch` vs the
-/// static `--batch auto` schedule, DSUD and e-DSUD at Table 3 defaults.
-/// The planner widens auto rounds from the exact candidate counts on the
-/// Start replies, so the feedback scatter coalesces into fewer frames; the
-/// answer is asserted bit-identical (planning is pure scheduling) and the
-/// plan phase itself must cost no frame at all.
-fn planning() {
-    use dsud_core::{BatchSize, Cluster, PlanMode, QueryConfig, SiteOptions};
-    println!("\n== Planned vs static auto rounds: frames at Table 3 defaults ==");
-    let spec = ExpSpec::table3_defaults();
-
-    #[derive(Serialize)]
-    struct Row {
-        algo: String,
-        plan: String,
-        candidate_frames: u64,
-        messages: u64,
-        bytes: u64,
-        tuples: u64,
-        planned_batch: Option<usize>,
-        sketch_frames: u64,
-        answers: usize,
-    }
-    let mut rows = Vec::new();
-    println!(
-        "{:<8} {:>7} {:>12} {:>12} {:>14} {:>12} {:>8} {:>9}",
-        "algo", "plan", "cand frames", "messages", "bytes", "tuples", "batch", "answers"
-    );
-    for algo in [Algo::Dsud, Algo::Edsud] {
-        let mut baseline: Option<AnswerAndCounts> = None;
-        for plan in [PlanMode::Static, PlanMode::Sketch] {
-            let mut cluster =
-                Cluster::local_with_options(spec.d, spec.generate(0), SiteOptions::default())
-                    .expect("experiment clusters are valid");
-            let config = QueryConfig::new(spec.q)
-                .expect("experiment thresholds are valid")
-                .batch_size(BatchSize::Auto)
-                .plan_mode(plan);
-            let outcome = match algo {
-                Algo::Dsud => cluster.run_dsud(&config),
-                _ => cluster.run_edsud(&config),
-            }
-            .expect("experiment queries succeed");
-            let answer: Vec<(u64, u64)> = outcome
-                .skyline
-                .iter()
-                .map(|e| (e.tuple.id().seq, e.probability.to_bits()))
-                .collect();
-            let total = outcome.traffic.total();
-            let candidate_frames = outcome.traffic.feedback.messages;
-            let summary = outcome.plan.as_ref();
-            let sketch_frames = summary.map_or(0, |s| s.frames);
-            match &baseline {
-                None => baseline = Some((answer, candidate_frames, total.tuples)),
-                Some((static_answer, static_frames, static_tuples)) => {
-                    assert_eq!(
-                        &answer,
-                        static_answer,
-                        "{}: sketch plan changed the answer",
-                        algo.label()
-                    );
-                    assert_eq!(
-                        total.tuples,
-                        *static_tuples,
-                        "{}: sketch plan changed tuple bandwidth",
-                        algo.label()
-                    );
-                    // The acceptance bar: planned rounds must cut the
-                    // candidate/expunge round frames by ≥ 1.2x, plan
-                    // phase included.
-                    let planned_total = candidate_frames + sketch_frames;
-                    assert!(
-                        planned_total * 6 <= static_frames * 5,
-                        "{}: sketch plan shipped {planned_total} candidate+plan frames vs \
-                         {static_frames} static (need 1.2x)",
-                        algo.label()
-                    );
-                    assert_eq!(
-                        sketch_frames,
-                        0,
-                        "{}: the counts ride the Start replies, yet the plan phase cost \
-                         {sketch_frames} frames",
-                        algo.label()
-                    );
-                }
-            }
-            println!(
-                "{:<8} {:>7} {:>12} {:>12} {:>14} {:>12} {:>8} {:>9}",
-                algo.label(),
-                plan.to_string(),
-                candidate_frames,
-                total.messages,
-                total.bytes,
-                total.tuples,
-                summary.and_then(|s| s.planned_batch).map_or("-".into(), |b| b.to_string()),
-                outcome.skyline.len()
-            );
-            rows.push(Row {
-                algo: algo.label().to_string(),
-                plan: plan.to_string(),
-                candidate_frames,
-                messages: total.messages,
-                bytes: total.bytes,
-                tuples: total.tuples,
-                planned_batch: summary.and_then(|s| s.planned_batch),
-                sketch_frames,
-                answers: outcome.skyline.len(),
-            });
-        }
-    }
-    dump_json("planning", &rows);
 }
 
 /// Pipelined rounds: wall-clock of the query phase with an injected
@@ -1168,9 +1050,6 @@ fn main() {
     }
     if want("batching") {
         batching();
-    }
-    if want("planning") {
-        planning();
     }
     if want("pipeline") {
         pipeline();

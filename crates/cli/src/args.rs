@@ -1,9 +1,10 @@
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 use dsud_core::{
-    BatchSize, FailurePolicy, PipelineDepth, PlanMode, QueryConfig, SubspaceMask, Topology,
-    Transport, WireFormat,
+    BatchSize, FailurePolicy, PipelineDepth, QueryConfig, SubspaceMask, Topology, Transport,
+    WireFormat,
 };
 
 use crate::CliError;
@@ -77,8 +78,8 @@ pub enum Command {
         /// only root-link frame and byte counts change.
         topology: Topology,
         /// The query: `--q` (default 0.3), `--subspace`, `--limit`, and the
-        /// execution settings `--failure`, `--batch`, `--pipeline`, `--wire`
-        /// and `--plan` (see `dsud help` for each flag). None of the settings
+        /// execution settings `--failure`, `--batch`, `--pipeline` and
+        /// `--wire` (see `dsud help` for each flag). None of the settings
         /// changes the answer; `--failure degrade` only decides what a dead
         /// site does to it.
         config: QueryConfig,
@@ -193,14 +194,14 @@ USAGE:
                 [--subspace 0,2,...] [--limit <K>] [--seed <S>] [--report <FILE>]
                 [--transport inline|threaded|tcp] [--failure strict|degrade]
                 [--batch <K>|auto] [--pipeline <W>|auto] [--wire columnar|legacy]
-                [--topology flat|tree:<F>|auto] [--plan sketch|static]
+                [--topology flat|tree:<F>|auto]
   dsud vertical --input <FILE> [--q <Q>]
   dsud stream   --input <FILE> [--q <Q>] [--window <W>] [--every <K>]
   dsud estimate [--n <N>] [--dims <D>] [--sites <M>]
   dsud serve    --input <FILE> [--sites <M>] [--seed <S>] [--port <P>]
                 [--transport inline|threaded|tcp] [--failure strict|degrade]
                 [--batch <K>|auto] [--pipeline <W>|auto] [--wire columnar|legacy]
-                [--topology flat|tree:<F>|auto] [--plan sketch|static]
+                [--topology flat|tree:<F>|auto]
                 [--max-concurrent <N>] [--cache <N>]
                 [--heartbeat <N>] [--op-log <N>]
   dsud client   --addr <HOST:PORT> [--algorithm dsud|edsud] [--q <Q>]
@@ -214,8 +215,9 @@ Flag notes:
                failure behavior and wall-clock differ.
   --failure    strict aborts on a dead site; degrade quarantines it and
                reports upper bounds (needs a fallible transport).
-  --batch      auto sizes feedback rounds from the candidate backlog;
-               a fixed K coalesces K candidates per round.
+  --batch      auto sizes feedback rounds from the exact candidate counts
+               the sites report on their Start replies; a fixed K
+               coalesces K candidates per round.
   --pipeline   auto is the double buffer (W=2); W>1 overlaps rounds on
                threaded/tcp transports. Neither flag changes the answer.
   --wire       columnar (default) packs bulk frames as fixed-width column
@@ -229,12 +231,6 @@ Flag notes:
                carry the chosen wire layout inside them). With --failure
                degrade, a dead aggregator quarantines its whole subtree,
                stamped as upper bounds like any lost site.
-  --plan       sketch (default) sizes --batch auto rounds from the exact
-               candidate counts the sites report on their Start replies
-               (the name stays from the sketch gather this replaced; no
-               extra frame is sent); static keeps the fixed clamp. It
-               acts only under --batch auto (a fixed K is never
-               overridden); answers stay bit-identical either way.
   --deadline   (client) per-query budget in ms; the server cancels at the
                next round boundary and streams the partial answer, marked
                CANCELLED. Nothing cancelled or degraded enters the cache.
@@ -244,7 +240,7 @@ Flag notes:
   --op-log     (serve) deferred-update log capacity for rejoin resync;
                outages longer than the log force a full bootstrap and
                evicted deferred ops are lost (default 1024).
-  serve runs queries with ITS transport/failure/batch/pipeline/wire/plan flags;
+  serve runs queries with ITS transport/failure/batch/pipeline/wire flags;
   clients choose only what to ask (algorithm, q, subspace, limit).
 
 Data files hold one JSON tuple per line:
@@ -260,7 +256,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         return Ok(Command::Help);
     };
     let flags = parse_flags(&args[1..])?;
-    let get = |key: &str| flags.get(key).map(String::as_str);
+    let read = RefCell::new(HashSet::new());
+    let get = |key: &str| {
+        read.borrow_mut().insert(key.to_string());
+        flags.get(key).map(String::as_str)
+    };
     let parse_num = |key: &str, default: usize| -> Result<usize, CliError> {
         match get(key) {
             Some(v) => v
@@ -278,7 +278,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
     };
 
-    match first.as_str() {
+    let command = match first.as_str() {
         "generate" => {
             let n = parse_num("n", 0)?;
             if n == 0 {
@@ -433,12 +433,21 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(CliError::Usage(format!("unknown command '{other}' — try 'dsud help'"))),
+    }?;
+    // A flag the command never read is misspelt or retired: fail rather
+    // than run without it.
+    let read = read.borrow();
+    match flags.keys().filter(|key| !read.contains(*key)).min() {
+        Some(key) => {
+            Err(CliError::Usage(format!("unknown flag '--{key}' for {first} — try 'dsud help'")))
+        }
+        None => Ok(command),
     }
 }
 
 /// Parses the execution settings `query` and `serve` share — `--failure`,
-/// `--batch`, `--pipeline`, `--wire` and `--plan` — into one config over
-/// threshold `q`.
+/// `--batch`, `--pipeline` and `--wire` — into one config over threshold
+/// `q`.
 fn query_config<'a>(
     q: f64,
     get: &dyn Fn(&str) -> Option<&'a str>,
@@ -447,8 +456,7 @@ fn query_config<'a>(
         .failure_policy(failure_flag(get("failure"))?)
         .batch_size(batch_flag(get("batch"))?)
         .pipeline_depth(pipeline_flag(get("pipeline"))?)
-        .wire_format(wire_flag(get("wire"))?)
-        .plan_mode(plan_flag(get("plan"))?))
+        .wire_format(wire_flag(get("wire"))?))
 }
 
 /// Parses `--transport` (defaults to `inline`).
@@ -500,20 +508,6 @@ fn wire_flag(v: Option<&str>) -> Result<WireFormat, CliError> {
             .parse::<WireFormat>()
             .map_err(|_| CliError::Usage(format!("--wire expects legacy|columnar, got '{v}'"))),
         None => Ok(WireFormat::Columnar),
-    }
-}
-
-/// Parses `--plan` (defaults to `sketch`: the CLI always prefers the
-/// round planner, which sizes `--batch auto` rounds from the exact
-/// candidate counts on the Start replies and runs only there; the
-/// library default stays `static` for frame-count-pinned compatibility
-/// tests).
-fn plan_flag(v: Option<&str>) -> Result<PlanMode, CliError> {
-    match v {
-        Some(v) => v
-            .parse::<PlanMode>()
-            .map_err(|_| CliError::Usage(format!("--plan expects sketch|static, got '{v}'"))),
-        None => Ok(PlanMode::Sketch),
     }
 }
 
@@ -627,7 +621,6 @@ mod tests {
         assert_eq!(config.pipeline, PipelineDepth::Fixed(1));
         assert_eq!(config.wire, WireFormat::Columnar);
         assert_eq!(topology, Topology::Flat);
-        assert_eq!(config.plan, PlanMode::Sketch);
         assert_eq!(config.deadline_ms, None);
 
         // The daemon parses the same settings with the same defaults into
@@ -689,23 +682,21 @@ mod tests {
         assert!(parse(&argv("query --input d.jsonl --wire carrier-pigeon")).is_err());
     }
 
+    /// Every command rejects a flag it does not read, so the retired
+    /// `--plan` (and any misspelling) fails instead of being ignored.
     #[test]
-    fn parses_plan_modes() {
-        for (flag, expected) in [("sketch", PlanMode::Sketch), ("static", PlanMode::Static)] {
-            let Command::Query { config, .. } =
-                parse(&argv(&format!("query --input d.jsonl --plan {flag}"))).unwrap()
-            else {
-                panic!()
-            };
-            assert_eq!(config.plan, expected);
+    fn rejects_unknown_flags_like_the_retired_plan() {
+        for line in [
+            "query --input d.jsonl --plan sketch",
+            "query --input d.jsonl --batch auto --plan static",
+            "serve --input d.jsonl --plan sketch",
+            "client --addr 127.0.0.1:1 --topology flat",
+            "generate --n 10 --sites 3",
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{line}: {err}");
         }
-        let Command::Serve { config, .. } =
-            parse(&argv("serve --input d.jsonl --plan static")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(config.plan, PlanMode::Static);
-        assert!(parse(&argv("query --input d.jsonl --plan crystal-ball")).is_err());
+        assert!(parse(&argv("query --input d.jsonl --batch auto")).is_ok());
     }
 
     #[test]

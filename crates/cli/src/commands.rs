@@ -8,9 +8,9 @@ use rand::SeedableRng;
 
 use dsud_core::update::UpdateOp;
 use dsud_core::{
-    baseline, BandwidthMeter, Cluster, LinkConfig, PlanMode, PlanSummary, QueryConfig,
-    QueryOutcome, Recorder, RunReport, SessionOptions, SessionServer, SiteOptions, SubspaceMask,
-    Topology, Transport,
+    baseline, BandwidthMeter, Cluster, LinkConfig, PlanSummary, QueryConfig, QueryOutcome,
+    Recorder, RunReport, SessionOptions, SessionServer, SiteOptions, SubspaceMask, Topology,
+    Transport,
 };
 use dsud_data::nyse::NyseSpec;
 use dsud_data::{partition_uniform, ProbabilityLaw, SpatialDistribution, WorkloadSpec};
@@ -312,10 +312,8 @@ fn query<W: Write>(
 /// Stamps a run report with the settings its query ran under, on the
 /// one-shot and the served path alike. `fan` is the deployment's topology
 /// and fan-out plan (the centralized baseline has none). The `plan` stamp
-/// names the mode that actually ran: `static` unless the planner ran
-/// (`summary`), whose cost (`sketch_bytes`, `plan_us`, both 0 now that the
-/// counts ride the Start replies) and decision (`planned_batch`) are
-/// stamped with it.
+/// says whether the planner ran (`summary`): `sketch` with its decision
+/// (`planned_batch`) stamped beside it, `static` at a fixed batch size.
 fn stamp_report(
     report: &mut RunReport,
     config: &QueryConfig,
@@ -333,12 +331,8 @@ fn stamp_report(
         report.agg_depth = Some(plan.depth());
         report.root_fanout = Some(plan.root_fanout());
     }
-    report.plan = Some(summary.map_or(PlanMode::Static, |s| s.mode).to_string());
-    if let Some(s) = summary {
-        report.sketch_bytes = Some(s.sketch_bytes);
-        report.plan_us = Some(s.plan_us);
-        report.planned_batch = s.planned_batch;
-    }
+    report.plan = Some(if summary.is_some() { "sketch" } else { "static" }.to_string());
+    report.planned_batch = summary.and_then(|s| s.planned_batch);
 }
 
 fn vertical<W: Write>(input: &std::path::Path, q: f64, out: &mut W) -> Result<(), CliError> {
@@ -844,8 +838,7 @@ mod tests {
                     .unwrap()
                     .batch_size(batch)
                     .pipeline_depth(PipelineDepth::Auto)
-                    .wire_format(WireFormat::Columnar)
-                    .plan_mode(PlanMode::Sketch);
+                    .wire_format(WireFormat::Columnar);
                 let mut out = Vec::new();
                 query(
                     &data,
@@ -880,24 +873,18 @@ mod tests {
                     "a tree run merges at least the start broadcast"
                 );
                 if batch == BatchSize::Auto {
-                    // The plan comes from the counts on the Start replies:
-                    // no sketch frames, no merges, even on a tree.
+                    // The plan comes from the counts on the Start replies,
+                    // even on a tree.
                     assert_eq!(report.plan.as_deref(), Some("sketch"));
-                    assert_eq!(report.sketch_bytes, Some(0), "no plan-phase frames");
-                    assert!(report.plan_us.is_some());
                     assert!(
                         report.planned_batch.unwrap() >= dsud_core::planner::PLAN_BATCH_MIN,
-                        "the planner never caps below the static auto clamp"
+                        "the planner never caps below its floor"
                     );
-                    assert_eq!(report.counters.sketch_merges, 0, "nothing to merge");
                 } else {
                     // A fixed batch leaves the planner nothing to decide: no
-                    // plan phase runs, and the report says so.
+                    // plan runs, and the report says so.
                     assert_eq!(report.plan.as_deref(), Some("static"));
-                    assert_eq!(report.sketch_bytes, None);
-                    assert_eq!(report.plan_us, None);
                     assert_eq!(report.planned_batch, None);
-                    assert_eq!(report.counters.sketch_merges, 0);
                 }
                 assert!(!report.phases.is_empty(), "per-phase totals are aggregated");
                 fs::remove_file(&path).unwrap();
@@ -936,8 +923,7 @@ mod tests {
                 .unwrap()
                 .batch_size(batch)
                 .pipeline_depth(PipelineDepth::Auto)
-                .wire_format(WireFormat::Columnar)
-                .plan_mode(PlanMode::Sketch),
+                .wire_format(WireFormat::Columnar),
         }
     }
 

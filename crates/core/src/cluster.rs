@@ -113,9 +113,9 @@ pub struct QueryOutcome {
     /// field existed.
     #[serde(default)]
     pub sites: Vec<SiteStatus>,
-    /// What the planner saw and decided ([`crate::PlanMode::Sketch`] runs
-    /// at [`crate::BatchSize::Auto`] only). `None` for other runs and for
-    /// outcomes serialized before the planner existed.
+    /// What the planner saw and decided ([`crate::BatchSize::Auto`] runs
+    /// only). `None` for fixed-batch runs and for outcomes serialized
+    /// before the planner existed.
     #[serde(default)]
     pub plan: Option<crate::PlanSummary>,
 }

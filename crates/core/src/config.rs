@@ -85,10 +85,9 @@ pub enum BatchSize {
     /// holds fewer eligible candidates). `Fixed(1)` is the classic
     /// one-candidate round of the paper's Section 5.1.
     Fixed(usize),
-    /// Grow the batch with the candidate queue: each round ships
-    /// `min(queue depth, 16)` candidates, so a deep queue amortizes frames
-    /// while a draining queue degrades gracefully to single-candidate
-    /// rounds.
+    /// Planned from exact counts: the run sends a counted Start, and every
+    /// round ships up to [`crate::planner::planned_batch`] of the cluster's
+    /// exact candidate total (see [`crate::planner`]).
     Auto,
 }
 
@@ -99,18 +98,6 @@ impl Default for BatchSize {
 }
 
 impl BatchSize {
-    /// Largest batch `auto` mode will coalesce into one frame.
-    pub const AUTO_MAX: usize = 16;
-
-    /// The batch budget for a round given the current candidate-queue
-    /// depth. Always at least 1.
-    pub fn budget(&self, queue_depth: usize) -> usize {
-        match self {
-            BatchSize::Fixed(k) => (*k).max(1),
-            BatchSize::Auto => queue_depth.clamp(1, Self::AUTO_MAX),
-        }
-    }
-
     /// Stable lowercase name (`"1"`, `"16"`, `"auto"`), as accepted by the
     /// [`std::str::FromStr`] impl.
     pub fn name(&self) -> String {
@@ -349,62 +336,18 @@ impl std::str::FromStr for WireFormat {
     }
 }
 
-/// How the coordinator sizes its rounds (batch budgets, refill shape).
+/// How the coordinator sizes its rounds. There is one plan: under
+/// [`BatchSize::Auto`] every run sends a counted Start and sizes its rounds
+/// from the exact candidate total (see [`crate::planner`]).
 ///
-/// Planning is a pure scheduling optimization: it only adjusts how many
-/// candidates ride each Server-Delivery round when the batch size is
-/// [`BatchSize::Auto`], never which tuples qualify — and at a fixed batch
-/// size it does nothing at all. Results, probabilities, progress order,
-/// and `RunStats` are bit-identical under either mode — only frame counts
-/// and the Start replies' 4-byte counts differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+/// The type and [`QueryConfig::plan_mode`] remain only because the
+/// benchmark package names them; neither changes anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlanMode {
-    /// No plan phase: `--batch auto` uses the fixed queue-clamp heuristic.
-    /// The default so configs and frame counts serialized before the plan
-    /// phase existed stay valid.
+    /// Plan `--batch auto` rounds from the counted Start replies. The name
+    /// stays from the sketch gather this plan replaced.
     #[default]
-    Static,
-    /// Under [`BatchSize::Auto`], send a counted Start and size the round
-    /// budgets from the exact candidate total the sites report on their
-    /// Start replies (see [`crate::planner`]). The name stays from the
-    /// sketch gather this mode used to run; no extra frame is sent now.
-    /// At a fixed batch size it runs exactly the static schedule.
     Sketch,
-}
-
-impl PlanMode {
-    /// Stable lowercase name, as accepted by the [`std::str::FromStr`]
-    /// impl.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PlanMode::Static => "static",
-            PlanMode::Sketch => "sketch",
-        }
-    }
-
-    /// Whether the coordinator plans `--batch auto` rounds from counted
-    /// Start replies.
-    pub fn sketch(&self) -> bool {
-        matches!(self, PlanMode::Sketch)
-    }
-}
-
-impl std::fmt::Display for PlanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for PlanMode {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" => Ok(PlanMode::Static),
-            "sketch" => Ok(PlanMode::Sketch),
-            _ => Err(Error::InvalidArgument("unknown plan mode (expected sketch|static)")),
-        }
-    }
 }
 
 /// Configuration of one distributed skyline query.
@@ -457,13 +400,6 @@ pub struct QueryConfig {
     /// in configs serialized before the field existed) means no deadline.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
-    /// Round-planning mode. Defaults to [`PlanMode::Static`] (no plan
-    /// phase, the schedule every pre-planner frame count was measured
-    /// against); absent in configs serialized before the field existed,
-    /// hence the serde default. Planning never changes the answer — see
-    /// [`PlanMode`].
-    #[serde(default)]
-    pub plan: PlanMode,
 }
 
 impl QueryConfig {
@@ -487,7 +423,6 @@ impl QueryConfig {
             pipeline: PipelineDepth::default(),
             wire: WireFormat::default(),
             deadline_ms: None,
-            plan: PlanMode::default(),
         })
     }
 
@@ -515,9 +450,9 @@ impl QueryConfig {
         self
     }
 
-    /// Selects the round-planning mode.
-    pub fn plan_mode(mut self, plan: PlanMode) -> Self {
-        self.plan = plan;
+    /// Does nothing: there is one plan (see [`PlanMode`]). Kept only
+    /// because the benchmark package calls it.
+    pub fn plan_mode(self, _plan: PlanMode) -> Self {
         self
     }
 
@@ -730,30 +665,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_mode_round_trips_through_names() {
-        for (name, plan) in [("static", PlanMode::Static), ("sketch", PlanMode::Sketch)] {
-            let parsed: PlanMode = name.parse().expect("known plan mode");
-            assert_eq!(parsed, plan);
-            assert_eq!(plan.as_str(), name);
-            assert_eq!(plan.to_string(), name);
-        }
-        assert!(matches!("adaptive".parse::<PlanMode>(), Err(Error::InvalidArgument(_))));
-        assert!(PlanMode::Sketch.sketch());
-        assert!(!PlanMode::Static.sketch());
-    }
-
-    #[test]
-    fn configs_without_a_plan_field_deserialize_static() {
-        // A config serialized before the plan phase existed must keep the
-        // static auto-batch schedule (and its frame counts).
-        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null,"synopsis":null}"#;
-        let cfg: QueryConfig = serde_json::from_str(json).unwrap();
-        assert_eq!(cfg.plan, PlanMode::Static);
-        let cfg = QueryConfig::new(0.3).unwrap().plan_mode(PlanMode::Sketch);
-        assert_eq!(cfg.plan, PlanMode::Sketch);
-        let round: QueryConfig =
-            serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
-        assert_eq!(round.plan, PlanMode::Sketch);
+    fn configs_with_a_retired_plan_field_still_deserialize() {
+        // Configs serialized while the plan was a setting carry a `plan`
+        // field; it is ignored, and `plan_mode` changes nothing.
+        let cfg = QueryConfig::new(0.3).unwrap().batch_size(BatchSize::Auto);
+        let mut json = serde_json::to_string(&cfg).unwrap();
+        json.insert_str(json.len() - 1, r#","plan":"Static""#);
+        let old: QueryConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(old, cfg);
+        assert_eq!(cfg.plan_mode(PlanMode::Sketch), cfg);
     }
 
     #[test]
@@ -807,15 +727,5 @@ mod tests {
         assert_eq!(PipelineDepth::Fixed(8).window(), 8);
         assert_eq!(PipelineDepth::Auto.window(), 2);
         assert!(PipelineDepth::Auto.overlapped());
-    }
-
-    #[test]
-    fn batch_budget_follows_queue_depth() {
-        assert_eq!(BatchSize::Fixed(1).budget(100), 1);
-        assert_eq!(BatchSize::Fixed(4).budget(1), 4);
-        assert_eq!(BatchSize::Fixed(0).budget(5), 1); // degenerate, clamped
-        assert_eq!(BatchSize::Auto.budget(0), 1);
-        assert_eq!(BatchSize::Auto.budget(7), 7);
-        assert_eq!(BatchSize::Auto.budget(1000), BatchSize::AUTO_MAX);
     }
 }

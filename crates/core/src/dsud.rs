@@ -167,10 +167,10 @@ pub(crate) fn run_on(
         }
     }
 
-    // Size `--batch auto` rounds from the exact candidate total instead
-    // of the static queue clamp. A pure scheduling decision — see
-    // `crate::planner` for why it cannot change the answer.
-    let (batch, plan_summary) = planner::schedule(candidates, config);
+    // Size `--batch auto` rounds from the exact candidate total. A pure
+    // scheduling decision — see `crate::planner` for why it cannot change
+    // the answer.
+    let (budget, plan_summary) = planner::schedule(candidates, config);
 
     // Corollary 1: once the head's local probability falls below `q`,
     // nothing fetched or unfetched can still qualify.
@@ -187,7 +187,7 @@ pub(crate) fn run_on(
         }
         let _round_span = rec.span("round");
         rec.incr(Counter::Rounds);
-        round.reset(batch.budget(queue.len()));
+        round.reset(budget);
 
         // Draws: each flushes the home site's pending feedback and refills
         // from it in one frame (see `crate::batch`). The last draw's request

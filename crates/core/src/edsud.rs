@@ -230,7 +230,7 @@ pub(crate) fn run_on(
     // Size `--batch auto` rounds (selection draws and expunge sweeps
     // alike) from the exact candidate total. Pure scheduling — see
     // `crate::planner`.
-    let (batch, plan_summary) = planner::schedule(candidates, config);
+    let (budget, plan_summary) = planner::schedule(candidates, config);
 
     loop {
         // Deadline checks sit on round boundaries only, so a cancelled run
@@ -242,7 +242,7 @@ pub(crate) fn run_on(
         }
         let _round_span = rec.span("round");
         rec.incr(Counter::Rounds);
-        round.reset(batch.budget(queue.len()));
+        round.reset(budget);
 
         // Draws, each preceded by an expunge sweep. The last draw's request
         // stays pending across the Server-Delivery phase (see

@@ -1,11 +1,9 @@
 //! The round planner: sizes `--batch auto` rounds from the cluster's
-//! exact candidate count instead of the queue-depth clamp.
+//! exact candidate count.
 //!
-//! Planning runs only when a query asks for [`PlanMode::Sketch`] *and*
-//! [`BatchSize::Auto`]: a fixed batch size is a user decision the planner
-//! never overrides. Such runs carry no [`PlanSummary`] and ship exactly the
-//! static schedule's frames. The mode keeps the name of the sketch gather
-//! it replaced; it now plans from exact counts on the Start reply.
+//! Planning runs exactly when a query asks for [`BatchSize::Auto`]: a fixed
+//! batch size is a user decision the planner never overrides. Fixed-batch
+//! runs carry no [`PlanSummary`] and send a plain Start.
 //!
 //! Every site computes its exact local skyline `SKY(D_i)` for the query's
 //! `(q, mask)` when the query starts (Section 5.1), so the counts cost
@@ -20,17 +18,16 @@
 //! after every update.
 //!
 //! Planning is a pure *scheduling* decision: because batching never
-//! changes the answer (see `crate::batch` and the differential oracle,
-//! `tests/differential.rs`), neither does planning.
+//! changes the answer (Lemma 1; see `crate::batch` and the differential
+//! oracle, `tests/differential.rs`), neither does planning.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BatchSize, PlanMode, QueryConfig};
+use crate::{BatchSize, QueryConfig};
 
-/// Smallest batch cap the planner will emit — never below the static
-/// [`BatchSize::AUTO_MAX`], so a plan can only deepen rounds, never
-/// shrink them below what the static schedule would coalesce.
-pub const PLAN_BATCH_MIN: usize = BatchSize::AUTO_MAX;
+/// Smallest batch cap the planner will emit, so a small cluster still
+/// coalesces its rounds.
+pub const PLAN_BATCH_MIN: usize = 16;
 
 /// Largest batch cap the planner will emit. Caps coordinator memory for a
 /// round's ledger and keeps progressiveness: a round reports nothing until
@@ -38,26 +35,17 @@ pub const PLAN_BATCH_MIN: usize = BatchSize::AUTO_MAX;
 pub const PLAN_BATCH_MAX: usize = 256;
 
 /// What the planner saw and decided, stamped into
-/// [`crate::QueryOutcome::plan`] and from there into run reports. The
-/// sketch-era fields keep their names so reports keep their shape.
+/// [`crate::QueryOutcome::plan`] and from there into run reports.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanSummary {
-    /// The mode that produced this summary (always [`PlanMode::Sketch`]
-    /// today — runs without planning, static or at a fixed batch size,
-    /// carry no summary at all).
-    pub mode: PlanMode,
-    /// Plan-phase bytes beyond the query's own frames: always 0, since
-    /// the counts ride the Start replies.
+    /// Always 0: the counts ride the Start replies. Kept only because the
+    /// benchmark package reads it.
     pub sketch_bytes: u64,
-    /// Microseconds spent in a plan phase: always 0, since there is no
-    /// exchange to wait for and the cap is one closed-form step.
+    /// Always 0: there is no exchange to wait for and the cap is one
+    /// closed-form step. Kept only because the benchmark package reads it.
     pub plan_us: u64,
     /// The batch cap the planner chose for [`BatchSize::Auto`] rounds.
     pub planned_batch: Option<usize>,
-    /// Plan-phase frames received at the root: always 0.
-    pub frames: u64,
-    /// Plan-phase merges at the root: always 0.
-    pub merges: u64,
     /// The cluster's exact candidate count — the sizes of the sites'
     /// local skylines at the query's `(q, mask)`, summed over the sites
     /// that answered the Start — the cap was derived from.
@@ -77,37 +65,29 @@ pub fn planned_batch(candidates: u64) -> usize {
 }
 
 /// Whether a coordinator running `config` plans its rounds — and so sends
-/// a counted Start: only a [`PlanMode::Sketch`] config at
-/// [`BatchSize::Auto`].
+/// a counted Start: exactly at [`BatchSize::Auto`].
 pub(crate) fn counts(config: &QueryConfig) -> bool {
-    config.plan.sketch() && config.batch == BatchSize::Auto
+    config.batch == BatchSize::Auto
 }
 
 /// The planner as a coordinator runs it, after the Start replies are in:
 /// `candidates` is the cluster's exact candidate total (meaningful only
-/// when [`counts`] holds). Returns the effective batch size plus the
-/// summary of the planning, if any ran.
-pub(crate) fn schedule(candidates: u64, config: &QueryConfig) -> (BatchSize, Option<PlanSummary>) {
-    let summary = counts(config).then(|| PlanSummary {
-        mode: PlanMode::Sketch,
-        sketch_bytes: 0,
-        plan_us: 0,
-        planned_batch: Some(planned_batch(candidates)),
-        frames: 0,
-        merges: 0,
-        estimated_candidates: candidates,
-    });
-    (apply(config, summary.as_ref()), summary)
-}
-
-/// The effective batch size after planning: a plan caps
-/// [`BatchSize::Auto`] rounds at the planned size (acting like
-/// `Fixed(cap)`, which the batching contract proves answer-preserving);
-/// explicit `Fixed` sizes — a user decision — are never overridden.
-pub(crate) fn apply(config: &QueryConfig, summary: Option<&PlanSummary>) -> BatchSize {
-    match (config.batch, summary.and_then(|s| s.planned_batch)) {
-        (BatchSize::Auto, Some(cap)) => BatchSize::Fixed(cap),
-        (batch, _) => batch,
+/// when [`counts`] holds). Returns the round budget — the planned cap under
+/// [`BatchSize::Auto`], the user's `K ≥ 1` otherwise — plus the summary of
+/// the planning, if any ran.
+pub(crate) fn schedule(candidates: u64, config: &QueryConfig) -> (usize, Option<PlanSummary>) {
+    match config.batch {
+        BatchSize::Fixed(k) => (k.max(1), None),
+        BatchSize::Auto => {
+            let cap = planned_batch(candidates);
+            let summary = PlanSummary {
+                sketch_bytes: 0,
+                plan_us: 0,
+                planned_batch: Some(cap),
+                estimated_candidates: candidates,
+            };
+            (cap, Some(summary))
+        }
     }
 }
 
@@ -127,24 +107,16 @@ mod tests {
         assert!(caps.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// A plan sizes only `Auto` rounds; an explicit `Fixed` size — a user
+    /// decision — is never overridden, and a degenerate `Fixed(0)` still
+    /// draws one candidate.
     #[test]
     fn apply_only_overrides_auto() {
-        let summary = PlanSummary {
-            mode: PlanMode::Sketch,
-            sketch_bytes: 0,
-            plan_us: 0,
-            planned_batch: Some(40),
-            frames: 1,
-            merges: 0,
-            estimated_candidates: 400,
-        };
         let at = |batch| QueryConfig::new(0.3).unwrap().batch_size(batch);
-        assert_eq!(apply(&at(BatchSize::Auto), Some(&summary)), BatchSize::Fixed(40));
-        assert_eq!(apply(&at(BatchSize::Fixed(4)), Some(&summary)), BatchSize::Fixed(4));
-        assert_eq!(apply(&at(BatchSize::Fixed(1)), Some(&summary)), BatchSize::Fixed(1));
-        assert_eq!(apply(&at(BatchSize::Auto), None), BatchSize::Auto);
-        let degraded = PlanSummary { planned_batch: None, ..summary };
-        assert_eq!(apply(&at(BatchSize::Auto), Some(&degraded)), BatchSize::Auto);
+        assert_eq!(schedule(400, &at(BatchSize::Auto)).0, 40);
+        assert_eq!(schedule(400, &at(BatchSize::Fixed(4))).0, 4);
+        assert_eq!(schedule(400, &at(BatchSize::Fixed(1))).0, 1);
+        assert_eq!(schedule(400, &at(BatchSize::Fixed(0))).0, 1);
     }
 
     /// Planning is a pure function of the exact total and the config: a
@@ -152,32 +124,26 @@ mod tests {
     /// cap, with no plan-phase cost.
     #[test]
     fn schedule_plans_only_counting_configs() {
-        let at = |batch, plan| QueryConfig::new(0.3).unwrap().batch_size(batch).plan_mode(plan);
-        let (batch, summary) = schedule(400, &at(BatchSize::Auto, PlanMode::Sketch));
-        assert_eq!(batch, BatchSize::Fixed(40));
+        let at = |batch| QueryConfig::new(0.3).unwrap().batch_size(batch);
+        assert!(counts(&at(BatchSize::Auto)));
+        let (budget, summary) = schedule(400, &at(BatchSize::Auto));
+        assert_eq!(budget, 40);
         let summary = summary.expect("a counting config plans");
         assert_eq!(summary.estimated_candidates, 400);
         assert_eq!(summary.planned_batch, Some(40));
-        assert_eq!((summary.sketch_bytes, summary.frames, summary.merges), (0, 0, 0));
-        for (batch, plan) in [
-            (BatchSize::Auto, PlanMode::Static),
-            (BatchSize::Fixed(4), PlanMode::Sketch),
-            (BatchSize::Fixed(1), PlanMode::Static),
-        ] {
-            assert!(!counts(&at(batch, plan)));
-            assert_eq!(schedule(400, &at(batch, plan)), (batch, None));
+        assert_eq!((summary.sketch_bytes, summary.plan_us), (0, 0));
+        for k in [1, 4, 16] {
+            assert!(!counts(&at(BatchSize::Fixed(k))));
+            assert_eq!(schedule(400, &at(BatchSize::Fixed(k))), (k, None));
         }
     }
 
     #[test]
     fn summaries_serialize_round_trip() {
         let summary = PlanSummary {
-            mode: PlanMode::Sketch,
-            sketch_bytes: 1620,
-            plan_us: 37,
+            sketch_bytes: 0,
+            plan_us: 0,
             planned_batch: Some(16),
-            frames: 1,
-            merges: 0,
             estimated_candidates: 12,
         };
         let round: PlanSummary =

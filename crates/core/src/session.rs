@@ -287,10 +287,9 @@ impl Drop for AdmissionGuard<'_> {
 }
 
 /// Full identity of an answer: every knob that can change the result.
-/// Batch size, pipeline depth, and plan mode are deliberately absent —
-/// they are answer-invariant execution strategies (pinned by the PR 4–5
-/// and planning bit-identity tests), so differently-scheduled repeats
-/// share one cache entry.
+/// Batch size and pipeline depth are deliberately absent — they are
+/// answer-invariant execution strategies (pinned by the differential
+/// oracle), so differently-scheduled repeats share one cache entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     algorithm: &'static str,

@@ -454,13 +454,15 @@ impl Service for LocalSite {
             // tagged query's cursor, run the inner message through the very
             // same arms below, and park the cursor again. The inner
             // handlers cannot tell a multiplexed round from a one-shot one.
-            Message::Tagged { query_id, inner } => {
-                if matches!(*inner, Message::Release) {
+            // A frame names one session: a nested wrapper is malformed.
+            Message::Tagged { query_id, inner } => match *inner {
+                Message::Release => {
                     self.sessions.remove(&query_id);
-                    return Message::Ack;
+                    Message::Ack
                 }
-                self.in_session(Some(query_id), |site| site.handle(*inner))
-            }
+                Message::Tagged { .. } => Message::DecodeError,
+                inner => self.in_session(Some(query_id), |site| site.handle(inner)),
+            },
             // An untagged Release clears the default query slot.
             Message::Release => {
                 self.query = None;
@@ -541,7 +543,6 @@ impl Service for LocalSite {
             | Message::RegionReply(_)
             | Message::RegionReplyC(_)
             | Message::Synopsis(_)
-            | Message::Sketch(_)
             | Message::Drawn { .. }
             | Message::Started { .. }
             | Message::UploadLast(_)
@@ -1168,6 +1169,47 @@ mod tests {
             }
         }
         assert_eq!(site.pending_candidates(), pending);
+    }
+
+    /// A site served over TCP answers deeply nested frames — 64 KiB of
+    /// `Draw` tags, `Tagged` and `AggBroadcast` chains far past
+    /// `MAX_NESTING`, and a session nested in a session — with
+    /// `DecodeError`, then serves a normal `Start` on the same connection.
+    #[test]
+    fn malformed_nested_frames_answer_decode_error_over_tcp() {
+        use std::io::{Read, Write};
+        let server = dsud_net::tcp::spawn_site(paper_site_s1()).expect("site server starts");
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("site accepts");
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut call = |frame: &[u8]| {
+            stream.write_all(&(frame.len() as u32).to_be_bytes()).unwrap();
+            stream.write_all(frame).unwrap();
+            let mut len = [0u8; 4];
+            stream.read_exact(&mut len).expect("site replies");
+            let mut reply = vec![0; u32::from_be_bytes(len) as usize];
+            stream.read_exact(&mut reply).expect("site replies");
+            Message::decode_slice(&reply)
+        };
+        let chain = |header: &[u8], n: usize| {
+            let mut frame = header.repeat(n);
+            frame.push(9);
+            frame
+        };
+        let mut tagged = vec![wire::TAG_TAGGED];
+        tagged.extend_from_slice(&7u64.to_be_bytes());
+        let start = Message::Start { q: 0.3, mask: full(2), counted: true };
+        let session = |inner: Message| Message::Tagged { query_id: 1, inner: Box::new(inner) };
+        for frame in [
+            vec![wire::TAG_DRAW; 64 << 10],
+            chain(&tagged, 7_000),
+            chain(&[29, 0, 0, 0, 0], 12_000),
+            session(session(start.clone())).encode().to_vec(),
+        ] {
+            assert_eq!(call(&frame), Some(Message::DecodeError), "{} bytes", frame.len());
+        }
+        assert_eq!(call(&start.encode()), Some(paper_site_s1().handle(start)));
+        drop(stream);
+        server.shutdown().unwrap();
     }
 
     /// What Local-Pruning leaves behind in session `qid`: the pending

@@ -73,7 +73,7 @@ pub mod wire;
 pub use cover::Cover;
 pub use fanout::{Aggregator, FanNode, FanPlan, Fanout, OpTicket, Routes};
 pub use latency::{DelayedService, LatencyModel};
-pub use message::{AggReply, Message, SynopsisMsg, TrafficClass, TupleMsg};
+pub use message::{AggReply, Message, SynopsisMsg, TrafficClass, TupleMsg, MAX_NESTING};
 pub use meter::{BandwidthMeter, Counters, MeterSnapshot};
 pub use retry::{HealthSnapshot, LinkHealth, RetryLink};
 pub use server::{

@@ -10,6 +10,14 @@ use dsud_uncertain::{Probability, SubspaceMask, TupleId, UncertainTuple};
 
 use crate::LinkError;
 
+/// How many container frames (`Tagged`, `AggBroadcast`, `AggScatter`,
+/// `AggReplies`, `Draw`, `Drawn`) [`Message::decode_slice`] accepts around
+/// one another. The deepest frame any supported deployment sends nests
+/// three — a session's `Tagged` around a tree's aggregate frame around a
+/// `Draw` — so the limit leaves room, while keeping a hostile frame from
+/// recursing the decoder off the end of its thread's stack.
+pub const MAX_NESTING: usize = 8;
+
 /// One per-site outcome inside a [`Message::AggReplies`] frame: either the
 /// member site's own reply or the child-link error that stands in for it.
 /// An error entry lets the root quarantine exactly the failed site while
@@ -66,7 +74,7 @@ impl AggReply {
         }
     }
 
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
+    fn decode(buf: &mut &[u8], depth: usize) -> Option<Self> {
         if buf.remaining() < 1 {
             return None;
         }
@@ -79,7 +87,7 @@ impl AggReply {
                 if buf.remaining() < len {
                     return None;
                 }
-                let msg = Message::decode_slice(&buf[..len])?;
+                let msg = Message::decode_at(&buf[..len], depth)?;
                 *buf = &buf[len..];
                 Some(AggReply::Ok(Box::new(msg)))
             }
@@ -444,12 +452,10 @@ pub enum Message {
     /// `H → site` (retired plan phase): ask for a mergeable synopsis of the
     /// site's skyline probabilities. No coordinator sends it any more —
     /// rounds are planned from the counts on [`Message::Started`] — and
-    /// sites, which keep no sketch, answer it with [`Message::Ack`].
+    /// sites, which keep no sketch, answer it with [`Message::Ack`]. Kept
+    /// only because the benchmark package names it; its reply, tag 33, is
+    /// gone and no longer decodes.
     SketchRequest,
-    /// `site → H` (retired plan phase): one compact
-    /// [`dsud_sketch::SiteSketch`] frame. Never sent; the tag still
-    /// decodes.
-    Sketch(Box<dsud_sketch::SiteSketch>),
     /// `H → site`: one draw of a round — the carried feedback flush (a
     /// [`Message::FeedbackBatch`] or [`Message::FeedbackBatchC`]) followed
     /// by a refill, in one frame. The site processes the flush exactly as
@@ -560,9 +566,9 @@ impl Message {
                     AggReply::Err(_) => None,
                 })
                 .unwrap_or(TrafficClass::Reply),
-            // Retired plan-phase frames are control traffic with zero tuple
-            // weight.
-            Message::SketchRequest | Message::Sketch(_) => TrafficClass::Control,
+            // The retired plan-phase request is control traffic with zero
+            // tuple weight.
+            Message::SketchRequest => TrafficClass::Control,
             Message::CoverRequest | Message::Cover(_) => TrafficClass::Control,
             // A draw is its flush plus a free refill request; its reply is
             // the upload plus a free survival reply.
@@ -774,10 +780,6 @@ impl Message {
                 }
             }
             Message::SketchRequest => buf.put_u8(32),
-            Message::Sketch(sketch) => {
-                buf.put_u8(33);
-                sketch.encode(buf);
-            }
             // The flush is the rest of the frame, like Tagged's inner.
             Message::Draw(flush) => {
                 buf.put_u8(crate::wire::TAG_DRAW);
@@ -876,7 +878,6 @@ impl Message {
                 4 + replies.iter().map(|(_, r)| 4 + r.encoded_len()).sum::<usize>()
             }
             Message::SketchRequest => 0,
-            Message::Sketch(_) => dsud_sketch::SiteSketch::encoded_len(),
             Message::Draw(flush) => flush.encoded_len(),
             Message::Drawn { survivals, next, .. } => {
                 next.as_ref().map_or(0, TupleMsg::encoded_len) + survivals.encoded_len()
@@ -921,10 +922,23 @@ impl Message {
     /// [`Message::decode`] over a borrowed buffer, so transports can reuse
     /// one receive buffer across frames instead of handing each payload an
     /// owned allocation.
-    pub fn decode_slice(mut buf: &[u8]) -> Option<Self> {
+    ///
+    /// Container frames (`Tagged`, the aggregate frames, `Draw`/`Drawn`)
+    /// nest at most [`MAX_NESTING`] deep, so no frame can exhaust the
+    /// decoding thread's stack; a deeper frame decodes to `None`.
+    pub fn decode_slice(buf: &[u8]) -> Option<Self> {
+        Self::decode_at(buf, 0)
+    }
+
+    /// [`Message::decode_slice`] for a frame nested inside `depth`
+    /// containers.
+    fn decode_at(mut buf: &[u8], depth: usize) -> Option<Self> {
         if buf.is_empty() {
             return None;
         }
+        // The depth an inner frame of a container at this level sits at,
+        // or `None` if this level may not hold a container.
+        let inner = (depth < MAX_NESTING).then_some(depth + 1);
         // Columnar frames (tags 23–26) carry their own validated header
         // and exact-length contract; they are decoded from the whole frame
         // so the section offsets in the wire layout stay tag-relative.
@@ -1018,7 +1032,7 @@ impl Message {
                 let query_id = buf.get_u64();
                 // The inner message is the rest of the frame; the recursive
                 // decode enforces its own exact-length contract.
-                let inner = Box::new(Self::decode_slice(buf)?);
+                let inner = Box::new(Self::decode_at(buf, inner?)?);
                 buf = &[];
                 Message::Tagged { query_id, inner }
             }
@@ -1046,11 +1060,12 @@ impl Message {
                 let sites = (0..n).map(|_| buf.get_u32()).collect();
                 // The inner message is the rest of the frame; the recursive
                 // decode enforces its own exact-length contract.
-                let inner = Box::new(Self::decode_slice(buf)?);
+                let inner = Box::new(Self::decode_at(buf, inner?)?);
                 buf = &[];
                 Message::AggBroadcast { sites, inner }
             }
             30 => {
+                let inner = inner?;
                 if buf.remaining() < 4 {
                     return None;
                 }
@@ -1065,13 +1080,14 @@ impl Message {
                     if buf.remaining() < len {
                         return None;
                     }
-                    let msg = Self::decode_slice(&buf[..len])?;
+                    let msg = Self::decode_at(&buf[..len], inner)?;
                     buf = &buf[len..];
                     parts.push((site, msg));
                 }
                 Message::AggScatter { parts }
             }
             31 => {
+                let inner = inner?;
                 if buf.remaining() < 4 {
                     return None;
                 }
@@ -1082,25 +1098,20 @@ impl Message {
                         return None;
                     }
                     let site = buf.get_u32();
-                    let reply = AggReply::decode(&mut buf)?;
+                    let reply = AggReply::decode(&mut buf, inner)?;
                     replies.push((site, reply));
                 }
                 Message::AggReplies { replies }
             }
             32 => Message::SketchRequest,
-            33 => {
-                // The sketch payload carries its own magic/version header
-                // and a fixed exact length; the trailing has_remaining
-                // check below rejects any over-long frame.
-                Message::Sketch(Box::new(dsud_sketch::SiteSketch::decode(&mut buf)?))
-            }
-            // Draw frames nest exactly one frame kind each; the recursive
-            // decode enforces its own exact-length contract.
+            // Draw frames nest exactly one frame kind each, checked by tag
+            // before the recursive decode, which enforces its own
+            // exact-length contract.
             crate::wire::TAG_DRAW => {
-                let flush = Self::decode_slice(buf)?;
-                if !matches!(flush, Message::FeedbackBatch(_) | Message::FeedbackBatchC(_)) {
+                if !matches!(buf.first(), Some(&19 | &crate::wire::TAG_FEEDBACK_BATCH_C)) {
                     return None;
                 }
+                let flush = Self::decode_at(buf, inner?)?;
                 buf = &[];
                 Message::Draw(Box::new(flush))
             }
@@ -1112,13 +1123,10 @@ impl Message {
                     _ => Some(TupleMsg::decode(&mut buf)?),
                 };
                 let drained = tag != crate::wire::TAG_DRAWN;
-                let survivals = Self::decode_slice(buf)?;
-                if !matches!(
-                    survivals,
-                    Message::SurvivalBatchReply { .. } | Message::SurvivalBatchReplyC { .. }
-                ) {
+                if !matches!(buf.first(), Some(&20 | &crate::wire::TAG_SURVIVAL_BATCH_REPLY_C)) {
                     return None;
                 }
+                let survivals = Self::decode_at(buf, inner?)?;
                 buf = &[];
                 Message::Drawn { survivals: Box::new(survivals), next, drained }
             }
@@ -1158,15 +1166,6 @@ impl Message {
 mod tests {
     use super::*;
     use dsud_uncertain::Probability;
-
-    fn sample_sketch() -> dsud_sketch::SiteSketch {
-        let mut s = dsud_sketch::SiteSketch::default();
-        for i in 0..24u64 {
-            s.record(1_000 + i, f64::from(i as u32 % 10) / 10.0 + 0.05);
-        }
-        s.forget(0.15);
-        s
-    }
 
     fn sample_tuple_msg() -> TupleMsg {
         let t = UncertainTuple::new(
@@ -1258,21 +1257,10 @@ mod tests {
                 }),
             },
             Message::SketchRequest,
-            Message::Sketch(Box::new(sample_sketch())),
-            // Plan-phase frames compose with the session mux and the tree
-            // containers exactly like every other frame kind.
+            // The retired plan-phase request composes with the session mux
+            // and the tree containers exactly like every other frame kind.
             Message::Tagged { query_id: 13, inner: Box::new(Message::SketchRequest) },
-            Message::Tagged {
-                query_id: 13,
-                inner: Box::new(Message::Sketch(Box::new(sample_sketch()))),
-            },
             Message::AggBroadcast { sites: vec![0, 1, 2], inner: Box::new(Message::SketchRequest) },
-            Message::AggReplies {
-                replies: vec![
-                    (0, AggReply::Ok(Box::new(Message::Sketch(Box::new(sample_sketch()))))),
-                    (1, AggReply::Err(LinkError::Timeout)),
-                ],
-            },
             // A draining upload and the cover exchange, bare and routed.
             Message::UploadLast(sample_tuple_msg()),
             Message::Tagged {
@@ -1402,7 +1390,9 @@ mod tests {
         }
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags, (0u8..=43).collect::<Vec<_>>(), "every wire tag 0..=43 represented");
+        // Tag 33 (the retired sketch reply) is the one gap.
+        let live: Vec<u8> = (0u8..=43).filter(|&t| t != 33).collect();
+        assert_eq!(tags, live, "every live wire tag 0..=43 represented");
     }
 
     /// The columnar frames are re-encodings, not new semantics: each
@@ -1563,107 +1553,33 @@ mod tests {
         }
     }
 
-    /// Golden bytes for the plan-phase tags: the request is a bare tag 32,
-    /// and the sketch frame opens `33, magic, version, tuples, deletes`
-    /// before its three fixed-width sections. Pinning the prefix (and the
-    /// exact frame length) keeps the layout stable the way the columnar
-    /// headers are.
+    /// The one plan-phase frame left is the retired request: a bare
+    /// tag 32.
     #[test]
     fn sketch_frames_have_golden_wire_bytes() {
         assert_eq!(&Message::SketchRequest.encode()[..], &[32]);
-
-        let mut empty = Message::Sketch(Box::default()).encode().to_vec();
-        assert_eq!(empty.len(), 1 + dsud_sketch::SiteSketch::encoded_len());
-        // tag, magic 0x5AD5 big-endian, version 1, tuples=0, deletes=0.
-        assert_eq!(
-            &empty[..20],
-            &[33, 0x5A, 0xD5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-        );
-        // Every remaining section byte of an empty sketch is zero.
-        assert!(empty[20..].iter().all(|&b| b == 0));
-        // A recorded observation moves payload bytes, never the header.
-        let mut one = dsud_sketch::SiteSketch::default();
-        one.record(7, 0.5);
-        empty = Message::Sketch(Box::new(one)).encode().to_vec();
-        assert_eq!(&empty[..4], &[33, 0x5A, 0xD5, 1]);
     }
 
-    /// Plan-phase frame corpus: truncations at every section boundary,
-    /// corrupted magic/version, trailing bytes — bare, `Tagged`-wrapped,
-    /// and inside an aggregate reply container. A malformed sketch must
-    /// decode to `None`, never panic or misalign a section cursor.
+    /// The retired sketch reply's tag 33 is gone: a tag-33 frame — empty,
+    /// with the old sketch header, or wrapped — decodes to `None`.
     #[test]
     fn malformed_sketch_frames_decode_to_none() {
-        let frame = Message::Sketch(Box::new(sample_sketch())).encode();
-        assert!(Message::decode_slice(&frame).is_some());
-        let len = frame.len();
-
-        let mut corpus: Vec<Vec<u8>> = Vec::new();
-        // Truncations inside the magic, version, and counters, then at the
-        // quantile/HLL/count-min section boundaries, then one byte short.
-        for cut in [1, 2, 3, 4, 11, 19, 20 + 512, 20 + 512 + 64, len - 1] {
-            corpus.push(frame[..cut].to_vec());
-        }
-        // Trailing byte after a complete sketch.
-        let mut long = frame.to_vec();
-        long.push(0);
-        corpus.push(long);
-        // Corrupted magic and unknown version.
-        for at in [1, 3] {
-            let mut bad = frame.to_vec();
-            bad[at] ^= 0xff;
-            corpus.push(bad);
-        }
-        // The same failures through the session wrapper: every offset
-        // shifts by the 9-byte Tagged header, the contract holds.
-        let tagged = Message::Tagged {
-            query_id: 6,
-            inner: Box::new(Message::Sketch(Box::new(sample_sketch()))),
-        }
-        .encode();
-        assert!(Message::decode_slice(&tagged).is_some());
-        for cut in [9, 10, 12, tagged.len() - 1] {
-            corpus.push(tagged[..cut].to_vec());
-        }
-        let mut bad_wrapped = tagged.to_vec();
-        bad_wrapped[10] ^= 0xff; // magic under the wrapper
-        corpus.push(bad_wrapped);
-        // And inside an aggregate reply container, as a tree aggregator
-        // would ship it: a corrupt or truncated sketch reply rejects the
-        // whole frame instead of sliding the reply cursor.
-        let agg = Message::AggReplies {
-            replies: vec![(0, AggReply::Ok(Box::new(Message::Sketch(Box::new(sample_sketch())))))],
-        }
-        .encode();
-        assert!(Message::decode_slice(&agg).is_some());
-        corpus.push(agg[..agg.len() - 1].to_vec());
-        let magic_at = agg
-            .windows(3)
-            .position(|w| w == [33, 0x5A, 0xD5])
-            .expect("the embedded sketch header is somewhere in the container");
-        let mut bad_agg = agg.to_vec();
-        bad_agg[magic_at + 1] ^= 0xff;
-        corpus.push(bad_agg);
-
-        for (i, frame) in corpus.iter().enumerate() {
-            assert!(
-                Message::decode_slice(frame).is_none(),
-                "sketch corpus entry {i} must reject ({} bytes)",
-                frame.len()
-            );
+        let mut old_header = vec![33, 0x5A, 0xD5, 1];
+        old_header.resize(1 + 1619, 0);
+        let mut tagged = vec![crate::wire::TAG_TAGGED];
+        tagged.extend_from_slice(&6u64.to_be_bytes());
+        tagged.extend_from_slice(&old_header);
+        for frame in [vec![33], old_header, tagged] {
+            assert!(Message::decode_slice(&frame).is_none(), "tag 33 is retired");
         }
     }
 
-    /// Plan-phase frames are control traffic with zero tuple weight — the
-    /// paper's bandwidth unit may not move when planning turns on.
+    /// The retired request is control traffic with zero tuple weight.
     #[test]
     fn sketch_frames_are_zero_tuple_control_traffic() {
-        let sketch = Message::Sketch(Box::new(sample_sketch()));
         assert_eq!(Message::SketchRequest.class(), TrafficClass::Control);
-        assert_eq!(sketch.class(), TrafficClass::Control);
         assert_eq!(Message::SketchRequest.tuple_count(), 0);
-        assert_eq!(sketch.tuple_count(), 0);
-        assert_eq!(sketch.legacy_encoded_len(), None, "no columnar twin to credit");
+        assert_eq!(Message::SketchRequest.legacy_encoded_len(), None, "no columnar twin");
     }
 
     #[test]
@@ -2000,6 +1916,77 @@ mod tests {
                 "start corpus entry {i} must reject: {frame:?}"
             );
         }
+    }
+
+    /// `n` container headers of one kind around an `Ack`, built without
+    /// recursion: `Tagged` and `AggBroadcast` wrap the rest of the frame,
+    /// `AggScatter` and `AggReplies` length-prefix a one-entry body.
+    fn nested_frame(tag: u8, n: usize) -> Vec<u8> {
+        let header = if tag == 31 { 14 } else { 13 };
+        let mut frame = Vec::new();
+        for level in 0..n {
+            // Bytes of everything inside this level's header (only the
+            // length-prefixed kinds read it).
+            let inner = (n - level - 1) * header + 1;
+            frame.push(tag);
+            match tag {
+                crate::wire::TAG_TAGGED => frame.extend_from_slice(&7u64.to_be_bytes()),
+                29 => frame.extend_from_slice(&0u32.to_be_bytes()),
+                30 => {
+                    for word in [1u32, 0] {
+                        frame.extend_from_slice(&word.to_be_bytes());
+                    }
+                    frame.extend_from_slice(&(inner as u32).to_be_bytes());
+                }
+                31 => {
+                    for word in [1u32, 0] {
+                        frame.extend_from_slice(&word.to_be_bytes());
+                    }
+                    frame.push(0);
+                    frame.extend_from_slice(&(inner as u32).to_be_bytes());
+                }
+                _ => unreachable!("not a chainable container"),
+            }
+        }
+        frame.push(9);
+        frame
+    }
+
+    /// Containers nest at most `MAX_NESTING` deep: a chain at the limit
+    /// decodes, one more level does not. Hostile chains far deeper — 64 KiB
+    /// of `Draw` or `Drawn` tags, thousands of `Tagged` or aggregate
+    /// headers — decode to `None` on a 2 MiB thread, the stack a
+    /// `tcp::spawn_site` site serves on, instead of overflowing it.
+    #[test]
+    fn malformed_deep_nesting_decodes_to_none_on_a_site_sized_stack() {
+        let check = || {
+            for tag in [crate::wire::TAG_TAGGED, 29, 30, 31] {
+                if tag != 29 && tag != crate::wire::TAG_TAGGED {
+                    // Per-entry containers carry an exact length; check it.
+                    assert!(Message::decode_slice(&nested_frame(tag, 2)).is_some(), "tag {tag}");
+                }
+                assert!(Message::decode_slice(&nested_frame(tag, MAX_NESTING)).is_some());
+                assert!(Message::decode_slice(&nested_frame(tag, MAX_NESTING + 1)).is_none());
+                let deep = nested_frame(tag, 5_000);
+                assert!(deep.len() >= 5_000 * 5, "tag {tag}");
+                assert!(Message::decode_slice(&deep).is_none(), "tag {tag}");
+            }
+            for tag in [crate::wire::TAG_DRAW, crate::wire::TAG_DRAWN_EXHAUSTED] {
+                assert!(Message::decode_slice(&vec![tag; 64 << 10]).is_none(), "tag {tag}");
+            }
+            // A draw whose flush is itself a draw is rejected by its tag.
+            let flush = Message::FeedbackBatch(vec![sample_tuple_msg()]).encode();
+            let mut draw = vec![crate::wire::TAG_DRAW; 2];
+            draw.extend_from_slice(&flush);
+            assert!(Message::decode_slice(&draw).is_none());
+            assert!(Message::decode_slice(&draw[1..]).is_some());
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(check)
+            .expect("test thread starts")
+            .join()
+            .expect("no frame overflows the stack");
     }
 
     #[test]

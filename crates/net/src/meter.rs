@@ -226,34 +226,27 @@ mod tests {
         assert_eq!(snap.reply.bytes, reply.encode().len() as u64);
     }
 
-    /// The retired plan-phase frames mirror the coalesced-frame contract
-    /// above: one control message per sketch frame at its exact encoded
-    /// length, with zero tuples, bare or `Tagged`-wrapped.
+    /// The retired plan-phase request is one control message at its exact
+    /// encoded length, with zero tuples, bare or `Tagged`-wrapped.
     #[test]
     fn sketch_frame_meters_one_control_message_with_exact_bytes() {
         let meter = BandwidthMeter::new();
         let request = Message::SketchRequest;
         meter.record(&request);
-        let mut sketch = dsud_sketch::SiteSketch::default();
-        for i in 0..9u64 {
-            sketch.record(i, 0.1 + 0.08 * i as f64);
-        }
-        let frame = Message::Sketch(Box::new(sketch));
-        meter.record(&frame);
         let snap = meter.snapshot();
-        assert_eq!(snap.control.messages, 2, "request + reply, both control class");
-        assert_eq!(snap.control.tuples, 0, "sketches carry no tuples in the paper's unit");
-        assert_eq!(snap.control.bytes, (request.encode().len() + frame.encode().len()) as u64);
+        assert_eq!(snap.control.messages, 1);
+        assert_eq!(snap.control.tuples, 0, "control frames carry no tuples in the paper's unit");
+        assert_eq!(snap.control.bytes, request.encode().len() as u64);
 
         // The session layer's Tagged wrapper adds exactly its 9-byte
         // header, still one control message.
         let before = snap.control.bytes;
-        let tagged = Message::Tagged { query_id: 4, inner: Box::new(frame.clone()) };
+        let tagged = Message::Tagged { query_id: 4, inner: Box::new(request.clone()) };
         meter.record(&tagged);
         let snap = meter.snapshot();
-        assert_eq!(snap.control.messages, 3);
+        assert_eq!(snap.control.messages, 2);
         assert_eq!(snap.control.tuples, 0);
-        assert_eq!(snap.control.bytes - before, frame.encode().len() as u64 + 9);
+        assert_eq!(snap.control.bytes - before, request.encode().len() as u64 + 9);
     }
 
     #[test]

@@ -70,7 +70,10 @@ use serde::{Deserialize, Serialize};
 /// * 11 — adds the feedback-skipping counter `skipped_deliveries` to the
 ///   counter snapshot. Schema ≤ 10 files still deserialize (the counter
 ///   defaults to 0).
-pub const SCHEMA_VERSION: u32 = 11;
+/// * 12 — drops the always-zero `sketch_merges` counter and the
+///   always-zero `sketch_bytes` / `plan_us` stamps. Schema ≤ 11 files
+///   still deserialize (the dropped fields are ignored).
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// Typed counters of the paper's cost model.
 ///
@@ -172,17 +175,13 @@ pub enum Counter {
     /// Per-site replies the root folded out of merged `AggReplies` frames.
     /// Zero in a flat run.
     AggFoldOps,
-    /// Plan-phase sketch merges performed at the root. Always zero now
-    /// that the planner reads exact counts off the Start replies; kept so
-    /// the counter snapshot keeps its shape.
-    SketchMerges,
     /// Feedback deliveries left out because the receiving site was
     /// drained and its dominance cover proved its survival factor is
     /// exactly 1.0 (one per site and candidate).
     SkippedDeliveries,
 }
 
-const COUNTER_COUNT: usize = 32;
+const COUNTER_COUNT: usize = 31;
 
 impl Counter {
     fn index(self) -> usize {
@@ -327,10 +326,6 @@ pub struct CounterSnapshot {
     /// Final value of [`Counter::AggFoldOps`]. Absent (0) before schema 9.
     #[serde(default)]
     pub agg_fold_ops: u64,
-    /// Final value of [`Counter::SketchMerges`]. Absent (0) before
-    /// schema 10.
-    #[serde(default)]
-    pub sketch_merges: u64,
     /// Final value of [`Counter::SkippedDeliveries`]. Absent (0) before
     /// schema 11.
     #[serde(default)]
@@ -370,7 +365,6 @@ impl CounterSnapshot {
             cancelled: c[Counter::Cancelled.index()],
             agg_merged_frames: c[Counter::AggMergedFrames.index()],
             agg_fold_ops: c[Counter::AggFoldOps.index()],
-            sketch_merges: c[Counter::SketchMerges.index()],
             skipped_deliveries: c[Counter::SkippedDeliveries.index()],
         }
     }
@@ -408,7 +402,6 @@ impl CounterSnapshot {
             Counter::Cancelled => self.cancelled,
             Counter::AggMergedFrames => self.agg_merged_frames,
             Counter::AggFoldOps => self.agg_fold_ops,
-            Counter::SketchMerges => self.sketch_merges,
             Counter::SkippedDeliveries => self.skipped_deliveries,
         }
     }
@@ -473,27 +466,16 @@ pub struct RunReport {
     /// Equals the site count in a flat run. Absent before schema 9.
     #[serde(default)]
     pub root_fanout: Option<usize>,
-    /// Plan mode the run used (`"static"`, `"sketch"`), stamped by the
-    /// caller that knows it; `None` otherwise. Absent before schema 10.
+    /// Whether the run's rounds were planned, stamped by the caller that
+    /// knows it: `"sketch"` when `--batch auto` rounds were sized from the
+    /// counted Start, `"static"` at a fixed batch size; `None` otherwise.
+    /// Absent before schema 10.
     #[serde(default)]
     pub plan: Option<String>,
-    /// Plan-phase bytes shipped beyond the query's own frames, stamped by
-    /// the caller that knows it. `Some(0)` whenever the planner ran: it
-    /// plans from exact counts on the Start replies, so it ships no
-    /// sketch frames (reports from before that carry the bytes of their
-    /// sketch gather). Absent before schema 10.
-    #[serde(default)]
-    pub sketch_bytes: Option<u64>,
-    /// Microseconds spent in a plan phase, stamped by the caller that
-    /// knows it. `Some(0)` whenever the planner ran: there is no exchange
-    /// to wait for (reports from before the counted Start carry the time
-    /// of their sketch gather). Absent before schema 10.
-    #[serde(default)]
-    pub plan_us: Option<u64>,
     /// Effective `--batch auto` candidate budget the planner settled on —
     /// `⌈2√C⌉` clamped to `[16, 256]` for the cluster's exact candidate
-    /// count `C` — stamped by the caller that knows it; `None` in static
-    /// and fixed-batch runs. Absent before schema 10.
+    /// count `C` — stamped by the caller that knows it; `None` in
+    /// fixed-batch runs. Absent before schema 10.
     #[serde(default)]
     pub planned_batch: Option<usize>,
     /// Progressive answer trace, in report order (timestamps are
@@ -649,8 +631,6 @@ impl Recorder {
             agg_depth: None,
             root_fanout: None,
             plan: None,
-            sketch_bytes: None,
-            plan_us: None,
             planned_batch: None,
         })
     }
@@ -1081,9 +1061,8 @@ mod tests {
 
     #[test]
     fn schema_nine_reports_deserialize_with_zero_plan_counters() {
-        // A schema-9 file predates the plan-phase counter and the `plan` /
-        // `sketch_bytes` / `plan_us` / `planned_batch` stamps; they must
-        // fill in as zero / `None` rather than failing the parse.
+        // A schema-9 file predates the `plan` / `planned_batch` stamps;
+        // they must fill in as `None` rather than failing the parse.
         let json = r#"{
             "schema_version": 9,
             "algorithm": "dsud",
@@ -1118,11 +1097,7 @@ mod tests {
         }"#;
         let report: RunReport = serde_json::from_str(json).unwrap();
         assert_eq!(report.counters.agg_merged_frames, 48);
-        assert_eq!(report.counters.sketch_merges, 0);
-        assert_eq!(report.counters.get(Counter::SketchMerges), 0);
         assert_eq!(report.plan, None);
-        assert_eq!(report.sketch_bytes, None);
-        assert_eq!(report.plan_us, None);
         assert_eq!(report.planned_batch, None);
     }
 
@@ -1159,14 +1134,36 @@ mod tests {
     }
 
     #[test]
-    fn plan_counters_flow_into_the_snapshot() {
-        let rec = Recorder::enabled();
-        rec.add(Counter::SketchMerges, 8);
-        let report = rec.report("dsud").unwrap();
-        assert_eq!(report.counters.sketch_merges, 8);
-        assert_eq!(report.counters.get(Counter::SketchMerges), 8);
-        assert_eq!(report.plan, None, "stamped by the caller, not the recorder");
-        assert_eq!(report.planned_batch, None);
+    fn schema_eleven_reports_with_retired_plan_fields_deserialize() {
+        // A schema-11 file carries the `sketch_merges` counter and the
+        // `sketch_bytes` / `plan_us` stamps that schema 12 dropped; they
+        // are ignored, and the kept plan stamps still read.
+        let json = r#"{
+            "schema_version": 11,
+            "algorithm": "edsud",
+            "wall_ms": 1.0,
+            "counters": {
+                "bytes_sent": 9, "messages": 4, "tuples_shipped": 2,
+                "feedback_broadcasts": 1, "rounds": 1, "expunged": 0,
+                "pruned_at_sites": 0, "prtree_nodes_visited": 0,
+                "prtree_pruned_subtrees": 0, "local_skyline_size": 0,
+                "progressive_results": 1, "sketch_merges": 0,
+                "skipped_deliveries": 7
+            },
+            "spans": [],
+            "phases": [],
+            "plan": "sketch",
+            "sketch_bytes": 0,
+            "plan_us": 0,
+            "planned_batch": 24,
+            "progressive": []
+        }"#;
+        let report: RunReport = serde_json::from_str(json).unwrap();
+        assert_eq!(report.counters.skipped_deliveries, 7);
+        assert_eq!(report.plan.as_deref(), Some("sketch"));
+        assert_eq!(report.planned_batch, Some(24));
+        let out = serde_json::to_string(&report).unwrap();
+        assert!(!out.contains("sketch_merges") && !out.contains("plan_us"), "{out}");
     }
 
     #[test]

@@ -87,9 +87,17 @@ impl SubspaceMask {
         self.0 == 0
     }
 
-    /// Iterates over the selected dimension indices in ascending order.
+    /// Iterates over the selected dimension indices in ascending order,
+    /// visiting only the set bits.
     pub fn dims(self) -> impl Iterator<Item = usize> {
-        (0..Self::MAX_DIMS).filter(move |&d| self.contains(d))
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let dim = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                dim
+            })
+        })
     }
 
     /// Highest selected dimension index, if any.

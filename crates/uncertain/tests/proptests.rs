@@ -172,6 +172,20 @@ proptest! {
         prop_assert_eq!(rel == DomRelation::DominatedBy, dominates_in(b.values(), a.values(), mask));
     }
 
+    /// `SubspaceMask::dims` walks the set bits in ascending order: exactly
+    /// the dimensions `contains` accepts, for any mask up to all 64 bits.
+    #[test]
+    fn mask_dims_are_the_contained_dims_ascending(
+        bits in prop_oneof![Just(u64::MAX), (0u32..64).prop_map(|d: u32| 1u64 << d), any::<u64>()],
+    ) {
+        let mask = SubspaceMask::try_from_bits(u64::max(bits, 1)).unwrap();
+        let walked: Vec<usize> = mask.dims().collect();
+        let scanned: Vec<usize> =
+            (0..SubspaceMask::MAX_DIMS).filter(|&d| mask.contains(d)).collect();
+        prop_assert_eq!(walked.len(), mask.len());
+        prop_assert_eq!(walked, scanned);
+    }
+
     /// Adding a tuple never increases anyone else's skyline probability.
     #[test]
     fn insert_is_monotone_decreasing(db in arb_db(2, 10), extra in arb_tuple(2, 999)) {

@@ -29,8 +29,8 @@ use std::fmt::Debug;
 
 use dsud_core::{
     baseline, BandwidthMeter, BatchSize, Cluster, Counter, FailurePolicy, LinkConfig,
-    PipelineDepth, PlanMode, QueryConfig, QueryOutcome, Recorder, SessionOptions, SessionServer,
-    SiteOptions, SubspaceMask, Topology, Transport, TupleId, UncertainDb, WireFormat,
+    PipelineDepth, QueryConfig, QueryOutcome, Recorder, SessionOptions, SessionServer, SiteOptions,
+    SubspaceMask, Topology, Transport, TupleId, UncertainDb, WireFormat,
 };
 use dsud_uncertain::worlds;
 use proptest::prelude::*;
@@ -88,8 +88,6 @@ pub struct Case {
     pub transport: Transport,
     /// Thread-pool size the run is pinned to.
     pub pool: usize,
-    /// `--plan`.
-    pub plan: PlanMode,
     /// One-shot or served.
     pub entry: Entry,
     /// Seed of a [`dsud_core::FaultPlan`] spliced under every root link;
@@ -117,7 +115,6 @@ impl Case {
             topology: Topology::Flat,
             transport: Transport::Inline,
             pool: 1,
-            plan: PlanMode::Static,
             entry: Entry::Cluster,
             fault: None,
         }
@@ -126,7 +123,7 @@ impl Case {
 
     /// The same query under the paper's schedule: one candidate per
     /// round, no overlap, row-encoded frames, a flat star, inline links,
-    /// one thread, no plan phase, one-shot, no faults. Named field by
+    /// one thread, one-shot, no faults. Named field by
     /// field so a change of library defaults cannot move it.
     pub fn reference(&self) -> Case {
         Case {
@@ -136,7 +133,6 @@ impl Case {
             topology: Topology::Flat,
             transport: Transport::Inline,
             pool: 1,
-            plan: PlanMode::Static,
             entry: Entry::Cluster,
             fault: None,
             ..*self
@@ -162,8 +158,7 @@ impl Case {
             .subspace(self.mask)
             .batch_size(self.batch)
             .pipeline_depth(self.pipeline)
-            .wire_format(self.wire)
-            .plan_mode(self.plan);
+            .wire_format(self.wire);
         if let Some(k) = self.limit {
             config = config.limit(k);
         }
@@ -223,7 +218,6 @@ const TOPOLOGIES: [Topology; 5] =
     [Topology::Flat, Topology::Tree(2), Topology::Tree(4), Topology::Tree(8), Topology::Auto];
 const TRANSPORTS: [Transport; 3] = [Transport::Inline, Transport::Threaded, Transport::Tcp];
 const POOLS: [usize; 3] = [1, 2, 8];
-const PLANS: [PlanMode; 2] = [PlanMode::Static, PlanMode::Sketch];
 const ENTRIES: [Entry; 2] = [Entry::Cluster, Entry::Served];
 
 fn one_of<T: Copy>(values: &'static [T]) -> impl Strategy<Value = T> {
@@ -247,7 +241,6 @@ pub fn cases() -> impl Strategy<Value = Case> {
         one_of(&BATCHES),
         one_of(&PIPELINES),
         one_of(&WIRES),
-        one_of(&PLANS),
     );
     let fabric = (
         one_of(&TOPOLOGIES),
@@ -259,7 +252,7 @@ pub fn cases() -> impl Strategy<Value = Case> {
     (shape, query, fabric).prop_map(
         |(
             (seed, n, dims, m, q, mask_bits),
-            (edsud, limit, batch, pipeline, wire, plan),
+            (edsud, limit, batch, pipeline, wire),
             (topology, transport, pool, entry, fault),
         )| {
             // Any non-empty subset of the dimensions; half the draws are
@@ -284,7 +277,6 @@ pub fn cases() -> impl Strategy<Value = Case> {
                 topology,
                 transport,
                 pool,
-                plan,
                 entry,
                 fault,
             }
@@ -326,7 +318,6 @@ impl Tally {
             ("topology", names(&TOPOLOGIES)),
             ("transport", names(&TRANSPORTS)),
             ("pool", names(&POOLS)),
-            ("plan", names(&PLANS)),
             ("entry", names(&ENTRIES)),
             ("fault", names(&["none", "ridden out", "stamped"])),
             ("skipped deliveries", names(&["none", "some"])),
@@ -355,8 +346,8 @@ pub fn check(case: &Case, tally: &mut Tally) {
         Some(_) if recorder.counter(Counter::LinkRetries) > 0 => "ridden out",
         Some(_) => "never fired",
     };
-    let planned = case.batch == BatchSize::Auto && case.plan == PlanMode::Sketch;
-    assert_eq!(outcome.plan.is_some(), planned, "{at}: a plan phase runs only where it is used");
+    let planned = case.batch == BatchSize::Auto;
+    assert_eq!(outcome.plan.is_some(), planned, "{at}: a plan runs exactly at batch auto");
     if outcome.degraded {
         assert!(case.fault.is_some(), "{at}: stamped degraded without a fault");
         assert!(
@@ -390,7 +381,6 @@ pub fn check(case: &Case, tally: &mut Tally) {
     tally.note("topology", case.topology);
     tally.note("transport", case.transport);
     tally.note("pool", case.pool);
-    tally.note("plan", case.plan);
     tally.note("entry", case.entry);
     tally.note("fault", fault);
     // Served queries record on their own per-query recorder, so only

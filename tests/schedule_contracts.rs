@@ -3,15 +3,15 @@
 //! equalities. The oracle proves that no setting changes an answer; this
 //! suite proves that each one pays for itself and pins what must not drift:
 //!
-//! * batching cuts messages, and `auto` tracks the queue depth;
+//! * batching cuts messages, and `auto` rounds keep the answer;
 //! * absolute traffic across the round schedule's setting matrix;
 //! * overlapped refills cut wall-clock round latency;
 //! * the columnar layout ships fewer feedback bytes, and maintains the
 //!   replicated skyline exactly;
 //! * a tree topology cuts root-link frames, and a dead aggregator link
 //!   degrades exactly its subtree on every transport;
-//! * the planner reads exact candidate counts, costs no frame, and cuts
-//!   `--batch auto` frames; the raw-links entry runs the cluster schedule;
+//! * the planner reads exact candidate counts and costs no frame; the
+//!   raw-links entry runs the cluster schedule;
 //! * transports parse and display by name.
 
 mod common;
@@ -23,8 +23,8 @@ use dsud_core::{
     dsud, edsud, planner,
     update::{apply_batch, Maintainer, UpdateOp},
     BandwidthMeter, BatchSize, Cluster, FailurePolicy, FaultKind, FaultPlan, Link, LinkConfig,
-    LocalSite, PipelineDepth, PlanMode, QueryConfig, QueryOutcome, Recorder, SiteOptions,
-    SubspaceMask, Topology, Transport, UncertainTuple, WireFormat,
+    LocalSite, PipelineDepth, QueryConfig, QueryOutcome, Recorder, SiteOptions, SubspaceMask,
+    Topology, Transport, UncertainTuple, WireFormat,
 };
 use dsud_net::{tcp, ChannelLink, ChaosLink, DelayedService, LocalLink};
 use dsud_prtree::bbs;
@@ -88,8 +88,8 @@ fn batching_cuts_messages_at_least_five_fold() {
 
 #[test]
 fn auto_batching_tracks_queue_depth() {
-    // With 8 sites the queue never exceeds 8 candidates, so `auto` rounds
-    // coalesce up to 8; outcomes still match the fixed-16 run exactly.
+    // `auto` rounds are sized from the exact candidate backlog (at least
+    // 16); outcomes still match the fixed-16 run exactly.
     let base = Case::base(1_500, 8);
     let auto = common::run(&Case { batch: BatchSize::Auto, ..base });
     let fixed = common::run(&Case { batch: BatchSize::Fixed(16), ..base });
@@ -167,14 +167,14 @@ fn round_schedule_traffic_is_pinned() {
         ("dsud b16 pauto flat l4", "39/39/3427 42/224/12332 16/0/1056 13/0/141 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
         ("dsud b16 pauto tree:2 l-", "60/65/6992 58/395/22684 8/0/1944 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 pauto tree:2 l4", "33/39/3943 32/224/12828 6/0/1230 7/0/146 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud bauto p1 flat l-", "66/65/5406 107/395/21911 61/0/2721 20/0/148 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
-        ("dsud bauto p1 flat l4", "31/31/2345 40/168/9288 24/0/1224 15/0/143 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("dsud bauto p1 tree:2 l-", "60/65/6300 64/395/23087 18/0/3360 14/0/244 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
-        ("dsud bauto p1 tree:2 l4", "25/31/2749 25/168/9733 9/0/1485 9/0/174 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("dsud bauto pauto flat l-", "66/65/5406 107/395/21911 61/0/2721 20/0/148 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
-        ("dsud bauto pauto flat l4", "31/31/2345 40/168/9288 24/0/1224 15/0/143 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
-        ("dsud bauto pauto tree:2 l-", "60/65/6300 64/395/23087 18/0/3360 14/0/244 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
-        ("dsud bauto pauto tree:2 l4", "25/31/2749 25/168/9733 9/0/1485 9/0/174 0/0/0 | 24/24/0/59 | 4 4001a6f502258eb1"),
+        ("dsud bauto p1 flat l-", "66/65/6519 71/395/21736 20/0/1172 15/0/143 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto p1 flat l4", "32/32/3105 29/175/9616 8/0/464 11/0/139 0/0/0 | 25/25/0/60 | 4 4001a6f502258eb1"),
+        ("dsud bauto p1 tree:2 l-", "60/65/7413 57/395/22589 6/0/1382 9/0/174 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto p1 tree:2 l4", "26/32/3523 24/175/9968 3/0/551 5/0/118 0/0/0 | 25/25/0/60 | 4 4001a6f502258eb1"),
+        ("dsud bauto pauto flat l-", "66/65/6519 71/395/21736 20/0/1172 15/0/143 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto pauto flat l4", "32/32/3105 29/175/9616 8/0/464 11/0/139 0/0/0 | 25/25/0/60 | 4 4001a6f502258eb1"),
+        ("dsud bauto pauto tree:2 l-", "60/65/7413 57/395/22589 6/0/1382 9/0/174 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto pauto tree:2 l4", "26/32/3523 24/175/9968 3/0/551 5/0/118 0/0/0 | 25/25/0/60 | 4 4001a6f502258eb1"),
         ("edsud b1 p1 flat l-", "70/67/3688 283/283/15565 283/0/4811 70/0/198 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 p1 flat l4", "25/25/1375 70/70/3850 70/0/1190 25/0/153 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
         ("edsud b1 p1 tree:2 l-", "64/67/4638 91/91/6592 91/0/7813 64/0/944 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
@@ -191,14 +191,14 @@ fn round_schedule_traffic_is_pinned() {
         ("edsud b16 pauto flat l4", "32/32/2533 25/112/6190 8/0/448 15/0/143 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
         ("edsud b16 pauto tree:2 l-", "64/67/6882 50/283/16395 6/0/1040 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 pauto tree:2 l4", "26/32/2951 20/112/6490 3/0/535 9/0/174 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto p1 flat l-", "70/67/5210 80/283/15724 38/0/1782 28/0/156 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
-        ("edsud bauto p1 flat l4", "32/32/2275 31/112/6218 16/0/784 17/0/145 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto p1 tree:2 l-", "64/67/6160 54/283/16634 12/0/2184 22/0/356 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
-        ("edsud bauto p1 tree:2 l4", "26/32/2693 21/112/6571 6/0/958 11/0/202 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto pauto flat l-", "70/67/5210 80/283/15724 38/0/1782 28/0/156 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
-        ("edsud bauto pauto flat l4", "32/32/2275 31/112/6218 16/0/784 17/0/145 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto pauto tree:2 l-", "64/67/6160 54/283/16634 12/0/2184 22/0/356 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
-        ("edsud bauto pauto tree:2 l4", "26/32/2693 21/112/6571 6/0/958 11/0/202 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
+        ("edsud bauto p1 flat l-", "70/67/6001 59/283/15622 14/0/750 25/0/153 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto p1 flat l4", "41/41/3513 34/175/9646 8/0/616 15/0/143 0/0/0 | 34/25/9/68 | 4 4001a6f502258eb1"),
+        ("edsud bauto p1 tree:2 l-", "64/67/6951 49/283/16339 4/0/896 19/0/314 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto p1 tree:2 l4", "35/41/4057 29/175/10063 3/0/703 9/0/174 0/0/0 | 34/25/9/68 | 4 4001a6f502258eb1"),
+        ("edsud bauto pauto flat l-", "70/67/6001 59/283/15622 14/0/750 25/0/153 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto pauto flat l4", "41/41/3513 34/175/9646 8/0/616 15/0/143 0/0/0 | 34/25/9/68 | 4 4001a6f502258eb1"),
+        ("edsud bauto pauto tree:2 l-", "64/67/6951 49/283/16339 4/0/896 19/0/314 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto pauto tree:2 l4", "35/41/4057 29/175/10063 3/0/703 9/0/174 0/0/0 | 34/25/9/68 | 4 4001a6f502258eb1"),
     ];
     let mut observed = Vec::new();
     for edsud in [false, true] {
@@ -453,19 +453,12 @@ fn dead_aggregator_link_degrades_exactly_its_subtree_on_every_transport() {
 // ---------------------------------------------------------------------
 
 /// Nine sites keep every tree fanout non-degenerate while giving the
-/// planner a real backlog: the static auto clamp sees at most nine queued
-/// candidates per round, so a plan that widens rounds past it is
-/// observable in frames.
+/// planner a real backlog.
 const PLAN_SITES: usize = 9;
 
-/// An overlapped `--batch auto` query under `plan`.
-fn planned(plan: PlanMode) -> Case {
-    Case {
-        batch: BatchSize::Auto,
-        pipeline: PipelineDepth::Auto,
-        plan,
-        ..Case::base(1_200, PLAN_SITES)
-    }
+/// An overlapped `--batch auto` query.
+fn planned() -> Case {
+    Case { batch: BatchSize::Auto, pipeline: PipelineDepth::Auto, ..Case::base(1_200, PLAN_SITES) }
 }
 
 /// The oracle for the planner's input: the sizes of the sites' local
@@ -489,47 +482,29 @@ fn exact_candidates(
 /// Asserts that a planned run sized its rounds from exactly `oracle`
 /// candidates, and that planning cost no frame.
 fn assert_planned_from(outcome: &QueryOutcome, oracle: u64, at: &str) {
-    let plan = outcome.plan.as_ref().expect("sketch runs at batch auto carry a summary");
+    let plan = outcome.plan.as_ref().expect("runs at batch auto carry a summary");
     assert_eq!(plan.estimated_candidates, oracle, "{at}");
     assert_eq!(plan.planned_batch, Some(planner::planned_batch(oracle)), "{at}");
-    assert_eq!((plan.sketch_bytes, plan.frames, plan.merges), (0, 0, 0), "{at}: no plan frames");
+    assert_eq!((plan.sketch_bytes, plan.plan_us), (0, 0), "{at}: no plan phase");
 }
 
-/// A static run must stay byte-for-byte what it was before the planner
-/// existed: no plan summary, no sketch frames, no counter movement.
+/// A fixed batch is never planned ("static" in run reports): at the cap
+/// an `auto` run planned, `Fixed(cap)` ships the same frames, tuples and
+/// answer, with no plan summary and exactly the 4-byte candidate count
+/// less on each site's Start reply.
 #[test]
 fn static_plan_ships_no_sketch_traffic() {
     for edsud in [false, true] {
-        let outcome = common::run(&Case { edsud, ..planned(PlanMode::Static) });
-        assert!(outcome.plan.is_none(), "static runs carry no plan summary");
-    }
-}
-
-/// The whole point of the planner: with `--batch auto` on a deep backlog,
-/// the planned cap widens rounds past the static clamp, so the *frame*
-/// count on the meter must drop — while the answer fingerprint (tuples
-/// included) holds still.
-#[test]
-fn sketch_plan_cuts_auto_round_frames_on_both_wire_layouts() {
-    for wire in [WireFormat::Legacy, WireFormat::Columnar] {
-        for edsud in [false, true] {
-            let algo = if edsud { "edsud" } else { "dsud" };
-            let stat = common::run(&Case { wire, edsud, ..planned(PlanMode::Static) });
-            let plan = common::run(&Case { wire, edsud, ..planned(PlanMode::Sketch) });
-            assert_eq!(fingerprint(&plan), fingerprint(&stat), "{algo} {wire}");
-            assert_eq!(plan.tuples_transmitted(), stat.tuples_transmitted(), "{algo} {wire}");
-            let summary = plan.plan.as_ref().expect("sketch run carries a summary");
-            assert!(
-                summary.planned_batch.is_some(),
-                "{algo} {wire}: a healthy gather must produce a cap"
-            );
-            let static_msgs = stat.traffic.total().messages;
-            let plan_msgs = plan.traffic.total().messages;
-            assert!(
-                plan_msgs < static_msgs,
-                "{algo} {wire}: sketch plan shipped {plan_msgs} frames vs {static_msgs} \
-                 static — deeper rounds must cut the count"
-            );
+        let auto = common::run(&Case { edsud, ..planned() });
+        let cap = auto.plan.as_ref().and_then(|p| p.planned_batch).expect("auto runs plan");
+        let fixed = common::run(&Case { edsud, batch: BatchSize::Fixed(cap), ..planned() });
+        assert!(fixed.plan.is_none(), "edsud={edsud}: fixed runs carry no plan summary");
+        assert_same_run(&fixed, &auto, &format!("edsud={edsud} fixed {cap} vs auto"));
+        let (a, f) = (&auto.traffic, &fixed.traffic);
+        assert_eq!(a.upload.messages, f.upload.messages, "edsud={edsud}");
+        assert_eq!(a.upload.bytes, f.upload.bytes + 4 * PLAN_SITES as u64, "edsud={edsud}");
+        for (a, f) in [(&a.feedback, &f.feedback), (&a.reply, &f.reply), (&a.control, &f.control)] {
+            assert_eq!(a, f, "edsud={edsud}: only the Start replies may differ");
         }
     }
 }
@@ -541,8 +516,7 @@ fn sketch_plan_cuts_auto_round_frames_on_both_wire_layouts() {
 /// inline and over TCP — and its cap is `planned_batch` of that total.
 #[test]
 fn planned_candidates_match_the_local_skyline_oracle() {
-    let base =
-        Case { batch: BatchSize::Auto, plan: PlanMode::Sketch, ..Case::base(1_200, PLAN_SITES) };
+    let base = Case { batch: BatchSize::Auto, ..Case::base(1_200, PLAN_SITES) };
     let data = base.data();
     let subspace = SubspaceMask::from_dims(&[0, 2]).expect("2-d subspace");
     for mask in [full(), subspace] {
@@ -572,7 +546,6 @@ fn degraded_start_counts_only_the_survivors() {
     let config = QueryConfig::new(Q)
         .expect("valid threshold")
         .batch_size(BatchSize::Auto)
-        .plan_mode(PlanMode::Sketch)
         .failure_policy(FailurePolicy::Degrade);
     for edsud in [false, true] {
         let meter = BandwidthMeter::default();
@@ -602,14 +575,13 @@ fn degraded_start_counts_only_the_survivors() {
 
 /// The raw-links entries (`dsud::run`, `edsud::run`) give a config exactly
 /// the schedule the cluster path gives it: same answer, progress, stats,
-/// traffic, and plan phase.
+/// traffic, and plan.
 #[test]
 fn raw_links_entry_runs_the_cluster_schedule() {
     for transport in [Transport::Inline, Transport::Tcp] {
         for edsud in [false, true] {
             let at = format!("{transport} edsud={edsud}");
-            let case =
-                Case { wire: WireFormat::Columnar, transport, edsud, ..planned(PlanMode::Sketch) };
+            let case = Case { wire: WireFormat::Columnar, transport, edsud, ..planned() };
             let clustered = common::run(&case);
 
             let meter = BandwidthMeter::default();
@@ -644,7 +616,7 @@ fn raw_links_entry_runs_the_cluster_schedule() {
             assert_eq!(fingerprint(&raw), fingerprint(&clustered), "{at}");
             assert_eq!(raw.stats, clustered.stats, "{at}");
             assert_eq!(raw.traffic, clustered.traffic, "{at}");
-            assert!(clustered.plan.is_some(), "{at}: batch auto runs the plan phase");
+            assert!(clustered.plan.is_some(), "{at}: batch auto runs the plan");
             assert_eq!(raw.plan, clustered.plan, "{at}");
         }
     }
