@@ -1,15 +1,12 @@
 //! Ablations from DESIGN.md:
 //! A — e-DSUD bound mode (Paper min-bound vs BroadcastOnly);
-//! C — site-side feedback pruning on vs off (DSUD);
-//! E — grid synopses vs the paper's free-information bounds (the
-//!     Section 5.2 trade-off), across resolutions.
+//! C — site-side feedback pruning on vs off (DSUD).
 //! Bandwidth effects are printed once per bench run; timing is tracked by
 //! Criterion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dsud_bench::{quick_sites, run_algo, Algo};
-use dsud_core::{Cluster, QueryConfig};
 use dsud_data::SpatialDistribution;
 
 fn bench(c: &mut Criterion) {
@@ -34,32 +31,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Ablation E: synopsis-assisted e-DSUD. The synopsis is charged its
-    // tuple-equivalent cost, so the printed bandwidth answers the paper's
-    // Section 5.2 question directly.
-    for resolution in [4u16, 8, 16] {
-        let config = QueryConfig::new(0.3).expect("valid threshold").synopsis(resolution);
-        let mut cluster = Cluster::local(3, sites.clone()).expect("valid sites");
-        let outcome = cluster.run_edsud(&config).expect("query succeeds");
-        println!(
-            "[ablation] e-DSUD+synopsis(r={resolution:<2}) bandwidth={:<8} broadcasts={:<6} expunged={:<6} synopsis_tuples={}",
-            outcome.tuples_transmitted(),
-            outcome.stats.broadcasts,
-            outcome.stats.expunged,
-            outcome.traffic.upload.tuples
-                .saturating_sub(outcome.stats.broadcasts + outcome.stats.expunged)
-        );
-        group.bench_with_input(
-            BenchmarkId::new("run", format!("e-DSUD+synopsis(r={resolution})")),
-            &resolution,
-            |b, _| {
-                b.iter(|| {
-                    let mut cluster = Cluster::local(3, sites.clone()).expect("valid sites");
-                    cluster.run_edsud(&config).expect("query succeeds")
-                });
-            },
-        );
-    }
     group.finish();
 }
 

@@ -14,7 +14,7 @@ use dsud_core::{
 };
 use dsud_data::nyse::NyseSpec;
 use dsud_data::{partition_uniform, ProbabilityLaw, SpatialDistribution, WorkloadSpec};
-use dsud_net::{spawn_query_server, ClientControl, ClientHandler, FanPlan};
+use dsud_net::{spawn_query_server, ClientControl, ClientHandler, FanPlan, MAX_REQUEST_LINE};
 use dsud_uncertain::{Probability, SkylineEntry, UncertainTuple};
 use dsud_vertical::{ColumnSite, UtaCoordinator};
 
@@ -587,6 +587,10 @@ impl ClientHandler for ServeHandler {
         }
         respond_error(out, "empty request: set query, update, or shutdown")
     }
+
+    fn refuse_line(&mut self, out: &mut dyn Write) -> std::io::Result<()> {
+        respond_error(out, &format!("request line longer than {MAX_REQUEST_LINE} bytes")).map(drop)
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1054,6 +1058,149 @@ mod tests {
         assert_eq!(done, 1);
         let cold_bytes: Vec<u8> = cold.writes.iter().flat_map(|(_, b)| b.clone()).collect();
         assert_eq!(results, parse_reply(&cold_bytes).0, "the cached answer is the computed one");
+    }
+
+    /// How deeply arrays and objects nest in `line`.
+    fn nesting_depth(line: &str) -> usize {
+        let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0, false, false);
+        for c in line.chars() {
+            match (in_string, escaped, c) {
+                (true, true, _) => escaped = false,
+                (true, false, '\\') => escaped = true,
+                (true, false, '"') | (false, _, '"') => in_string = !in_string,
+                (false, _, '[' | '{') => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                (false, _, ']' | '}') => depth -= 1,
+                _ => {}
+            }
+        }
+        deepest
+    }
+
+    /// The deepest line the protocol builds — a `done` line carrying a run
+    /// report — nests 5 levels, far below the parser's limit, and the
+    /// longest request — an update at the largest supported
+    /// dimensionality, every float at its longest decimal spelling — fits
+    /// the server's line cap with room to spare.
+    #[test]
+    fn protocol_lines_fit_the_parser_and_line_limits() {
+        let mut h = handler(BatchSize::Auto, 1);
+        let mut out = Vec::new();
+        let line = r#"{"query":{"algorithm":"edsud","q":0.3,"subspace":[0,1,2],"report":true}}"#;
+        h.handle_line(line, &mut out).unwrap();
+        let reply = String::from_utf8(out).unwrap();
+        let done = reply.lines().last().unwrap();
+        assert!(done.contains(r#""report":{"#), "{done}");
+        let deepest = reply.lines().map(nesting_depth).max().unwrap();
+        assert_eq!(deepest, 5, "response > done > report > spans > span");
+        assert!(deepest * 16 < serde_json::MAX_DEPTH);
+
+        // The longest decimal a float serializes to: the smallest normal
+        // magnitude, negated, spelled without an exponent.
+        let longest = -f64::MIN_POSITIVE;
+        let values = vec![longest; SubspaceMask::MAX_DIMS];
+        let tuple = UncertainTuple::new(
+            dsud_uncertain::TupleId::new(u32::MAX, u64::MAX),
+            values,
+            Probability::new(f64::MIN_POSITIVE).unwrap(),
+        )
+        .unwrap();
+        let update = Request {
+            update: Some(UpdateSpec { op: "insert".into(), tuple }),
+            ..Request::default()
+        };
+        let line = serde_json::to_string(&update).unwrap();
+        assert!(line.len() > 20_000 && line.len() * 2 < MAX_REQUEST_LINE, "{} bytes", line.len());
+        assert!(nesting_depth(&line) <= 5);
+    }
+
+    /// Hostile request lines — nesting far past the parser's limit, and
+    /// lines longer than the server's line cap — each get exactly one
+    /// `error` line and leave the connection usable, on a 2 MiB thread
+    /// like the daemon's client threads. The refusal the server sends for
+    /// an over-long line it stops reading is one `error` line too.
+    #[test]
+    fn malformed_request_lines_get_one_error_each_on_a_small_stack() {
+        let corpus = [
+            "[".repeat(20_000),
+            "{".repeat(20_000),
+            r#"{"query":"#.repeat(100_000),
+            format!(r#"{{"update":{{"op":"insert","tuple":{}}}}}"#, "[".repeat(50_000)),
+            format!("{}0{}", "[".repeat(129), "]".repeat(129)),
+            "x".repeat(2 * MAX_REQUEST_LINE),
+            format!(r#"{{"query":{{"algorithm":"{}"}}}}"#, "x".repeat(MAX_REQUEST_LINE)),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut h = handler(BatchSize::Fixed(1), 1);
+                for (i, line) in corpus.iter().enumerate() {
+                    let mut out = Vec::new();
+                    let control = h.handle_line(line, &mut out).unwrap();
+                    assert_eq!(control, ClientControl::Continue, "entry {i}");
+                    let reply = String::from_utf8(out).unwrap();
+                    assert_eq!(reply.lines().count(), 1, "entry {i}: {reply:.200}");
+                    let response: Response = serde_json::from_str(&reply).unwrap();
+                    assert!(response.error.is_some(), "entry {i}: {reply:.200}");
+                }
+                let mut out = Vec::new();
+                h.refuse_line(&mut out).unwrap();
+                let response: Response = serde_json::from_slice(&out).unwrap();
+                assert!(response.error.unwrap().contains("longer than 65536 bytes"));
+
+                // The handler still answers a normal query.
+                let mut out = Vec::new();
+                h.handle_line(&query_line(true), &mut out).unwrap();
+                let (results, done) = parse_reply(&out);
+                assert_eq!(done, 1);
+                assert_eq!(results, progress_order(&one_shot(&h, true)));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// `dsud client` parses the server's lines with the same parser: a
+    /// hostile server's deeply nested line fails the client with an error
+    /// instead of overflowing its stack.
+    #[test]
+    fn malformed_server_lines_fail_the_client_cleanly() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().unwrap()).read_line(&mut request).unwrap();
+            let mut stream = stream;
+            writeln!(stream, "{}", "[".repeat(20_000)).unwrap();
+        });
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut out = Vec::new();
+                client(
+                    &addr,
+                    Algorithm::Edsud,
+                    0.3,
+                    None,
+                    None,
+                    None,
+                    None,
+                    None,
+                    None,
+                    false,
+                    &mut out,
+                )
+                .unwrap_err()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        server.join().unwrap();
+        assert!(err.to_string().contains("bad response from server"), "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 
     #[test]

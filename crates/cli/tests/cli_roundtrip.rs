@@ -4,6 +4,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use dsud_cli::protocol::Response;
 use dsud_cli::{parse, run, Command};
 
 fn argv(s: &str) -> Vec<String> {
@@ -174,4 +175,95 @@ fn stream_command_reports_checkpoints() {
     assert!(report.contains("after"));
     assert!(report.contains("final:"));
     assert!(report.contains("expirations"));
+}
+
+/// A running `dsud serve` child process, killed if a test fails early.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Sends one line and reads one reply line.
+fn exchange(conn: &mut std::io::BufReader<std::net::TcpStream>, line: &str) -> Response {
+    use std::io::{BufRead, Write};
+    writeln!(conn.get_mut(), "{line}").unwrap();
+    let mut reply = String::new();
+    conn.read_line(&mut reply).unwrap();
+    serde_json::from_str(&reply).unwrap()
+}
+
+/// Hostile client lines against a live `dsud serve --transport inline`:
+/// a 20,000-deep line is answered `error` on a connection that stays
+/// usable, and a line past the server's line cap is answered `error` and
+/// closed — while the daemon keeps serving queries from other clients.
+#[test]
+fn malformed_client_lines_get_an_error_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let path = temp_file("serve-malformed.jsonl");
+    run_to_string(
+        &parse(&argv(&format!(
+            "generate --n 400 --dims 2 --dist independent --seed 5 --out {}",
+            path.display()
+        )))
+        .unwrap(),
+    );
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_dsud"))
+        .args(["serve", "--input", &path.display().to_string(), "--sites", "3"])
+        .args(["--port", "0", "--transport", "inline"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut daemon = Daemon(child);
+    let mut stdout = BufReader::new(daemon.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix("dsud serve listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_string();
+    let connect = || BufReader::new(TcpStream::connect(&addr).unwrap());
+    let query = r#"{"query":{"algorithm":"edsud","q":0.3}}"#;
+
+    let mut first = connect();
+    let deep = exchange(&mut first, &"[".repeat(20_000));
+    assert!(deep.error.unwrap().contains("nesting deeper than"));
+    assert!(exchange(&mut first, query).result.is_some(), "the connection stays usable");
+
+    // One byte past the cap and no newline: one `error`, then EOF.
+    let mut long = TcpStream::connect(&addr).unwrap();
+    long.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    long.write_all(&vec![b' '; dsud_net::MAX_REQUEST_LINE + 1]).unwrap();
+    let mut reply = String::new();
+    long.read_to_string(&mut reply).unwrap();
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+    let refused: Response = serde_json::from_str(&reply).unwrap();
+    assert!(refused.error.unwrap().contains("request line longer than"));
+
+    let mut second = connect();
+    let mut lines = 0;
+    writeln!(second.get_mut(), "{query}").unwrap();
+    loop {
+        let mut line = String::new();
+        second.read_line(&mut line).unwrap();
+        lines += 1;
+        let response: Response = serde_json::from_str(&line).unwrap();
+        assert!(response.error.is_none(), "{line}");
+        if response.done.is_some() {
+            break;
+        }
+    }
+    assert!(lines > 1, "results stream before the done line");
+
+    assert!(exchange(&mut second, r#"{"shutdown":true}"#).bye);
+    let mut farewell = String::new();
+    stdout.read_to_string(&mut farewell).unwrap();
+    assert!(farewell.starts_with("dsud serve stopped: 2 queries"), "{farewell}");
+    assert!(daemon.0.wait().unwrap().success());
 }

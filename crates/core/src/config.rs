@@ -1,7 +1,6 @@
 //! Query configuration: the probability threshold `q` (Definition 1), the
 //! optional subspace mask, the progressive top-k `limit`, and the e-DSUD
-//! feedback-selection [`BoundMode`] (Section 5.2, Observation 2) plus the
-//! optional grid-synopsis ablation the paper argues against.
+//! feedback-selection [`BoundMode`] (Section 5.2, Observation 2).
 
 use serde::{Deserialize, Serialize};
 
@@ -87,7 +86,8 @@ pub enum BatchSize {
     Fixed(usize),
     /// Planned from exact counts: the run sends a counted Start, and every
     /// round ships up to [`crate::planner::planned_batch`] of the cluster's
-    /// exact candidate total (see [`crate::planner`]).
+    /// exact candidate total, and never more than a top-`k` query's `k`
+    /// (see [`crate::planner`]).
     Auto,
 }
 
@@ -362,11 +362,6 @@ pub struct QueryConfig {
     /// Stop after this many reported results (progressive top-k); `None`
     /// retrieves the complete answer.
     pub limit: Option<usize>,
-    /// e-DSUD only: request a grid synopsis of this resolution from every
-    /// site at query start and use it for candidate bounding (the
-    /// Section 5.2 trade-off the paper argues against — measured by the
-    /// ablation benches). `None` uses only the paper's free bounds.
-    pub synopsis: Option<u16>,
     /// What to do when a site stays unreachable after retries. Defaults to
     /// [`FailurePolicy::Strict`]; absent in configs serialized before the
     /// field existed, hence the serde default.
@@ -417,7 +412,6 @@ impl QueryConfig {
             mask: None,
             bound: BoundMode::Paper,
             limit: None,
-            synopsis: None,
             failure: FailurePolicy::Strict,
             batch: BatchSize::default(),
             pipeline: PipelineDepth::default(),
@@ -473,13 +467,6 @@ impl QueryConfig {
     /// Selects the e-DSUD bound mode.
     pub fn bound_mode(mut self, bound: BoundMode) -> Self {
         self.bound = bound;
-        self
-    }
-
-    /// Requests per-site grid synopses at this resolution and folds them
-    /// into the e-DSUD candidate bounds.
-    pub fn synopsis(mut self, resolution: u16) -> Self {
-        self.synopsis = Some(resolution);
         self
     }
 
@@ -600,7 +587,7 @@ mod tests {
     #[test]
     fn configs_without_a_failure_field_deserialize_strict() {
         // A config serialized before the failure policy existed.
-        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null,"synopsis":null}"#;
+        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null}"#;
         let cfg: QueryConfig = serde_json::from_str(json).unwrap();
         assert_eq!(cfg.failure, FailurePolicy::Strict);
         assert_eq!(cfg.batch, BatchSize::Fixed(1));
@@ -654,7 +641,7 @@ mod tests {
     fn configs_without_a_wire_field_deserialize_legacy() {
         // Configs and site options serialized before the wire format
         // existed must keep their original (row-encoded) byte behaviour.
-        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null,"synopsis":null}"#;
+        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null}"#;
         let cfg: QueryConfig = serde_json::from_str(json).unwrap();
         assert_eq!(cfg.wire, WireFormat::Legacy);
         let json = r#"{"pruning":true,"update_policy":"Exact"}"#;
@@ -677,10 +664,23 @@ mod tests {
     }
 
     #[test]
+    fn configs_with_a_retired_synopsis_field_still_deserialize() {
+        // Configs serialized while the grid-synopsis ablation existed carry
+        // a `synopsis` resolution; it is ignored.
+        let cfg = QueryConfig::new(0.3).unwrap().limit(4);
+        for field in [r#","synopsis":8"#, r#","synopsis":null"#] {
+            let mut json = serde_json::to_string(&cfg).unwrap();
+            json.insert_str(json.len() - 1, field);
+            let old: QueryConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(old, cfg);
+        }
+    }
+
+    #[test]
     fn configs_without_a_deadline_field_deserialize_unbounded() {
         // A config serialized before per-query deadlines existed must keep
         // running without one.
-        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null,"synopsis":null}"#;
+        let json = r#"{"q":0.3,"mask":null,"bound":"Paper","limit":null}"#;
         let cfg: QueryConfig = serde_json::from_str(json).unwrap();
         assert_eq!(cfg.deadline_ms, None);
         let cfg = QueryConfig::new(0.3).unwrap().deadline(250);

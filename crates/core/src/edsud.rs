@@ -24,8 +24,6 @@
 //! broadcast — the entire bandwidth saving of e-DSUD over DSUD — and their
 //! home site immediately supplies its next representative.
 
-use std::collections::HashMap;
-
 use dsud_net::{BandwidthMeter, FanPlan, Fanout, Link, Message, TupleMsg};
 use dsud_obs::Counter;
 use dsud_uncertain::{dominates_in, SkylineEntry, SubspaceMask};
@@ -34,7 +32,6 @@ use crate::batch::BatchRound;
 use crate::cluster::routes_with_covers;
 use crate::degrade::FailureTracker;
 use crate::progress::Reporter;
-use crate::synopsis::SynopsisBound;
 use crate::{planner, BoundMode, Error, QueryConfig, QueryOutcome, RunStats, SiteOrder};
 
 /// A queued candidate with its per-site broadcast discounts.
@@ -73,7 +70,7 @@ impl Candidate {
     }
 
     /// The upper bound `P*_gsky` (Corollary 2) of this candidate given the
-    /// current queue contents, optionally tightened by per-site synopses.
+    /// current queue contents.
     ///
     /// The per-site factors are assembled in `per_site`, a caller-held
     /// buffer, and multiplied in ascending site order, so the bound's bits
@@ -83,7 +80,6 @@ impl Candidate {
         queue: &[Candidate],
         mask: SubspaceMask,
         mode: BoundMode,
-        synopses: &HashMap<u32, SynopsisBound>,
         per_site: &mut Vec<f64>,
     ) -> f64 {
         per_site.clear();
@@ -108,17 +104,6 @@ impl Candidate {
                 *factor = with_simple.min(obs2);
             }
         }
-        // Synopsis factors: per site, another valid upper bound on the
-        // candidate's survival there — again min-combined, never
-        // multiplied, to avoid double counting.
-        for (&site, syn) in synopses {
-            if site == self.msg.id.site.0 {
-                continue;
-            }
-            let bound = syn.survival_bound(&self.msg.values, mask);
-            let factor = &mut per_site[site as usize];
-            *factor = factor.min(bound);
-        }
         self.msg.local_prob * per_site.iter().product::<f64>()
     }
 }
@@ -130,9 +115,6 @@ impl Candidate {
 /// [`crate::Cluster::run_edsud`] gives the same config on a flat
 /// topology.
 ///
-/// A [`QueryConfig::synopsis`] resolution requests one grid synopsis per
-/// site at query start (charged on the meter) and folds it into the
-/// candidate bounds — the Section 5.2 synopsis trade-off made measurable.
 /// Rounds follow DSUD's schedule, with an expunge sweep before every
 /// draw: each doomed candidate's home site gets the same flush-and-refill
 /// draw a selected head's site does. With an overlapped
@@ -205,28 +187,6 @@ pub(crate) fn run_on(
         }
     }
 
-    // Optional synopsis phase: every site ships its grid, paid for in
-    // tuple-equivalents on the meter.
-    let mut synopses: HashMap<u32, SynopsisBound> = HashMap::new();
-    if let Some(resolution) = config.synopsis {
-        let _span = rec.span("synopsis");
-        let active = |x: usize| tracker.is_active(x);
-        for (x, reply) in
-            order.verify(fan.broadcast(active, &Message::SynopsisRequest { resolution }))
-        {
-            match reply {
-                Ok(Message::Synopsis(syn)) => {
-                    synopses.insert(x as u32, SynopsisBound::new(syn));
-                }
-                // A site that cannot ship a synopsis is still a valid query
-                // participant: synopses only tighten bounds, never gate
-                // correctness. Transport failures still count against it.
-                Ok(_) => {}
-                Err(e) => tracker.transport_failure(x, e)?,
-            }
-        }
-    }
-
     // Size `--batch auto` rounds (selection draws and expunge sweeps
     // alike) from the exact candidate total. Pure scheduling — see
     // `crate::planner`.
@@ -255,10 +215,8 @@ pub(crate) fn run_on(
                 // Expunge sweep: drop every candidate whose bound fails
                 // `q`, pulling replacements until the picture stabilizes.
                 loop {
-                    let bounds: Vec<f64> = queue
-                        .iter()
-                        .map(|c| c.bound(&queue, mask, mode, &synopses, &mut per_site))
-                        .collect();
+                    let bounds: Vec<f64> =
+                        queue.iter().map(|c| c.bound(&queue, mask, mode, &mut per_site)).collect();
                     // The jobs are fixed up front: the sweep walks indices
                     // downwards, and its swap_removes and pushes never
                     // disturb a position below the one being processed.
@@ -293,10 +251,8 @@ pub(crate) fn run_on(
                 }
 
                 // Selection: broadcast the candidate with the largest bound.
-                let bounds: Vec<f64> = queue
-                    .iter()
-                    .map(|c| c.bound(&queue, mask, mode, &synopses, &mut per_site))
-                    .collect();
+                let bounds: Vec<f64> =
+                    queue.iter().map(|c| c.bound(&queue, mask, mode, &mut per_site)).collect();
                 let Some(head_idx) = argmax(&bounds, &queue) else { break };
                 if bounds[head_idx] < q {
                     // Unreachable in exact arithmetic — the sweep ended on
@@ -401,7 +357,7 @@ mod tests {
         ];
         let b: Vec<f64> = queue
             .iter()
-            .map(|c| c.bound(&queue, full2(), BoundMode::Paper, &HashMap::new(), &mut Vec::new()))
+            .map(|c| c.bound(&queue, full2(), BoundMode::Paper, &mut Vec::new()))
             .collect();
         // (6,6) is undominated in L: bound = its local probability.
         assert!((b[0] - 0.65).abs() < 1e-12);
@@ -422,7 +378,7 @@ mod tests {
         ];
         let b: Vec<f64> = queue
             .iter()
-            .map(|c| c.bound(&queue, full2(), BoundMode::Paper, &HashMap::new(), &mut Vec::new()))
+            .map(|c| c.bound(&queue, full2(), BoundMode::Paper, &mut Vec::new()))
             .collect();
         assert!((b[0] - 0.65 * 0.3).abs() < 1e-12, "got {}", b[0]);
         assert!((b[1] - 0.8 * 0.3).abs() < 1e-12, "got {}", b[1]);
@@ -434,13 +390,7 @@ mod tests {
             Candidate::new(msg(0, vec![6.0, 6.0], 0.7, 0.65), &[], full2(), 3),
             Candidate::new(msg(2, vec![6.4, 7.5], 0.9, 0.8), &[], full2(), 3),
         ];
-        let b = queue[1].bound(
-            &queue,
-            full2(),
-            BoundMode::BroadcastOnly,
-            &HashMap::new(),
-            &mut Vec::new(),
-        );
+        let b = queue[1].bound(&queue, full2(), BoundMode::BroadcastOnly, &mut Vec::new());
         assert!((b - 0.8).abs() < 1e-12);
     }
 
@@ -452,7 +402,7 @@ mod tests {
             Candidate::new(msg(1, vec![1.0, 1.0], 0.9, 0.9), &[], full2(), 3),
             Candidate::new(msg(1, vec![2.0, 2.0], 0.9, 0.09), &[], full2(), 3),
         ];
-        let b = queue[1].bound(&queue, full2(), BoundMode::Paper, &HashMap::new(), &mut Vec::new());
+        let b = queue[1].bound(&queue, full2(), BoundMode::Paper, &mut Vec::new());
         assert!((b - 0.09).abs() < 1e-12);
     }
 
@@ -464,7 +414,7 @@ mod tests {
             msg(1, vec![1.5, 1.5], 0.2, 0.2),
         ];
         let c = Candidate::new(msg(2, vec![3.0, 3.0], 0.9, 0.8), &history, full2(), 3);
-        let b = c.bound(&[], full2(), BoundMode::Paper, &HashMap::new(), &mut Vec::new());
+        let b = c.bound(&[], full2(), BoundMode::Paper, &mut Vec::new());
         // Site 0 contributes 0.5 × 0.5, site 1 contributes 0.8.
         assert!((b - 0.8 * 0.25 * 0.8).abs() < 1e-12);
     }
@@ -489,7 +439,7 @@ mod tests {
             .collect();
         let bound_of = |history: &[TupleMsg], queue: &[Candidate]| {
             let c = Candidate::new(msg(0, vec![5.0, 5.0], 0.9, 0.8), history, full2(), 13);
-            c.bound(queue, full2(), BoundMode::Paper, &HashMap::new(), &mut Vec::new())
+            c.bound(queue, full2(), BoundMode::Paper, &mut Vec::new())
         };
         // Reverse the site order, keeping each site's own tuples in order.
         let mut reversed = history.clone();

@@ -71,7 +71,6 @@ mod progress;
 pub mod session;
 mod site;
 mod site_order;
-pub mod synopsis;
 pub mod update;
 
 pub use cluster::{Cluster, QueryOutcome, RunStats, Transport};

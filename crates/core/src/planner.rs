@@ -13,9 +13,9 @@
 //! upload and the number of candidates pending behind it. The coordinator
 //! sums the pending counts and the uploads it queued into the exact
 //! cluster total (a site lost at Start counts 0), and [`planned_batch`]
-//! turns that total into a batch cap. No frame is added and no site keeps any
-//! summary between queries, so the total is exact for every subspace and
-//! after every update.
+//! turns that total into a batch cap, which a top-`k` query's `k` caps in
+//! turn. No frame is added and no site keeps any summary between queries,
+//! so the total is exact for every subspace and after every update.
 //!
 //! Planning is a pure *scheduling* decision: because batching never
 //! changes the answer (Lemma 1; see `crate::batch` and the differential
@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::{BatchSize, QueryConfig};
 
-/// Smallest batch cap the planner will emit, so a small cluster still
-/// coalesces its rounds.
+/// Smallest batch cap the planner will emit for a query without a top-`k`
+/// limit, so a small cluster still coalesces its rounds.
 pub const PLAN_BATCH_MIN: usize = 16;
 
 /// Largest batch cap the planner will emit. Caps coordinator memory for a
@@ -75,11 +75,16 @@ pub(crate) fn counts(config: &QueryConfig) -> bool {
 /// when [`counts`] holds). Returns the round budget — the planned cap under
 /// [`BatchSize::Auto`], the user's `K ≥ 1` otherwise — plus the summary of
 /// the planning, if any ran.
+///
+/// A top-`k` query ([`QueryConfig::limit`]) stops at its `k`-th answer, and
+/// a round confirms at most its budget of answers, so the planned cap never
+/// exceeds `k`: candidates drawn past it would only ship tuples for
+/// answers the query never reports.
 pub(crate) fn schedule(candidates: u64, config: &QueryConfig) -> (usize, Option<PlanSummary>) {
     match config.batch {
         BatchSize::Fixed(k) => (k.max(1), None),
         BatchSize::Auto => {
-            let cap = planned_batch(candidates);
+            let cap = planned_batch(candidates).min(config.limit.unwrap_or(usize::MAX)).max(1);
             let summary = PlanSummary {
                 sketch_bytes: 0,
                 plan_us: 0,
@@ -136,6 +141,20 @@ mod tests {
             assert!(!counts(&at(BatchSize::Fixed(k))));
             assert_eq!(schedule(400, &at(BatchSize::Fixed(k))), (k, None));
         }
+    }
+
+    /// Under a top-`k` limit the planned cap is at most `k` (and at least
+    /// one), and the summary records that cap; a fixed size is still the
+    /// user's, limit or not.
+    #[test]
+    fn schedule_caps_auto_rounds_at_the_limit() {
+        let at = |batch, k| QueryConfig::new(0.3).unwrap().batch_size(batch).limit(k);
+        for (k, cap) in [(0, 1), (1, 1), (4, 4), (39, 39), (40, 40), (41, 40), (1_000, 40)] {
+            let (budget, summary) = schedule(400, &at(BatchSize::Auto, k));
+            assert_eq!(budget, cap, "limit {k}");
+            assert_eq!(summary.unwrap().planned_batch, Some(cap), "limit {k}");
+        }
+        assert_eq!(schedule(400, &at(BatchSize::Fixed(16), 4)), (16, None));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   ([`dsud_obs::Counter::AdmissionWaitUs`]).
 //! * **Result cache** — completed answers are cached under their full
 //!   query key (algorithm, threshold bits, subspace, limit, bound,
-//!   synopsis, failure policy), so a repeated query on unchanged sites is
+//!   failure policy), so a repeated query on unchanged sites is
 //!   served without a single candidate round
 //!   ([`dsud_obs::Counter::CacheHits`], `rounds == 0` in its report). Any
 //!   update applied through [`SessionServer::apply_update`] — the existing
@@ -297,7 +297,6 @@ struct CacheKey {
     mask_bits: u64,
     limit: Option<usize>,
     bound: BoundMode,
-    synopsis: Option<u16>,
     failure: FailurePolicy,
 }
 
@@ -623,7 +622,6 @@ impl SessionServer {
             mask_bits: mask.bits(),
             limit: config.limit,
             bound: config.bound,
-            synopsis: config.synopsis,
             failure: config.failure,
         };
 
@@ -1064,7 +1062,6 @@ mod tests {
             mask_bits: 3,
             limit: None,
             bound: BoundMode::default(),
-            synopsis: None,
             failure: FailurePolicy::default(),
         };
         let outcome = QueryOutcome {

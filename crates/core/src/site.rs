@@ -5,7 +5,7 @@
 //! streaming (the To-Server phase, Section 5.1), survival products and
 //! Local-Pruning on feedback (Server-Delivery phase), dominance-region
 //! re-evaluation and replica bookkeeping for update maintenance
-//! (Section 5.4), and grid synopses (Section 5.2). Because it implements
+//! (Section 5.4). Because it implements
 //! [`dsud_net::Service`], the identical code runs inline, on a thread, or
 //! behind a TCP socket.
 
@@ -511,13 +511,6 @@ impl Service for LocalSite {
                 self.replica_remove(t.id);
                 Message::Ack
             }
-            Message::SynopsisRequest { resolution } => {
-                let tuples: Vec<_> = self.tree.iter().cloned().collect();
-                match crate::synopsis::build_synopsis(tuples.iter(), self.dims, resolution) {
-                    Some(syn) => Message::Synopsis(syn),
-                    None => Message::Ack, // empty site: nothing to summarize
-                }
-            }
             // Liveness probe from the session server's heartbeat: echo the
             // nonce so the coordinator can match the ack to its probe. No
             // query state is touched — a probe mid-query is invisible.
@@ -542,7 +535,6 @@ impl Service for LocalSite {
             | Message::NotifyDelete(_)
             | Message::RegionReply(_)
             | Message::RegionReplyC(_)
-            | Message::Synopsis(_)
             | Message::Drawn { .. }
             | Message::Started { .. }
             | Message::UploadLast(_)

@@ -73,11 +73,12 @@ pub mod wire;
 pub use cover::Cover;
 pub use fanout::{Aggregator, FanNode, FanPlan, Fanout, OpTicket, Routes};
 pub use latency::{DelayedService, LatencyModel};
-pub use message::{AggReply, Message, SynopsisMsg, TrafficClass, TupleMsg, MAX_NESTING};
+pub use message::{AggReply, Message, TrafficClass, TupleMsg, MAX_NESTING};
 pub use meter::{BandwidthMeter, Counters, MeterSnapshot};
 pub use retry::{HealthSnapshot, LinkHealth, RetryLink};
 pub use server::{
     share, spawn_query_server, ClientControl, ClientHandler, MuxLink, QueryServer, SharedLink,
+    MAX_REQUEST_LINE,
 };
 pub use transport::{
     broadcast, scatter, ChannelLink, ChaosLink, FaultKind, FaultPlan, FaultWindow, Link,

@@ -198,72 +198,6 @@ impl TupleMsg {
     }
 }
 
-/// A per-site grid synopsis: for every cell of a uniform grid over the
-/// site's bounding box, the survival product `∏ (1 − P(t))` of the tuples
-/// inside the cell. Lets the server bound a foreign point's survival
-/// product at that site without any further communication — at the price
-/// of shipping the grid itself (the trade-off the paper's Section 5.2
-/// argues against; `dsud-core` measures it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SynopsisMsg {
-    /// Dimensionality of the grid.
-    pub dims: u16,
-    /// Cells per dimension.
-    pub resolution: u16,
-    /// Lower corner of the gridded bounding box.
-    pub lower: Vec<f64>,
-    /// Upper corner of the gridded bounding box.
-    pub upper: Vec<f64>,
-    /// Row-major `resolution^dims` cell survival products.
-    pub cells: Vec<f64>,
-}
-
-impl SynopsisMsg {
-    /// Wire size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        2 + 2 + 8 * self.lower.len() + 8 * self.upper.len() + 4 + 8 * self.cells.len()
-    }
-
-    /// The synopsis's bandwidth cost in the paper's unit: how many wire
-    /// tuples of the same dimensionality its bytes amount to (rounded up).
-    pub fn tuple_equivalents(&self) -> u64 {
-        let tuple_bytes = 4 + 8 + 2 + 8 * self.dims as usize + 8 + 8;
-        self.encoded_len().div_ceil(tuple_bytes) as u64
-    }
-
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.dims);
-        buf.put_u16(self.resolution);
-        for &v in self.lower.iter().chain(&self.upper) {
-            buf.put_f64(v);
-        }
-        buf.put_u32(self.cells.len() as u32);
-        for &c in &self.cells {
-            buf.put_f64(c);
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> Option<Self> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let dims = buf.get_u16();
-        let resolution = buf.get_u16();
-        let d = dims as usize;
-        if buf.remaining() < 16 * d + 4 {
-            return None;
-        }
-        let lower = (0..d).map(|_| buf.get_f64()).collect();
-        let upper = (0..d).map(|_| buf.get_f64()).collect();
-        let n = buf.get_u32() as usize;
-        if buf.remaining() < 8 * n {
-            return None;
-        }
-        let cells = (0..n).map(|_| buf.get_f64()).collect();
-        Some(SynopsisMsg { dims, resolution, lower, upper, cells })
-    }
-}
-
 /// Protocol messages between the central server `H` and local sites.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
@@ -328,13 +262,6 @@ pub enum Message {
     /// Simulation scaffolding, `driver → site`: apply this deletion as if
     /// it originated at the site.
     InjectDelete(TupleMsg),
-    /// `H → site`: request a grid synopsis at the given resolution.
-    SynopsisRequest {
-        /// Cells per dimension.
-        resolution: u16,
-    },
-    /// `site → H`: the requested synopsis.
-    Synopsis(SynopsisMsg),
     /// Generic acknowledgement.
     Ack,
     /// `site → H`: the site could not decode the request frame. Transports
@@ -449,7 +376,7 @@ pub enum Message {
         /// `(site, outcome)` entries, ascending by site.
         replies: Vec<(u32, AggReply)>,
     },
-    /// `H → site` (retired plan phase): ask for a mergeable synopsis of the
+    /// `H → site` (retired plan phase): ask for a mergeable sketch of the
     /// site's skyline probabilities. No coordinator sends it any more —
     /// rounds are planned from the counts on [`Message::Started`] — and
     /// sites, which keep no sketch, answer it with [`Message::Ack`]. Kept
@@ -544,8 +471,6 @@ impl Message {
             | Message::ReplicaSyncC(_)
             | Message::RegionReplyC(_) => TrafficClass::Maintenance,
             Message::InjectInsert(_) | Message::InjectDelete(_) => TrafficClass::Scaffold,
-            Message::SynopsisRequest { .. } => TrafficClass::Control,
-            Message::Synopsis(_) => TrafficClass::Upload,
             // A tagged frame is the inner message plus a free header.
             Message::Tagged { inner, .. } => inner.class(),
             Message::Release => TrafficClass::Control,
@@ -591,9 +516,6 @@ impl Message {
             Message::FeedbackBatchC(block)
             | Message::ReplicaSyncC(block)
             | Message::RegionReplyC(block) => block.len() as u64,
-            // Synopses are charged their tuple-equivalent weight — the
-            // honest cost the paper's Section 5.2 worries about.
-            Message::Synopsis(s) => s.tuple_equivalents(),
             // Injected updates are simulation scaffolding, not traffic.
             Message::InjectInsert(_) | Message::InjectDelete(_) => 0,
             Message::Tagged { inner, .. } => inner.tuple_count(),
@@ -702,14 +624,6 @@ impl Message {
             Message::InjectDelete(t) => {
                 buf.put_u8(15);
                 t.encode(buf);
-            }
-            Message::SynopsisRequest { resolution } => {
-                buf.put_u8(16);
-                buf.put_u16(*resolution);
-            }
-            Message::Synopsis(syn) => {
-                buf.put_u8(17);
-                syn.encode(buf);
             }
             Message::DecodeError => buf.put_u8(18),
             Message::FeedbackBatch(tuples) => {
@@ -855,8 +769,6 @@ impl Message {
             | Message::FeedbackBatch(tuples) => {
                 4 + tuples.iter().map(TupleMsg::encoded_len).sum::<usize>()
             }
-            Message::SynopsisRequest { .. } => 2,
-            Message::Synopsis(syn) => syn.encoded_len(),
             Message::Tagged { inner, .. } => 8 + inner.encoded_len(),
             Message::Release => 0,
             // The columnar helpers count the whole frame including the tag
@@ -995,13 +907,6 @@ impl Message {
             }
             14 => Message::InjectInsert(TupleMsg::decode(&mut buf)?),
             15 => Message::InjectDelete(TupleMsg::decode(&mut buf)?),
-            16 => {
-                if buf.remaining() < 2 {
-                    return None;
-                }
-                Message::SynopsisRequest { resolution: buf.get_u16() }
-            }
-            17 => Message::Synopsis(SynopsisMsg::decode(&mut buf)?),
             18 => Message::DecodeError,
             19 => {
                 if buf.remaining() < 4 {
@@ -1194,14 +1099,6 @@ mod tests {
             Message::RegionReply(vec![sample_tuple_msg()]),
             Message::InjectInsert(sample_tuple_msg()),
             Message::InjectDelete(sample_tuple_msg()),
-            Message::SynopsisRequest { resolution: 8 },
-            Message::Synopsis(SynopsisMsg {
-                dims: 2,
-                resolution: 2,
-                lower: vec![0.0, 0.0],
-                upper: vec![1.0, 1.0],
-                cells: vec![0.5, 0.25, 1.0, 0.75],
-            }),
             Message::Ack,
             Message::DecodeError,
             Message::FeedbackBatch(vec![sample_tuple_msg(); 3]),
@@ -1390,8 +1287,9 @@ mod tests {
         }
         tags.sort_unstable();
         tags.dedup();
-        // Tag 33 (the retired sketch reply) is the one gap.
-        let live: Vec<u8> = (0u8..=43).filter(|&t| t != 33).collect();
+        // Tags 16/17 (the retired grid synopsis) and 33 (the retired sketch
+        // reply) are the gaps.
+        let live: Vec<u8> = (0u8..=43).filter(|t| ![16, 17, 33].contains(t)).collect();
         assert_eq!(tags, live, "every live wire tag 0..=43 represented");
     }
 
@@ -1571,6 +1469,28 @@ mod tests {
         tagged.extend_from_slice(&old_header);
         for frame in [vec![33], old_header, tagged] {
             assert!(Message::decode_slice(&frame).is_none(), "tag 33 is retired");
+        }
+    }
+
+    /// The retired grid-synopsis tags 16 (request) and 17 (reply) are
+    /// gone: an empty frame, the old header, and either one wrapped in a
+    /// `Tagged` decode to `None`.
+    #[test]
+    fn malformed_synopsis_frames_decode_to_none() {
+        // Tag 16 carried a u16 resolution; tag 17 a 2-d, 2×2 grid.
+        let request = vec![16, 0, 8];
+        let mut reply = vec![17, 0, 2, 0, 2];
+        reply.extend(std::iter::repeat_n(0u8, 32));
+        reply.extend_from_slice(&4u32.to_be_bytes());
+        reply.extend(std::iter::repeat_n(0u8, 32));
+        let tagged = |frame: &[u8]| {
+            let mut out = vec![crate::wire::TAG_TAGGED];
+            out.extend_from_slice(&6u64.to_be_bytes());
+            out.extend_from_slice(frame);
+            out
+        };
+        for frame in [vec![16], vec![17], tagged(&request), tagged(&reply), request, reply] {
+            assert!(Message::decode_slice(&frame).is_none(), "tags 16/17 are retired: {frame:?}");
         }
     }
 

@@ -22,7 +22,8 @@
 //!   reuses the one-shot protocol code unchanged — the property the
 //!   bit-identity tests pin.
 //! * [`QueryServer`] — the accept loop clients connect to: one OS thread
-//!   per client, newline-delimited requests handed to a per-connection
+//!   per client, newline-delimited requests of at most
+//!   [`MAX_REQUEST_LINE`] bytes handed to a per-connection
 //!   [`ClientHandler`], cooperative shutdown either from the owner
 //!   ([`QueryServer::shutdown`]) or from a client
 //!   ([`ClientControl::Shutdown`]).
@@ -34,7 +35,7 @@
 //! as a one-shot run.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -304,6 +305,15 @@ pub trait ClientHandler: Send {
     /// Returns the I/O error when writing a response fails; the server
     /// closes the connection.
     fn handle_line(&mut self, line: &str, out: &mut dyn Write) -> io::Result<ClientControl>;
+
+    /// Answers a request line longer than [`MAX_REQUEST_LINE`] bytes,
+    /// which the server refuses to read to its end; the server then closes
+    /// the connection.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error when writing the answer fails.
+    fn refuse_line(&mut self, out: &mut dyn Write) -> io::Result<()>;
 }
 
 /// A running client-facing server: loopback listener, one thread per
@@ -423,10 +433,18 @@ where
 /// admission slot and site cursors indefinitely.
 const CLIENT_WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 
+/// The most bytes a request line may hold before its newline. The longest
+/// request `dsud serve`'s protocol builds — an update carrying a tuple at
+/// the largest supported dimensionality, every float spelled out in full —
+/// is about 21 KB, so a client line longer than this is not a request;
+/// reading stops here instead of growing one buffer without limit.
+pub const MAX_REQUEST_LINE: usize = 64 << 10;
+
 /// Serves one client connection until it closes, errors, or asks to stop.
 /// Client-side I/O errors (e.g. a vanished client, or a stalled one past
 /// [`CLIENT_WRITE_TIMEOUT`]) end the connection quietly — they must not
-/// take the server down.
+/// take the server down. A line longer than [`MAX_REQUEST_LINE`] is
+/// answered by [`ClientHandler::refuse_line`] and ends the connection.
 fn serve_client<H: ClientHandler>(
     stream: TcpStream,
     handler: &mut H,
@@ -443,9 +461,13 @@ fn serve_client<H: ClientHandler>(
     };
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read no further than one byte past the cap: a line that still
+        // has no newline by then is over-long. A partial line kept from a
+        // timed-out read counts against the same cap.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client hung up
             Ok(_) => {}
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -458,7 +480,14 @@ fn serve_client<H: ClientHandler>(
             }
             Err(_) => return,
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let _ = handler.refuse_line(&mut writer);
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             line.clear();
             continue;
@@ -702,7 +731,8 @@ mod tests {
     }
 
     /// Echoes each line back prefixed with `ok:`; `close` closes the
-    /// connection, `stop` shuts the server down.
+    /// connection, `stop` shuts the server down. An over-long line is
+    /// answered `too long`.
     struct EchoHandler;
     impl ClientHandler for EchoHandler {
         fn handle_line(&mut self, line: &str, out: &mut dyn Write) -> io::Result<ClientControl> {
@@ -715,6 +745,11 @@ mod tests {
                     Ok(ClientControl::Continue)
                 }
             }
+        }
+
+        fn refuse_line(&mut self, out: &mut dyn Write) -> io::Result<()> {
+            writeln!(out, "too long")?;
+            out.flush()
         }
     }
 
@@ -742,6 +777,35 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         writeln!(stream, "stop").unwrap();
         server.wait().unwrap();
+    }
+
+    /// A line of exactly [`MAX_REQUEST_LINE`] bytes is served; one byte
+    /// more is refused once, before its end is read, and the connection
+    /// closes — while other clients keep being served.
+    #[test]
+    fn malformed_overlong_lines_are_refused_and_the_server_keeps_serving() {
+        let server = spawn_query_server(0, || EchoHandler).unwrap();
+        let addr = server.addr();
+        let longest = "x".repeat(MAX_REQUEST_LINE);
+        assert_eq!(roundtrip(addr, &longest), format!("ok:{longest}"));
+
+        // One byte past the cap, no newline: the server has read every
+        // byte sent when it refuses, so its answer and close arrive intact.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&vec![b'['; MAX_REQUEST_LINE + 1]).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "too long\n", "one answer, then the connection closes");
+
+        // A client that never stops sending: the server stops reading at
+        // the cap and closes (the client may see a reset instead of the
+        // answer), and keeps serving others.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = stream.write_all(&vec![b'['; 16 * MAX_REQUEST_LINE]);
+        drop(stream);
+        assert_eq!(roundtrip(addr, "still here"), "ok:still here");
+        server.shutdown().unwrap();
     }
 
     #[test]

@@ -69,13 +69,20 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
     to_string(value).map(String::into_bytes)
 }
 
+/// How deeply arrays and objects may nest in parsed text — the default
+/// recursion limit of the real `serde_json`. The parser recurses once per
+/// level, so without a limit one line of `[`s could overflow the stack of
+/// whichever thread parses it; past the limit it returns [`Error`].
+pub const MAX_DEPTH: usize = 128;
+
 /// Deserializes a value from JSON text.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or on a shape mismatch with `T`.
+/// Returns [`Error`] on malformed JSON, on arrays and objects nested deeper
+/// than [`MAX_DEPTH`], or on a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut parser = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -206,6 +213,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -243,8 +252,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.consume_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -252,6 +261,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -424,7 +448,57 @@ mod tests {
         assert_eq!(ints, vec![-3, 4]);
     }
 
+    /// A `0` nested `depth` levels deep, alternating arrays and objects.
+    fn nested(depth: usize) -> String {
+        let (mut open, mut close) = (String::new(), String::new());
+        for level in 0..depth {
+            if level % 2 == 0 {
+                open.push('[');
+                close.push(']');
+            } else {
+                open.push_str(r#"{"k":"#);
+                close.push('}');
+            }
+        }
+        open + "0" + &close.chars().rev().collect::<String>()
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        assert!(from_str::<ValueWrap>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<ValueWrap>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Sibling containers do not add up: depth is per path.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str::<ValueWrap>(&wide).is_ok());
+    }
+
+    /// Hostile nesting is an error, never a stack overflow, even on a
+    /// 2 MiB thread — the stack a server's client-handler thread gets.
+    #[test]
+    fn malformed_deep_nesting_is_an_error_on_a_small_stack() {
+        let corpus: Vec<String> = vec![
+            "[".repeat(20_000),
+            "[".repeat(1_000_000),
+            r#"{"a":"#.repeat(100_000),
+            nested(100_000),
+            format!("{}1{}", "[".repeat(50_000), "]".repeat(50_000)),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (i, text) in corpus.iter().enumerate() {
+                    let err = from_str::<ValueWrap>(text).unwrap_err();
+                    assert!(err.to_string().contains("nesting deeper"), "entry {i}: {err}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     /// Identity wrapper so tests can round-trip raw [`Value`] trees.
+    #[derive(Debug)]
     struct ValueWrap(Value);
 
     impl Serialize for ValueWrap {

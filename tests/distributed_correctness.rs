@@ -200,39 +200,6 @@ fn clustered_data_is_correct() {
 }
 
 #[test]
-fn synopsis_assisted_edsud_is_correct() {
-    let sites = WorkloadSpec::new(1_500, 3)
-        .spatial(SpatialDistribution::Anticorrelated)
-        .seed(71)
-        .generate_partitioned(8)
-        .unwrap();
-    let mask = SubspaceMask::full(3).unwrap();
-    let expected = reference(&sites, 3, 0.3, mask);
-
-    for resolution in [4u16, 8, 16] {
-        let mut cluster = Cluster::local(3, sites.clone()).unwrap();
-        let config = QueryConfig::new(0.3).unwrap().synopsis(resolution);
-        let outcome = cluster.run_edsud(&config).unwrap();
-        assert_same(&sorted_results(&outcome), &expected, &format!("synopsis r={resolution}"));
-        // The synopsis transfer must have been charged.
-        assert!(outcome.traffic.upload.tuples > 0);
-    }
-}
-
-#[test]
-fn synopsis_changes_bandwidth_but_never_answers() {
-    let sites = WorkloadSpec::new(2_000, 2).seed(72).generate_partitioned(10).unwrap();
-    let plain_cfg = QueryConfig::new(0.3).unwrap();
-    let mut plain_cluster = Cluster::local(2, sites.clone()).unwrap();
-    let plain = plain_cluster.run_edsud(&plain_cfg).unwrap();
-    let mut syn_cluster = Cluster::local(2, sites).unwrap();
-    let syn = syn_cluster.run_edsud(&plain_cfg.synopsis(8)).unwrap();
-    assert_eq!(sorted_results(&plain), sorted_results(&syn));
-    // The synopsis tightens bounds: never more broadcasts than without.
-    assert!(syn.stats.broadcasts <= plain.stats.broadcasts);
-}
-
-#[test]
 fn sites_with_single_tuples() {
     // Extreme fragmentation: every site holds exactly one tuple.
     let sites = WorkloadSpec::new(40, 2).seed(81).generate_partitioned(40).unwrap();
