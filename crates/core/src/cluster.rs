@@ -760,15 +760,53 @@ pub(crate) fn expect_survival(site: u32, msg: Message) -> Result<(f64, u64), Err
 pub(crate) type Drawn = (Vec<f64>, u64, Option<TupleMsg>, bool);
 
 /// Interprets a reply from `site` that must answer a [`Message::Draw`]
-/// whose flush carried `expected` probes: the flush's survival batch,
-/// checked as [`expect_survival_batch`] checks it, and the refill's upload.
-pub(crate) fn expect_drawn(site: u32, msg: Message, expected: usize) -> Result<Drawn, Error> {
+/// owing `expected` survival factors: the survival batch, checked as
+/// [`expect_survival_batch`] checks it, and the refill's upload. A
+/// [`Message::DrawDeferred`] (`deferred`) owes none unless its refill
+/// drained the site.
+pub(crate) fn expect_drawn(
+    site: u32,
+    msg: Message,
+    expected: usize,
+    deferred: bool,
+) -> Result<Drawn, Error> {
     match msg {
         Message::Drawn { survivals, next, drained } => {
+            let expected = if deferred && !drained { 0 } else { expected };
             let (factors, pruned) = expect_survival_batch(site, *survivals, expected)?;
             Ok((factors, pruned, own_upload(site, next)?, drained))
         }
         _ => Err(Error::ProtocolViolation { site, what: "expected Drawn reply" }),
+    }
+}
+
+/// The parts of a refill reply at a site owing deferred factors: the
+/// factors (`None` while the site keeps them), the upload, and whether
+/// the refill drained the site.
+pub(crate) type Refilled = (Option<Vec<f64>>, Option<TupleMsg>, bool);
+
+/// Interprets a reply from `site` that must answer a refill at a site
+/// holding `expected` deferred factors: a [`Message::Refilled`] carrying
+/// them, each a valid probability — or, for a
+/// [`Message::RequestNextDeferred`] (`deferred`) that left candidates
+/// behind, a plain upload while the site keeps them.
+pub(crate) fn expect_refilled(
+    site: u32,
+    msg: Message,
+    expected: usize,
+    deferred: bool,
+) -> Result<Refilled, Error> {
+    match msg {
+        Message::Refilled { survivals, next, drained } => {
+            let (factors, _) = expect_survival_batch(
+                site,
+                Message::SurvivalBatchReply { survivals, pruned: 0 },
+                expected,
+            )?;
+            Ok((Some(factors), own_upload(site, next)?, drained))
+        }
+        Message::Upload(next @ Some(_)) if deferred => Ok((None, own_upload(site, next)?, false)),
+        _ => Err(Error::ProtocolViolation { site, what: "expected Refilled reply" }),
     }
 }
 
@@ -864,11 +902,59 @@ mod tests {
             let last = Message::UploadLast(upload(forged));
             assert_eq!(expect_upload(2, last).unwrap_err(), violation);
             assert_eq!(expect_started(2, started(forged)).unwrap_err(), violation);
-            assert_eq!(expect_drawn(2, drawn(forged), 1).unwrap_err(), violation);
+            assert_eq!(expect_drawn(2, drawn(forged), 1, false).unwrap_err(), violation);
+            let refilled = Message::Refilled {
+                survivals: vec![0.5],
+                next: Some(upload(forged)),
+                drained: false,
+            };
+            assert_eq!(expect_refilled(2, refilled, 1, false).unwrap_err(), violation);
         }
         assert_eq!(expect_upload(2, Message::UploadLast(upload(2))), Ok((Some(upload(2)), true)));
         assert_eq!(expect_started(2, started(2)), Ok((Some(upload(2)), 3)));
-        assert_eq!(expect_drawn(2, drawn(2), 1), Ok((vec![0.5], 0, Some(upload(2)), false)));
+        assert_eq!(expect_drawn(2, drawn(2), 1, false), Ok((vec![0.5], 0, Some(upload(2)), false)));
+    }
+
+    /// A deferred draw owes no factor unless its refill drained the site;
+    /// a refill at a site holding factors owes exactly the held ones, each
+    /// a probability.
+    #[test]
+    fn deferred_replies_owe_what_the_site_holds() {
+        let drawn = |survivals: Vec<f64>, drained| Message::Drawn {
+            survivals: Box::new(Message::SurvivalBatchReply { survivals, pruned: 1 }),
+            next: None,
+            drained,
+        };
+        assert_eq!(
+            expect_drawn(0, drawn(Vec::new(), false), 3, true),
+            Ok((Vec::new(), 1, None, false))
+        );
+        assert_eq!(expect_drawn(0, drawn(vec![0.5; 3], true), 3, true).unwrap().0.len(), 3);
+        let mismatch = Error::ProtocolViolation { site: 0, what: "survival batch length mismatch" };
+        assert_eq!(expect_drawn(0, drawn(Vec::new(), true), 3, true).unwrap_err(), mismatch);
+        assert_eq!(expect_drawn(0, drawn(vec![0.5; 3], false), 3, true).unwrap_err(), mismatch);
+        let refilled = |survivals| Message::Refilled { survivals, next: None, drained: true };
+        assert_eq!(
+            expect_refilled(0, refilled(vec![0.25, 1.0]), 2, false),
+            Ok((Some(vec![0.25, 1.0]), None, true))
+        );
+        assert_eq!(expect_refilled(0, refilled(vec![0.25]), 2, true).unwrap_err(), mismatch);
+        assert!(expect_refilled(0, refilled(vec![f64::NAN, 1.0]), 2, false).is_err());
+        // A deferred refill that leaves candidates behind keeps the
+        // factors; a draining one, or a plain refill, must return them.
+        let upload = TupleMsg {
+            id: dsud_uncertain::TupleId::new(0, 1),
+            values: vec![1.0],
+            prob: 0.5,
+            local_prob: 0.4,
+        };
+        let kept = || Message::Upload(Some(upload.clone()));
+        assert_eq!(expect_refilled(0, kept(), 2, true), Ok((None, Some(upload.clone()), false)));
+        let violation = Error::ProtocolViolation { site: 0, what: "expected Refilled reply" };
+        assert_eq!(expect_refilled(0, kept(), 2, false).unwrap_err(), violation);
+        for drained in [Message::Upload(None), Message::UploadLast(upload.clone())] {
+            assert_eq!(expect_refilled(0, drained, 1, true).unwrap_err(), violation);
+        }
     }
 
     #[test]

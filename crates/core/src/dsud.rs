@@ -202,7 +202,12 @@ pub(crate) fn run_on(
                 let home = cand.id.site.0 as usize;
                 round.push(cand);
                 let may_finish = out.may_finish(round.len());
-                if let Some(next) = round.draw(fan, home, may_finish, &mut tracker, &mut stats)? {
+                // A draw may leave its factors for a later frame of the
+                // round only if the round is sure to draw again (another
+                // site's head qualifies) and cannot stop at the `limit`.
+                let defer = qualifies(&queue) && !out.may_finish(budget);
+                let next = round.draw(fan, home, may_finish, defer, &mut tracker, &mut stats)?;
+                if let Some(next) = next {
                     queue.push(QueueEntry(next));
                 }
             }

@@ -211,6 +211,9 @@ pub(crate) fn run_on(
         // large queues for no analytic gain.
         {
             let _span = rec.span("expunge");
+            // Draws defer their factors unless the round could stop at the
+            // `limit` (see `crate::batch`).
+            let defer = !out.may_finish(budget);
             while !round.is_full() {
                 // Expunge sweep: drop every candidate whose bound fails
                 // `q`, pulling replacements until the picture stabilizes.
@@ -228,7 +231,7 @@ pub(crate) fn run_on(
                         (0..queue.len()).rev().filter(|&idx| bounds[idx] < q).collect();
                     let draws = doomed
                         .iter()
-                        .map(|&idx| round.issue_draw(fan, queue[idx].home(), &tracker, true))
+                        .map(|&idx| round.issue_draw(fan, queue[idx].home(), &tracker, true, defer))
                         .collect();
                     let uploads = round.settle_all(fan, draws, &mut tracker, &mut stats)?;
                     let mut replaced_any = false;
@@ -278,7 +281,8 @@ pub(crate) fn run_on(
 
                 let _span = rec.span("to-server");
                 let may_finish = out.may_finish(round.len());
-                if let Some(next) = round.draw(fan, home, may_finish, &mut tracker, &mut stats)? {
+                let next = round.draw(fan, home, may_finish, defer, &mut tracker, &mut stats)?;
+                if let Some(next) = next {
                     queue.push(Candidate::new(next, &history, mask, sites));
                 }
             }

@@ -440,11 +440,39 @@ const CLIENT_WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs
 /// reading stops here instead of growing one buffer without limit.
 pub const MAX_REQUEST_LINE: usize = 64 << 10;
 
+/// After refusing an over-long line, the server reads and drops at most
+/// this much more of the client's input, for at most
+/// [`REFUSAL_DRAIN_TIME`], before it closes the connection. Closing a
+/// socket with unread input makes the kernel answer with a reset, which
+/// can destroy the refusal before the client reads it; draining lets the
+/// close end in an orderly FIN instead.
+const REFUSAL_DRAIN: usize = 16 * MAX_REQUEST_LINE;
+
+/// How long the server keeps draining a refused client's input.
+const REFUSAL_DRAIN_TIME: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// Reads and drops a refused client's input until it hangs up, or
+/// [`REFUSAL_DRAIN`] bytes or [`REFUSAL_DRAIN_TIME`] have passed.
+fn drain(reader: &mut impl Read, stop: &AtomicBool) {
+    let until = std::time::Instant::now() + REFUSAL_DRAIN_TIME;
+    let mut left = REFUSAL_DRAIN;
+    let mut sink = [0u8; 8 << 10];
+    while left > 0 && std::time::Instant::now() < until && !stop.load(Ordering::SeqCst) {
+        match reader.read(&mut sink[..left.min(8 << 10)]) {
+            Ok(0) => return,
+            Ok(n) => left -= n,
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+            Err(_) => return,
+        }
+    }
+}
+
 /// Serves one client connection until it closes, errors, or asks to stop.
 /// Client-side I/O errors (e.g. a vanished client, or a stalled one past
 /// [`CLIENT_WRITE_TIMEOUT`]) end the connection quietly — they must not
 /// take the server down. A line longer than [`MAX_REQUEST_LINE`] is
-/// answered by [`ClientHandler::refuse_line`] and ends the connection.
+/// answered by [`ClientHandler::refuse_line`] and ends the connection,
+/// after a bounded drain of the client's input (see [`REFUSAL_DRAIN`]).
 fn serve_client<H: ClientHandler>(
     stream: TcpStream,
     handler: &mut H,
@@ -482,6 +510,8 @@ fn serve_client<H: ClientHandler>(
         }
         if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
             let _ = handler.refuse_line(&mut writer);
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+            drain(&mut reader, stop);
             return;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
@@ -797,6 +827,19 @@ mod tests {
         let mut reply = String::new();
         BufReader::new(stream).read_to_string(&mut reply).unwrap();
         assert_eq!(reply, "too long\n", "one answer, then the connection closes");
+
+        // A client still sending well past the cap when the refusal comes:
+        // the server drains its input before closing, so the answer is not
+        // destroyed by a reset.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut sender = stream.try_clone().unwrap();
+        let writer =
+            std::thread::spawn(move || sender.write_all(&vec![b'['; 4 * MAX_REQUEST_LINE]));
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "too long\n", "the answer survives a client that keeps writing");
+        writer.join().unwrap().expect("the server reads what the client writes");
 
         // A client that never stops sending: the server stops reading at
         // the cap and closes (the client may see a reset instead of the

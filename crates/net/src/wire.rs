@@ -99,6 +99,19 @@ pub const TAG_DRAWN: u8 = 36;
 /// Wire tag of a [`Message::Drawn`] whose upload left the site's queue
 /// empty: laid out as [`TAG_DRAWN`].
 pub const TAG_DRAWN_LAST: u8 = 41;
+/// Wire tag of [`Message::DrawDeferred`]: laid out as [`TAG_DRAW`].
+pub const TAG_DRAW_DEFERRED: u8 = 44;
+/// Wire tag of a [`Message::Refilled`] without an upload: the tag, then
+/// the held factors as big-endian `f64`s to the end of the frame.
+pub const TAG_REFILLED_EXHAUSTED: u8 = 45;
+/// Wire tag of a [`Message::Refilled`] with an upload: the tag, the
+/// uploaded tuple in its legacy row form, then the held factors.
+pub const TAG_REFILLED: u8 = 46;
+/// Wire tag of a [`Message::Refilled`] whose upload left the site's queue
+/// empty: laid out as [`TAG_REFILLED`].
+pub const TAG_REFILLED_LAST: u8 = 47;
+/// Wire tag of [`Message::RequestNextDeferred`]: the tag alone.
+pub const TAG_REQUEST_NEXT_DEFERRED: u8 = 48;
 
 /// Whether `tag` denotes one of the columnar frames decoded by this module.
 pub(crate) fn is_columnar_tag(tag: u8) -> bool {

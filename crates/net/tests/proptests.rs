@@ -89,6 +89,10 @@ fn arb_draw_frame() -> impl Strategy<Value = Message> {
         arb_rows().prop_map(|rows| {
             Message::Draw(Box::new(Message::FeedbackBatchC(TupleBlock::from_msgs(&rows))))
         }),
+        arb_rows().prop_map(|rows| Message::DrawDeferred(Box::new(Message::FeedbackBatch(rows)))),
+        arb_rows().prop_map(|rows| {
+            Message::DrawDeferred(Box::new(Message::FeedbackBatchC(TupleBlock::from_msgs(&rows))))
+        }),
         (survivals(), prop::collection::vec(arb_tuple_msg(), 0..2), any::<bool>()).prop_map(
             |((survivals, pruned), next, last)| Message::Drawn {
                 survivals: Box::new(Message::SurvivalBatchReply { survivals, pruned }),
@@ -112,7 +116,7 @@ fn arb_routed_draw() -> impl Strategy<Value = Message> {
     (arb_draw_frame(), 0u32..4, any::<u64>()).prop_map(|(msg, route, id)| match route {
         0 => msg,
         1 => Message::Tagged { query_id: id, inner: Box::new(msg) },
-        2 if matches!(msg, Message::Draw(_)) => {
+        2 if matches!(msg, Message::Draw(_) | Message::DrawDeferred(_)) => {
             Message::AggScatter { parts: vec![(3, Message::RequestNext), (7, msg)] }
         }
         _ => Message::AggReplies {
@@ -192,7 +196,10 @@ proptest! {
 
     #[test]
     fn malformed_draw_bytes_never_panic(
-        tag in prop_oneof![Just(34u8), Just(35u8), Just(36u8), Just(41u8)],
+        tag in prop_oneof![
+            Just(34u8), Just(35u8), Just(36u8), Just(41u8),
+            Just(44u8), Just(45u8), Just(46u8), Just(47u8),
+        ],
         body in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         // Random bodies behind each draw tag: Some or None, never a panic.
@@ -216,6 +223,43 @@ proptest! {
             prop_assert_eq!(Message::decode_slice(&bytes), Some(msg));
             for cut in 0..bytes.len() {
                 prop_assert!(Message::decode_slice(&bytes[..cut]).is_none());
+            }
+        }
+    }
+
+    /// A refill reply with held factors round-trips bare, tagged and
+    /// aggregated. Its factors carry no count (the coordinator knows how
+    /// many it is owed), so a cut is rejected unless it falls on a factor
+    /// boundary, where it decodes to the same upload with fewer factors —
+    /// which the coordinator's count check rejects.
+    #[test]
+    fn refilled_frames_roundtrip_and_cuts_lose_whole_factors(
+        survivals in prop::collection::vec(0.0f64..=1.0, 1..6),
+        next in prop::collection::vec(arb_tuple_msg(), 0..2),
+        last in any::<bool>(),
+        query_id in any::<u64>(),
+    ) {
+        let next = next.into_iter().next();
+        let drained = last || next.is_none();
+        let msg = Message::Refilled { survivals: survivals.clone(), next: next.clone(), drained };
+        let tagged = Message::Tagged { query_id, inner: Box::new(msg.clone()) };
+        let merged = Message::AggReplies { replies: vec![(2, AggReply::Ok(Box::new(msg.clone())))] };
+        for routed in [tagged, merged] {
+            let bytes = routed.encode();
+            prop_assert_eq!(bytes.len(), routed.encoded_len());
+            prop_assert_eq!(Message::decode_slice(&bytes), Some(routed));
+        }
+        let bytes = msg.encode();
+        prop_assert_eq!(Message::decode_slice(&bytes), Some(msg));
+        for cut in 0..bytes.len() {
+            match Message::decode_slice(&bytes[..cut]) {
+                None => {}
+                Some(Message::Refilled { survivals: kept, next: n, drained: d }) => {
+                    prop_assert!(kept.len() < survivals.len());
+                    prop_assert_eq!(&kept[..], &survivals[..kept.len()]);
+                    prop_assert_eq!((n, d), (next.clone(), drained));
+                }
+                Some(other) => prop_assert!(false, "cut {} decoded to {:?}", cut, other),
             }
         }
     }
@@ -246,11 +290,11 @@ proptest! {
     }
 }
 
-/// Every tag byte up to the highest the protocol assigns (43), plus 44.
-const TAGS: std::ops::RangeInclusive<u8> = 0..=44;
+/// Every tag byte up to the highest the protocol assigns (48), plus 49.
+const TAGS: std::ops::RangeInclusive<u8> = 0..=49;
 /// The tags no frame may decode under: 16/17 (the retired grid synopsis),
-/// 33 (the retired sketch reply) and 44 (never assigned).
-const DEAD_TAGS: [u8; 4] = [16, 17, 33, 44];
+/// 33 (the retired sketch reply) and 49 (never assigned).
+const DEAD_TAGS: [u8; 4] = [16, 17, 33, 49];
 
 /// `tail` behind `tag`, bare and behind a [`Message::Tagged`] header.
 fn malformed_frames(tag: u8, query_id: u64, tail: &[u8]) -> [Vec<u8>; 2] {

@@ -73,7 +73,10 @@ use serde::{Deserialize, Serialize};
 /// * 12 — drops the always-zero `sketch_merges` counter and the
 ///   always-zero `sketch_bytes` / `plan_us` stamps. Schema ≤ 11 files
 ///   still deserialize (the dropped fields are ignored).
-pub const SCHEMA_VERSION: u32 = 12;
+/// * 13 — adds the deferred-draw counter `deferred_factors` to the
+///   counter snapshot. Schema ≤ 12 files still deserialize (the counter
+///   defaults to 0).
+pub const SCHEMA_VERSION: u32 = 13;
 
 /// Typed counters of the paper's cost model.
 ///
@@ -179,9 +182,13 @@ pub enum Counter {
     /// drained and its dominance cover proved its survival factor is
     /// exactly 1.0 (one per site and candidate).
     SkippedDeliveries,
+    /// Survival factors a batched round's draw left for a later frame of
+    /// the round (the closing wave, the last draw or a refill) instead of
+    /// computing them on the sequential draw chain.
+    DeferredFactors,
 }
 
-const COUNTER_COUNT: usize = 31;
+const COUNTER_COUNT: usize = 32;
 
 impl Counter {
     fn index(self) -> usize {
@@ -330,6 +337,10 @@ pub struct CounterSnapshot {
     /// schema 11.
     #[serde(default)]
     pub skipped_deliveries: u64,
+    /// Final value of [`Counter::DeferredFactors`]. Absent (0) before
+    /// schema 13.
+    #[serde(default)]
+    pub deferred_factors: u64,
 }
 
 impl CounterSnapshot {
@@ -366,6 +377,7 @@ impl CounterSnapshot {
             agg_merged_frames: c[Counter::AggMergedFrames.index()],
             agg_fold_ops: c[Counter::AggFoldOps.index()],
             skipped_deliveries: c[Counter::SkippedDeliveries.index()],
+            deferred_factors: c[Counter::DeferredFactors.index()],
         }
     }
 
@@ -403,6 +415,7 @@ impl CounterSnapshot {
             Counter::AggMergedFrames => self.agg_merged_frames,
             Counter::AggFoldOps => self.agg_fold_ops,
             Counter::SkippedDeliveries => self.skipped_deliveries,
+            Counter::DeferredFactors => self.deferred_factors,
         }
     }
 }
@@ -1160,10 +1173,41 @@ mod tests {
         }"#;
         let report: RunReport = serde_json::from_str(json).unwrap();
         assert_eq!(report.counters.skipped_deliveries, 7);
+        assert_eq!(report.counters.deferred_factors, 0);
         assert_eq!(report.plan.as_deref(), Some("sketch"));
         assert_eq!(report.planned_batch, Some(24));
         let out = serde_json::to_string(&report).unwrap();
         assert!(!out.contains("sketch_merges") && !out.contains("plan_us"), "{out}");
+    }
+
+    /// A schema-12 file (before the deferred-draw counter) still reads,
+    /// with the counter at 0; the counter flows into new reports.
+    #[test]
+    fn schema_twelve_reports_deserialize_without_the_deferral_counter() {
+        let json = r#"{
+            "schema_version": 12,
+            "algorithm": "dsud",
+            "wall_ms": 1.0,
+            "counters": {
+                "bytes_sent": 9, "messages": 4, "tuples_shipped": 2,
+                "feedback_broadcasts": 1, "rounds": 1, "expunged": 0,
+                "pruned_at_sites": 0, "prtree_nodes_visited": 0,
+                "prtree_pruned_subtrees": 0, "local_skyline_size": 0,
+                "progressive_results": 1, "skipped_deliveries": 3
+            },
+            "spans": [],
+            "phases": [],
+            "planned_batch": 16,
+            "progressive": []
+        }"#;
+        let report: RunReport = serde_json::from_str(json).unwrap();
+        assert_eq!(report.counters.skipped_deliveries, 3);
+        assert_eq!(report.counters.get(Counter::DeferredFactors), 0);
+        let rec = Recorder::enabled();
+        rec.add(Counter::DeferredFactors, 11);
+        let report = rec.report("dsud").unwrap();
+        assert_eq!(report.counters.deferred_factors, 11);
+        assert_eq!(report.counters.get(Counter::DeferredFactors), 11);
     }
 
     #[test]

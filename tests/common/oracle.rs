@@ -305,8 +305,10 @@ impl Tally {
     }
 
     /// Fails unless every axis value appeared (faults both ridden out and
-    /// stamped among them, and runs that left feedback to a drained site
-    /// out) and at least 8 cases met the world oracle.
+    /// stamped among them, runs that left feedback to a drained site out,
+    /// and runs whose draws deferred survival factors, under the
+    /// overlapped pipeline and under a fault) and at least 8 cases met the
+    /// world oracle.
     pub fn assert_covered(&self) {
         let axes = [
             ("algorithm", names(&["dsud", "edsud"])),
@@ -321,6 +323,8 @@ impl Tally {
             ("entry", names(&ENTRIES)),
             ("fault", names(&["none", "ridden out", "stamped"])),
             ("skipped deliveries", names(&["none", "some"])),
+            ("deferred factors", names(&["none", "some"])),
+            ("deferred factors under", names(&["overlapped pipeline", "fault"])),
         ];
         let missing: Vec<(&str, &String)> = axes
             .iter()
@@ -387,6 +391,14 @@ pub fn check(case: &Case, tally: &mut Tally) {
     // one-shot runs show their skips here.
     let skipped = recorder.counter(Counter::SkippedDeliveries) > 0;
     tally.note("skipped deliveries", if skipped { "some" } else { "none" });
+    let deferred = recorder.counter(Counter::DeferredFactors) > 0;
+    tally.note("deferred factors", if deferred { "some" } else { "none" });
+    if deferred && case.pipeline != PipelineDepth::Fixed(1) {
+        tally.note("deferred factors under", "overlapped pipeline");
+    }
+    if deferred && case.fault.is_some() {
+        tally.note("deferred factors under", "fault");
+    }
 }
 
 /// Check (a): the reference's answer, bit for bit.

@@ -159,21 +159,21 @@ fn round_schedule_traffic_is_pinned() {
         ("dsud b1 pauto flat l4", "24/24/1320 119/119/6545 119/0/2023 24/0/152 0/0/0 | 17/17/0/57 | 4 4001a6f502258eb1"),
         ("dsud b1 pauto tree:2 l-", "60/65/4470 124/124/9020 124/0/10890 60/0/888 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b1 pauto tree:2 l4", "18/24/1626 34/34/2516 34/0/3264 18/0/300 0/0/0 | 17/17/0/57 | 4 4001a6f502258eb1"),
-        ("dsud b16 p1 flat l-", "66/65/6098 78/395/21770 28/0/1652 16/0/144 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 p1 flat l-", "66/65/4962 78/395/21770 28/0/2788 16/0/144 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 p1 flat l4", "39/39/3427 42/224/12332 16/0/1056 13/0/141 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud b16 p1 tree:2 l-", "60/65/6992 58/395/22684 8/0/1944 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 p1 tree:2 l-", "60/65/5856 58/395/22684 8/0/3080 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 p1 tree:2 l4", "33/39/3943 32/224/12828 6/0/1230 7/0/146 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud b16 pauto flat l-", "66/65/6098 78/395/21770 28/0/1652 16/0/144 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 pauto flat l-", "66/65/4962 78/395/21770 28/0/2788 16/0/144 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 pauto flat l4", "39/39/3427 42/224/12332 16/0/1056 13/0/141 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud b16 pauto tree:2 l-", "60/65/6992 58/395/22684 8/0/1944 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud b16 pauto tree:2 l-", "60/65/5856 58/395/22684 8/0/3080 10/0/188 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud b16 pauto tree:2 l4", "33/39/3943 32/224/12828 6/0/1230 7/0/146 0/0/0 | 32/32/0/68 | 4 4001a6f502258eb1"),
-        ("dsud bauto p1 flat l-", "66/65/6519 71/395/21736 20/0/1172 15/0/143 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto p1 flat l-", "66/65/5199 71/395/21736 20/0/2492 15/0/143 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto p1 flat l4", "27/27/1746 49/140/7814 40/0/1528 18/0/146 0/0/0 | 20/20/0/57 | 4 4001a6f502258eb1"),
-        ("dsud bauto p1 tree:2 l-", "60/65/7413 57/395/22589 6/0/1382 9/0/174 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto p1 tree:2 l-", "60/65/6093 57/395/22589 6/0/2702 9/0/174 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto p1 tree:2 l4", "21/27/2094 24/140/8326 15/0/1963 12/0/216 0/0/0 | 20/20/0/57 | 4 4001a6f502258eb1"),
-        ("dsud bauto pauto flat l-", "66/65/6519 71/395/21736 20/0/1172 15/0/143 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto pauto flat l-", "66/65/5199 71/395/21736 20/0/2492 15/0/143 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto pauto flat l4", "27/27/1746 49/140/7814 40/0/1528 18/0/146 0/0/0 | 20/20/0/57 | 4 4001a6f502258eb1"),
-        ("dsud bauto pauto tree:2 l-", "60/65/7413 57/395/22589 6/0/1382 9/0/174 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
+        ("dsud bauto pauto tree:2 l-", "60/65/6093 57/395/22589 6/0/2702 9/0/174 0/0/0 | 65/65/0/84 | 34 81858570372ac850"),
         ("dsud bauto pauto tree:2 l4", "21/27/2094 24/140/8326 15/0/1963 12/0/216 0/0/0 | 20/20/0/57 | 4 4001a6f502258eb1"),
         ("edsud b1 p1 flat l-", "70/67/3688 283/283/15565 283/0/4811 70/0/198 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 p1 flat l4", "25/25/1375 70/70/3850 70/0/1190 25/0/153 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
@@ -183,21 +183,21 @@ fn round_schedule_traffic_is_pinned() {
         ("edsud b1 pauto flat l4", "25/25/1375 70/70/3850 70/0/1190 25/0/153 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
         ("edsud b1 pauto tree:2 l-", "64/67/4638 91/91/6592 91/0/7813 64/0/944 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b1 pauto tree:2 l4", "19/25/1695 20/20/1480 20/0/1920 19/0/314 0/0/0 | 18/10/8/55 | 4 4001a6f502258eb1"),
-        ("edsud b16 p1 flat l-", "70/67/5932 63/283/15641 19/0/839 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 p1 flat l-", "70/67/5012 63/283/15641 19/0/1759 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 p1 flat l4", "32/32/2533 25/112/6190 8/0/448 15/0/143 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud b16 p1 tree:2 l-", "64/67/6882 50/283/16395 6/0/1040 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 p1 tree:2 l-", "64/67/5962 50/283/16395 6/0/1960 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 p1 tree:2 l4", "26/32/2951 20/112/6490 3/0/535 9/0/174 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud b16 pauto flat l-", "70/67/5932 63/283/15641 19/0/839 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 pauto flat l-", "70/67/5012 63/283/15641 19/0/1759 26/0/154 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 pauto flat l4", "32/32/2533 25/112/6190 8/0/448 15/0/143 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud b16 pauto tree:2 l-", "64/67/6882 50/283/16395 6/0/1040 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud b16 pauto tree:2 l-", "64/67/5962 50/283/16395 6/0/1960 20/0/328 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud b16 pauto tree:2 l4", "26/32/2951 20/112/6490 3/0/535 9/0/174 0/0/0 | 25/16/9/60 | 4 4001a6f502258eb1"),
-        ("edsud bauto p1 flat l-", "70/67/6001 59/283/15622 14/0/750 25/0/153 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto p1 flat l-", "70/67/5177 59/283/15622 14/0/1574 25/0/153 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto p1 flat l4", "28/28/1801 33/84/4710 24/0/872 19/0/147 0/0/0 | 21/12/9/55 | 4 4001a6f502258eb1"),
-        ("edsud bauto p1 tree:2 l-", "64/67/6951 49/283/16339 4/0/896 19/0/314 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto p1 tree:2 l-", "64/67/6127 49/283/16339 4/0/1720 19/0/314 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto p1 tree:2 l4", "22/28/2163 18/84/5064 9/0/1133 13/0/230 0/0/0 | 21/12/9/55 | 4 4001a6f502258eb1"),
-        ("edsud bauto pauto flat l-", "70/67/6001 59/283/15622 14/0/750 25/0/153 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto pauto flat l-", "70/67/5177 59/283/15622 14/0/1574 25/0/153 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto pauto flat l4", "28/28/1801 33/84/4710 24/0/872 19/0/147 0/0/0 | 21/12/9/55 | 4 4001a6f502258eb1"),
-        ("edsud bauto pauto tree:2 l-", "64/67/6951 49/283/16339 4/0/896 19/0/314 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
+        ("edsud bauto pauto tree:2 l-", "64/67/6127 49/283/16339 4/0/1720 19/0/314 0/0/0 | 67/48/19/82 | 34 595755a79668295c"),
         ("edsud bauto pauto tree:2 l4", "22/28/2163 18/84/5064 9/0/1133 13/0/230 0/0/0 | 21/12/9/55 | 4 4001a6f502258eb1"),
     ];
     let mut observed = Vec::new();
